@@ -47,6 +47,7 @@ from .ingest_sim import (
     simulate_mortgage_analogue,
     standardize,
     write_csv,
+    write_json,
 )
 from .model_core import (
     BiasSpec,
@@ -99,15 +100,9 @@ def _load_json(path):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _emit(obj, out_path) -> None:
     if out_path:
-        _write_json(out_path, obj)
+        write_json(obj, out_path)
     else:
         sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -289,7 +284,7 @@ def cmd_iboss(args) -> int:
     _emit(payload, resolved["out"])
     if resolved["perm_report"]:
         report = iboss_permutation_report(ds, int(resolved["n"]))
-        _write_json(resolved["perm_report"], report)
+        write_json(report, resolved["perm_report"])
     return 0
 
 
@@ -526,7 +521,7 @@ def cmd_repro(args) -> int:
         )
     else:
         raise InvalidInputError("repro example must be 1, 2, or 3")
-    _write_json(os.path.join(out_dir, "resolved_config.json"), _json_ready(manifest))
+    write_json(_json_ready(manifest), os.path.join(out_dir, "resolved_config.json"))
     sys.stdout.write(json.dumps({"command": "repro", "out_dir": out_dir}, sort_keys=True) + "\n")
     return 0
 

@@ -28,14 +28,12 @@ from .model_core import (
     DesignMeasure,
     InformationMatrix,
     ModelSpec,
-    _eval_basis,
     eval_row,
     information_matrix,
     model_matrix,
 )
 
 _COND_LIMIT = 1e12
-_EIG_FLOOR = 1e-12
 _RANK_TOL = 1e-9
 
 CRITERION_NAMES = ("D", "I", "A", "Inu", "Dnu", "traceR", "detR_bias", "detR_conf")
@@ -519,13 +517,11 @@ def montepiedra_check(
     m = information_matrix(spec, design)
     m11_inv, _ = _bias_blocks(m, bias)
 
-    gx = grid.x_part()
-    rows_f = np.empty((grid.n_points, spec.p))
-    rows_h = np.zeros((grid.n_points, spec.m)) if spec.m else None
-    for i in range(grid.n_points):
-        rows_f[i] = _eval_basis(spec.f_basis, gx[i], spec.p, "f")
-        if spec.m:
-            rows_h[i] = _eval_basis(spec.h_basis, gx[i], spec.m, "h")
+    # only the f and h blocks are needed, and the grid may carry no z part
+    fh_spec = ModelSpec(f_basis=spec.f_basis, p=spec.p, h_basis=spec.h_basis, m=spec.m)
+    rows = model_matrix(fh_spec, grid.x_part())
+    rows_f = np.ascontiguousarray(rows[:, : spec.p])
+    rows_h = np.ascontiguousarray(rows[:, spec.p :])
 
     d1 = np.einsum("ij,jk,ik->i", rows_f, m11_inv, rows_f)
     # c(x) is linear in the design's weighted f average

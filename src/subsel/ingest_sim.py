@@ -7,7 +7,9 @@ block order, so a seed pins every generated dataset byte for byte.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +102,10 @@ def load_csv(
     Feature columns default to every column not claimed as response or
     confounder.  Raises ConfigError for missing columns and
     EmptyDatasetError when no usable rows remain.
+
+    A file whose used cells are all plain finite numbers is parsed in one
+    np.loadtxt pass; any other file is read again row by row, which alone
+    decides what is dropped or raised.  Both give the same values.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -108,7 +114,6 @@ def load_csv(
         except StopIteration:
             raise EmptyDatasetError(f"{path} is empty") from None
         header = [h.strip() for h in header]
-        rows = list(reader)
 
     confounder_columns = list(confounder_columns or [])
     claimed = set(confounder_columns)
@@ -130,38 +135,10 @@ def load_csv(
     )
     pos = {name: header.index(name) for name in used}
 
-    keep: list[list[float]] = []
+    arr = _load_plain(path, [pos[name] for name in used]) if used else None
     dropped = 0
-    for r_i, row in enumerate(rows, start=2):  # header is line 1
-        if not row or (len(row) == 1 and row[0].strip() == ""):
-            continue  # blank line (csv.reader yields [] for one)
-        vals = []
-        bad: str | None = None
-        for name in used:
-            j = pos[name]
-            cell = row[j].strip() if j < len(row) else ""
-            try:
-                v = float(cell)
-                if not math.isfinite(v):
-                    raise ValueError
-            except ValueError:
-                bad = name
-                break
-            vals.append(v)
-        if bad is not None:
-            if strict:
-                raise ParseError(
-                    f"cannot parse column {bad!r} on line {r_i} of {path}",
-                    row=r_i,
-                    column=bad,
-                )
-            dropped += 1
-            continue
-        keep.append(vals)
-
-    if not keep:
-        raise EmptyDatasetError(f"no usable data rows in {path}")
-    arr = np.asarray(keep, dtype=float)
+    if arr is None:
+        arr, dropped = _load_rowwise(path, used, pos, strict)
     n_f = len(feature_columns)
     n_c = len(confounder_columns)
     feats = arr[:, :n_f]
@@ -178,6 +155,72 @@ def load_csv(
     )
 
 
+def _unquoted(lines):
+    # csv.reader splits a quoted cell holding a comma or a newline where
+    # np.loadtxt does not, so a quote anywhere sends the file row by row
+    for line in lines:
+        if '"' in line:
+            raise ValueError("quoted cell")
+        yield line
+
+
+def _load_plain(path, usecols: list[int]) -> np.ndarray | None:
+    """The used columns of the data rows in one np.loadtxt pass, or None
+    unless every used cell is a finite number and there is at least one row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        next(csv.reader(fh))  # the header
+        try:
+            with warnings.catch_warnings():
+                # a file with no data rows warns; the row-wise reader reports it
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(_unquoted(fh), delimiter=",", usecols=usecols,
+                                 comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            return None
+    if arr.shape[0] == 0 or not np.all(np.isfinite(arr)):
+        return None
+    return arr
+
+
+def _load_rowwise(path, used: list[str], pos: dict, strict: bool) -> tuple[np.ndarray, int]:
+    """Parse the data rows one at a time: the rows kept and the count dropped."""
+    keep: list[list[float]] = []
+    dropped = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        for r_i, row in enumerate(reader, start=2):  # header is line 1
+            if not row or (len(row) == 1 and row[0].strip() == ""):
+                continue  # blank line (csv.reader yields [] for one)
+            vals = []
+            bad: str | None = None
+            for name in used:
+                j = pos[name]
+                cell = row[j].strip() if j < len(row) else ""
+                try:
+                    v = float(cell)
+                    if not math.isfinite(v):
+                        raise ValueError
+                except ValueError:
+                    bad = name
+                    break
+                vals.append(v)
+            if bad is not None:
+                if strict:
+                    raise ParseError(
+                        f"cannot parse column {bad!r} on line {r_i} of {path}",
+                        row=r_i,
+                        column=bad,
+                    )
+                dropped += 1
+                continue
+            keep.append(vals)
+
+    if not keep:
+        raise EmptyDatasetError(f"no usable data rows in {path}")
+    return np.asarray(keep, dtype=float), dropped
+
+
 def write_csv(data: Dataset, path) -> None:
     """Write a Dataset back to CSV with full-roundtrip float formatting."""
     names = list(data.feature_names) + list(data.confounder_names)
@@ -192,6 +235,13 @@ def write_csv(data: Dataset, path) -> None:
         lines.append(",".join(repr(float(c[i])) for c in cols))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_json(obj, path) -> None:
+    """Write a JSON artifact: sorted keys, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,11 @@ class ModelSpec:
 
     h_basis/g_basis may be None when the corresponding dimension is zero.
     Basis callables take a 1-D coordinate array and return a 1-D float array
-    of the declared length.
+    of the declared length.  A callable may also carry a `batch` attribute,
+    a whole-array evaluator mapping an (n, d) coordinate array to the
+    (n, length) stack of its per-point values.  The built-in families are
+    written as such an evaluator, and their per-point callable runs it on a
+    one-row array; model_matrix uses `batch` when every block has one.
     """
 
     f_basis: BasisFn
@@ -101,7 +105,13 @@ def eval_row(spec: ModelSpec, x, z=None) -> np.ndarray:
 
 
 def model_matrix(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray | None = None) -> np.ndarray:
-    """Stack eval_row over many points into an (n, p+m+q) matrix."""
+    """Stack eval_row over many points into an (n, p+m+q) matrix.
+
+    When every block's basis has a `batch` evaluator, all points are computed
+    at once; otherwise, or when a block fails its shape or finiteness check
+    or its arithmetic, the points are evaluated row by row, which raises the
+    error eval_row would.  The rows equal eval_row's bit for bit.
+    """
     xs = np.asarray(x_points, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
@@ -115,9 +125,27 @@ def model_matrix(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray | N
             zs = zs[:, None]
         if zs.shape[0] != n:
             raise InvalidInputError("x_points and z_points must have matching row counts")
+    blocks = [(spec.f_basis, xs, spec.p, "f")]
+    if spec.m > 0:
+        blocks.append((spec.h_basis, xs, spec.m, "h"))
+    if spec.q > 0:
+        blocks.append((spec.g_basis, zs, spec.q, "g"))
+    if n > 0 and all(hasattr(fn, "batch") and pts.ndim == 2 and pts.shape[1] > 0
+                     for fn, pts, _, _ in blocks):
+        try:
+            return np.hstack([_eval_block(*block) for block in blocks])
+        except (InvalidInputError, ArithmeticError):
+            pass  # the row-wise loop below raises the failing point's own error
     out = np.empty((n, spec.k_total), dtype=float)
     for i in range(n):
         out[i] = eval_row(spec, xs[i], None if zs is None else zs[i])
+    return out
+
+
+def _eval_block(fn: BasisFn, points: np.ndarray, length: int, label: str) -> np.ndarray:
+    out = np.asarray(fn.batch(points), dtype=float)
+    if out.shape != (points.shape[0], length) or not np.all(np.isfinite(out)):
+        raise InvalidInputError(f"{label} basis failed its shape or finiteness check")
     return out
 
 
@@ -520,8 +548,8 @@ class SubsampleSelection:
 def polynomial_basis(degree: int, intercept: bool = True, dim: int = 1, scale: float = 1.0):
     """Polynomial terms (scale*x)^1..(scale*x)^degree, optional leading 1.
 
-    For dim > 1 only degree 1 is supported: terms are the scaled coordinates
-    in order.  Returns (callable, n_terms).
+    For dim > 1 the degree is at most 1: the terms are the scaled
+    coordinates in order, or none for degree 0.  Returns (callable, n_terms).
     """
     if degree < 0 or degree > 3:
         raise ConfigError("polynomial degree must be in 0..3")
@@ -533,19 +561,22 @@ def polynomial_basis(degree: int, intercept: bool = True, dim: int = 1, scale: f
         raise ConfigError("degree 0 without intercept has no terms")
     n_terms = (1 if intercept else 0) + (degree if dim == 1 else dim * degree)
 
-    if dim == 1:
-        def fn(x: np.ndarray) -> np.ndarray:
-            v = scale * float(x[0])
-            terms = [1.0] if intercept else []
-            terms.extend(v**j for j in range(1, degree + 1))
-            return np.asarray(terms, dtype=float)
-    else:
-        def fn(x: np.ndarray) -> np.ndarray:
-            terms = [1.0] if intercept else []
-            terms.extend(scale * float(v) for v in x)
-            return np.asarray(terms, dtype=float)
+    def batch(xs: np.ndarray) -> np.ndarray:
+        cols = [np.ones((xs.shape[0], 1))] if intercept else []
+        if dim > 1:
+            if degree == 1:
+                cols.append(scale * xs)
+            return np.hstack(cols)
+        v = scale * xs[:, 0]
+        if degree >= 1:
+            cols.append(v)
+        # Python's float ** (C pow) differs from v * v and np.power in the
+        # last bits on some values, so the powers stay per element
+        vals = v.tolist()
+        cols.extend(np.array([t**j for t in vals]) for j in range(2, degree + 1))
+        return np.column_stack(cols)
 
-    return fn, n_terms
+    return _per_point(batch), n_terms
 
 
 def trig_basis(kind: str = "sin", coeffs: Sequence[float] = (1.0, 0.0, 0.0), amplitude: float = 1.0):
@@ -557,11 +588,20 @@ def trig_basis(kind: str = "sin", coeffs: Sequence[float] = (1.0, 0.0, 0.0), amp
     a, b, c = (float(v) for v in coeffs)
     wave = np.sin if kind == "sin" else np.cos
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        v = float(x[0])
-        return np.asarray([amplitude * wave(a * v * v + b * v + c)], dtype=float)
+    def batch(xs: np.ndarray) -> np.ndarray:
+        v = xs[:, 0]
+        return (amplitude * wave(a * v * v + b * v + c))[:, None]
 
-    return fn, 1
+    return _per_point(batch), 1
+
+
+def _per_point(batch: Callable[[np.ndarray], np.ndarray]) -> BasisFn:
+    """The per-point basis callable of a whole-array evaluator, carrying it as `batch`."""
+    def fn(x: np.ndarray) -> np.ndarray:
+        return batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
+
+    fn.batch = batch
+    return fn
 
 
 _BASIS_FAMILIES = ("poly", "trig")

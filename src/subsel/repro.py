@@ -9,7 +9,6 @@ same arguments rewrites byte-identical files.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -26,6 +25,7 @@ from .ingest_sim import (
     simulate_mortgage_analogue,
     standardize,
     write_csv,
+    write_json,
 )
 from .model_core import (
     CandidateGrid,
@@ -37,12 +37,6 @@ from .model_core import (
 from .select_iboss import run_iboss
 from .select_robust import run_wiens
 from .select_sequential import SeqConfig, run_sequential
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _linear_spec(p_covariates: int) -> ModelSpec:
@@ -100,7 +94,7 @@ def repro_example1(
     criteria_out = {}
     for name, cfg in strategies.items():
         selection, trace = run_sequential(train, grid, spec, cfg)
-        _write_json(os.path.join(out_dir, f"selection_{name}.json"), selection.to_json_dict())
+        write_json(selection.to_json_dict(), os.path.join(out_dir, f"selection_{name}.json"))
         trace.write_theta_csv(os.path.join(out_dir, f"trajectory_{name}.csv"))
         fit = trace.final_fit
         estimates[name] = {
@@ -109,12 +103,12 @@ def repro_example1(
             "converged": bool(fit.converged),
         }
         confusion = predict_classify(fit, test_rows, test_y, threshold=threshold)
-        _write_json(os.path.join(out_dir, f"confusion_{name}.json"), confusion.to_json_dict())
+        write_json(confusion.to_json_dict(), os.path.join(out_dir, f"confusion_{name}.json"))
         m = information_matrix_from_selection(spec, train, selection)
         criteria_out[name] = d_criterion(m).to_json_dict()
 
-    _write_json(os.path.join(out_dir, "estimates.json"), estimates)
-    _write_json(os.path.join(out_dir, "criteria.json"), criteria_out)
+    write_json(estimates, os.path.join(out_dir, "estimates.json"))
+    write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
     return {
         "pipeline": 1,
         "seed": seed,
@@ -187,8 +181,8 @@ def repro_example2(
         sel_seq, trace = run_sequential(ds, grid, spec, cfg)
         sel_ib = run_iboss(iboss_matrix, n_design)
 
-        _write_json(os.path.join(out_dir, f"selection_seq_{variant}.json"), sel_seq.to_json_dict())
-        _write_json(os.path.join(out_dir, f"selection_iboss_{variant}.json"), sel_ib.to_json_dict())
+        write_json(sel_seq.to_json_dict(), os.path.join(out_dir, f"selection_seq_{variant}.json"))
+        write_json(sel_ib.to_json_dict(), os.path.join(out_dir, f"selection_iboss_{variant}.json"))
         d_seq = d_criterion(information_matrix_from_selection(spec, ds, sel_seq))
         d_ib = d_criterion(information_matrix_from_selection(spec, ds, sel_ib))
         criteria_out[variant] = {
@@ -201,7 +195,7 @@ def repro_example2(
         scatter += _design_scatter_rows(variant, "iboss", ds, sel_ib.indices)
 
     _write_scatter_csv(os.path.join(out_dir, "designs.csv"), scatter)
-    _write_json(os.path.join(out_dir, "criteria.json"), criteria_out)
+    write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
     return {
         "pipeline": 2,
         "seed": seed,
@@ -252,10 +246,10 @@ def repro_example3(
         w_init = ctx.f_matrix.shape[1] + 1
         measure, traj = run_wiens(ctx, n_init=w_init, n_target=w_init + robust_iters, seed=seed)
         traj.write_dnu_csv(os.path.join(out_dir, f"dnu_trajectory_{variant}.csv"))
-        _write_json(os.path.join(out_dir, f"robust_measure_{variant}.json"), measure.to_json_dict())
+        write_json(measure.to_json_dict(), os.path.join(out_dir, f"robust_measure_{variant}.json"))
 
-        _write_json(os.path.join(out_dir, f"selection_seq_{variant}.json"), sel_seq.to_json_dict())
-        _write_json(os.path.join(out_dir, f"selection_iboss_{variant}.json"), sel_ib.to_json_dict())
+        write_json(sel_seq.to_json_dict(), os.path.join(out_dir, f"selection_seq_{variant}.json"))
+        write_json(sel_ib.to_json_dict(), os.path.join(out_dir, f"selection_iboss_{variant}.json"))
         d_seq = d_criterion(information_matrix_from_selection(spec, ds, sel_seq))
         d_ib = d_criterion(information_matrix_from_selection(spec, ds, sel_ib))
         criteria_out[variant] = {
@@ -281,7 +275,7 @@ def repro_example3(
             )
 
     _write_scatter_csv(os.path.join(out_dir, "designs.csv"), scatter)
-    _write_json(os.path.join(out_dir, "criteria.json"), criteria_out)
+    write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
     return {
         "pipeline": 3,
         "seed": seed,

@@ -1,0 +1,176 @@
+"""CSV ingest properties: the whole-file parse agrees with the row-wise reader.
+
+load_csv parses a file whose used cells are all plain finite numbers with
+one np.loadtxt pass and reads any other file row by row.  The generated
+files mix both kinds: unused columns, blank and whitespace-only lines, CRLF
+endings, a missing final newline, and cells that are empty, non-finite,
+underscored, quoted, commented, padded, short or long.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subsel.errors import EmptyDatasetError, ParseError
+from subsel.ingest_sim import Dataset, _load_plain, _load_rowwise, load_csv, write_csv
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e5", "-2.5E-3", "+.5", "5.", "-0.0", "007", " 1.25 ", "\t-3"]),
+)
+HAZARDS = [
+    "", " ", "nan", "-inf", "Infinity", "1e400", "1_0", '"2.5"', '"a,5,b"', '"7\n8"',
+    "#x", "# 1", "abc", "0x10", "1d5", "1,5", "１",
+]
+
+
+@st.composite
+def csv_files(draw, hazard):
+    """(file text, load_csv keyword arguments).
+
+    Numeric rows and blank lines, plus at random places a line holding the
+    `hazard` cell (None: a plain number) and up to two more lines that are
+    whitespace-only, short or long.
+    """
+    n_cols = draw(st.integers(1, 5))
+    names = [f"c{j}" for j in range(n_cols)]
+    features = draw(st.lists(st.sampled_from(names), min_size=1, max_size=n_cols, unique=True))
+    rest = [n for n in names if n not in features]
+    response = draw(st.sampled_from([None, *rest]))
+    rest = [n for n in rest if n != response]
+    confounders = draw(st.lists(st.sampled_from(rest), max_size=len(rest), unique=True)) if rest else []
+
+    def row():
+        return [draw(NUMBERS) for _ in range(n_cols)]
+
+    lines = [
+        "" if draw(st.integers(0, 7)) == 0 else ",".join(row())
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    cells = row()
+    if hazard is not None:
+        cells[draw(st.integers(0, n_cols - 1))] = hazard
+    odd = [",".join(cells)]
+    for kind in draw(st.lists(st.integers(0, 2), max_size=2)):
+        if kind == 0:
+            odd.append(draw(st.sampled_from([" ", "\t", "  "])))
+        elif kind == 1:
+            odd.append(",".join(row()[: draw(st.integers(0, n_cols - 1))]))
+        else:
+            odd.append(",".join(row() + [draw(st.sampled_from(HAZARDS)), draw(NUMBERS)]))
+    for line in odd:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([",".join(names), *lines])
+    if draw(st.booleans()):
+        text += eol
+    kwargs = {
+        "feature_columns": features,
+        "response_column": response,
+        "confounder_columns": confounders,
+    }
+    return text, kwargs
+
+
+def _outcome(call):
+    """Values, drop count or error of one load, in a comparable form."""
+    try:
+        arr, dropped = call()
+    except ParseError as exc:
+        return ("parse", exc.row, exc.column)
+    except EmptyDatasetError:
+        return ("empty",)
+    return ("ok", arr.tobytes(), arr.shape, dropped)
+
+
+def _public(path, strict, kwargs):
+    data = load_csv(path, strict=strict, **kwargs)
+    cols = [data.features]
+    if data.confounders is not None:
+        cols.append(data.confounders)
+    if data.response is not None:
+        cols.append(data.response[:, None])
+    return np.hstack(cols), data.n_dropped
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "data.csv"
+
+
+@pytest.mark.parametrize("hazard", [None, *HAZARDS])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_fast_path_agrees_with_rowwise_reader(csv_path, hazard, data):
+    text, kwargs = data.draw(csv_files(hazard))
+    csv_path.write_bytes(text.encode("utf-8"))
+    used = kwargs["feature_columns"] + kwargs["confounder_columns"]
+    if kwargs["response_column"]:
+        used.append(kwargs["response_column"])
+    header = text.splitlines()[0].split(",")
+    pos = {name: header.index(name) for name in used}
+
+    for strict in (False, True):
+        ref = _outcome(lambda: _load_rowwise(csv_path, used, pos, strict))
+        got = _outcome(lambda: _public(csv_path, strict, kwargs))
+        assert got == ref
+
+    fast = _load_plain(csv_path, [pos[name] for name in used])
+    if fast is not None:
+        assert _outcome(lambda: (fast, 0)) == _outcome(
+            lambda: _load_rowwise(csv_path, used, pos, True)
+        )
+
+
+def test_plain_file_is_parsed_in_one_pass(tmp_path, monkeypatch):
+    path = tmp_path / "plain.csv"
+    path.write_text("a,b,y\r\n1.5,-2,0.25\r\n\r\n3e2,4,1\r\n")
+
+    def rowwise(*args):
+        raise AssertionError("the row-wise reader ran on a plain file")
+
+    monkeypatch.setattr("subsel.ingest_sim._load_rowwise", rowwise)
+    data = load_csv(path, response_column="y")
+    assert np.array_equal(data.features, [[1.5, -2.0], [300.0, 4.0]])
+    assert np.array_equal(data.response, [0.25, 1.0])
+
+
+def test_header_only_file_warns_nothing(tmp_path, recwarn):
+    path = tmp_path / "header.csv"
+    path.write_text("a,y\n")
+    with pytest.raises(EmptyDatasetError):
+        load_csv(path, response_column="y")
+    assert not recwarn.list
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(FINITE, min_size=k, max_size=k), min_size=1, max_size=20)
+    ),
+    st.booleans(),
+)
+def test_write_csv_load_csv_roundtrip(csv_path, rows, with_response):
+    arr = np.asarray(rows, dtype=float)
+    n_f = arr.shape[1] - 1 if with_response and arr.shape[1] > 1 else arr.shape[1]
+    data = Dataset(
+        feature_names=tuple(f"x{j}" for j in range(n_f)),
+        features=arr[:, :n_f],
+        response=arr[:, n_f] if n_f < arr.shape[1] else None,
+        response_name="y" if n_f < arr.shape[1] else None,
+    )
+    write_csv(data, csv_path)
+    again = load_csv(csv_path, response_column=data.response_name)
+    assert again.feature_names == data.feature_names
+    assert again.features.tobytes() == data.features.tobytes()
+    if data.response is None:
+        assert again.response is None
+    else:
+        assert again.response.tobytes() == data.response.tobytes()
+    assert again.n_dropped == 0
