@@ -10,14 +10,16 @@ Conventions used throughout:
   the weighted average of d over the support always equals the rank.
 * Matrices that must be inverted go through a guarded symmetric eigensolve:
   condition number above 1e12 (or a non-positive eigenvalue) raises
-  SingularMatrixError carrying the smallest eigenvalue.  Nothing is ever
-  silently regularized; a fudged inverse would corrupt optimality verdicts.
+  SingularMatrixError carrying the smallest eigenvalue; the robust gram
+  matrix R = Q'D(xi)Q raises when that eigenvalue is below 1e-12.  Nothing
+  is ever silently regularized; a fudged inverse would corrupt optimality
+  verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .model_core import (
 )
 
 _COND_LIMIT = 1e12
+_EIG_FLOOR = 1e-12
 _RANK_TOL = 1e-9
 
 CRITERION_NAMES = ("D", "I", "A", "Inu", "Dnu", "traceR", "detR_bias", "detR_conf")
@@ -334,20 +337,44 @@ def top_eigenpair(sym: np.ndarray, tie_tol: float = 1e-10) -> tuple[float, np.nd
     return lam, vec
 
 
-def _robust_core(ctx: RobustContext, weights: np.ndarray):
-    """Shared pieces: R = Q'DQ, its guarded inverse, and B2 = Q'D^2 Q."""
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size != ctx.n_grid:
-        raise InvalidInputError("weight vector length does not match the grid")
-    if np.any(w < 0.0):
-        raise InvalidInputError("weights must be non-negative")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise InvalidInputError("weights must sum to 1 within 1e-12")
-    q = ctx.q_matrix
-    r = (q * w[:, None]).T @ q
-    rinv, r_eigs = _sym_inverse(r, "weighted gram matrix R")
-    b2 = (q * (w * w)[:, None]).T @ q
-    return w, q, r, rinv, r_eigs, b2
+class _RobustParts(NamedTuple):
+    """R = Q'D(xi)Q and what the robust losses and their gradient read of it."""
+
+    r_eigs: np.ndarray  # eigenvalues of R, ascending
+    rinv: np.ndarray  # R^-1
+    root: np.ndarray  # R^1/2
+    inv_root: np.ndarray  # R^-1/2
+    u: np.ndarray  # R^-1 Q'D(xi^2)Q R^-1
+    lam: float  # top eigenpair (lam, z) of R^1/2 (U - I) R^1/2
+    z: np.ndarray
+
+    def dnu(self, nu: float) -> float:
+        det_r = float(np.prod(self.r_eigs))
+        return float(((1.0 - nu + nu * self.lam) / det_r) ** (1.0 / self.r_eigs.size))
+
+
+def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
+    """The one evaluation of R and its functions behind every robust loss.
+
+    Raises SingularMatrixError when the smallest eigenvalue of R is below
+    1e-12.  For orthonormal Q and simplex weights lambda_max(R) <= 1, so this
+    rejects every R whose condition number exceeds 1e12.
+    """
+    r = (q * xi[:, None]).T @ q
+    r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
+    smallest = float(r_eigs[0])
+    if smallest < _EIG_FLOOR:
+        where = "" if iteration is None else f" at iteration {iteration}"
+        raise SingularMatrixError(f"weighted gram matrix R is singular{where} (smallest eigenvalue {smallest:.6e})",
+                                  smallest_eigenvalue=smallest, iteration=iteration)
+    rinv = (r_vecs / r_eigs) @ r_vecs.T
+    sqrt_eigs = np.sqrt(r_eigs)
+    root = (r_vecs * sqrt_eigs) @ r_vecs.T
+    inv_root = (r_vecs / sqrt_eigs) @ r_vecs.T
+    b2 = (q * (xi * xi)[:, None]).T @ q
+    u = rinv @ b2 @ rinv
+    lam, z = top_eigenpair(root @ (u - np.eye(r.shape[0])) @ root)
+    return _RobustParts(r_eigs, rinv, root, inv_root, u, lam, z)
 
 
 def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionValue]:
@@ -361,42 +388,32 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
     `design` may be a DesignMeasure supported on the grid or a bare weight
     vector.  At nu = 0 both reduce to the classical I/D values of the
     induced measure (total prediction variance over the grid; a normalized
-    determinant ratio).
+    determinant ratio).  The Dnu value is the one run_wiens reports for the
+    same weights, bit for bit.
     """
     if isinstance(design, DesignMeasure):
         weights = design_weights_on_grid(ctx, design)
     else:
         weights = design
-    w, q, r, rinv, r_eigs, b2 = _robust_core(ctx, weights)
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size != ctx.n_grid:
+        raise InvalidInputError("weight vector length does not match the grid")
+    if np.any(w < 0.0):
+        raise InvalidInputError("weights must be non-negative")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise InvalidInputError("weights must sum to 1 within 1e-12")
+    parts = _robust_kernel(ctx.q_matrix, w)
     nu = ctx.nu
-    p = ctx.p
 
-    u = rinv @ b2 @ rinv
-    lam_u, vec_u = top_eigenpair(u)
-    i_val = (1.0 - nu) * float(np.trace(rinv)) + nu * lam_u
+    lam_u, vec_u = top_eigenpair(parts.u)
+    trace_rinv = float(np.trace(parts.rinv))
+    i_val = (1.0 - nu) * trace_rinv + nu * lam_u
 
-    eigvecs = np.linalg.eigh(r)[1]
-    root = (eigvecs * np.sqrt(r_eigs)) @ eigvecs.T
-    h = root @ (u - np.eye(p)) @ root
-    lam_h, vec_h = top_eigenpair(h)
-    det_r = float(np.prod(r_eigs))
-    d_val = ((1.0 - nu + nu * lam_h) / det_r) ** (1.0 / p)
-
-    meta_i = {
-        "lambda_max": lam_u,
-        "eigenvector": vec_u,
-        "trace_Rinv": float(np.trace(rinv)),
-        "nu": nu,
-    }
-    meta_d = {
-        "lambda_max": lam_h,
-        "eigenvector": vec_h,
-        "det_R": det_r,
-        "nu": nu,
-    }
+    meta_i = {"lambda_max": lam_u, "eigenvector": vec_u, "trace_Rinv": trace_rinv, "nu": nu}
+    meta_d = {"lambda_max": parts.lam, "eigenvector": parts.z, "det_R": float(np.prod(parts.r_eigs)), "nu": nu}
     return (
         CriterionValue("Inu", float(i_val), meta_i),
-        CriterionValue("Dnu", float(d_val), meta_d),
+        CriterionValue("Dnu", parts.dnu(nu), meta_d),
     )
 
 

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     ConfigError,
@@ -421,6 +420,8 @@ def solve_intercept(slopes, target_rate: float, n_nodes: int = 80) -> float:
     b'X ~ N(0, ||b||^2), so the expectation is a 1-D Gauss-Hermite integral;
     the root is bracketed and solved with Brent's method.
     """
+    from scipy import optimize  # imported here: scipy costs most of the CLI's start-up
+
     if not 0.0 < target_rate < 1.0:
         raise InvalidInputError("target_rate must lie strictly inside (0, 1)")
     norm = float(np.linalg.norm(np.asarray(slopes, dtype=float)))

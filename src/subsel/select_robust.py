@@ -8,13 +8,15 @@ nu must lie strictly inside (0, 1): the endpoints have closed-form answers
 measure on the grid) and the gradient expressions degenerate there.
 
 Per iteration, with R = Q'D(xi)Q, U = R^-1 Q'D^2(xi) Q R^-1, lambda/z the
-top eigenpair of R^1/2 (U - I) R^1/2, v = R^1/2 z and w = R^-1/2 z:
+top eigenpair of R^1/2 (U - I) R^1/2, v = R^1/2 z and w = R^-1/2 z, every
+grid row q_i is scored by one quadratic form:
 
-    J = lambda (R^-1 + w w') + (w v' + v w')
-    K = 2 w w'
-    T_ii = (1 - nu) q_i' R^-1 q_i + nu (q_i' J q_i - xi_i q_i' K q_i)
+    A = (1 - nu) R^-1 + nu (lambda (R^-1 + w w') + w v' + v w')
+    T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2
 
-and the mass moves toward argmax_i T_ii (ties to the lowest index).
+and the mass moves toward argmax_i T_i (ties to the lowest index).  R and its
+functions come from the same kernel as criteria.wiens_losses, so the final
+D-loss of a run equals wiens_losses of its measure bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import RobustContext, top_eigenpair
-from .errors import InvalidInputError, SingularMatrixError
+from .criteria import RobustContext, _robust_kernel, _RobustParts
+from .errors import InvalidInputError
 from .model_core import DesignMeasure
 from .rng import CounterRng
 
-_EIG_FLOOR = 1e-12
 _STOPS = ("n_reached", "dnu_gain_below")
 
 
@@ -41,6 +42,7 @@ class RobustStep:
     chosen_index: int
     dnu: float
     lambda_max: float
+    support_size: int  # grid points with positive weight after the step
     weights_sha256: str
 
     def to_json_dict(self) -> dict:
@@ -49,6 +51,7 @@ class RobustStep:
             "chosen_index": int(self.chosen_index),
             "dnu": float(self.dnu),
             "lambda_max": float(self.lambda_max),
+            "support_size": int(self.support_size),
             "weights_sha256": self.weights_sha256,
         }
 
@@ -81,9 +84,14 @@ class RobustTrajectory:
         }
 
 
-def _dnu_of(r_eigs: np.ndarray, lam: float, nu: float, p: int) -> float:
-    det_r = float(np.prod(r_eigs))
-    return float(((1.0 - nu + nu * lam) / det_r) ** (1.0 / p))
+def _direction_scores(q: np.ndarray, xi: np.ndarray, nu: float, parts: _RobustParts) -> np.ndarray:
+    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every grid row q_i."""
+    v = parts.root @ parts.z
+    w = parts.inv_root @ parts.z
+    j = parts.lam * (parts.rinv + np.outer(w, w)) + np.outer(w, v) + np.outer(v, w)
+    a = (1.0 - nu) * parts.rinv + nu * j
+    qw = q @ w
+    return np.einsum("gi,gi->g", q @ a, q) - 2.0 * nu * xi * (qw * qw)
 
 
 def run_wiens(
@@ -109,7 +117,7 @@ def run_wiens(
         )
     if ctx.points is None:
         raise InvalidInputError("context must carry grid points to build a measure")
-    n_grid, p = ctx.n_grid, ctx.p
+    n_grid = ctx.n_grid
     if not 1 <= n_init <= n_grid:
         raise InvalidInputError("n_init must lie in [1, grid size]")
     if n_target <= n_init:
@@ -127,35 +135,19 @@ def run_wiens(
     xi[init] = 1.0 / n_init
 
     traj = RobustTrajectory(initial_indices=init.copy())
-    identity = np.eye(p)
     n = n_init
-    while n < n_target:
+    while True:
         it = len(traj.steps) + 1
-        r = (q * xi[:, None]).T @ q
-        r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
-        if float(r_eigs[0]) < _EIG_FLOOR:
-            raise SingularMatrixError(
-                f"weighted gram matrix R is singular at iteration {it}",
-                smallest_eigenvalue=float(r_eigs[0]),
-                iteration=it,
-            )
-        rinv = (r_vecs / r_eigs) @ r_vecs.T
-        root = (r_vecs * np.sqrt(r_eigs)) @ r_vecs.T
-        inv_root = (r_vecs / np.sqrt(r_eigs)) @ r_vecs.T
-        b2 = (q * (xi * xi)[:, None]).T @ q
-        u = rinv @ b2 @ rinv
-        lam, z = top_eigenpair(root @ (u - identity) @ root)
-        v = root @ z
-        w = inv_root @ z
-        j = lam * (rinv + np.outer(w, w)) + np.outer(w, v) + np.outer(v, w)
-        kk = 2.0 * np.outer(w, w)
-        t_var = np.einsum("gi,ij,gj->g", q, rinv, q)
-        t_bias = np.einsum("gi,ij,gj->g", q, j, q) - xi * np.einsum("gi,ij,gj->g", q, kk, q)
-        t_diag = (1.0 - nu) * t_var + nu * t_bias
-        best = int(np.argmax(t_diag))
+        parts = _robust_kernel(q, xi, iteration=it)
+        dnu = parts.dnu(nu)
+        if n >= n_target or traj.stop_reason != "n_reached":
+            traj.final_dnu = dnu
+            break
+        best = int(np.argmax(_direction_scores(q, xi, nu, parts)))
 
-        dnu = _dnu_of(r_eigs, lam, nu, p)
-        xi = (n * xi + _unit_mass(n_grid, best)) / (n + 1.0)
+        xi *= n
+        xi[best] += 1.0
+        xi /= n + 1
         n += 1
         total = float(xi.sum())
         if abs(total - 1.0) > 1e-12:
@@ -165,32 +157,16 @@ def run_wiens(
                 iteration=it,
                 chosen_index=best,
                 dnu=dnu,
-                lambda_max=lam,
+                lambda_max=parts.lam,
+                support_size=int(np.count_nonzero(xi)),
                 weights_sha256=hashlib.sha256(xi.tobytes()).hexdigest(),
             )
         )
 
         if stop == "dnu_gain_below" and len(traj.steps) > stop_window:
             past = traj.steps[-1 - stop_window].dnu
-            now = traj.steps[-1].dnu
-            if (past - now) / max(abs(past), 1e-300) < stop_epsilon:
+            if (past - dnu) / max(abs(past), 1e-300) < stop_epsilon:
                 traj.stop_reason = "dnu_gain_below"
-                break
-
-    # final loss of the returned measure
-    r = (q * xi[:, None]).T @ q
-    r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
-    if float(r_eigs[0]) < _EIG_FLOOR:
-        raise SingularMatrixError(
-            "weighted gram matrix R is singular at the final measure",
-            smallest_eigenvalue=float(r_eigs[0]),
-            iteration=len(traj.steps),
-        )
-    rinv = (r_vecs / r_eigs) @ r_vecs.T
-    root = (r_vecs * np.sqrt(r_eigs)) @ r_vecs.T
-    b2 = (q * (xi * xi)[:, None]).T @ q
-    lam, _ = top_eigenpair(root @ (rinv @ b2 @ rinv - identity) @ root)
-    traj.final_dnu = _dnu_of(r_eigs, lam, nu, p)
 
     if ctx.z_dim > 0:
         split = ctx.points.shape[1] - ctx.z_dim
@@ -198,9 +174,3 @@ def run_wiens(
     else:
         measure = DesignMeasure(ctx.points, xi)
     return measure, traj
-
-
-def _unit_mass(n: int, at: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[at] = 1.0
-    return e

@@ -258,8 +258,8 @@ class _RobustAugmenter:
         eigvals, eigvecs = np.linalg.eigh(r_all)
         bad = eigvals[:, 0] <= 1e-14
         safe = np.where(bad[:, None], 1.0, eigvals)
-        rinv = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / safe, eigvecs)
         if self.kind == "Inu":
+            rinv = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / safe, eigvecs)
             u = np.einsum("gij,gjk,gkl->gil", rinv, b_all, rinv)
             lam = np.linalg.eigvalsh(u)[:, -1]
             vals = (1.0 - nu) * np.trace(rinv, axis1=1, axis2=2) + nu * lam
