@@ -338,12 +338,15 @@ def top_eigenpair(sym: np.ndarray, tie_tol: float = 1e-10) -> tuple[float, np.nd
 
 
 class _RobustParts(NamedTuple):
-    """R = Q'D(xi)Q and what the robust losses and their gradient read of it."""
+    """R = Q'D(xi)Q and what the robust losses, their gradient and the
+    sequential one-point augmentations read of it."""
 
+    r: np.ndarray  # R
     r_eigs: np.ndarray  # eigenvalues of R, ascending
     rinv: np.ndarray  # R^-1
     root: np.ndarray  # R^1/2
     inv_root: np.ndarray  # R^-1/2
+    b2: np.ndarray  # Q'D(xi^2)Q
     u: np.ndarray  # R^-1 Q'D(xi^2)Q R^-1
     lam: float  # top eigenpair (lam, z) of R^1/2 (U - I) R^1/2
     z: np.ndarray
@@ -374,7 +377,7 @@ def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) 
     b2 = (q * (xi * xi)[:, None]).T @ q
     u = rinv @ b2 @ rinv
     lam, z = top_eigenpair(root @ (u - np.eye(r.shape[0])) @ root)
-    return _RobustParts(r_eigs, rinv, root, inv_root, u, lam, z)
+    return _RobustParts(r, r_eigs, rinv, root, inv_root, b2, u, lam, z)
 
 
 def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionValue]:

@@ -166,6 +166,21 @@ def _as_point_array(points, label: str) -> np.ndarray:
     return arr
 
 
+def _first_occurrences(pts: np.ndarray) -> np.ndarray:
+    """Index of the first row equal to each row under float comparison, so
+    0.0 equals -0.0 as tuple keys did."""
+    n = pts.shape[0]
+    first = np.arange(n)
+    if n < 2:
+        return first
+    order = np.lexsort(pts.T)  # stable: equal rows stay in index order
+    srt = pts[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
 class DesignMeasure:
     """Finitely supported probability measure on candidate points.
 
@@ -189,22 +204,16 @@ class DesignMeasure:
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise InvalidInputError("weights must be finite and non-negative")
 
-        keys: dict[tuple, int] = {}
-        keep: list[int] = []
-        merged = w.copy()
-        for i in range(xs.shape[0]):
-            key = tuple(xs[i]) + (tuple(zs[i]) if zs is not None else ())
-            at = keys.get(key)
-            if at is None:
-                keys[key] = len(keep)
-                keep.append(i)
-            else:
-                merged[keep[at]] += merged[i]
-        idx = np.asarray(keep, dtype=int)
-        xs = xs[idx]
-        w = merged[idx]
+        first = _first_occurrences(xs if zs is None else np.hstack([xs, zs]))
+        keep = first == np.arange(first.size)
+        if not keep.all():
+            dup = np.flatnonzero(~keep)
+            w = w.copy()
+            np.add.at(w, first[dup], w[dup])  # in ascending index order
+        xs = xs[keep]
+        w = w[keep]
         if zs is not None:
-            zs = zs[idx]
+            zs = zs[keep]
 
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
@@ -452,7 +461,7 @@ def information_matrix_from_selection(
         raise InvalidInputError("selection is empty")
     if idx.min() < 0 or idx.max() >= feats.shape[0]:
         raise InvalidInputError("selection index out of range")
-    if np.unique(idx).size != idx.size:
+    if _has_duplicates(idx):
         raise InvalidInputError("selection contains duplicate indices")
     z_sel = None
     if spec.q > 0:
@@ -513,6 +522,12 @@ class BiasSpec:
 # selections
 
 
+def _has_duplicates(idx: np.ndarray) -> bool:
+    # a sort and a neighbour compare; np.unique would import numpy.ma
+    srt = np.sort(idx)
+    return bool(np.any(srt[1:] == srt[:-1]))
+
+
 @dataclass(frozen=True)
 class SubsampleSelection:
     """Row indices chosen from a dataset plus provenance of the algorithm."""
@@ -523,7 +538,7 @@ class SubsampleSelection:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int).ravel()
-        if idx.size and np.unique(idx).size != idx.size:
+        if _has_duplicates(idx):
             raise InvalidInputError("selection contains duplicate indices")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)

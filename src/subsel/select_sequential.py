@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import _sym_inverse
+from .criteria import _robust_kernel, _sym_inverse
 from .errors import (
     DegenerateColumnError,
     ExhaustionError,
@@ -239,17 +239,80 @@ def _initial_indices(rng: CounterRng, cfg: SeqConfig, coords: np.ndarray,
 
 
 class _RobustAugmenter:
-    """Batched robust-loss evaluation of one-point measure augmentations."""
+    """Batched robust-loss evaluation of one-point measure augmentations.
+
+    With n the selection size, c = n/(n+1), A = Q'D(xi)Q, B1 = Q'D(xi^2)Q and
+    b_g = (2 n xi_g + 1)/n^2, adding grid row q_g gives the rank-one updates
+    R_g = c (A + q_g q_g'/n) and B_g = c^2 (B1 + b_g q_g q_g').
+    `criteria._robust_kernel` evaluates A once per step.  With W = A^-1/2,
+    C = W B1 W, u = W q_g, a = 1/n, t = sqrt(1 + a|u|^2), P = I + beta u u'
+    and beta = -a/(t (1 + t)), (W P)(W P)' = c R_g^-1 and P u = u/t, so
+
+    * det R_g = c^p det A t^2;
+    * Dnu: lambda_max(R^-1/2 B R^-1/2 - R) is the top eigenvalue of
+      c (G - P^-1 A P^-1), G = P C P + (b_g/t^2) u u',
+      P^-1 = I + gamma u u', gamma = a/(1 + t);
+    * Inu: R_g^-1 B_g R_g^-1 = (P W)' G (P W), tr R_g^-1 = |P W|_F^2 / c.
+
+    G and P^-1 A P^-1 are a fixed matrix plus outer products of per-candidate
+    vectors, so a step costs one batched eigvalsh.  P W is formed explicitly:
+    the expanded Sherman-Morrison trace cancels when A is near-singular.
+
+    A singular current measure (below the kernel's 1e-12 eigenvalue floor,
+    e.g. fewer than p support points) has no W; then every R_g is decomposed
+    on its own, and a candidate whose smallest eigenvalue is at most 1e-14
+    scores inf.  Above the floor lambda_min(R_g) >= c 1e-12, so none does.
+    """
 
     def __init__(self, rows_grid: np.ndarray, nu: float, kind: str):
         self.q, _ = np.linalg.qr(rows_grid)
         self.nu = nu
         self.kind = kind
         self.p = self.q.shape[1]
-        self.outer = np.einsum("gi,gj->gij", self.q, self.q)
+        self.outer = None  # q_g q_g' per candidate, built for a singular base only
 
     def candidate_values(self, xi: np.ndarray, n: int) -> np.ndarray:
+        try:
+            parts = _robust_kernel(self.q, xi)
+        except SingularMatrixError:
+            return self._singular_base_values(xi, n)
         q, p, nu = self.q, self.p, self.nu
+        a = 1.0 / n
+        w = parts.inv_root
+        c_mat = w @ parts.b2 @ w
+        u = q @ w
+        t2 = 1.0 + a * np.einsum("gi,gi->g", u, u)
+        t = np.sqrt(t2)
+        beta = -a / (t * (1.0 + t))
+        cu = u @ c_mat
+
+        def plus_outer(base, x, k):  # base + x u' + u x' + k u u' per candidate
+            xu = x[:, :, None] * u[:, None, :]
+            return base + xu + np.swapaxes(xu, 1, 2) + k[:, None, None] * (u[:, :, None] * u[:, None, :])
+
+        # G = plus_outer(C, x, k)
+        x = beta[:, None] * cu
+        k = beta * beta * np.einsum("gi,gi->g", cu, u) + (2.0 * n * xi + 1.0) * (a * a) / t2
+        if self.kind == "Inu":
+            pw = w + beta[:, None, None] * (u[:, :, None] * (u @ w)[:, None, :])
+            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (plus_outer(c_mat, x, k) @ pw))[:, -1]
+            trace = np.einsum("gij,gij->g", pw, pw) * ((n + 1.0) / n)
+            return (1.0 - nu) * trace + nu * lam
+        # G - P^-1 A P^-1 = plus_outer(C - A, x, k) after these updates
+        gamma = a / (1.0 + t)
+        au = u @ parts.r
+        x -= gamma[:, None] * au
+        k -= gamma * gamma * np.einsum("gi,gi->g", au, u)
+        c = n / (n + 1.0)
+        lam = c * np.linalg.eigvalsh(plus_outer(c_mat - parts.r, x, k))[:, -1]
+        det_r = c**p * np.prod(parts.r_eigs) * t2
+        return ((1.0 - nu + nu * lam) / det_r) ** (1.0 / p)
+
+    def _singular_base_values(self, xi: np.ndarray, n: int) -> np.ndarray:
+        """Per-candidate decomposition of every R_g (singular current measure)."""
+        q, p, nu = self.q, self.p, self.nu
+        if self.outer is None:
+            self.outer = np.einsum("gi,gj->gij", q, q)
         a1 = (q * xi[:, None]).T @ q
         b1 = (q * (xi * xi)[:, None]).T @ q
         denom = n + 1.0
@@ -269,8 +332,7 @@ class _RobustAugmenter:
             lam = np.linalg.eigvalsh(h)[:, -1]
             det_r = np.prod(eigvals, axis=1)
             vals = ((1.0 - nu + nu * lam) / det_r) ** (1.0 / p)
-        vals = np.where(bad, np.inf, vals)
-        return vals
+        return np.where(bad, np.inf, vals)
 
 
 def _trace_r_candidates(m_full: np.ndarray, rows_grid: np.ndarray, c_grid: np.ndarray,

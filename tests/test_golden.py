@@ -19,7 +19,11 @@ its BLAS; `sha256.json` names the versions they were recorded with.
 
 To record the files again after an intended change of behaviour, run
 `PYTHONPATH=src python tests/test_golden.py` and say in the change's notes
-which files changed and why.
+which files changed and why.  Before it overwrites anything it prints which
+golden files change, and for `seqdes.json` and `iboss.json` whether the
+selection and grid indices are identical and the largest relative
+difference of any float, which is the record a change that moves floats but
+keeps the indices must give.
 """
 
 from __future__ import annotations
@@ -118,13 +122,88 @@ def test_golden_outputs_unchanged(tmp_path):
     assert not changed, f"artifacts differ from the recorded golden hashes: {changed}"
 
 
+def _leaves(obj, path=()):
+    """(path, value) of every scalar in a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, obj
+
+
+def _field(path) -> str:
+    return next((part for part in reversed(path) if isinstance(part, str)), "")
+
+
+def compare_outputs(old, new) -> str:
+    """One line saying how a stored output's parsed JSON `new` differs from `old`.
+
+    Selection indices are the integers under a key ending in `indices`, grid
+    indices those under `grid_index`; the relative difference of two floats
+    is |a - b| / max(|a|, |b|).
+    """
+    if old == new:
+        return "same values, different bytes"
+    a, b = dict(_leaves(old)), dict(_leaves(new))
+    if a.keys() != b.keys():
+        return "changes its structure: " + ", ".join(sorted("/".join(map(str, k)) for k in a.keys() ^ b.keys())[:5])
+    parts = []
+    for label, keep in (("selection indices", lambda f: f.endswith("indices")),
+                        ("grid indices", lambda f: f == "grid_index")):
+        keys = [k for k in a if keep(_field(k))]
+        if keys:
+            same = all(a[k] == b[k] for k in keys)
+            parts.append(f"{label} {'identical' if same else 'DIFFER'}")
+    worst, where = 0.0, None
+    for k in a:
+        x, y = a[k], b[k]
+        if isinstance(x, float) and isinstance(y, float) and x != y:
+            rel = abs(x - y) / max(abs(x), abs(y))
+            if rel > worst:
+                worst, where = rel, "/".join(map(str, k))
+    other = sorted("/".join(map(str, k)) for k in a
+                   if a[k] != b[k] and not (isinstance(a[k], float) and isinstance(b[k], float)))
+    if other:
+        parts.append("other values differ: " + ", ".join(other[:5]))
+    parts.append(f"largest relative float difference {worst:.1e}" + (f" ({where})" if where else ""))
+    return "changes: " + ", ".join(parts)
+
+
+def test_compare_outputs_reports_indices_and_floats():
+    old = {"selection": {"indices": [3, 1]}, "trace": {"steps": [{"grid_index": 4, "utility": 2.0}]}}
+    new = json.loads(json.dumps(old))
+    assert compare_outputs(old, new) == "same values, different bytes"
+    new["trace"]["steps"][0]["utility"] = 2.0 + 2.0**-50
+    assert compare_outputs(old, new) == (
+        "changes: selection indices identical, grid indices identical, "
+        "largest relative float difference 4.4e-16 (trace/steps/0/utility)")
+    new["selection"]["indices"] = [1, 3]
+    assert compare_outputs(old, new).startswith("changes: selection indices DIFFER, grid indices identical")
+    assert compare_outputs({"indices": [1]}, {"indices": [1], "det": 1.0}) == "changes its structure: det"
+
+
 def bless() -> None:
-    """Record the golden files from the current code."""
+    """Record the golden files from the current code, saying first what changes."""
     import scipy
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         hashes, stored = produce(Path(tmp))
+    for name, data in stored.items():
+        path = GOLDEN / name
+        if not path.exists():
+            verdict = "is new"
+        elif path.read_bytes() == data:
+            verdict = "unchanged"
+        else:
+            verdict = compare_outputs(json.loads(path.read_bytes()), json.loads(data))
+        print(f"{name}: {verdict}")
+    recorded = _recorded_hashes() if (GOLDEN / "sha256.json").exists() else {}
+    changed = sorted(name for name in hashes.keys() | recorded.keys() if hashes.get(name) != recorded.get(name))
+    print(f"sha256.json: {len(changed)} of {len(hashes)} artifact hashes change" + "".join(f"\n  {n}" for n in changed))
     for name, data in stored.items():
         (GOLDEN / name).write_bytes(data)
     record = {
