@@ -2,8 +2,10 @@
 
 Both fitters are deliberately small and fully pinned down: OLS solves through
 the SVD with an explicit condition-number guard, and the logistic fit is
-Newton/IRLS from theta = 0 with step-halving and divergence (separation)
-detection.  Standard errors come from the inverse observed information.
+Newton/IRLS with step-halving and divergence (separation) detection, started
+from theta = 0 or from a given point (the sequential loop continues each
+refit from the previous fit).  Standard errors come from the inverse
+observed information.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from .errors import InvalidInputError, SeparationError, SingularMatrixError
 
 _COND_LIMIT = 1e12  # bound on cond(X'X); cond(X) is checked against its sqrt
 _SEPARATION_BOUND = 30.0
+# Newton decrement g'H^-1g below which a step is taken whole and the fit ends:
+# its expected log-likelihood gain (half of it) is below the rounding of the
+# log-likelihood sum, so step-halving would reject it as a loss.
+_DECREMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,11 @@ def fit_logistic(
     (at most 10 times) until the deviance does not increase.  Divergence is
     reported as SeparationError once any |theta_j| exceeds 30 while the
     deviance is still falling; a singular weighted information matrix raises
-    SingularMatrixError.  Convergence means gradient max-norm below tol.
+    SingularMatrixError.  The fit converges when the gradient max-norm falls
+    below tol, or when the Newton decrement g'H^-1g of a step is below 1e-10;
+    that last step is taken whole, without step-halving.  A fit that stops
+    otherwise (ten halvings without progress, or max_iter) reports
+    converged=False.
     """
     x, y = _check_xy(x, y)
     if np.any((y != 0.0) & (y != 1.0)):
@@ -178,19 +188,19 @@ def fit_logistic(
                 "weighted information matrix is singular",
                 smallest_eigenvalue=float(eigs[0]),
             ) from exc
-        # step halving: never accept a deviance increase
+        converged = float(grad @ step) < _DECREMENT_TOL
+        # step halving: never accept a deviance increase, except on the final step
         new_theta = theta + step
         new_eta = x @ new_theta
         new_loglik = _log_likelihood(new_eta, y)
         halvings = 0
-        while new_loglik < loglik and halvings < 10:
+        while not converged and new_loglik < loglik and halvings < 10:
             step = step / 2.0
             new_theta = theta + step
             new_eta = x @ new_theta
             new_loglik = _log_likelihood(new_eta, y)
             halvings += 1
-        improved = new_loglik >= loglik
-        if not improved:
+        if not converged and new_loglik < loglik:
             # ten halvings without progress: stay at the previous iterate
             break
         theta, eta, loglik = new_theta, new_eta, new_loglik
@@ -199,8 +209,11 @@ def fit_logistic(
                 "logistic fit diverged (|theta| > 30 with decreasing deviance); "
                 "data are likely separated"
             )
+        if converged:
+            break
 
-    info = (x * (sigmoid(eta) * (1.0 - sigmoid(eta)))[:, None]).T @ x
+    pi = sigmoid(eta)
+    info = (x * (pi * (1.0 - pi))[:, None]).T @ x
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:

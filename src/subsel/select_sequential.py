@@ -8,6 +8,17 @@ the selection, and refits the working model.  For a 0/1 response the fit is
 logistic and all information matrices carry the pi(1-pi) weights of the
 current fit; otherwise the fit is least squares and weights are 1.
 
+Consecutive selections differ by one batch, so the loop reuses work:
+
+* each logistic refit starts from the previous estimate, and falls back to a
+  cold start from 0 when that fit raises or ends unconverged; a sample with
+  one response label has no MLE and is always fitted cold;
+* the nearest-row transfer keeps, for each grid point chosen, the leading
+  part of the order of all rows by distance and a cursor into it (see
+  `_NearestRows`);
+* the selected model rows and responses live in preallocated buffers, so
+  refits and the working information matrix read a prefix.
+
 Utilities:
 
 * ``D``      maximize det(M + w c row row') via the variance function,
@@ -107,7 +118,13 @@ class SeqConfig:
 
 @dataclass(frozen=True)
 class SeqStep:
-    """One augmentation step of the loop."""
+    """One augmentation step of the loop.
+
+    `newton_iters` and `converged` describe the refit the step kept (an OLS
+    refit counts one iteration); `warm` says whether that refit continued
+    from the previous fit.  A refit that raised keeps the previous fit and
+    records 0 iterations, converged=False and warm=False.
+    """
 
     iteration: int
     grid_index: int
@@ -116,6 +133,9 @@ class SeqStep:
     utility: float
     theta: np.ndarray
     n_selected: int
+    newton_iters: int
+    converged: bool
+    warm: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,6 +146,9 @@ class SeqStep:
             "utility": float(self.utility),
             "theta": [float(v) for v in self.theta],
             "n_selected": int(self.n_selected),
+            "newton_iters": int(self.newton_iters),
+            "converged": bool(self.converged),
+            "warm": bool(self.warm),
         }
 
 
@@ -325,14 +348,13 @@ class _RobustAugmenter:
             rinv = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / safe, eigvecs)
             u = np.einsum("gij,gjk,gkl->gil", rinv, b_all, rinv)
             lam = np.linalg.eigvalsh(u)[:, -1]
-            vals = (1.0 - nu) * np.trace(rinv, axis1=1, axis2=2) + nu * lam
-        else:
-            inv_root = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / np.sqrt(safe), eigvecs)
-            h = np.einsum("gij,gjk,gkl->gil", inv_root, b_all, inv_root) - r_all
-            lam = np.linalg.eigvalsh(h)[:, -1]
-            det_r = np.prod(eigvals, axis=1)
-            vals = ((1.0 - nu + nu * lam) / det_r) ** (1.0 / p)
-        return np.where(bad, np.inf, vals)
+            return np.where(bad, np.inf, (1.0 - nu) * np.trace(rinv, axis1=1, axis2=2) + nu * lam)
+        inv_root = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / np.sqrt(safe), eigvecs)
+        h = np.einsum("gij,gjk,gkl->gil", inv_root, b_all, inv_root) - r_all
+        lam = np.linalg.eigvalsh(h)[:, -1]
+        # the power only where R_g is regular: a singular one can have det < 0
+        base = (1.0 - nu + nu * lam) / np.prod(safe, axis=1)
+        return np.power(base, 1.0 / p, out=np.full_like(base, np.inf), where=~bad)
 
 
 def _trace_r_candidates(m_full: np.ndarray, rows_grid: np.ndarray, c_grid: np.ndarray,
@@ -368,6 +390,75 @@ def _trace_r_candidates(m_full: np.ndarray, rows_grid: np.ndarray, c_grid: np.nd
     s4 = np.einsum("gi,gij,gj->g", v_all, a2_all, u_all)
     vals = tr_inv + bias.ratio**2 * (s2 + s3 + 2.0 * s4)
     return np.where(bad, np.inf, vals)
+
+
+# ---------------------------------------------------------------------------
+# nearest-row transfer
+
+# Entries the stored nearest-row orders may hold in all (32 MB as int32);
+# past it a transfer scans every row instead.
+_QUEUE_BUDGET = 8_000_000
+# Length of the first stored prefix of a grid point's order; it grows 4-fold
+# whenever the rows it holds are all selected.
+_QUEUE_PREFIX = 256
+
+
+class _NearestRows:
+    """The nearest not-yet-selected data rows to a grid point.
+
+    `scan` computes the squared distances of every row to the point, masks
+    the selected rows and takes the lowest ones, ties to the lowest row
+    index.  `take` returns the same rows from a queue: the first time a
+    point is chosen it stores a prefix of the stable argsort of those
+    distances (every row at most as far as the `prefix`-th nearest, found
+    with one partition) and a cursor, and every later choice takes the next
+    entries not yet selected, growing the prefix 4-fold when it runs out.
+    Entries before the cursor are all selected and rows beyond the prefix
+    are farther than all in it, so the result is exact.  Once the stored
+    prefixes would exceed `budget` entries, `take` scans.
+    """
+
+    def __init__(self, coords: np.ndarray, points: np.ndarray, budget: int = _QUEUE_BUDGET,
+                 prefix: int = _QUEUE_PREFIX):
+        self.coords = coords
+        self.points = points
+        self.budget = budget
+        self.prefix = prefix
+        self.stored = 0
+        self.queues: dict[int, tuple[np.ndarray, int]] = {}  # grid index -> (order prefix, cursor)
+        self.dtype = np.int32 if coords.shape[0] < 2**31 else np.int64
+
+    def _dist(self, g: int) -> np.ndarray:
+        return ((self.coords - self.points[g]) ** 2).sum(axis=1)
+
+    def _prefix(self, g: int, size: int) -> np.ndarray:
+        """At least `size` leading entries of the stable argsort of the distances."""
+        dist = self._dist(g)
+        if size < dist.size:
+            rows = np.flatnonzero(dist <= np.partition(dist, size - 1)[size - 1])
+            return rows[np.argsort(dist[rows], kind="stable")].astype(self.dtype)
+        return np.argsort(dist, kind="stable").astype(self.dtype)
+
+    def scan(self, g: int, m: int, in_sel: np.ndarray) -> np.ndarray:
+        dist = self._dist(g)
+        dist[in_sel] = np.inf
+        if m == 1:
+            return np.array([np.argmin(dist)])
+        return np.argsort(dist, kind="stable")[:m]
+
+    def take(self, g: int, m: int, in_sel: np.ndarray) -> np.ndarray:
+        """The m rows `scan` returns; at least m rows must be unselected."""
+        order, pos = self.queues.get(g, (np.empty(0, dtype=self.dtype), 0))
+        free = np.flatnonzero(~in_sel[order[pos:]])[:m]
+        while free.size < m and order.size < in_sel.size:
+            grown = self._prefix(g, max(self.prefix, 4 * order.size))
+            if self.stored + grown.size - order.size > self.budget:
+                return self.scan(g, m, in_sel)
+            self.stored += grown.size - order.size
+            order = grown
+            free = np.flatnonzero(~in_sel[order[pos:]])[:m]
+        self.queues[g] = (order, pos + int(free[-1]) + 1)
+        return order[pos + free]
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +524,12 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     in_sel = np.zeros(n_rows, dtype=bool)
     in_sel[selected] = True
 
-    def fit_rows_subset(idx):
-        xs = rows_data[idx]
-        ys = y[idx]
-        if family == "logistic":
-            return fit_logistic(xs, ys)
-        return fit_ols(xs, ys)
-
-    def fit_current():
-        return fit_rows_subset(selected)
-
     # initial fit, doubling the sample on singular/separated failures
-    fit = None
+    fitter = fit_logistic if family == "logistic" else fit_ols
     while True:
+        fit_idx = selected + extra_fit
         try:
-            fit = fit_rows_subset(selected + extra_fit if extra_fit else selected)
+            fit = fitter(rows_data[fit_idx], y[fit_idx])
             break
         except (SingularMatrixError, SeparationError):
             if len(selected) >= cfg.n_target:
@@ -459,14 +541,44 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
                 selected.append(int(rest[i]))
                 in_sel[rest[i]] = True
 
+    # the selection in order, with its model rows and responses, in
+    # preallocated buffers whose first n_sel entries are filled
+    n_sel = len(selected)
+    sel_idx = np.empty(cfg.n_target, dtype=np.int64)
+    sel_rows = np.empty((cfg.n_target, k))
+    sel_y = np.empty(cfg.n_target)
+    sel_idx[:n_sel] = selected
+    sel_rows[:n_sel] = rows_data[selected]
+    sel_y[:n_sel] = y[selected]
+
+    def refit(theta0: np.ndarray) -> tuple[FitResult, bool]:
+        """Fit of the current selection, and whether it was warm-started.
+
+        A logistic refit continues from theta0; it falls back to a cold
+        start from 0 when that fit raises or ends unconverged.  A one-label
+        sample has no MLE, so the start point would pick the answer: it is
+        always fitted cold.
+        """
+        xs, ys = sel_rows[:n_sel], sel_y[:n_sel]
+        if family != "logistic":
+            return fit_ols(xs, ys), False
+        if ys.min() < ys.max():
+            try:
+                warm = fit_logistic(xs, ys, theta0=theta0)
+            except (SingularMatrixError, SeparationError):
+                warm = None
+            if warm is not None and warm.converged:
+                return warm, True
+        return fit_logistic(xs, ys), False
+
     def empirical_info(theta: np.ndarray) -> np.ndarray:
-        xs = rows_data[selected]
+        xs = sel_rows[:n_sel]
         if family == "logistic":
             pi = sigmoid(xs @ theta)
             w = pi * (1.0 - pi)
-            mat = (xs * w[:, None]).T @ xs / len(selected)
+            mat = (xs * w[:, None]).T @ xs / n_sel
         else:
-            mat = xs.T @ xs / len(selected)
+            mat = xs.T @ xs / n_sel
         return (mat + mat.T) / 2.0
 
     m_emp = empirical_info(fit.theta)
@@ -478,20 +590,21 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         for i in selected:
             g = int(np.argmin(((grid_s - coords_s[i]) ** 2).sum(axis=1)))
             xi[g] += 1.0
-        xi /= len(selected)
+        xi /= n_sel
 
     trace = SeqTrace(
-        initial_indices=np.asarray(selected, dtype=int).copy(),
+        initial_indices=sel_idx[:n_sel].astype(int),
         initial_theta=fit.theta.copy(),
     )
+    nearest = _NearestRows(coords_s, grid_s)
     fit_failures = 0
     prev_utility = None
     stop_reason = "n_reached"
     iteration = 0
 
-    while len(selected) < cfg.n_target:
+    while n_sel < cfg.n_target:
         iteration += 1
-        n_c = len(selected)
+        n_c = n_sel
         w_new = 1.0 / (n_c + 1.0)
         if family == "logistic":
             pi_g = sigmoid(rows_grid @ fit.theta)
@@ -526,42 +639,45 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
 
         # transfer the nearest unsampled data rows to the selection
         m_eff = min(cfg.batch_size, cfg.n_target - n_c)
-        dist = ((coords_s - grid_s[best]) ** 2).sum(axis=1)
-        dist[in_sel] = np.inf
         avail = int(n_rows - n_c)
         if avail < m_eff:
             raise ExhaustionError(
                 f"only {avail} selectable rows remain, need {m_eff}", iteration=iteration
             )
-        if m_eff == 1:
-            added = [int(np.argmin(dist))]
-        else:
-            added = [int(i) for i in np.argsort(dist, kind="stable")[:m_eff]]
-        for i in added:
-            selected.append(i)
-            in_sel[i] = True
+        added = nearest.take(best, m_eff, in_sel)
+        in_sel[added] = True
+        n_sel = n_c + m_eff
+        sel_idx[n_c:n_sel] = added
+        sel_rows[n_c:n_sel] = rows_data[added]
+        sel_y[n_c:n_sel] = y[added]
 
         try:
-            fit = fit_current()
+            fit, warm = refit(fit.theta)
+            newton_iters, converged = fit.iterations, fit.converged
         except (SingularMatrixError, SeparationError):
+            # keep the previous fit; the step records a refit that failed
             fit_failures += 1
+            warm, newton_iters, converged = False, 0, False
         m_emp = empirical_info(fit.theta)
         if xi is not None:
             xi = xi * n_c
             for i in added:
                 g = int(np.argmin(((grid_s - coords_s[i]) ** 2).sum(axis=1)))
                 xi[g] += 1.0
-            xi /= len(selected)
+            xi /= n_sel
 
         trace.steps.append(
             SeqStep(
                 iteration=iteration,
                 grid_index=best,
                 grid_point=grid.points[best].copy(),
-                data_indices=np.asarray(added, dtype=int),
+                data_indices=added.astype(int),
                 utility=util_val,
                 theta=fit.theta.copy(),
-                n_selected=len(selected),
+                n_selected=n_sel,
+                newton_iters=newton_iters,
+                converged=converged,
+                warm=warm,
             )
         )
 
@@ -573,9 +689,9 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
 
     trace.final_fit = fit
     trace.stop_reason = stop_reason
-    checksum = hashlib.sha256(np.asarray(selected, dtype=np.int64).tobytes()).hexdigest()
+    checksum = hashlib.sha256(sel_idx[:n_sel].tobytes()).hexdigest()
     selection = SubsampleSelection(
-        indices=np.asarray(selected, dtype=int),
+        indices=sel_idx[:n_sel].astype(int),
         algorithm="sequential",
         provenance={
             "utility": cfg.utility,

@@ -91,6 +91,21 @@ def test_logistic_matches_direct_newton():
     assert np.allclose(fit.std_errors, np.sqrt(np.diag(np.linalg.inv(info))), rtol=1e-5)
 
 
+def test_logistic_stops_on_the_newton_decrement():
+    # With only the gradient test |g| < 1e-8 this fit ended unconverged after
+    # 12 iterations at |g| = 5.4e-8: near the optimum the expected gain of a
+    # step is below the rounding of the log-likelihood, so step-halving
+    # rejected it.  The decrement test takes that step whole.
+    rng = CounterRng(242)
+    n = 300
+    x = np.hstack([np.ones((n, 1)), rng.normal(2 * n).reshape(n, 2) * 3.0])
+    y = (rng.uniform(n) < sigmoid(x @ np.array([-2.0, 1.0, -0.5]))).astype(float)
+    fit = fit_logistic(x, y)
+    assert fit.converged
+    assert fit.iterations < 12
+    assert np.max(np.abs(x.T @ (y - sigmoid(x @ fit.theta)))) < 1e-12
+
+
 def test_logistic_separation_raises():
     x = np.column_stack([np.ones(20), np.linspace(-1, 1, 20)])
     y = (x[:, 1] > 0).astype(float)

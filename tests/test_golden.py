@@ -18,20 +18,26 @@ test runs.  The hashes depend on the floating-point results of numpy and
 its BLAS; `sha256.json` names the versions they were recorded with.
 
 To record the files again after an intended change of behaviour, run
-`PYTHONPATH=src python tests/test_golden.py` and say in the change's notes
-which files changed and why.  Before it overwrites anything it prints which
-golden files change, and for `seqdes.json` and `iboss.json` whether the
-selection and grid indices are identical and the largest relative
-difference of any float, which is the record a change that moves floats but
-keeps the indices must give.
+`PYTHONPATH=src python tests/test_golden.py [--against REV]` and say in the
+change's notes which files changed and why.  Before it overwrites anything
+it prints which golden files change, and for `seqdes.json`, `iboss.json`
+and every hashed JSON or CSV artifact whose hash changes whether the
+indices are identical and the largest relative difference of any float,
+which is the record a change that moves floats but keeps the indices must
+give.  The hashed artifacts are compared with the ones the checkout at git
+revision REV (default HEAD, the parent of uncommitted work) produces.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -185,25 +191,105 @@ def test_compare_outputs_reports_indices_and_floats():
     assert compare_outputs({"indices": [1]}, {"indices": [1], "det": 1.0}) == "changes its structure: det"
 
 
-def bless() -> None:
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def compare_csv(old: str, new: str) -> str:
+    """One line saying how the CSV text `new` differs from `old`.
+
+    Integer cells (iteration counters, row indices) are compared exactly,
+    float cells by their relative difference, as in `compare_outputs`.
+    """
+    if old == new:
+        return "same bytes"
+    a = [[_cell(c) for c in line.split(",")] for line in old.splitlines()]
+    b = [[_cell(c) for c in line.split(",")] for line in new.splitlines()]
+    if a[0] != b[0] or [len(r) for r in a] != [len(r) for r in b]:
+        return "changes its structure: header or row lengths"
+    header = a[0]
+    ints_same, others, worst, where = True, [], 0.0, None
+    for i, (row_a, row_b) in enumerate(zip(a[1:], b[1:]), start=1):
+        for col, x, y in zip(header, row_a, row_b):
+            if isinstance(x, float) and isinstance(y, float):
+                if x != y and abs(x - y) / max(abs(x), abs(y)) > worst:
+                    worst, where = abs(x - y) / max(abs(x), abs(y)), f"{col}, row {i}"
+            elif isinstance(x, int) and isinstance(y, int):
+                ints_same &= x == y
+            elif x != y:
+                others.append(f"{col}, row {i}")
+    parts = [f"integer cells {'identical' if ints_same else 'DIFFER'}"]
+    if others:
+        parts.append("other values differ: " + "; ".join(others[:5]))
+    parts.append(f"largest relative float difference {worst:.1e}" + (f" ({where})" if where else ""))
+    return "changes: " + ", ".join(parts)
+
+
+def test_compare_csv_reports_integers_and_floats():
+    old = "iteration,n_selected,theta_0\n0,5,-1.5\n1,6,-1.25\n"
+    assert compare_csv(old, old) == "same bytes"
+    assert compare_csv(old, old.replace("-1.25", "-1.2500000001")) == (
+        "changes: integer cells identical, largest relative float difference 8.0e-11 (theta_0, row 2)")
+    assert compare_csv(old, old.replace("1,6", "1,7")).startswith("changes: integer cells DIFFER")
+    assert compare_csv(old, old + "2,7,-1.0\n") == "changes its structure: header or row lengths"
+
+
+def compare_artifact(old: Path, new: Path) -> str:
+    """`compare_outputs` for a JSON artifact, `compare_csv` for a CSV one."""
+    if old.suffix == ".json":
+        return compare_outputs(json.loads(old.read_bytes()), json.loads(new.read_bytes()))
+    return compare_csv(old.read_text(), new.read_text())
+
+
+def produce_at(rev: str, work: Path) -> None:
+    """Run the golden commands of the checkout at git revision `rev` inside `work`."""
+    root = GOLDEN.parent.parent
+    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tree:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        paths = [str(Path(tree) / "src"), str(Path(tree) / "tests")]
+        code = (f"import sys; sys.path[:0] = {paths!r}; from pathlib import Path; "
+                f"import test_golden; test_golden.produce(Path({str(work)!r}))")
+        subprocess.run([sys.executable, "-c", code], check=True, stdout=subprocess.DEVNULL)
+
+
+def bless(against: str = "HEAD") -> None:
     """Record the golden files from the current code, saying first what changes."""
     import scipy
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         hashes, stored = produce(Path(tmp))
-    for name, data in stored.items():
-        path = GOLDEN / name
-        if not path.exists():
-            verdict = "is new"
-        elif path.read_bytes() == data:
-            verdict = "unchanged"
-        else:
-            verdict = compare_outputs(json.loads(path.read_bytes()), json.loads(data))
-        print(f"{name}: {verdict}")
-    recorded = _recorded_hashes() if (GOLDEN / "sha256.json").exists() else {}
-    changed = sorted(name for name in hashes.keys() | recorded.keys() if hashes.get(name) != recorded.get(name))
-    print(f"sha256.json: {len(changed)} of {len(hashes)} artifact hashes change" + "".join(f"\n  {n}" for n in changed))
+        for name, data in stored.items():
+            path = GOLDEN / name
+            if not path.exists():
+                verdict = "is new"
+            elif path.read_bytes() == data:
+                verdict = "unchanged"
+            else:
+                verdict = compare_outputs(json.loads(path.read_bytes()), json.loads(data))
+            print(f"{name}: {verdict}")
+        recorded = _recorded_hashes() if (GOLDEN / "sha256.json").exists() else {}
+        changed = sorted(name for name in hashes.keys() | recorded.keys()
+                         if hashes.get(name) != recorded.get(name))
+        print(f"sha256.json: {len(changed)} of {len(hashes)} artifact hashes change")
+        if changed:
+            with tempfile.TemporaryDirectory() as base:
+                produce_at(against, Path(base))
+                for name in changed:
+                    old, new = Path(base) / name, Path(tmp) / name
+                    if not old.exists() or not new.exists():
+                        verdict = "is new" if new.exists() else "is gone"
+                    else:
+                        verdict = compare_artifact(old, new)
+                    print(f"  {name}: {verdict} (against {against})")
     for name, data in stored.items():
         (GOLDEN / name).write_bytes(data)
     record = {
@@ -218,4 +304,7 @@ def bless() -> None:
 
 
 if __name__ == "__main__":
-    bless()
+    parser = argparse.ArgumentParser(description="Record the golden files from the current code.")
+    parser.add_argument("--against", default="HEAD", metavar="REV",
+                        help="git revision whose artifacts a changed hash is compared with")
+    bless(parser.parse_args().against)

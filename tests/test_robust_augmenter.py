@@ -41,8 +41,8 @@ def oracle_values(q: np.ndarray, xi: np.ndarray, n: int, nu: float, kind: str) -
         inv_root = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / np.sqrt(safe), eigvecs)
         h = np.einsum("gij,gjk,gkl->gil", inv_root, b_all, inv_root) - r_all
         lam = np.linalg.eigvalsh(h)[:, -1]
-        det_r = np.prod(eigvals, axis=1)
-        vals = ((1.0 - nu + nu * lam) / det_r) ** (1.0 / p)
+        base = (1.0 - nu + nu * lam) / np.prod(safe, axis=1)
+        return np.power(base, 1.0 / p, out=np.full_like(base, np.inf), where=~bad)
     return np.where(bad, np.inf, vals)
 
 

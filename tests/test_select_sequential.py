@@ -1,10 +1,12 @@
 """Sequential design-guided subsampling loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from subsel.errors import DegenerateColumnError, InvalidInputError
-from subsel.estimation import sigmoid
+from subsel.estimation import fit_logistic, sigmoid
 from subsel.ingest_sim import Dataset
 from subsel.model_core import (
     BiasSpec,
@@ -276,6 +278,71 @@ def test_separation_fallback_grows_initial_sample():
     assert trace.initial_indices.size > 2
     assert sel.indices.size == 60
     assert np.unique(sel.indices).size == 60
+
+
+def rare_event_dataset() -> Dataset:
+    rng = CounterRng(7)
+    x = rng.normal(300)
+    y = ((x > 0.8) & (rng.uniform(300) < 0.5)).astype(float)
+    return Dataset(feature_names=("x",), features=x[:, None], response=y, response_name="y")
+
+
+def test_one_label_sample_is_refitted_cold():
+    # The dope sample retains no event for the first four steps.  A
+    # zero-event sample has no MLE, so a start point would pick the answer:
+    # those refits start from 0 and equal a direct fit bit for bit.
+    data = rare_event_dataset()
+    y = data.response
+    cfg = SeqConfig(n_init=8, n_target=40, seed=15, init_strategy="dope", init_label=1.0)
+    sel, trace = run_sequential(data, GRID, line_spec(), cfg)
+    rows = model_matrix(line_spec(), data.features)
+    one_label = 0
+    for step in trace.steps:
+        idx = sel.indices[: step.n_selected]
+        if y[idx].max() == 0.0:
+            one_label += 1
+            assert not step.warm and step.converged
+            cold = fit_logistic(rows[idx], y[idx])
+            assert np.array_equal(step.theta, cold.theta)
+            assert step.newton_iters == cold.iterations
+    assert one_label == 4
+    assert all(s.converged for s in trace.steps)
+    assert trace.steps[-1].warm
+    assert sel.provenance["fit_failures"] == 0
+
+
+def test_step_record_of_warm_and_failed_refits():
+    data = logistic_dataset()
+    _, trace = run_sequential(data, GRID, line_spec(), SeqConfig(n_init=20, n_target=40, seed=3))
+    assert all(s.warm and s.converged and s.newton_iters >= 0 for s in trace.steps)
+    assert set(trace.steps[0].to_json_dict()) >= {"newton_iters", "converged", "warm"}
+    # at seed 3 the dope sample's events are its largest x for eight steps:
+    # a separated sample fails both refits, and each step keeps the previous fit
+    cfg = SeqConfig(n_init=8, n_target=40, seed=3, init_strategy="dope", init_label=1.0)
+    sel, trace = run_sequential(rare_event_dataset(), GRID, line_spec(), cfg)
+    failed = [i for i, s in enumerate(trace.steps) if not s.converged]
+    assert sel.provenance["fit_failures"] == len(failed) == 8
+    for i in failed:
+        step = trace.steps[i]
+        assert step.newton_iters == 0 and not step.warm
+        assert np.array_equal(step.theta, trace.steps[i - 1].theta)
+
+
+def test_dnu_on_a_singular_initial_support_warns_nothing():
+    # A quadratic model (p = 3) on rows that sit nearest grid points 0.0 and
+    # -0.6: seed 0 retains rows 1, 0 and 5, a support of 2 < p points, so
+    # the first scores take the singular-measure path.
+    f, p = polynomial_basis(degree=2)
+    spec = ModelSpec(f_basis=f, p=p)
+    x = np.array([0.0, 0.03, 0.6, 0.63, -0.6, -0.63])
+    data = Dataset(feature_names=("x",), features=x[:, None], response=1.0 + x - x * x,
+                   response_name="y")
+    cfg = SeqConfig(n_init=3, n_target=6, utility="Dnu", nu=0.5, family="linear", seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sel, trace = run_sequential(data, GRID, spec, cfg)
+    assert sorted(trace.initial_indices.tolist()) == [0, 1, 5]
+    assert sorted(sel.indices.tolist()) == list(range(6))
 
 
 def test_theta_csv_layout(tmp_path):

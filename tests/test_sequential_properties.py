@@ -1,0 +1,95 @@
+"""Properties of the incremental parts of the sequential loop.
+
+* The queued nearest-row transfer returns exactly the rows of the full scan
+  it replaces, lowest row index first among equal distances.
+* A logistic fit warm-started near the optimum and a cold fit from 0 reach
+  the same estimate, to 1e-10 of its max-norm.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from subsel.errors import SeparationError, SingularMatrixError
+from subsel.estimation import fit_logistic, sigmoid
+from subsel.select_sequential import _NearestRows
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    dim=st.integers(1, 3),
+    levels=st.integers(1, 4),
+    n_points=st.integers(1, 4),
+    n_init=st.integers(0, 20),
+    budget=st.sampled_from([0, 5, 40, 10**6]),
+    prefix=st.sampled_from([1, 3, 256]),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=60),
+)
+def test_queued_transfer_equals_the_scan(seed, n, dim, levels, n_points, n_init, budget, prefix, picks):
+    # coordinates on a few integer levels force exact distance ties
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, levels, size=(n, dim)).astype(float)
+    points = rng.integers(0, levels + 1, size=(n_points, dim)).astype(float)
+    nearest = _NearestRows(coords, points, budget=budget, prefix=prefix)
+    in_sel = np.zeros(n, dtype=bool)
+    in_sel[rng.choice(n, size=min(n_init, n - 1), replace=False)] = True
+    for g, m in picks:
+        g %= n_points
+        m = min(m, int(n - in_sel.sum()))
+        if m == 0:
+            break
+        want = nearest.scan(g, m, in_sel)
+        got = nearest.take(g, m, in_sel)
+        assert got.tolist() == want.tolist()
+        in_sel[got] = True
+    assert nearest.stored <= budget
+    assert sum(order.size for order, _ in nearest.queues.values()) == nearest.stored
+
+
+def test_queue_serves_a_point_chosen_again_and_respects_the_budget():
+    coords = np.array([[0.0], [1.0], [1.0], [-1.0], [2.0], [0.0]])
+    points = np.array([[0.0], [1.5]])
+    nearest = _NearestRows(coords, points, prefix=1)
+    in_sel = np.zeros(6, dtype=bool)
+    taken = []
+    for g, m in ((0, 2), (1, 2), (0, 1), (0, 1)):
+        rows = nearest.take(g, m, in_sel)
+        in_sel[rows] = True
+        taken.append(rows.tolist())
+    # rows 1, 2 and 4 tie at distance 0.25 from point 1, which takes the two
+    # lowest; point 0 comes back after its stored prefix [0, 5] is used up
+    assert taken == [[0, 5], [1, 2], [3], [4]]
+    scanned = _NearestRows(coords, points, budget=0)
+    assert scanned.take(0, 2, np.zeros(6, dtype=bool)).tolist() == [0, 5]
+    assert scanned.queues == {} and scanned.stored == 0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2000, 6000),
+    k=st.integers(1, 4),
+    shift=st.floats(-2.0, 2.0),
+)
+def test_warm_and_cold_logistic_fits_agree(seed, n, k, shift):
+    # Sizes are those the sequential loop refits.  A fit that stops on the
+    # absolute gradient test |g| < 1e-8 may sit about 1e-8 / lambda_min(H)
+    # from the optimum, which on a few hundred rows is up to 1e-9 of |theta|.
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+    theta = np.concatenate([[shift], rng.uniform(-1.0, 1.0, size=k - 1)])
+    y = (rng.uniform(size=n) < sigmoid(x @ theta)).astype(float)
+    assume(0 < y.sum() < n)
+    try:
+        cold = fit_logistic(x, y)
+    except (SeparationError, SingularMatrixError):
+        assume(False)
+    assume(np.max(np.abs(cold.theta)) < 10.0)  # far from quasi-separation
+    start = cold.theta + rng.uniform(-0.5, 0.5, size=k)
+    warm = fit_logistic(x, y, theta0=start)
+    assert cold.converged and warm.converged
+    scale = np.max(np.abs(cold.theta))
+    assert np.max(np.abs(warm.theta - cold.theta)) <= 1e-10 * max(scale, 1.0)
