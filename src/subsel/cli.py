@@ -127,9 +127,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = cfg_file[key]
         else:
             resolved[key] = default
-    threads = resolved.get("threads", 1)
-    if threads is not None and int(threads) < 1:
-        raise InvalidInputError("--threads must be at least 1")
     return resolved
 
 
@@ -213,7 +210,7 @@ def _dataset_from_args(resolved: dict):
 
 def cmd_simulate(args) -> int:
     defaults = {
-        "seed": 0, "n": None, "theta": None, "out": None, "threads": 1,
+        "seed": 0, "n": None, "theta": None, "out": None,
         "kind": args.kind,
     }
     resolved = _resolve(args, defaults)
@@ -263,7 +260,7 @@ def cmd_iboss(args) -> int:
     defaults = {
         "input": None, "n": None, "order": None, "features": None, "response": None,
         "confounders": None, "sigma": 1.0, "out": None, "perm_report": None,
-        "strict": False, "threads": 1,
+        "strict": False,
     }
     resolved = _resolve(args, defaults)
     if not resolved["input"] or resolved["n"] is None:
@@ -296,7 +293,7 @@ def cmd_seqdes(args) -> int:
         "init_quantiles": 10, "init_label": 1.0, "seed": 0,
         "stop": "n_reached", "stop_epsilon": 0.0,
         "features": None, "response": None, "confounders": None, "strict": False,
-        "out": None, "trace_csv": None, "threads": 1,
+        "out": None, "trace_csv": None,
     }
     resolved = _resolve(args, defaults)
     for key in ("input", "n_init", "n_target"):
@@ -351,7 +348,7 @@ def cmd_robust(args) -> int:
     defaults = {
         "grid": None, "model": None, "nu": None, "iters": None, "n_init": None,
         "seed": 0, "stop": "n_reached", "stop_epsilon": 0.0, "window": 25,
-        "full_rows": False, "out": None, "trace_csv": None, "threads": 1,
+        "full_rows": False, "out": None, "trace_csv": None,
     }
     resolved = _resolve(args, defaults)
     for key in ("grid", "model", "nu", "iters"):
@@ -388,7 +385,7 @@ def cmd_robust(args) -> int:
 def cmd_criteria(args) -> int:
     defaults = {
         "model": None, "design": None, "names": None, "grid": None, "nu": None,
-        "bias": None, "out": None, "threads": 1,
+        "bias": None, "out": None,
     }
     resolved = _resolve(args, defaults)
     for key in ("model", "design", "names"):
@@ -449,7 +446,7 @@ def cmd_criteria(args) -> int:
 def cmd_check_get(args) -> int:
     defaults = {
         "model": None, "design": None, "grid": None, "k_eff": None, "tol": 1e-6,
-        "out": None, "threads": 1,
+        "out": None,
     }
     resolved = _resolve(args, defaults)
     for key in ("model", "design", "grid"):
@@ -479,7 +476,7 @@ def cmd_repro(args) -> int:
         "example": args.example, "out_dir": None, "seed": 0,
         "n_data": None, "n_init": None, "n_target": None, "n_test": None,
         "n_points": None, "n_design": None, "grid_levels": None,
-        "nu": None, "robust_iters": None, "threshold": None, "threads": 1,
+        "nu": None, "robust_iters": None, "threshold": None,
     }
     resolved = _resolve(args, defaults)
     if not resolved["out_dir"]:
@@ -536,7 +533,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--threads", type=int, help="worker threads (validated; execution is single-threaded)")
 
     p = sub.add_parser("simulate", help="generate a dataset CSV")
     p.add_argument("kind", choices=["example2", "example3", "mortgage"])

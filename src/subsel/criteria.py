@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, SingularMatrixError
+from .errors import COND_LIMIT, ConfigError, InvalidInputError, SingularMatrixError
 from .model_core import (
     BiasSpec,
     CandidateGrid,
@@ -35,7 +35,6 @@ from .model_core import (
     model_matrix,
 )
 
-_COND_LIMIT = 1e12
 _EIG_FLOOR = 1e-12
 _RANK_TOL = 1e-9
 
@@ -84,7 +83,7 @@ def _sym_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     eigvals, eigvecs = np.linalg.eigh(sym)
     smallest = float(eigvals[0])
     largest = float(eigvals[-1])
-    if smallest <= 0.0 or largest / smallest > _COND_LIMIT:
+    if smallest <= 0.0 or largest / smallest > COND_LIMIT:
         raise SingularMatrixError(
             f"{what} is singular or ill-conditioned (smallest eigenvalue {smallest:.6e})",
             smallest_eigenvalue=smallest,

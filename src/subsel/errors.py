@@ -38,6 +38,11 @@ class DegenerateColumnError(SubselError, ValueError):
     """A column is constant where variation is required (e.g. standardize)."""
 
 
+# The largest condition number of a matrix that must be inverted; above it
+# (or with a non-positive eigenvalue) SingularMatrixError is raised.
+COND_LIMIT = 1e12
+
+
 class SingularMatrixError(SubselError, ArithmeticError):
     """A matrix that must be invertible is singular or too ill-conditioned.
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SeparationError, SingularMatrixError
+from .errors import COND_LIMIT, InvalidInputError, SeparationError, SingularMatrixError
 
-_COND_LIMIT = 1e12  # bound on cond(X'X); cond(X) is checked against its sqrt
 _SEPARATION_BOUND = 30.0
 # Newton decrement g'H^-1g below which a step is taken whole and the fit ends:
 # its expected log-likelihood gain (half of it) is below the rounding of the
@@ -103,10 +102,10 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> FitResult:
     x, y = _check_xy(x, y)
     n, k = x.shape
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s[-1] <= 0.0 or (s[0] / s[-1]) ** 2 > _COND_LIMIT:
+    if s[-1] <= 0.0 or (s[0] / s[-1]) ** 2 > COND_LIMIT:  # cond(X'X) = cond(X)^2
         small = float(s[-1] ** 2)
         raise SingularMatrixError(
-            f"X'X condition number exceeds {_COND_LIMIT:.0e}", smallest_eigenvalue=small
+            f"X'X condition number exceeds {COND_LIMIT:.0e}", smallest_eigenvalue=small
         )
     theta = vt.T @ ((u.T @ y) / s)
     resid = y - x @ theta

@@ -261,6 +261,58 @@ def _initial_indices(rng: CounterRng, cfg: SeqConfig, coords: np.ndarray,
 # candidate scoring
 
 
+# Relative rounding margin of the Dnu eigenvalue bounds (see _dnu_keep).
+_BOUND_MARGIN = 32.0 * np.finfo(float).eps
+
+
+def _plus_outer(base: np.ndarray, x: np.ndarray, u: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """base + x u' + u x' + k u u' for every row of x, u and k."""
+    xu = x[:, :, None] * u[:, None, :]
+    return base + xu + np.swapaxes(xu, 1, 2) + k[:, None, None] * (u[:, :, None] * u[:, None, :])
+
+
+def _dnu_keep(base: np.ndarray, x: np.ndarray, u: np.ndarray, k: np.ndarray, score) -> np.ndarray:
+    """Mask of the candidates that eigenvalue bounds cannot rule out of the smallest score.
+
+    The score of candidate g is score(lambda_max(M_g)), nondecreasing in
+    lambda, with M_g = `_plus_outer(base, x, u, k)` row g.  With (l1, v) the
+    top eigenpair of base and tau = k|u|^2 + 2 u.x, O(p) work per candidate
+    bounds lambda_max(M_g):
+
+    * below by the larger Rayleigh quotient of v and of u/|u|:
+      l1 + 2 (v.x)(v.u) + k (v.u)^2 and u'base u/|u|^2 + tau;
+    * above by Weyl's inequality, l1 plus the top eigenvalue of the rank-two
+      update, tau/2 + sqrt(tau^2/4 + |u|^2 |x|^2 - (u.x)^2); the root is
+      taken as hypot(tau/2, |u| |r|) with r = x - (u.x/|u|^2) u, which
+      avoids the cancellation of the difference.
+
+    Both bounds are widened by _BOUND_MARGIN p (||base|| + 2|u||x| + |k||u|^2),
+    which covers the rounding of forming M_g and of its eigvalsh, and the
+    smallest upper-bound score by the relative _BOUND_MARGIN, which covers
+    the rounding of the score's power.  A candidate is kept when its
+    lower-bound score is at most the smallest upper-bound score, when a
+    bound's score is not finite (NaN for a negative power base), or when
+    u = 0.
+    """
+    eigs, vecs = np.linalg.eigh(base)
+    l1, v = eigs[-1], vecs[:, -1]
+    uu = np.einsum("gi,gi->g", u, u)
+    ux = np.einsum("gi,gi->g", u, x)
+    tau = k * uu + 2.0 * ux
+    vu, vx = u @ v, x @ v
+    safe = np.where(uu > 0.0, uu, 1.0)
+    lower = np.maximum(l1 + 2.0 * vx * vu + k * vu * vu, np.einsum("gi,gi->g", u @ base, u) / safe + tau)
+    r = x - (ux / safe)[:, None] * u
+    upper = l1 + 0.5 * tau + np.hypot(0.5 * tau, np.sqrt(uu * np.einsum("gi,gi->g", r, r)))
+    margin = _BOUND_MARGIN * base.shape[0] * (
+        np.abs(eigs).max() + 2.0 * np.sqrt(uu * np.einsum("gi,gi->g", x, x)) + np.abs(k) * uu)
+    with np.errstate(invalid="ignore"):  # a negative power base gives NaN: kept below
+        lo, hi = score(lower - margin), score(upper + margin)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    cut = np.min(hi, where=finite, initial=np.inf) * (1.0 + _BOUND_MARGIN)
+    return ~(lo > cut) | ~finite | (uu == 0.0)
+
+
 class _RobustAugmenter:
     """Batched robust-loss evaluation of one-point measure augmentations.
 
@@ -278,8 +330,17 @@ class _RobustAugmenter:
     * Inu: R_g^-1 B_g R_g^-1 = (P W)' G (P W), tr R_g^-1 = |P W|_F^2 / c.
 
     G and P^-1 A P^-1 are a fixed matrix plus outer products of per-candidate
-    vectors, so a step costs one batched eigvalsh.  P W is formed explicitly:
-    the expanded Sherman-Morrison trace cancels when A is near-singular.
+    vectors, so `candidate_values` costs one batched eigvalsh per step.  P W
+    is formed explicitly: the expanded Sherman-Morrison trace cancels when A
+    is near-singular.
+
+    Only the smallest Dnu score is used, so `best` decomposes only the
+    candidates that cheap eigenvalue bounds cannot rule out (`_dnu_keep`:
+    Rayleigh quotients below, Weyl's inequality above, both widened by a
+    rounding margin of a few tens of eps times the matrices' scale).  Each
+    kept candidate goes through the same eigvalsh as in `candidate_values`,
+    so `best` returns the argmin of `candidate_values` and its value, bit
+    for bit.  Inu is scored in full.
 
     A singular current measure (below the kernel's 1e-12 eigenvalue floor,
     e.g. fewer than p support points) has no W; then every R_g is decomposed
@@ -295,10 +356,23 @@ class _RobustAugmenter:
         self.outer = None  # q_g q_g' per candidate, built for a singular base only
 
     def candidate_values(self, xi: np.ndarray, n: int) -> np.ndarray:
+        """The score of every candidate."""
+        return self._scores(xi, n, prune=False)[1]
+
+    def best(self, xi: np.ndarray, n: int) -> tuple[int, float]:
+        """(index, value) of the smallest score, ties to the lowest index."""
+        idx, vals = self._scores(xi, n, prune=True)
+        at = int(np.argmin(vals))
+        return int(idx[at]), float(vals[at])
+
+    def _scores(self, xi: np.ndarray, n: int, prune: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(candidate indices, their scores): every candidate, or with `prune`
+        the Dnu candidates the bounds keep, in ascending order."""
+        idx = np.arange(self.q.shape[0])
         try:
             parts = _robust_kernel(self.q, xi)
         except SingularMatrixError:
-            return self._singular_base_values(xi, n)
+            return idx, self._singular_base_values(xi, n)
         q, p, nu = self.q, self.p, self.nu
         a = 1.0 / n
         w = parts.inv_root
@@ -309,27 +383,29 @@ class _RobustAugmenter:
         beta = -a / (t * (1.0 + t))
         cu = u @ c_mat
 
-        def plus_outer(base, x, k):  # base + x u' + u x' + k u u' per candidate
-            xu = x[:, :, None] * u[:, None, :]
-            return base + xu + np.swapaxes(xu, 1, 2) + k[:, None, None] * (u[:, :, None] * u[:, None, :])
-
-        # G = plus_outer(C, x, k)
+        # G = _plus_outer(C, x, u, k)
         x = beta[:, None] * cu
         k = beta * beta * np.einsum("gi,gi->g", cu, u) + (2.0 * n * xi + 1.0) * (a * a) / t2
         if self.kind == "Inu":
             pw = w + beta[:, None, None] * (u[:, :, None] * (u @ w)[:, None, :])
-            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (plus_outer(c_mat, x, k) @ pw))[:, -1]
+            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (_plus_outer(c_mat, x, u, k) @ pw))[:, -1]
             trace = np.einsum("gij,gij->g", pw, pw) * ((n + 1.0) / n)
-            return (1.0 - nu) * trace + nu * lam
-        # G - P^-1 A P^-1 = plus_outer(C - A, x, k) after these updates
+            return idx, (1.0 - nu) * trace + nu * lam
+        # G - P^-1 A P^-1 = _plus_outer(C - A, x, u, k) after these updates
         gamma = a / (1.0 + t)
         au = u @ parts.r
         x -= gamma[:, None] * au
         k -= gamma * gamma * np.einsum("gi,gi->g", au, u)
         c = n / (n + 1.0)
-        lam = c * np.linalg.eigvalsh(plus_outer(c_mat - parts.r, x, k))[:, -1]
+        base = c_mat - parts.r
         det_r = c**p * np.prod(parts.r_eigs) * t2
-        return ((1.0 - nu + nu * lam) / det_r) ** (1.0 / p)
+
+        def score(lam, at=slice(None)):  # the Dnu score of candidates `at` with lambda_max(M_g) = lam
+            return ((1.0 - nu + nu * (c * lam)) / det_r[at]) ** (1.0 / p)
+
+        if prune:
+            idx = np.flatnonzero(_dnu_keep(base, x, u, k, score))
+        return idx, score(np.linalg.eigvalsh(_plus_outer(base, x[idx], u[idx], k[idx]))[:, -1], idx)
 
     def _singular_base_values(self, xi: np.ndarray, n: int) -> np.ndarray:
         """Per-candidate decomposition of every R_g (singular current measure)."""
@@ -633,9 +709,7 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
             best = int(np.argmin(vals))
             util_val = float(vals[best])
         else:
-            vals = robust.candidate_values(xi, n_c)
-            best = int(np.argmin(vals))
-            util_val = float(vals[best])
+            best, util_val = robust.best(xi, n_c)
 
         # transfer the nearest unsampled data rows to the selection
         m_eff = min(cfg.batch_size, cfg.n_target - n_c)

@@ -188,13 +188,6 @@ def test_malformed_config_json(tmp_path, data_csv, capsys):
     assert stderr_payload(err)["kind"] == "config"
 
 
-def test_threads_must_be_positive(data_csv, capsys):
-    code, _, err = run_cli(capsys, "iboss", "--input", data_csv, "--n", "6",
-                           "--threads", "0")
-    assert code == 2
-    assert "threads" in stderr_payload(err)["message"]
-
-
 def test_missing_input_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "iboss", "--input", str(tmp_path / "no.csv"),
                            "--n", "6")

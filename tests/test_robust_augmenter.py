@@ -100,3 +100,77 @@ def test_singular_base_scores_equal_the_oracle(kind, p):
     assert np.array_equal(np.flatnonzero(inf), support)
     assert np.array_equal(np.isinf(got), inf)
     assert np.array_equal(got[~inf], want[~inf])
+
+
+def _assert_best_is_argmin(aug: _RobustAugmenter, xi: np.ndarray, n: int) -> None:
+    vals = aug.candidate_values(xi, n)
+    want = int(np.argmin(vals))
+    got, value = aug.best(xi, n)
+    assert got == want
+    assert np.float64(value).tobytes() == vals[want].tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 5),
+    extra=st.integers(1, 60),
+    n=st.integers(1, 200),
+    nu=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    rows=st.sampled_from(["normal", "duplicated", "collinear"]),
+    zero_row=st.booleans(),
+    measure=st.sampled_from(["random", "uniform", "singular"]),
+    spread=st.floats(min_value=0.0, max_value=4.0),
+)
+def test_pruned_dnu_choice_equals_the_full_argmin(seed, p, extra, n, nu, rows, zero_row, measure, spread):
+    """`best` decomposes only the Dnu candidates its bounds keep, and must
+    still return exactly the argmin of `candidate_values` and its bytes:
+    ties to the lowest index (duplicated rows score alike), near-collinear
+    rows, a zero row (u = 0), weights spread over 10^spread, and a singular
+    measure, where both read `_singular_base_values`."""
+    rng = np.random.default_rng(seed)
+    n_grid = p + extra
+    if rows == "duplicated":
+        base = rng.normal(size=(max(p, n_grid // 2), p))
+        grid_rows = np.vstack([base, base[rng.integers(0, base.shape[0], size=n_grid)]])
+        grid_rows = grid_rows[rng.permutation(grid_rows.shape[0])]
+    elif rows == "collinear":
+        grid_rows = np.outer(rng.normal(size=n_grid), rng.normal(size=p))
+        grid_rows += 1e-6 * rng.normal(size=(n_grid, p))
+    else:
+        grid_rows = rng.normal(size=(n_grid, p))
+    if zero_row or (measure == "singular" and p == 1):
+        grid_rows[rng.integers(0, grid_rows.shape[0])] = 0.0
+    n_grid = grid_rows.shape[0]
+    aug = _RobustAugmenter(grid_rows, nu, "Dnu")
+    if measure == "uniform":
+        xi = np.full(n_grid, 1.0 / n_grid)
+    else:
+        if measure == "random":
+            at = rng.choice(n_grid, size=int(rng.integers(p, n_grid + 1)), replace=False)
+        elif p > 1:  # fewer than p support points
+            at = rng.choice(n_grid, size=p - 1, replace=False)
+        else:  # all mass on the zero row
+            at = np.flatnonzero(~grid_rows.any(axis=1))[:1]
+        xi = np.zeros(n_grid)
+        xi[at] = rng.exponential(size=at.size) * 10.0 ** rng.uniform(0.0, spread, size=at.size)
+        xi /= xi.sum()
+    if measure == "singular":
+        assert aug.best(xi, n)[0] == int(np.argmin(aug._singular_base_values(xi, n)))
+    _assert_best_is_argmin(aug, xi, n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 3),
+    extra=st.integers(1, 40),
+    n=st.integers(1, 200),
+)
+def test_pruned_dnu_choice_where_the_bounds_are_tight(seed, p, extra, n):
+    # xi uniform on the whole grid makes A and C multiples of the identity
+    # (Q is orthonormal), so C - A = 0 up to rounding and x is parallel to u:
+    # the lower and upper bounds agree in exact arithmetic and only the
+    # rounding margin keeps the minimum; at nu = 1 the score moves with
+    # lambda in full
+    n_grid = p + extra
+    aug = _RobustAugmenter(np.random.default_rng(seed).normal(size=(n_grid, p)), 1.0, "Dnu")
+    _assert_best_is_argmin(aug, np.full(n_grid, 1.0 / n_grid), n)
