@@ -233,14 +233,7 @@ def cmd_simulate(args) -> int:
     if not out:
         raise InvalidInputError("simulate needs --out for the CSV artifact")
     write_csv(ds, out)
-    sys.stdout.write(
-        json.dumps(
-            {"command": "simulate", "resolved_config": _json_ready(resolved), "n_rows": ds.n_rows},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    _emit({"command": "simulate", "resolved_config": _json_ready(resolved), "n_rows": ds.n_rows}, None)
     return 0
 
 

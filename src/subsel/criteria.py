@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import COND_LIMIT, ConfigError, InvalidInputError, SingularMatrixError
+from .errors import COND_LIMIT, EIG_FLOOR, ConfigError, InvalidInputError, SingularMatrixError
 from .model_core import (
     BiasSpec,
     CandidateGrid,
@@ -35,7 +35,6 @@ from .model_core import (
     model_matrix,
 )
 
-_EIG_FLOOR = 1e-12
 _RANK_TOL = 1e-9
 
 CRITERION_NAMES = ("D", "I", "A", "Inu", "Dnu", "traceR", "detR_bias", "detR_conf")
@@ -355,17 +354,20 @@ class _RobustParts(NamedTuple):
         return float(((1.0 - nu + nu * self.lam) / det_r) ** (1.0 / self.r_eigs.size))
 
 
-def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
+def _robust_kernel(q: np.ndarray, xi: np.ndarray, support: np.ndarray, iteration: int | None = None) -> _RobustParts:
     """The one evaluation of R and its functions behind every robust loss.
 
-    Raises SingularMatrixError when the smallest eigenvalue of R is below
-    1e-12.  For orthonormal Q and simplex weights lambda_max(R) <= 1, so this
-    rejects every R whose condition number exceeds 1e12.
+    R and Q'D(xi^2)Q are sums over `support`, the ascending indices of the positive weights.
+    Raises SingularMatrixError when the smallest eigenvalue of R is below EIG_FLOOR.  For
+    orthonormal Q and simplex weights lambda_max(R) <= 1, so this rejects every R whose
+    condition number exceeds COND_LIMIT.
     """
+    q = q[support]
+    xi = xi[support]
     r = (q * xi[:, None]).T @ q
     r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
     smallest = float(r_eigs[0])
-    if smallest < _EIG_FLOOR:
+    if smallest < EIG_FLOOR:
         where = "" if iteration is None else f" at iteration {iteration}"
         raise SingularMatrixError(f"weighted gram matrix R is singular{where} (smallest eigenvalue {smallest:.6e})",
                                   smallest_eigenvalue=smallest, iteration=iteration)
@@ -404,7 +406,7 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
         raise InvalidInputError("weights must be non-negative")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise InvalidInputError("weights must sum to 1 within 1e-12")
-    parts = _robust_kernel(ctx.q_matrix, w)
+    parts = _robust_kernel(ctx.q_matrix, w, np.flatnonzero(w))
     nu = ctx.nu
 
     lam_u, vec_u = top_eigenpair(parts.u)

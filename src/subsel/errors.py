@@ -41,6 +41,8 @@ class DegenerateColumnError(SubselError, ValueError):
 # The largest condition number of a matrix that must be inverted; above it
 # (or with a non-positive eigenvalue) SingularMatrixError is raised.
 COND_LIMIT = 1e12
+# The same rule for a matrix whose largest eigenvalue is at most 1.
+EIG_FLOOR = 1.0 / COND_LIMIT
 
 
 class SingularMatrixError(SubselError, ArithmeticError):

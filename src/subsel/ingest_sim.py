@@ -7,6 +7,7 @@ block order, so a seed pins every generated dataset byte for byte.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -236,11 +237,35 @@ def write_csv(data: Dataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _scalars(items) -> bool:
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, items)))
+
+
+def _indented(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) with lines after the first indented by `pad` more.
+    A flat scalar list or a list of non-empty scalar rows takes one C-encoder call (json indents in
+    Python): its separator carries newline and indent, and only a row boundary puts `]` before it."""
+    inner, deeper = pad + "  ", pad + "    "
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if obj and all(isinstance(k, str) for k in obj):
+            body = (",\n" + inner).join(f"{json.dumps(k)}: {_indented(obj[k], inner)}" for k in sorted(obj))
+            return f"{{\n{inner}{body}\n{pad}}}"
+    elif obj and _scalars(obj):
+        return f"[\n{inner}" + json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1] + f"\n{pad}]"
+    elif obj and all(issubclass(t, (list, tuple)) for t in set(map(type, obj))) and all(obj) \
+            and _scalars(itertools.chain.from_iterable(obj)):
+        body = json.dumps(obj, separators=(",\n" + deeper, ": "))[2:-2]
+        body = body.replace("],\n" + deeper + "[", f"\n{inner}],\n{inner}[\n{deeper}")
+        return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def write_json(obj, path) -> None:
-    """Write a JSON artifact: sorted keys, two-space indent, final newline."""
+    """Write the bytes of json.dump(obj, fh, indent=2, sort_keys=True) and a newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_indented(obj, "") + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -240,11 +240,11 @@ class DesignMeasure:
 
     def to_json_dict(self) -> dict:
         out = {
-            "points": [list(map(float, row)) for row in self.x_points],
-            "weights": [float(v) for v in self.weights],
+            "points": self.x_points.tolist(),
+            "weights": self.weights.tolist(),
         }
         if self.z_points is not None:
-            out["z_points"] = [list(map(float, row)) for row in self.z_points]
+            out["z_points"] = self.z_points.tolist()
         return out
 
 
@@ -551,7 +551,7 @@ class SubsampleSelection:
         return {
             "algorithm": self.algorithm,
             "n_selected": self.n_selected,
-            "indices": [int(i) for i in self.indices],
+            "indices": self.indices.tolist(),
             "provenance": self.provenance,
         }
 

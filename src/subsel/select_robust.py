@@ -17,6 +17,10 @@ grid row q_i is scored by one quadratic form:
 and the mass moves toward argmax_i T_i (ties to the lowest index).  R and its
 functions come from the same kernel as criteria.wiens_losses, so the final
 D-loss of a run equals wiens_losses of its measure bit for bit.
+
+Each step adds mass at one point, so the kernel sums over the sorted support
+(at most n_init + iterations points); the grid pass is one product of the
+pairwise-column matrix, built once per run, with the packed triangle of A.
 """
 
 from __future__ import annotations
@@ -65,9 +69,6 @@ class RobustTrajectory:
     final_dnu: float = float("nan")
     stop_reason: str = "n_reached"
 
-    def dnu_values(self) -> list[float]:
-        return [s.dnu for s in self.steps]
-
     def write_dnu_csv(self, path) -> None:
         lines = ["iteration,chosen_index,dnu,lambda_max"]
         for s in self.steps:
@@ -77,21 +78,34 @@ class RobustTrajectory:
 
     def to_json_dict(self) -> dict:
         return {
-            "initial_indices": [int(i) for i in self.initial_indices],
+            "initial_indices": self.initial_indices.tolist(),
             "steps": [s.to_json_dict() for s in self.steps],
             "final_dnu": float(self.final_dnu),
             "stop_reason": self.stop_reason,
         }
 
 
-def _direction_scores(q: np.ndarray, xi: np.ndarray, nu: float, parts: _RobustParts) -> np.ndarray:
-    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every grid row q_i."""
+def _pairwise_columns(q: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Products q_ia q_ib (a <= b) of every row, zero-padded to whole blocks of 16 rows so that
+    every row takes the same BLAS path (equal rows score equal), and the (a, b) pairs."""
+    n, p = q.shape
+    triu = np.triu_indices(p)
+    pairs = np.zeros((-(-n // 16) * 16, triu[0].size))
+    np.multiply(q[:, triu[0]], q[:, triu[1]], out=pairs[:n])
+    return pairs, triu
+
+
+def _direction_scores(q: np.ndarray, pairs: np.ndarray, triu: tuple[np.ndarray, np.ndarray],
+                      xi: np.ndarray, support: np.ndarray, nu: float, parts: _RobustParts) -> np.ndarray:
+    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every grid row q_i (xi_i = 0 off the support)."""
     v = parts.root @ parts.z
     w = parts.inv_root @ parts.z
     j = parts.lam * (parts.rinv + np.outer(w, w)) + np.outer(w, v) + np.outer(v, w)
     a = (1.0 - nu) * parts.rinv + nu * j
-    qw = q @ w
-    return np.einsum("gi,gi->g", q @ a, q) - 2.0 * nu * xi * (qw * qw)
+    scores = (pairs @ (a[triu] * np.where(triu[0] == triu[1], 1.0, 2.0)))[: q.shape[0]]
+    qw = q[support] @ w
+    scores[support] -= 2.0 * nu * xi[support] * (qw * qw)
+    return scores
 
 
 def run_wiens(
@@ -129,21 +143,25 @@ def run_wiens(
 
     q = ctx.q_matrix
     nu = ctx.nu
+    pairs, triu = _pairwise_columns(q)
     rng = CounterRng(seed)
     init = np.sort(rng.sample_indices(n_grid, n_init))
     xi = np.zeros(n_grid)
     xi[init] = 1.0 / n_init
+    support = init  # ascending; a point joins when first chosen and never leaves
 
     traj = RobustTrajectory(initial_indices=init.copy())
     n = n_init
     while True:
         it = len(traj.steps) + 1
-        parts = _robust_kernel(q, xi, iteration=it)
+        parts = _robust_kernel(q, xi, support, iteration=it)
         dnu = parts.dnu(nu)
         if n >= n_target or traj.stop_reason != "n_reached":
             traj.final_dnu = dnu
             break
-        best = int(np.argmax(_direction_scores(q, xi, nu, parts)))
+        best = int(np.argmax(_direction_scores(q, pairs, triu, xi, support, nu, parts)))
+        if xi[best] == 0.0:
+            support = np.insert(support, np.searchsorted(support, best), best)
 
         xi *= n
         xi[best] += 1.0
@@ -158,7 +176,7 @@ def run_wiens(
                 chosen_index=best,
                 dnu=dnu,
                 lambda_max=parts.lam,
-                support_size=int(np.count_nonzero(xi)),
+                support_size=int(support.size),
                 weights_sha256=hashlib.sha256(xi.tobytes()).hexdigest(),
             )
         )

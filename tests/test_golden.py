@@ -10,7 +10,11 @@ whether a change to the program left its behaviour alone.  This test can:
 - `iboss.json` and `seqdes.json`: the exact `--out` files of `subsel iboss`
   and `subsel seqdes` on small seeded simulated CSVs.  The seqdes model has
   a degree-3 polynomial f, a trig h and a trig g, so the power and trig
-  basis terms are covered; `repro` uses degree-1 bases only.
+  basis terms are covered; `repro` uses degree-1 bases only;
+- `robust.json` and `robust_trace.csv`: the exact `--out` and `--trace-csv`
+  files of `subsel robust` on the seqdes model and its (x, z) grid, whose
+  trajectory records every step's support size and weights hash while the
+  support grows from 6 to 71 points.
 
 Every command runs in a scratch directory with relative paths, so the
 resolved configuration echoed in the outputs does not depend on where the
@@ -20,12 +24,12 @@ its BLAS; `sha256.json` names the versions they were recorded with.
 To record the files again after an intended change of behaviour, run
 `PYTHONPATH=src python tests/test_golden.py [--against REV]` and say in the
 change's notes which files changed and why.  Before it overwrites anything
-it prints which golden files change, and for `seqdes.json`, `iboss.json`
-and every hashed JSON or CSV artifact whose hash changes whether the
-indices are identical and the largest relative difference of any float,
-which is the record a change that moves floats but keeps the indices must
-give.  The hashed artifacts are compared with the ones the checkout at git
-revision REV (default HEAD, the parent of uncommitted work) produces.
+it prints which golden files change, and for every stored file and every
+hashed JSON or CSV artifact whose hash changes whether the indices are
+identical and the largest relative difference of any float, which is the
+record a change that moves floats but keeps the indices must give.  The
+hashed artifacts are compared with the ones the checkout at git revision
+REV (default HEAD, the parent of uncommitted work) produces.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from subsel.cli import main
 
@@ -64,6 +69,9 @@ SEQDES_GRID = {
              "z": [float(v) for v in np.linspace(-2.5, 2.5, 11)]},
     "z_axes": ["z"],
 }
+
+
+STORED = ("iboss.json", "seqdes.json", "robust.json", "robust_trace.csv")
 
 
 def _cli(*argv: str) -> None:
@@ -100,13 +108,15 @@ def produce(work: Path) -> tuple[dict[str, str], dict[str, bytes]]:
              "--utility", "Dnu", "--nu", "0.5", "--family", "linear", "--seed", "3",
              "--n-init", "12", "--n-target", "40",
              "--out", "seqdes.json", "--trace-csv", "seqdes_trace.csv")
+        _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5",
+             "--iters", "300", "--seed", "4", "--out", "robust.json", "--trace-csv", "robust_trace.csv")
     finally:
         os.chdir(here)
 
     hashed = sorted(p for p in work.glob("repro*/*") if p.is_file())
     hashed += [work / name for name in ("loans.csv", "perm.json", "curve.csv", "seqdes_trace.csv")]
     hashes = {p.relative_to(work).as_posix(): _sha256(p) for p in hashed}
-    stored = {name: (work / name).read_bytes() for name in ("iboss.json", "seqdes.json")}
+    stored = {name: (work / name).read_bytes() for name in STORED}
     return hashes, stored
 
 
@@ -119,9 +129,7 @@ def test_golden_outputs_unchanged(tmp_path):
     for name, data in stored.items():
         want = (GOLDEN / name).read_bytes()
         if data != want:
-            # parsed comparison first, for a readable diff
-            assert json.loads(data) == json.loads(want), name
-            assert data == want, f"{name}: same values, different bytes"
+            pytest.fail(f"{name}: {compare_artifact(name, want, data)}")
     recorded = _recorded_hashes()
     assert sorted(hashes) == sorted(recorded), "the set of golden artifacts changed"
     changed = sorted(name for name in recorded if hashes[name] != recorded[name])
@@ -239,11 +247,11 @@ def test_compare_csv_reports_integers_and_floats():
     assert compare_csv(old, old + "2,7,-1.0\n") == "changes its structure: header or row lengths"
 
 
-def compare_artifact(old: Path, new: Path) -> str:
+def compare_artifact(name: str, old: bytes, new: bytes) -> str:
     """`compare_outputs` for a JSON artifact, `compare_csv` for a CSV one."""
-    if old.suffix == ".json":
-        return compare_outputs(json.loads(old.read_bytes()), json.loads(new.read_bytes()))
-    return compare_csv(old.read_text(), new.read_text())
+    if name.endswith(".json"):
+        return compare_outputs(json.loads(old), json.loads(new))
+    return compare_csv(old.decode(), new.decode())
 
 
 def produce_at(rev: str, work: Path) -> None:
@@ -274,7 +282,7 @@ def bless(against: str = "HEAD") -> None:
             elif path.read_bytes() == data:
                 verdict = "unchanged"
             else:
-                verdict = compare_outputs(json.loads(path.read_bytes()), json.loads(data))
+                verdict = compare_artifact(name, path.read_bytes(), data)
             print(f"{name}: {verdict}")
         recorded = _recorded_hashes() if (GOLDEN / "sha256.json").exists() else {}
         changed = sorted(name for name in hashes.keys() | recorded.keys()
@@ -288,7 +296,7 @@ def bless(against: str = "HEAD") -> None:
                     if not old.exists() or not new.exists():
                         verdict = "is new" if new.exists() else "is gone"
                     else:
-                        verdict = compare_artifact(old, new)
+                        verdict = compare_artifact(name, old.read_bytes(), new.read_bytes())
                     print(f"  {name}: {verdict} (against {against})")
     for name, data in stored.items():
         (GOLDEN / name).write_bytes(data)

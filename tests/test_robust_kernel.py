@@ -1,8 +1,10 @@
 """The robust kernel behind run_wiens and wiens_losses, tested as properties.
 
 The oracle for the direction scores is the earlier three-einsum form of
-run_wiens's gradient, T = (1 - nu) q'R^-1 q + nu (q'Jq - xi q'Kq), written
-out here from scratch.
+run_wiens's gradient, T = (1 - nu) q'R^-1 q + nu (q'Jq - xi q'Kq), and the
+oracle for the kernel, which sums over the support of the weights, is the
+earlier kernel that sums over every grid row; both are written out here
+from scratch.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from subsel.criteria import RobustContext, _robust_kernel, top_eigenpair, wiens_losses
 from subsel.errors import SingularMatrixError
 from subsel.rng import CounterRng
-from subsel.select_robust import _direction_scores, run_wiens
+from subsel.select_robust import _direction_scores, _pairwise_columns, run_wiens
 
 
 def oracle_scores(q: np.ndarray, xi: np.ndarray, nu: float) -> np.ndarray:
@@ -37,6 +39,21 @@ def oracle_scores(q: np.ndarray, xi: np.ndarray, nu: float) -> np.ndarray:
     t_var = np.einsum("gi,ij,gj->g", q, rinv, q)
     t_bias = np.einsum("gi,ij,gj->g", q, j, q) - xi * np.einsum("gi,ij,gj->g", q, kk, q)
     return (1.0 - nu) * t_var + nu * t_bias
+
+
+def full_grid_kernel(q: np.ndarray, xi: np.ndarray, nu: float):
+    """(R, Q'D(xi^2)Q, lambda, Dnu) with every sum over all grid rows."""
+    p = q.shape[1]
+    r = (q * xi[:, None]).T @ q
+    r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
+    if r_eigs[0] < 1e-12:
+        raise SingularMatrixError("singular", smallest_eigenvalue=float(r_eigs[0]))
+    rinv = (r_vecs / r_eigs) @ r_vecs.T
+    root = (r_vecs * np.sqrt(r_eigs)) @ r_vecs.T
+    b2 = (q * (xi * xi)[:, None]).T @ q
+    lam, _ = top_eigenpair(root @ (rinv @ b2 @ rinv - np.eye(p)) @ root)
+    dnu = ((1.0 - nu + nu * lam) / float(np.prod(r_eigs))) ** (1.0 / p)
+    return r, b2, lam, dnu
 
 
 def random_grid_ctx(seed: int, n_grid: int, p: int, nu: float) -> RobustContext:
@@ -70,10 +87,10 @@ def test_quadratic_form_matches_three_einsum_oracle(seed, p, extra, nu, data):
     ctx = random_grid_ctx(seed, n_grid, p, nu)
     xi = simplex_weights(seed + 1, n_grid, support)
     try:
-        parts = _robust_kernel(ctx.q_matrix, xi)
+        parts = _robust_kernel(ctx.q_matrix, xi, np.flatnonzero(xi))
     except SingularMatrixError:
         assume(False)
-    got = _direction_scores(ctx.q_matrix, xi, nu, parts)
+    got = _direction_scores(ctx.q_matrix, *_pairwise_columns(ctx.q_matrix), xi, np.flatnonzero(xi), nu, parts)
     want = oracle_scores(ctx.q_matrix, xi, nu)
     tol = 1e-12 * float(np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= tol
@@ -157,3 +174,102 @@ def test_robust_gram_matrix_below_the_eigenvalue_floor_is_singular():
     with pytest.raises(SingularMatrixError) as info:
         wiens_losses(ctx, w)
     assert info.value.smallest_eigenvalue < 1e-12
+
+
+def assert_close(got, want, rel: float = 1e-12) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rel * max(float(np.max(np.abs(want))), 1e-300)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 5),
+    extra=st.integers(1, 200),
+    nu=nus,
+    data=st.data(),
+)
+def test_support_kernel_matches_the_full_grid_kernel(seed, p, extra, nu, data):
+    n_grid = p + extra
+    support = data.draw(st.integers(p, min(n_grid, 2 * p + 3)), label="support")
+    ctx = random_grid_ctx(seed, n_grid, p, nu)
+    xi = simplex_weights(seed + 1, n_grid, support)
+    try:
+        r, b2, lam, dnu = full_grid_kernel(ctx.q_matrix, xi, nu)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            _robust_kernel(ctx.q_matrix, xi, np.flatnonzero(xi))
+        return
+    parts = _robust_kernel(ctx.q_matrix, xi, np.flatnonzero(xi))
+    assert_close(parts.r, r)
+    assert_close(parts.b2, b2)
+    assert_close(parts.lam, lam)
+    assert_close(parts.dnu(nu), dnu)
+
+
+def oracle_path(ctx: RobustContext, n_init: int, n_target: int, seed: int):
+    """run_wiens's steps from the full-grid oracle scores: per step the chosen
+    index, the support size, the weights after the step, and whether the top
+    two scores are further apart than the scores' tolerance."""
+    q = ctx.q_matrix
+    xi = np.zeros(ctx.n_grid)
+    xi[np.sort(CounterRng(seed).sample_indices(ctx.n_grid, n_init))] = 1.0 / n_init
+    for n in range(n_init, n_target):
+        scores = oracle_scores(q, xi, ctx.nu)
+        top_two = np.sort(scores)[-2:]
+        decisive = top_two[1] - top_two[0] > 1e-12 * float(np.max(np.abs(scores)))
+        best = int(np.argmax(scores))
+        xi = xi * n
+        xi[best] += 1.0
+        xi /= n + 1
+        yield best, int(np.count_nonzero(xi)), xi, decisive
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 4),
+    extra=st.integers(2, 80),
+    nu=nus,
+    data=st.data(),
+)
+def test_run_wiens_follows_the_full_grid_oracle(seed, p, extra, nu, data):
+    n_grid = p + extra
+    n_init = data.draw(st.integers(p, min(n_grid, 2 * p)), label="n_init")
+    n_target = n_init + data.draw(st.integers(1, 80), label="iterations")
+    ctx = random_grid_ctx(seed, n_grid, p, nu)
+    try:
+        measure, traj = run_wiens(ctx, n_init=n_init, n_target=n_target, seed=seed)
+    except SingularMatrixError:
+        assume(False)
+    xi = None
+    for step, (best, size, xi, decisive) in zip(traj.steps, oracle_path(ctx, n_init, n_target, seed)):
+        if not decisive:
+            return  # a near-tie: either choice is right, and the paths may part here
+        assert step.chosen_index == best
+        assert step.support_size == size
+        assert hashlib.sha256(xi.tobytes()).hexdigest() == step.weights_sha256
+    assert np.array_equal(measure.weights, xi)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 5),
+    extra=st.integers(10, 300),
+    nu=nus,
+    data=st.data(),
+)
+def test_equal_grid_rows_score_exactly_equal(seed, p, extra, nu, data):
+    # ties go to the lowest index only if equal rows get equal scores, also
+    # rows in the last, partial block of a BLAS kernel
+    n_grid = p + extra
+    ctx = random_grid_ctx(seed, n_grid, p, nu)
+    xi = np.zeros(n_grid)
+    xi[: 2 * p] = 1.0 / (2 * p)
+    copies = data.draw(st.lists(st.integers(2 * p, n_grid - 2), max_size=6), label="copies")
+    q = ctx.q_matrix.copy()
+    q[copies + [n_grid - 1]] = q[-2]
+    try:
+        parts = _robust_kernel(q, xi, np.flatnonzero(xi))
+    except SingularMatrixError:
+        assume(False)
+    scores = _direction_scores(q, *_pairwise_columns(q), xi, np.flatnonzero(xi), nu, parts)
+    assert np.all(scores[copies + [n_grid - 1]] == scores[-2])
