@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import COND_LIMIT, EIG_FLOOR, ConfigError, InvalidInputError, SingularMatrixError
+from .errors import EIG_FLOOR, ConfigError, InvalidInputError, SingularMatrixError, check_conditioning
 from .model_core import (
     BiasSpec,
     CandidateGrid,
@@ -76,17 +76,12 @@ def _sym_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of a symmetric PSD matrix with a hard condition guard.
 
     Returns (inverse, eigenvalues ascending).  Raises SingularMatrixError
-    when the smallest eigenvalue is non-positive or cond exceeds 1e12.
+    when the smallest eigenvalue is non-positive or cond exceeds COND_LIMIT
+    (`check_conditioning`).
     """
     sym = (mat + mat.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
-    smallest = float(eigvals[0])
-    largest = float(eigvals[-1])
-    if smallest <= 0.0 or largest / smallest > COND_LIMIT:
-        raise SingularMatrixError(
-            f"{what} is singular or ill-conditioned (smallest eigenvalue {smallest:.6e})",
-            smallest_eigenvalue=smallest,
-        )
+    check_conditioning(eigvals, what)
     inv = (eigvecs / eigvals) @ eigvecs.T
     return (inv + inv.T) / 2.0, eigvals
 
@@ -402,7 +397,7 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
     w = np.asarray(weights, dtype=float).ravel()
     if w.size != ctx.n_grid:
         raise InvalidInputError("weight vector length does not match the grid")
-    if np.any(w < 0.0):
+    if not np.all(w >= 0.0):  # also rejects NaN, which passes `w < 0` and the sum test
         raise InvalidInputError("weights must be non-negative")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise InvalidInputError("weights must sum to 1 within 1e-12")

@@ -63,6 +63,17 @@ class SingularMatrixError(SubselError, ArithmeticError):
         self.iteration = iteration
 
 
+def check_conditioning(eigvals, what: str) -> None:
+    """Raise SingularMatrixError unless the symmetric matrix with these ascending
+    eigenvalues is positive definite with condition number at most COND_LIMIT."""
+    smallest = float(eigvals[0])
+    if not (smallest > 0.0 and float(eigvals[-1]) / smallest <= COND_LIMIT):
+        raise SingularMatrixError(
+            f"{what} is singular or ill-conditioned (smallest eigenvalue {smallest:.6e})",
+            smallest_eigenvalue=smallest,
+        )
+
+
 class SeparationError(SubselError, ArithmeticError):
     """Logistic fit diverged: coefficients grow without bound."""
 

@@ -1,11 +1,12 @@
 """Least-squares and logistic-regression fitting used by the selection loops.
 
 Both fitters are deliberately small and fully pinned down: OLS solves through
-the SVD with an explicit condition-number guard, and the logistic fit is
-Newton/IRLS with step-halving and divergence (separation) detection, started
-from theta = 0 or from a given point (the sequential loop continues each
-refit from the previous fit).  Standard errors come from the inverse
-observed information.
+the SVD, and the logistic fit is Newton/IRLS with step-halving and divergence
+(separation) detection, started from theta = 0 or from a given point (the
+sequential loop continues each refit from the previous fit).  Both apply one
+condition-number guard (`errors.check_conditioning`) to every matrix they
+solve with or invert.  Standard errors come from the inverse observed
+information.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import COND_LIMIT, InvalidInputError, SeparationError, SingularMatrixError
+from .errors import InvalidInputError, SeparationError, check_conditioning
 
 _SEPARATION_BOUND = 30.0
 # Newton decrement g'H^-1g below which a step is taken whole and the fit ends:
@@ -96,17 +97,14 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> FitResult:
     """Ordinary least squares through the SVD.
 
     Raises SingularMatrixError when X is rank deficient or cond(X'X)
-    exceeds 1e12.  Residual variance uses the n - k denominator; with
-    n == k the fit is exact and the standard errors are reported as 0.
+    exceeds COND_LIMIT (1e12).  Residual variance uses the n - k
+    denominator; with n == k the fit is exact and the standard errors are
+    reported as 0.
     """
     x, y = _check_xy(x, y)
     n, k = x.shape
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s[-1] <= 0.0 or (s[0] / s[-1]) ** 2 > COND_LIMIT:  # cond(X'X) = cond(X)^2
-        small = float(s[-1] ** 2)
-        raise SingularMatrixError(
-            f"X'X condition number exceeds {COND_LIMIT:.0e}", smallest_eigenvalue=small
-        )
+    check_conditioning(s[::-1] ** 2, "X'X")  # the eigenvalues of X'X, ascending
     theta = vt.T @ ((u.T @ y) / s)
     resid = y - x @ theta
     rss = float(resid @ resid)
@@ -151,7 +149,8 @@ def fit_logistic(
     Starts at theta = 0 unless theta0 is given.  Each Newton step is halved
     (at most 10 times) until the deviance does not increase.  Divergence is
     reported as SeparationError once any |theta_j| exceeds 30 while the
-    deviance is still falling; a singular weighted information matrix raises
+    deviance is still falling; a singular weighted information matrix, or
+    one whose condition number exceeds COND_LIMIT, raises
     SingularMatrixError.  The fit converges when the gradient max-norm falls
     below tol, or when the Newton decrement g'H^-1g of a step is below 1e-10;
     that last step is taken whole, without step-halving.  A fit that stops
@@ -179,14 +178,8 @@ def fit_logistic(
             break
         w = pi * (1.0 - pi)
         info = (x * w[:, None]).T @ x
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError as exc:
-            eigs = np.linalg.eigvalsh((info + info.T) / 2.0)
-            raise SingularMatrixError(
-                "weighted information matrix is singular",
-                smallest_eigenvalue=float(eigs[0]),
-            ) from exc
+        check_conditioning(np.linalg.eigvalsh(info), "weighted information matrix")
+        step = np.linalg.solve(info, grad)
         converged = float(grad @ step) < _DECREMENT_TOL
         # step halving: never accept a deviance increase, except on the final step
         new_theta = theta + step
@@ -213,14 +206,8 @@ def fit_logistic(
 
     pi = sigmoid(eta)
     info = (x * (pi * (1.0 - pi))[:, None]).T @ x
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        eigs = np.linalg.eigvalsh((info + info.T) / 2.0)
-        raise SingularMatrixError(
-            "observed information is singular at the optimum",
-            smallest_eigenvalue=float(eigs[0]),
-        ) from exc
+    check_conditioning(np.linalg.eigvalsh(info), "observed information at the optimum")
+    cov = np.linalg.inv(info)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         theta=theta, std_errors=se, objective=loglik, iterations=iters,

@@ -26,6 +26,11 @@ Utilities:
 * ``Inu``/``Dnu``  minimize the robust loss of the augmented grid measure,
 * ``traceR`` minimize the bias-aware trace criterion (needs a BiasSpec).
 
+D, A and traceR invert one matrix per step through `criteria._sym_inverse`
+(the full working matrix, or for traceR its M11 block) and score every
+candidate as a rank-one update of that inverse (Sherman-Morrison), so a
+singular or ill-conditioned matrix raises SingularMatrixError.
+
 The working regression inside the loop uses the full evaluated row (f, h, g
 blocks concatenated), so augmentation always sees the full information
 matrix.
@@ -40,6 +45,7 @@ import numpy as np
 
 from .criteria import _robust_kernel, _sym_inverse
 from .errors import (
+    EIG_FLOOR,
     DegenerateColumnError,
     ExhaustionError,
     InvalidInputError,
@@ -342,10 +348,10 @@ class _RobustAugmenter:
     so `best` returns the argmin of `candidate_values` and its value, bit
     for bit.  Inu is scored in full.
 
-    A singular current measure (below the kernel's 1e-12 eigenvalue floor,
-    e.g. fewer than p support points) has no W; then every R_g is decomposed
-    on its own, and a candidate whose smallest eigenvalue is at most 1e-14
-    scores inf.  Above the floor lambda_min(R_g) >= c 1e-12, so none does.
+    A singular current measure (smallest eigenvalue below the kernel's
+    `errors.EIG_FLOOR`, e.g. fewer than p support points) has no W; then
+    every R_g is decomposed on its own, and a candidate whose smallest
+    eigenvalue is below the same floor scores inf.
     """
 
     def __init__(self, rows_grid: np.ndarray, nu: float, kind: str):
@@ -418,7 +424,7 @@ class _RobustAugmenter:
         r_all = (n * a1[None, :, :] + self.outer) / denom
         b_all = (n * n * b1[None, :, :] + (2.0 * n * xi + 1.0)[:, None, None] * self.outer) / (denom * denom)
         eigvals, eigvecs = np.linalg.eigh(r_all)
-        bad = eigvals[:, 0] <= 1e-14
+        bad = eigvals[:, 0] < EIG_FLOOR
         safe = np.where(bad[:, None], 1.0, eigvals)
         if self.kind == "Inu":
             rinv = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / safe, eigvecs)
@@ -433,39 +439,34 @@ class _RobustAugmenter:
         return np.power(base, 1.0 / p, out=np.full_like(base, np.inf), where=~bad)
 
 
-def _trace_r_candidates(m_full: np.ndarray, rows_grid: np.ndarray, c_grid: np.ndarray,
-                        w_new: float, spec: ModelSpec, bias: BiasSpec) -> np.ndarray:
-    """Bias-aware trace of every one-point augmentation (batched)."""
-    p, m_dim, q_dim = spec.p, spec.m, spec.q
+def _sherman_morrison(minv: np.ndarray, rows: np.ndarray, a: np.ndarray):
+    """(b, den, tr) of every one-point augmentation M + a_g r_g r_g', from minv = M^-1.
+
+    b_g = M^-1 r_g and den_g = 1 + a_g r_g'b_g, so that the augmented inverse is
+    M^-1 - a_g b_g b_g'/den_g and its trace tr_g = tr M^-1 - a_g |b_g|^2 / den_g.
+    """
+    b = rows @ minv
+    den = 1.0 + a * np.einsum("gk,gk->g", b, rows)
+    return b, den, np.trace(minv) - (a * np.einsum("gk,gk->g", b, b)) / den
+
+
+def _trace_r_scores(m_full: np.ndarray, rows_grid: np.ndarray, a: np.ndarray, p: int,
+                    bias: BiasSpec) -> np.ndarray:
+    """Bias-aware trace of every one-point augmentation M_g = M11 + a_g f_g f_g'.
+
+    The bias terms S2 + S3 + 2 S4 of `criteria.trace_r` sum to |M_g^-1 z_g|^2
+    with z_g = M12 psi + M13 phi + a_g (h_g'psi + g_g'phi) f_g.  With B = M11^-1
+    and (b, den) from `_sherman_morrison`, r_g = B z_g gives
+    M_g^-1 z_g = r_g - a_g b_g (f_g.r_g)/den_g: one p-vector per candidate.
+    Raises SingularMatrixError when M11 is singular or ill-conditioned.
+    """
+    minv, _ = _sym_inverse(m_full[:p, :p], "M11 block of the working information matrix")
     f = rows_grid[:, :p]
-    a = w_new * c_grid
-    m11 = m_full[:p, :p]
-    m11_all = m11[None, :, :] + a[:, None, None] * np.einsum("gi,gj->gij", f, f)
-    eigvals, eigvecs = np.linalg.eigh(m11_all)
-    bad = eigvals[:, 0] <= 1e-14
-    safe = np.where(bad[:, None], 1.0, eigvals)
-    inv_all = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / safe, eigvecs)
-    a2_all = np.einsum("gij,gjk->gik", inv_all, inv_all)
-    tr_inv = np.trace(inv_all, axis1=1, axis2=2)
-
-    if m_dim:
-        h = rows_grid[:, p : p + m_dim]
-        u0 = m_full[:p, p : p + m_dim] @ bias.psi
-        u_all = u0[None, :] + (a * (h @ bias.psi))[:, None] * f
-    else:
-        u_all = np.zeros((rows_grid.shape[0], p))
-    if q_dim:
-        g = rows_grid[:, p + m_dim :]
-        v0 = m_full[:p, p + m_dim :] @ bias.phi
-        v_all = v0[None, :] + (a * (g @ bias.phi))[:, None] * f
-    else:
-        v_all = np.zeros((rows_grid.shape[0], p))
-
-    s2 = np.einsum("gi,gij,gj->g", u_all, a2_all, u_all)
-    s3 = np.einsum("gi,gij,gj->g", v_all, a2_all, v_all)
-    s4 = np.einsum("gi,gij,gj->g", v_all, a2_all, u_all)
-    vals = tr_inv + bias.ratio**2 * (s2 + s3 + 2.0 * s4)
-    return np.where(bad, np.inf, vals)
+    b, den, tr = _sherman_morrison(minv, f, a)
+    coef = np.concatenate([bias.psi, bias.phi])
+    r = minv @ (m_full[:p, p:] @ coef) + (a * (rows_grid[:, p:] @ coef))[:, None] * b
+    mz = r - (a * np.einsum("gi,gi->g", f, r) / den)[:, None] * b
+    return tr + bias.ratio**2 * np.einsum("gi,gi->g", mz, mz)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +554,11 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     y = np.asarray(y, dtype=float).ravel()
     if cfg.n_target > n_rows:
         raise InvalidInputError(f"n_target {cfg.n_target} exceeds the {n_rows} data rows")
+    if cfg.bias is not None and (cfg.bias.psi.size != spec.m or cfg.bias.phi.size != spec.q):
+        raise InvalidInputError(
+            f"bias needs {spec.m} psi and {spec.q} phi coefficients (one per h and g term), "
+            f"got {cfg.bias.psi.size} and {cfg.bias.phi.size}"
+        )
 
     confs = getattr(data, "confounders", None)
     if confs is not None:
@@ -688,26 +694,22 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         else:
             c_grid = np.ones(grid.n_points)
 
-        if cfg.utility in ("D", "A"):
+        if cfg.utility == "D":
             minv, _ = _sym_inverse(m_emp, "working information matrix")
-            mr = rows_grid @ minv
-            quad = np.einsum("gk,gk->g", mr, rows_grid)
-            if cfg.utility == "D":
-                gain = c_grid * quad
-                best = int(np.argmax(gain))
-                sign, logdet = np.linalg.slogdet(m_emp)
-                util_val = float(logdet + np.log1p(w_new * gain[best]))
+            gain = c_grid * np.einsum("gk,gk->g", rows_grid @ minv, rows_grid)
+            best = int(np.argmax(gain))
+            _, logdet = np.linalg.slogdet(m_emp)
+            util_val = float(logdet + np.log1p(w_new * gain[best]))
+        elif cfg.utility in ("A", "traceR"):
+            if cfg.utility == "A":
+                minv, _ = _sym_inverse(m_emp, "working information matrix")
+                scores = _sherman_morrison(minv, rows_grid, w_new * c_grid)[2]
             else:
-                norm2 = np.einsum("gk,gk->g", mr, mr)
-                scores = np.trace(minv) - (w_new * c_grid * norm2) / (1.0 + w_new * c_grid * quad)
-                best = int(np.argmin(scores))
-                util_val = float(scores[best])
-        elif cfg.utility == "traceR":
-            # the criterion lives on the unnormalized selection matrix / sigma^2
-            s2 = cfg.bias.sigma ** 2
-            vals = _trace_r_candidates(m_emp * n_c / s2, rows_grid, c_grid, 1.0 / s2, spec, cfg.bias)
-            best = int(np.argmin(vals))
-            util_val = float(vals[best])
+                # the criterion lives on the unnormalized selection matrix / sigma^2
+                s2 = cfg.bias.sigma ** 2
+                scores = _trace_r_scores(m_emp * n_c / s2, rows_grid, c_grid / s2, spec.p, cfg.bias)
+            best = int(np.argmin(scores))
+            util_val = float(scores[best])
         else:
             best, util_val = robust.best(xi, n_c)
 

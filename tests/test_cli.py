@@ -262,6 +262,24 @@ def test_seqdes_invalid_utility_combination(data_csv, model_file, grid_file, cap
     assert stderr_payload(err)["kind"] == "config"
 
 
+def test_seqdes_bias_length_must_match_model(tmp_path, data_csv, grid_file, capsys):
+    model = tmp_path / "model_h.json"
+    model.write_text(json.dumps({"f": {"family": "poly", "degree": 1},
+                                 "h": {"family": "trig", "kind": "sin"}}))
+    bias = tmp_path / "bias.json"
+    bias.write_text(json.dumps({"psi": [1.0, 2.0], "phi": [], "sigma": 1.0, "n_total": 300}))
+    code, _, err = run_cli(
+        capsys, "seqdes", "--input", data_csv, "--grid", grid_file,
+        "--model", str(model), "--n-init", "5", "--n-target", "12",
+        "--features", "x", "--response", "y", "--family", "linear",
+        "--utility", "traceR", "--bias", str(bias),
+    )
+    assert code == 2  # two psi for one h term
+    error = stderr_payload(err)
+    assert error["type"] == "InvalidInputError"
+    assert "psi" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # robust
 

@@ -268,6 +268,15 @@ def test_robust_weight_validation():
         wiens_losses(ctx, np.full(ctx.n_grid, 0.5))  # sums to 3.5
 
 
+def test_robust_weights_reject_nan():
+    # NaN passes both `w < 0` and the sum test; it must not reach the kernel
+    ctx = small_ctx(0.5)
+    w = np.full(ctx.n_grid, 1.0 / ctx.n_grid)
+    w[1] = np.nan
+    with pytest.raises(InvalidInputError):
+        wiens_losses(ctx, w)
+
+
 def test_design_weights_on_grid_roundtrip():
     ctx = small_ctx(0.5)
     design = DesignMeasure(points=[[-1.0], [1.0]], weights=[0.25, 0.75])

@@ -113,6 +113,21 @@ def test_logistic_separation_raises():
         fit_logistic(x, y)
 
 
+def test_logistic_ill_conditioned_design_raises_singular():
+    # a third column equal to the second plus 1e-7 noise: cond(X'X) ~ 1e14,
+    # past COND_LIMIT, which fit_ols already rejects
+    rng = CounterRng(23)
+    n = 200
+    x1 = rng.normal(n)
+    x = np.column_stack([np.ones(n), x1, x1 + 1e-7 * rng.normal(n)])
+    y = (rng.uniform(n) < sigmoid(0.3 + x1)).astype(float)
+    assert np.linalg.cond(x.T @ x) > 1e14
+    with pytest.raises(SingularMatrixError):
+        fit_ols(x, y)
+    with pytest.raises(SingularMatrixError):
+        fit_logistic(x, y)
+
+
 def test_logistic_input_validation():
     with pytest.raises(InvalidInputError):
         fit_logistic(np.ones((5, 2)), np.array([0.0, 1.0]))

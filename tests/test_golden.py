@@ -11,6 +11,8 @@ whether a change to the program left its behaviour alone.  This test can:
   and `subsel seqdes` on small seeded simulated CSVs.  The seqdes model has
   a degree-3 polynomial f, a trig h and a trig g, so the power and trig
   basis terms are covered; `repro` uses degree-1 bases only;
+- `seqdes_traceR.json`: the `--out` file of `subsel seqdes --utility traceR`
+  on the same model and data, with non-zero psi and phi in its bias file;
 - `robust.json` and `robust_trace.csv`: the exact `--out` and `--trace-csv`
   files of `subsel robust` on the seqdes model and its (x, z) grid, whose
   trajectory records every step's support size and weights hash while the
@@ -64,6 +66,8 @@ SEQDES_MODEL = {
     "g": {"family": "trig", "kind": "cos", "coeffs": [0.0, 1.0 / 9.0, 0.25]},
 }
 
+SEQDES_BIAS = {"psi": [0.8], "phi": [-0.5], "sigma": 0.5, "n_total": 400}
+
 SEQDES_GRID = {
     "axes": {"x": [float(v) for v in np.linspace(-1.0, 5.0, 31)],
              "z": [float(v) for v in np.linspace(-2.5, 2.5, 11)]},
@@ -71,7 +75,7 @@ SEQDES_GRID = {
 }
 
 
-STORED = ("iboss.json", "seqdes.json", "robust.json", "robust_trace.csv")
+STORED = ("iboss.json", "seqdes.json", "seqdes_traceR.json", "robust.json", "robust_trace.csv")
 
 
 def _cli(*argv: str) -> None:
@@ -108,6 +112,11 @@ def produce(work: Path) -> tuple[dict[str, str], dict[str, bytes]]:
              "--utility", "Dnu", "--nu", "0.5", "--family", "linear", "--seed", "3",
              "--n-init", "12", "--n-target", "40",
              "--out", "seqdes.json", "--trace-csv", "seqdes_trace.csv")
+        Path("bias.json").write_text(json.dumps(SEQDES_BIAS))
+        _cli("seqdes", "--input", "curve.csv", "--grid", "grid.json", "--model", "model.json",
+             "--features", "x", "--confounders", "z", "--response", "y",
+             "--utility", "traceR", "--bias", "bias.json", "--family", "linear", "--seed", "3",
+             "--n-init", "12", "--n-target", "40", "--out", "seqdes_traceR.json")
         _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5",
              "--iters", "300", "--seed", "4", "--out", "robust.json", "--trace-csv", "robust_trace.csv")
     finally:
