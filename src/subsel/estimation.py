@@ -11,7 +11,7 @@ information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,8 @@ class FitResult:
     """Coefficients, standard errors, and fit diagnostics.
 
     `objective` is the residual sum of squares for least squares and the
-    log-likelihood for a logistic fit.
+    log-likelihood for a logistic fit.  `information` is a logistic fit's
+    X'WX at theta, inverted for its standard errors; it is not in the JSON.
     """
 
     theta: np.ndarray
@@ -38,6 +39,7 @@ class FitResult:
     iterations: int
     converged: bool
     family: str
+    information: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,9 +134,9 @@ def sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
-    # log sigmoid(eta) = -log(1 + e^-eta), log(1 - sigmoid(eta)) = -log(1 + e^eta)
-    return float(-(y * np.logaddexp(0.0, -eta) + (1.0 - y) * np.logaddexp(0.0, eta)).sum())
+def _log_likelihood(eta: np.ndarray, sign: np.ndarray) -> float:
+    # sign = 1 - 2y: log sigmoid(eta) = -log(1 + e^-eta), log(1 - sigmoid(eta)) = -log(1 + e^eta)
+    return float(-np.logaddexp(0.0, sign * eta).sum())
 
 
 def fit_logistic(
@@ -165,8 +167,9 @@ def fit_logistic(
     if theta.shape != (k,):
         raise InvalidInputError("theta0 has the wrong length")
 
+    sign = 1.0 - 2.0 * y
     eta = x @ theta
-    loglik = _log_likelihood(eta, y)
+    loglik = _log_likelihood(eta, sign)
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
@@ -184,13 +187,13 @@ def fit_logistic(
         # step halving: never accept a deviance increase, except on the final step
         new_theta = theta + step
         new_eta = x @ new_theta
-        new_loglik = _log_likelihood(new_eta, y)
+        new_loglik = _log_likelihood(new_eta, sign)
         halvings = 0
         while not converged and new_loglik < loglik and halvings < 10:
             step = step / 2.0
             new_theta = theta + step
             new_eta = x @ new_theta
-            new_loglik = _log_likelihood(new_eta, y)
+            new_loglik = _log_likelihood(new_eta, sign)
             halvings += 1
         if not converged and new_loglik < loglik:
             # ten halvings without progress: stay at the previous iterate
@@ -211,7 +214,7 @@ def fit_logistic(
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         theta=theta, std_errors=se, objective=loglik, iterations=iters,
-        converged=converged, family="logistic",
+        converged=converged, family="logistic", information=info,
     )
 
 

@@ -169,6 +169,22 @@ class CounterRng:
             if v < limit:
                 return v % bound
 
+    def randbelow_many(self, bounds) -> np.ndarray:
+        """randbelow(b) for each b of an integer array in turn, as one uint64 array:
+        one word per bound at once, or, if any would be rejected, rewind and loop."""
+        b = np.asarray(bounds)
+        if b.size and (b.dtype.kind not in "iu" or not np.all(b > 0)):
+            raise InvalidInputError("bounds must be positive integers")
+        b = b.astype(np.uint64).ravel()
+        start = self._counter
+        words = self.u64_array(b.size)
+        # randbelow rejects v >= 2**64 - (2**64 % b); 2**64 % b == (2**64 - b) % b
+        rem = (np.uint64(0) - b) % b
+        if np.any((rem > 0) & (words >= np.uint64(0) - rem)):
+            self._counter = start
+            return np.array([self.randbelow(v) for v in b.tolist()], dtype=np.uint64)
+        return words % b
+
     def sample_indices(self, n_pop: int, k: int) -> np.ndarray:
         """k distinct indices from range(n_pop), partial Fisher-Yates order."""
         if k < 0 or k > n_pop:
@@ -176,9 +192,9 @@ class CounterRng:
                 f"cannot sample {k} distinct indices from a population of {n_pop}"
             )
         arr = np.arange(n_pop, dtype=np.int64)
-        for i in range(k):
-            j = i + self.randbelow(n_pop - i)
-            arr[i], arr[j] = arr[j], arr[i]
+        draws = self.randbelow_many(np.arange(n_pop, n_pop - k, -1, dtype=np.int64))
+        for i, d in enumerate(draws.tolist()):
+            arr[i], arr[i + d] = arr[i + d], arr[i]
         return arr[:k].copy()
 
     def shuffle(self, values: np.ndarray) -> np.ndarray:

@@ -198,6 +198,18 @@ class SeqTrace:
 # initial sampling strategies
 
 
+def _linear_quantiles(values: np.ndarray, n_bins: int) -> np.ndarray:
+    """np.quantile(values, linspace(0, 1, n_bins + 1)) for finite values, up
+    to the sign of a zero, without np.quantile's import of numpy.ma."""
+    s = np.sort(values)
+    virtual = (s.size - 1) * np.linspace(0.0, 1.0, n_bins + 1)
+    lo = np.minimum(np.floor(virtual), s.size - 1)
+    t = virtual - lo
+    a, b = s[lo.astype(np.intp)], s[np.minimum(lo + 1, s.size - 1).astype(np.intp)]
+    # numpy's two-sided lerp
+    return np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
+
+
 def _stratified_init(rng: CounterRng, values: np.ndarray, edge_pool: np.ndarray,
                      n_init: int, n_quantiles: int) -> list[int]:
     """Round-robin across quantile bins of `values`.
@@ -209,18 +221,20 @@ def _stratified_init(rng: CounterRng, values: np.ndarray, edge_pool: np.ndarray,
     """
     picked: list[int] = []
     if edge_pool.size:
-        edges = np.quantile(values[edge_pool], np.linspace(0.0, 1.0, n_quantiles + 1))
+        edges = _linear_quantiles(values[edge_pool], n_quantiles)
         bins = np.searchsorted(edges[1:-1], values, side="right")
-        members = [list(np.flatnonzero(bins == b)) for b in range(n_quantiles)]
-        while len(picked) < n_init and any(members):
-            for b in range(n_quantiles):
-                if len(picked) >= n_init:
-                    break
-                if members[b]:
-                    at = rng.randbelow(len(members[b]))
-                    picked.append(int(members[b].pop(at)))
+        members = [np.flatnonzero(bins == b).tolist() for b in range(n_quantiles)]
+        # round r visits, in bin order, every bin with more than r members and
+        # draws below its remaining size; neither depends on the draws
+        sizes = np.array([len(m) for m in members])
+        visit_round, visit_bin = np.nonzero(sizes > np.arange(min(n_init, sizes.max()))[:, None])
+        visit_round, visit_bin = visit_round[:n_init], visit_bin[:n_init]
+        draws = rng.randbelow_many(sizes[visit_bin] - visit_round)
+        picked = [members[b].pop(at) for b, at in zip(visit_bin.tolist(), draws.tolist())]
     if len(picked) < n_init:
-        rest = np.setdiff1d(np.arange(values.size), np.asarray(picked, dtype=int))
+        free = np.ones(values.size, dtype=bool)
+        free[picked] = False
+        rest = np.flatnonzero(free)
         fill = rng.sample_indices(rest.size, n_init - len(picked))
         picked.extend(int(rest[i]) for i in fill)
     return picked
@@ -653,14 +667,15 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
                 return warm, True
         return fit_logistic(xs, ys), False
 
-    def empirical_info(theta: np.ndarray) -> np.ndarray:
+    def empirical_info(theta: np.ndarray, info: np.ndarray | None = None) -> np.ndarray:
+        # info: X'WX of exactly these rows at theta, as a refit of them returns it
         xs = sel_rows[:n_sel]
-        if family == "logistic":
+        if info is None and family == "logistic":
             pi = sigmoid(xs @ theta)
-            w = pi * (1.0 - pi)
-            mat = (xs * w[:, None]).T @ xs / n_sel
-        else:
-            mat = xs.T @ xs / n_sel
+            info = (xs * (pi * (1.0 - pi))[:, None]).T @ xs
+        elif info is None:
+            info = xs.T @ xs
+        mat = info / n_sel
         return (mat + mat.T) / 2.0
 
     m_emp = empirical_info(fit.theta)
@@ -730,11 +745,13 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         try:
             fit, warm = refit(fit.theta)
             newton_iters, converged = fit.iterations, fit.converged
+            m_emp = empirical_info(fit.theta, fit.information)
         except (SingularMatrixError, SeparationError):
-            # keep the previous fit; the step records a refit that failed
+            # keep the previous fit (its information on the new rows); the
+            # step records a refit that failed
             fit_failures += 1
             warm, newton_iters, converged = False, 0, False
-        m_emp = empirical_info(fit.theta)
+            m_emp = empirical_info(fit.theta)
         if xi is not None:
             xi = xi * n_c
             for i in added:

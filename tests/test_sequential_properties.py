@@ -4,6 +4,9 @@
   it replaces, lowest row index first among equal distances.
 * A logistic fit warm-started near the optimum and a cold fit from 0 reach
   the same estimate, to 1e-10 of its max-norm.
+* The stratified start's sort-based quantiles equal np.quantile's, and the
+  start itself, which draws all its round-robin words at once, picks the
+  rows of the round-robin loop with scalar draws that it replaced.
 """
 
 import numpy as np
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 
 from subsel.errors import SeparationError, SingularMatrixError
 from subsel.estimation import fit_logistic, sigmoid
-from subsel.select_sequential import _NearestRows
+from subsel.rng import CounterRng
+from subsel.select_sequential import _linear_quantiles, _NearestRows, _stratified_init
 
 
 @given(
@@ -93,3 +97,70 @@ def test_warm_and_cold_logistic_fits_agree(seed, n, k, shift):
     assert cold.converged and warm.converged
     scale = np.max(np.abs(cold.theta))
     assert np.max(np.abs(warm.theta - cold.theta)) <= 1e-10 * max(scale, 1.0)
+
+
+def sample_values(seed: int, n: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        return rng.integers(-3, 4, size=n).astype(float)
+    if kind == "rounded":  # rounding small negatives gives -0.0 next to 0.0
+        return np.round(rng.normal(scale=0.3, size=n), 1)
+    return rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, size=n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    kind=st.sampled_from(["spread", "ties", "rounded"]),
+    n_bins=st.integers(1, 40),
+)
+def test_linear_quantiles_equal_np_quantile(seed, n, kind, n_bins):
+    values = sample_values(seed, n, kind)
+    want = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
+    got = _linear_quantiles(values, n_bins)
+    # equal as floats; only the sign of a zero may differ, which
+    # searchsorted, the edges' one use, does not see
+    assert np.array_equal(got, want)
+    probe = np.concatenate([values, got, want, [-np.inf, np.inf]])
+    for side in ("left", "right"):
+        assert np.array_equal(np.searchsorted(got[1:-1], probe, side=side),
+                              np.searchsorted(want[1:-1], probe, side=side))
+
+
+def scalar_stratified_init(rng, values, edge_pool, n_init, n_quantiles):
+    picked = []
+    if edge_pool.size:
+        edges = np.quantile(values[edge_pool], np.linspace(0.0, 1.0, n_quantiles + 1))
+        bins = np.searchsorted(edges[1:-1], values, side="right")
+        members = [list(np.flatnonzero(bins == b)) for b in range(n_quantiles)]
+        while len(picked) < n_init and any(members):
+            for b in range(n_quantiles):
+                if len(picked) >= n_init:
+                    break
+                if members[b]:
+                    at = rng.randbelow(len(members[b]))
+                    picked.append(int(members[b].pop(at)))
+    if len(picked) < n_init:
+        rest = np.setdiff1d(np.arange(values.size), np.asarray(picked, dtype=int))
+        fill = rng.sample_indices(rest.size, n_init - len(picked))
+        picked.extend(int(rest[i]) for i in fill)
+    return picked
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    kind=st.sampled_from(["spread", "ties", "rounded"]),
+    n_bins=st.integers(1, 40),
+    init_frac=st.floats(0.0, 1.0),
+    pool=st.sampled_from(["all", "some", "none"]),
+)
+def test_stratified_init_equals_the_scalar_round_robin(seed, n, kind, n_bins, init_frac, pool):
+    values = sample_values(seed, n, kind)
+    n_init = int(init_frac * n)
+    edge_pool = {"all": np.arange(n), "some": np.arange(0, n, 7), "none": np.arange(0)}[pool]
+    old, new = CounterRng(seed), CounterRng(seed)
+    want = scalar_stratified_init(old, values, edge_pool, n_init, n_bins)
+    got = _stratified_init(new, values, edge_pool, n_init, n_bins)
+    assert got == want and all(type(i) is int for i in got)
+    assert new.counter == old.counter

@@ -38,3 +38,26 @@ def test_iboss_job_does_not_load_numpy_ma(tmp_path):
                          timeout=120, env=env, cwd=tmp_path, check=True)
     assert out.stderr.strip().splitlines()[-1] == "0 False"
     assert (tmp_path / "o.json").exists()
+
+
+def test_stratified_logistic_seqdes_job_does_not_load_numpy_ma(tmp_path):
+    # the stratified start takes its bin edges from a sort, not np.quantile,
+    # and its fallback fill from a mask, not np.setdiff1d: both would import
+    # numpy.ma (through np.unique) inside every job
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(400, 2))
+    y = (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(2.0 - x[:, 0]))).astype(int)
+    rows = ["x1,x2,y"] + [f"{a!r},{b!r},{int(c)}" for (a, b), c in zip(x.tolist(), y)]
+    (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+    src = Path(subsel.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = ("import sys; from subsel.cli import main; "
+             "code = main(['seqdes', '--input', 'd.csv', '--response', 'y', '--family', 'logistic', "
+             "'--init', 'stratified', '--init-column', 'x1', '--init-quantiles', '4', "
+             "'--n-init', '60', '--n-target', '70', '--seed', '3', '--out', 'o.json']); "
+             "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=120, env=env, cwd=tmp_path, check=True)
+    assert out.stderr.strip().splitlines()[-1] == "0 False"
+    assert (tmp_path / "o.json").exists()
