@@ -30,6 +30,7 @@ from .model_core import (
     DesignMeasure,
     InformationMatrix,
     ModelSpec,
+    as_columns,
     eval_row,
     information_matrix,
     model_matrix,
@@ -233,9 +234,7 @@ class RobustContext:
         object.__setattr__(self, "f_matrix", f)
         object.__setattr__(self, "q_matrix", qm)
         if self.points is not None:
-            pts = np.asarray(self.points, dtype=float)
-            if pts.ndim == 1:
-                pts = pts[:, None]
+            pts = as_columns(self.points)
             if pts.shape[0] != f.shape[0]:
                 raise InvalidInputError("points must have one row per grid point")
             if not 0 <= self.z_dim <= pts.shape[1]:
@@ -287,9 +286,7 @@ def design_weights_on_grid(ctx_or_grid, design: DesignMeasure) -> np.ndarray:
     elif isinstance(ctx_or_grid, CandidateGrid):
         pts = ctx_or_grid.points
     else:
-        pts = np.asarray(ctx_or_grid, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = as_columns(ctx_or_grid)
     lookup = {tuple(row): i for i, row in enumerate(pts)}
     w = np.zeros(pts.shape[0])
     d_pts = design.x_points
@@ -575,12 +572,8 @@ def confounder_loss(spec: ModelSpec, data_points, assignment, bias: BiasSpec) ->
     assignment: phi' G'F M11^-2 F'G phi over the empirical measure."""
     if spec.q == 0:
         raise InvalidInputError("model has no confounder terms")
-    xs = np.asarray(data_points, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    zs = np.asarray(assignment, dtype=float)
-    if zs.ndim == 1:
-        zs = zs[:, None]
+    xs = as_columns(data_points)
+    zs = as_columns(assignment)
     if zs.shape[0] != xs.shape[0]:
         raise InvalidInputError("assignment must give one z per data point")
     if bias.phi.size != spec.q:
@@ -608,14 +601,10 @@ def confounder_expected_worst(
         raise InvalidInputError("probabilities must be non-negative and sum to 1")
     if not phi_candidates:
         raise InvalidInputError("at least one phi candidate is required")
-    xs = np.asarray(data_points, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
+    xs = as_columns(data_points)
     worst: list[float] = []
     for za in assignments:
-        zs = np.asarray(za, dtype=float)
-        if zs.ndim == 1:
-            zs = zs[:, None]
+        zs = as_columns(za)
         vals = [_confounder_bilinear(spec, xs, zs, np.atleast_1d(phi)) for phi in phi_candidates]
         worst.append(max(vals))
     return float(np.dot(probs, worst)), worst

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
 )
 from .estimation import sigmoid
-from .model_core import CandidateGrid
+from .model_core import CandidateGrid, as_columns
 from .rng import CounterRng
 
 
@@ -40,9 +40,7 @@ class Dataset:
     n_dropped: int = 0
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim == 1:
-            feats = feats[:, None]
+        feats = as_columns(self.features)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise EmptyDatasetError("dataset has no rows")
         if len(self.feature_names) != feats.shape[1]:
@@ -60,9 +58,7 @@ class Dataset:
             resp.setflags(write=False)
             object.__setattr__(self, "response", resp)
         if self.confounders is not None:
-            conf = np.asarray(self.confounders, dtype=float)
-            if conf.ndim == 1:
-                conf = conf[:, None]
+            conf = as_columns(self.confounders)
             if conf.shape[0] != feats.shape[0]:
                 raise InvalidInputError("confounder rows do not match the row count")
             if len(self.confounder_names) != conf.shape[1]:

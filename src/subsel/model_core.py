@@ -42,7 +42,8 @@ class ModelSpec:
     a whole-array evaluator mapping an (n, d) coordinate array to the
     (n, length) stack of its per-point values.  The built-in families are
     written as such an evaluator, and their per-point callable runs it on a
-    one-row array; model_matrix uses `batch` when every block has one.
+    one-row array.  model_matrix, the one place rows are built, uses `batch`
+    when every block has one and the per-point callables otherwise.
     """
 
     f_basis: BasisFn
@@ -67,6 +68,18 @@ class ModelSpec:
         return self.p + self.m + self.q
 
 
+def as_columns(a) -> np.ndarray:
+    """`a` as a float array, a 1-D one as a single column; a float array is not copied."""
+    arr = np.asarray(a, dtype=float)
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
+def data_columns(data) -> tuple[np.ndarray, np.ndarray | None]:
+    """(features, confounders or None) of a Dataset or of a plain covariate array."""
+    confs = getattr(data, "confounders", None)
+    return as_columns(getattr(data, "features", data)), None if confs is None else as_columns(confs)
+
+
 def _eval_basis(fn: BasisFn, coords: np.ndarray, length: int, label: str) -> np.ndarray:
     try:
         out = np.atleast_1d(np.asarray(fn(coords), dtype=float))
@@ -84,45 +97,39 @@ def _eval_basis(fn: BasisFn, coords: np.ndarray, length: int, label: str) -> np.
 
 
 def eval_row(spec: ModelSpec, x, z=None) -> np.ndarray:
-    """Evaluate the concatenated (f, h, g) row at one point.
+    """The concatenated (f, h, g) row at one point: model_matrix on one row.
 
-    z is required exactly when spec.q > 0.
+    z is required exactly when spec.q > 0.  Both arguments are checked
+    before any basis is evaluated.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.ndim != 1:
         raise InvalidInputError("x must be a scalar or a 1-D coordinate array")
-    parts = [_eval_basis(spec.f_basis, xv, spec.p, "f")]
-    if spec.m > 0:
-        parts.append(_eval_basis(spec.h_basis, xv, spec.m, "h"))
-    if spec.q > 0:
-        if z is None:
-            raise InvalidInputError("model has confounder terms: z is required")
-        zv = np.atleast_1d(np.asarray(z, dtype=float))
-        parts.append(_eval_basis(spec.g_basis, zv, spec.q, "g"))
-    elif z is not None:
+    if spec.q > 0 and z is None:
+        raise InvalidInputError("model has confounder terms: z is required")
+    if spec.q == 0 and z is not None:
         raise InvalidInputError("model has no confounder terms but z was supplied")
-    return np.concatenate(parts)
+    zs = None if z is None else np.atleast_1d(np.asarray(z, dtype=float))[None]
+    return model_matrix(spec, xv[None], zs)[0]
 
 
 def model_matrix(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray | None = None) -> np.ndarray:
-    """Stack eval_row over many points into an (n, p+m+q) matrix.
+    """The (n, p+m+q) matrix whose row i is (f(x_i), h(x_i), g(z_i)).
 
     When every block's basis has a `batch` evaluator, all points are computed
-    at once; otherwise, or when a block fails its shape or finiteness check
-    or its arithmetic, the points are evaluated row by row, which raises the
-    error eval_row would.  The rows equal eval_row's bit for bit.
+    at once.  Otherwise, or when a batch evaluator raises or fails its shape
+    or finiteness check, each point is passed to the per-point callables.
+    That loop raises the error of the first failing row and, within it, of
+    the first failing block.  For the built-in families the two paths give
+    the same rows bit for bit.
     """
-    xs = np.asarray(x_points, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
+    xs = as_columns(x_points)
     n = xs.shape[0]
     zs = None
     if spec.q > 0:
         if z_points is None:
             raise InvalidInputError("model has confounder terms: z_points is required")
-        zs = np.asarray(z_points, dtype=float)
-        if zs.ndim == 1:
-            zs = zs[:, None]
+        zs = as_columns(z_points)
         if zs.shape[0] != n:
             raise InvalidInputError("x_points and z_points must have matching row counts")
     blocks = [(spec.f_basis, xs, spec.p, "f")]
@@ -134,11 +141,14 @@ def model_matrix(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray | N
                      for fn, pts, _, _ in blocks):
         try:
             return np.hstack([_eval_block(*block) for block in blocks])
-        except (InvalidInputError, ArithmeticError):
+        except Exception:
             pass  # the row-wise loop below raises the failing point's own error
+    if n > 0 and xs.ndim != 2:
+        raise InvalidInputError("x must be a scalar or a 1-D coordinate array")
     out = np.empty((n, spec.k_total), dtype=float)
     for i in range(n):
-        out[i] = eval_row(spec, xs[i], None if zs is None else zs[i])
+        out[i] = np.concatenate([_eval_basis(fn, pts[i], length, label)
+                                 for fn, pts, length, label in blocks])
     return out
 
 
@@ -154,12 +164,8 @@ def _eval_block(fn: BasisFn, points: np.ndarray, length: int, label: str) -> np.
 
 
 def _as_point_array(points, label: str) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr[:, None]
-    elif arr.ndim != 2:
+    arr = as_columns(np.atleast_1d(np.asarray(points, dtype=float)))
+    if arr.ndim != 2:
         raise InvalidInputError(f"{label} must be a 1-D or 2-D array of coordinates")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{label} contains non-finite coordinates")
@@ -451,11 +457,7 @@ def information_matrix_from_selection(
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise InvalidInputError("sigma must be positive and finite")
-    feats = getattr(data, "features", data)
-    feats = np.asarray(feats, dtype=float)
-    if feats.ndim == 1:
-        feats = feats[:, None]
-    confs = getattr(data, "confounders", None)
+    feats, confs = data_columns(data)
     idx = np.asarray(getattr(selection, "indices", selection), dtype=int).ravel()
     if idx.size == 0:
         raise InvalidInputError("selection is empty")
@@ -467,10 +469,7 @@ def information_matrix_from_selection(
     if spec.q > 0:
         if confs is None:
             raise InvalidInputError("model has confounder terms but data has no confounder columns")
-        z_sel = np.asarray(confs, dtype=float)
-        if z_sel.ndim == 1:
-            z_sel = z_sel[:, None]
-        z_sel = z_sel[idx]
+        z_sel = confs[idx]
     rows = model_matrix(spec, feats[idx], z_sel)
     mat = rows.T @ rows / (sigma * sigma)
     mat = (mat + mat.T) / 2.0

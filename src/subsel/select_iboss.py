@@ -21,16 +21,14 @@ from .model_core import (
     InformationMatrix,
     ModelSpec,
     SubsampleSelection,
+    data_columns,
     information_matrix_from_selection,
     polynomial_basis,
 )
 
 
 def _features_of(data) -> np.ndarray:
-    feats = getattr(data, "features", data)
-    feats = np.asarray(feats, dtype=float)
-    if feats.ndim == 1:
-        feats = feats[:, None]
+    feats, _ = data_columns(data)
     if feats.ndim != 2 or feats.size == 0:
         raise InvalidInputError("data must be a non-empty (N, p) covariate matrix")
     return feats

@@ -58,6 +58,7 @@ from .model_core import (
     CandidateGrid,
     ModelSpec,
     SubsampleSelection,
+    data_columns,
     model_matrix,
 )
 from .rng import CounterRng
@@ -558,9 +559,7 @@ class _NearestRows:
 
 def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     """Run the sequential selection; returns (SubsampleSelection, SeqTrace)."""
-    feats = np.asarray(getattr(data, "features", data), dtype=float)
-    if feats.ndim == 1:
-        feats = feats[:, None]
+    feats, confs = data_columns(data)
     n_rows = feats.shape[0]
     y = getattr(data, "response", None)
     if y is None:
@@ -573,12 +572,6 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
             f"bias needs {spec.m} psi and {spec.q} phi coefficients (one per h and g term), "
             f"got {cfg.bias.psi.size} and {cfg.bias.phi.size}"
         )
-
-    confs = getattr(data, "confounders", None)
-    if confs is not None:
-        confs = np.asarray(confs, dtype=float)
-        if confs.ndim == 1:
-            confs = confs[:, None]
 
     # matching space: covariates plus confounder coords when the grid has them
     if grid.z_dim > 0:

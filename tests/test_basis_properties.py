@@ -1,10 +1,13 @@
-"""Basis evaluation properties: model_matrix equals stacked eval_row bit for bit.
+"""Basis evaluation properties: model_matrix equals the scalar formulas bit for bit.
 
 The built-in `poly` and `trig` families are written as whole-array
-evaluators, which model_matrix uses in place of one call per point.  For any
+evaluators, which model_matrix uses in place of one call per point.  The
+oracle is the families' scalar formulas below, written as per-point
+callables, which send model_matrix down its row-wise path.  For any
 configuration, including the confounder block, out-of-range values and
 mismatched point dimensions, the matrix (or the error) must be exactly what
-eval_row gives row by row, and what the families' scalar formulas below give.
+the scalar formulas give, and eval_row, a one-row model_matrix, must give
+the same rows.
 """
 
 import numpy as np
@@ -57,22 +60,39 @@ def _scalar_trig(kind, coeffs, amplitude):
     return fn
 
 
+def _poly(degree, intercept=True, dim=1, scale=1.0):
+    """(built-in callable, n_terms, scalar oracle) of one poly configuration."""
+    fn, n_terms = polynomial_basis(degree, intercept, dim, scale)
+    return fn, n_terms, _scalar_poly(degree, intercept, dim, scale)
+
+
+def _trig(kind, coeffs, amplitude=1.0):
+    """(built-in callable, n_terms, scalar oracle) of one trig configuration."""
+    fn, n_terms = trig_basis(kind, coeffs, amplitude)
+    return fn, n_terms, _scalar_trig(kind, coeffs, amplitude)
+
+
+def _spec_pair(f, h=(None, 0, None), g=(None, 0, None)):
+    """The ModelSpec of the built-in bases and that of their scalar oracles."""
+    (f_fn, p, f_ref), (h_fn, m, h_ref), (g_fn, q, g_ref) = f, h, g
+    return (ModelSpec(f_basis=f_fn, p=p, h_basis=h_fn, m=m, g_basis=g_fn, q=q),
+            ModelSpec(f_basis=f_ref, p=p, h_basis=h_ref, m=m, g_basis=g_ref, q=q))
+
+
 @st.composite
 def poly_configs(draw):
     degree = draw(st.integers(0, 3))
     intercept = True if degree == 0 else draw(st.booleans())
     dim = draw(st.integers(1, 3)) if degree <= 1 else 1
     scale = draw(st.one_of(st.just(1.0), st.just(1.0 / 9.0), COEF))
-    fn, n_terms = polynomial_basis(degree, intercept, dim, scale)
-    return fn, n_terms, _scalar_poly(degree, intercept, dim, scale)
+    return _poly(degree, intercept, dim, scale)
 
 
 @st.composite
 def trig_configs(draw):
     kind = draw(st.sampled_from(["sin", "cos"]))
     coeffs, amplitude = (draw(COEF), draw(COEF), draw(COEF)), draw(COEF)
-    fn, n_terms = trig_basis(kind, coeffs, amplitude)
-    return fn, n_terms, _scalar_trig(kind, coeffs, amplitude)
+    return _trig(kind, coeffs, amplitude)
 
 
 BASES = st.one_of(poly_configs(), trig_configs())
@@ -81,11 +101,9 @@ NO_BASIS = st.just((None, 0, None))
 
 @st.composite
 def specs_and_points(draw):
-    f_fn, p, f_ref = draw(BASES)
-    h_fn, m, h_ref = draw(st.one_of(NO_BASIS, BASES))
-    g_fn, q, g_ref = draw(st.one_of(NO_BASIS, BASES))
-    spec = ModelSpec(f_basis=f_fn, p=p, h_basis=h_fn, m=m, g_basis=g_fn, q=q)
-    scalar = ModelSpec(f_basis=f_ref, p=p, h_basis=h_ref, m=m, g_basis=g_ref, q=q)
+    spec, scalar = _spec_pair(draw(BASES), draw(st.one_of(NO_BASIS, BASES)),
+                              draw(st.one_of(NO_BASIS, BASES)))
+    q = spec.q
     n = draw(st.integers(0, 12))
     d_x = draw(st.integers(1, 3))
     xs = np.array(draw(st.lists(VALUES, min_size=n * d_x, max_size=n * d_x))).reshape(n, d_x)
@@ -149,6 +167,14 @@ def test_per_point_callable_errors_keep_their_messages():
     with pytest.raises(InvalidInputError, match=r"^f basis failed on a point of dimension 1: no$"):
         model_matrix(raising, xs)
 
+    # whatever a batch evaluator raises, the failing point's own error is reported
+    def bad_batch(points):
+        raise TypeError("batch")
+
+    boom.batch = bad_batch
+    with pytest.raises(InvalidInputError, match=r"^f basis failed on a point of dimension 1: no$"):
+        model_matrix(raising, xs)
+
 
 def test_builtin_basis_errors_match_eval_row():
     # a degree-2 power that overflows, and a wave of an infinite argument
@@ -160,6 +186,14 @@ def test_builtin_basis_errors_match_eval_row():
         want = _outcome(lambda: _stacked(spec, xs, None))
         assert want[0] == "error"
         assert _outcome(lambda: model_matrix(spec, xs)) == want
+    # failures in two blocks on two rows: the earlier row's block names the error,
+    # whichever block it is; x = 1e5 sends the wave's argument 1e300 x^2 to inf
+    both = ModelSpec(f_basis=f_fn, p=p, h_basis=trig_basis("sin", (1e300, 0.0, 0.0))[0], m=1)
+    for xs, label in (([[1e5], [1e200]], "h"), ([[1e200], [1e5]], "f")):
+        xs = np.array(xs)
+        want = _outcome(lambda: _stacked(both, xs, None))
+        assert want[0] == "error" and want[1].startswith(f"{label} basis ")
+        assert _outcome(lambda: model_matrix(both, xs)) == want
 
 
 def test_builtin_bases_take_the_whole_array_path(monkeypatch):
@@ -167,21 +201,19 @@ def test_builtin_bases_take_the_whole_array_path(monkeypatch):
 
     xs = np.linspace(-2.0, 2.0, 30).reshape(10, 3)
     zs = np.linspace(0.0, 9.0, 10)
-    specs = [
-        ModelSpec(f_basis=polynomial_basis(3, scale=0.5)[0], p=4,
-                  h_basis=trig_basis("cos", (0.3, -1.0, 0.2), 0.35)[0], m=1,
-                  g_basis=polynomial_basis(1, intercept=False, scale=1.0 / 9.0)[0], q=1),
-        ModelSpec(f_basis=polynomial_basis(1, dim=3)[0], p=4,
-                  g_basis=trig_basis("sin", (1.0, 0.0, 0.0))[0], q=1),
-        ModelSpec(f_basis=polynomial_basis(0, dim=3)[0], p=1),
+    pairs = [
+        _spec_pair(_poly(3, scale=0.5), _trig("cos", (0.3, -1.0, 0.2), 0.35),
+                   _poly(1, intercept=False, scale=1.0 / 9.0)),
+        _spec_pair(_poly(1, dim=3), g=_trig("sin", (1.0, 0.0, 0.0))),
+        _spec_pair(_poly(0, dim=3)),
     ]
-    want = [_stacked(spec, xs, zs if spec.q else None) for spec in specs]
+    want = [model_matrix(scalar, xs, zs if scalar.q else None) for _, scalar in pairs]
 
     def no_rows(*args, **kwargs):
-        raise AssertionError("model_matrix evaluated a built-in basis row by row")
+        raise AssertionError("model_matrix evaluated a built-in basis point by point")
 
-    monkeypatch.setattr(model_core, "eval_row", no_rows)
-    for spec, rows in zip(specs, want):
+    monkeypatch.setattr(model_core, "_eval_basis", no_rows)
+    for (spec, _), rows in zip(pairs, want):
         assert model_matrix(spec, xs, zs if spec.q else None).tobytes() == rows.tobytes()
 
 

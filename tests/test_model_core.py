@@ -46,6 +46,32 @@ def test_eval_row_no_extras():
     assert np.allclose(eval_row(spec, np.array([0.0]), None), [1.0, 0.0])
 
 
+def test_eval_row_checks_z_against_q():
+    with pytest.raises(InvalidInputError, match=r"^model has no confounder terms but z was supplied$"):
+        eval_row(line_spec(), np.array([0.0]), np.array([1.0]))
+    with pytest.raises(InvalidInputError, match=r"^model has confounder terms: z is required$"):
+        eval_row(full_spec(), np.array([0.0]))
+
+    def boom(x):
+        raise ZeroDivisionError("no")
+
+    # the arguments are checked before any basis is evaluated
+    failing = ModelSpec(f_basis=boom, p=1, g_basis=full_spec().g_basis, q=1)
+    with pytest.raises(InvalidInputError, match=r"^model has confounder terms: z is required$"):
+        eval_row(failing, np.array([0.0]))
+
+
+def test_eval_row_is_a_model_matrix_row_with_a_per_point_block():
+    spec = full_spec()
+    mixed = ModelSpec(f_basis=spec.f_basis, p=spec.p, h_basis=spec.h_basis, m=spec.m,
+                      g_basis=lambda z: np.array([z[0] / 9.0]), q=spec.q)
+    xs = np.array([[-1.5], [0.25], [2.0]])
+    zs = np.array([[3.0], [-7.0], [0.5]])
+    rows = model_matrix(mixed, xs, zs)
+    for i in range(xs.shape[0]):
+        assert eval_row(mixed, xs[i], zs[i]).tobytes() == rows[i].tobytes()
+
+
 def test_model_spec_validation():
     fn, p = polynomial_basis(1, True, 1)
     with pytest.raises(InvalidInputError):
