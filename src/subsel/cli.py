@@ -10,6 +10,7 @@ one-line machine-parseable JSON record on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -30,11 +31,8 @@ from .criteria import (
 )
 from .errors import (
     ConfigError,
-    DegenerateColumnError,
-    EmptyDatasetError,
     ExhaustionError,
     InvalidInputError,
-    ParseError,
     SeparationError,
     SingularMatrixError,
     SubselError,
@@ -45,7 +43,6 @@ from .ingest_sim import (
     simulate_example2,
     simulate_example3,
     simulate_mortgage_analogue,
-    standardize,
     write_csv,
     write_json,
 )
@@ -55,7 +52,6 @@ from .model_core import (
     DesignMeasure,
     ModelSpec,
     information_matrix,
-    information_matrix_from_selection,
     model_spec_from_config,
     polynomial_basis,
 )
@@ -63,17 +59,8 @@ from .select_iboss import iboss_det_bound, iboss_permutation_report, run_iboss
 from .select_robust import run_wiens
 from .select_sequential import SeqConfig, run_sequential
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    InvalidInputError,
-    ParseError,
-    EmptyDatasetError,
-    DegenerateColumnError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    json.JSONDecodeError,
-)
+# every other SubselError is a configuration or input problem
+_CONFIG_ERRORS = (SubselError, FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (SingularMatrixError, SeparationError, ExhaustionError)
 
 
@@ -107,41 +94,47 @@ def _emit(obj, out_path) -> None:
         sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults for every key in `defaults`."""
-    cfg_file = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        cfg_file = _load_json(cfg_path)
-        if not isinstance(cfg_file, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(cfg_file) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in cfg_file:
-            resolved[key] = cfg_file[key]
-        else:
-            resolved[key] = default
-    return resolved
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command's options, as argparse resolved them: flags > config file > defaults."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+
+
+def _config_defaults(path, options: dict) -> dict:
+    """The config file at `path` as defaults for a command whose options are `options`.
+
+    Each value becomes the text a flag would carry, a list comma-joined, so
+    that argparse parses it with the option's own `type`.  A switch takes
+    only true or false; null leaves an option at its default.
+    """
+    cfg = _load_json(path)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(cfg) - set(options)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    texts = {}
+    for key, value in cfg.items():
+        if isinstance(options[key], bool):  # a store_true switch
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} is a switch: give true or false, not {value!r}")
+            texts[key] = value
+        elif value is not None:
+            texts[key] = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    return texts
 
 
 def _int_list(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise InvalidInputError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
 def _float_list(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise InvalidInputError(f"expected a comma-separated number list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a comma-separated number list, got {text!r}") from None
 
 
 def _name_list(text: str) -> list[str]:
@@ -197,10 +190,10 @@ def _bias_from_json(path) -> BiasSpec:
 def _dataset_from_args(resolved: dict):
     return load_csv(
         resolved["input"],
-        response_column=resolved.get("response"),
-        feature_columns=resolved.get("features"),
-        confounder_columns=resolved.get("confounders"),
-        strict=bool(resolved.get("strict", False)),
+        response_column=resolved["response"],
+        feature_columns=resolved["features"],
+        confounder_columns=resolved["confounders"],
+        strict=resolved["strict"],
     )
 
 
@@ -209,58 +202,35 @@ def _dataset_from_args(resolved: dict):
 
 
 def cmd_simulate(args) -> int:
-    defaults = {
-        "seed": 0, "n": None, "theta": None, "out": None,
-        "kind": args.kind,
-    }
-    resolved = _resolve(args, defaults)
-    kind = resolved["kind"]
-    seed = int(resolved["seed"])
+    resolved = _resolve(args)
+    kind, n, seed = resolved["kind"], resolved["n"], resolved["seed"]
+    sized = {} if n is None else {"n": n}
     if kind == "example2":
-        ds = simulate_example2(int(resolved["n"] or 105), seed=seed)
+        ds = simulate_example2(seed=seed, **sized)
     elif kind == "example3":
-        ds = simulate_example3(seed=seed, n=int(resolved["n"] or 105))
-    elif kind == "mortgage":
-        if resolved["n"] is None:
+        ds = simulate_example3(seed=seed, **sized)
+    else:
+        if n is None:
             raise InvalidInputError("simulate mortgage needs --n")
         theta = resolved["theta"]
         if theta is not None:
             theta = np.asarray(theta, dtype=float)
-        ds = simulate_mortgage_analogue(int(resolved["n"]), theta=theta, seed=seed)
-    else:
-        raise InvalidInputError(f"unknown simulate kind {kind!r}")
+        ds = simulate_mortgage_analogue(n, theta=theta, seed=seed)
     out = resolved["out"]
     if not out:
         raise InvalidInputError("simulate needs --out for the CSV artifact")
     write_csv(ds, out)
-    _emit({"command": "simulate", "resolved_config": _json_ready(resolved), "n_rows": ds.n_rows}, None)
+    _emit({"command": "simulate", "resolved_config": resolved, "n_rows": ds.n_rows}, None)
     return 0
 
 
-def _json_ready(resolved: dict) -> dict:
-    out = {}
-    for k, v in resolved.items():
-        if isinstance(v, np.ndarray):
-            out[k] = [float(x) for x in v]
-        elif isinstance(v, (list, tuple)):
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
-
-
 def cmd_iboss(args) -> int:
-    defaults = {
-        "input": None, "n": None, "order": None, "features": None, "response": None,
-        "confounders": None, "sigma": 1.0, "out": None, "perm_report": None,
-        "strict": False,
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     if not resolved["input"] or resolved["n"] is None:
         raise InvalidInputError("iboss needs --input and --n")
     ds = _dataset_from_args(resolved)
-    selection = run_iboss(ds, int(resolved["n"]), column_order=resolved["order"])
-    det, bound = iboss_det_bound(ds, selection, sigma=float(resolved["sigma"]))
+    selection = run_iboss(ds, resolved["n"], column_order=resolved["order"])
+    det, bound = iboss_det_bound(ds, selection, sigma=resolved["sigma"])
     payload = {
         "command": "iboss",
         "indices": [int(i) for i in selection.indices],
@@ -269,30 +239,21 @@ def cmd_iboss(args) -> int:
         "per_variable_cuts": selection.provenance["cuts"],
         "column_order": selection.provenance["column_order"],
         "r": selection.provenance["r"],
-        "resolved_config": _json_ready(resolved),
+        "resolved_config": resolved,
     }
     _emit(payload, resolved["out"])
     if resolved["perm_report"]:
-        report = iboss_permutation_report(ds, int(resolved["n"]))
+        report = iboss_permutation_report(ds, resolved["n"])
         write_json(report, resolved["perm_report"])
     return 0
 
 
 def cmd_seqdes(args) -> int:
-    defaults = {
-        "input": None, "grid": None, "model": None, "n_init": None, "n_target": None,
-        "batch": 1, "utility": "D", "nu": None, "bias": None, "family": "auto",
-        "distance": "euclidean", "init": "random", "init_column": None,
-        "init_quantiles": 10, "init_label": 1.0, "seed": 0,
-        "stop": "n_reached", "stop_epsilon": 0.0,
-        "features": None, "response": None, "confounders": None, "strict": False,
-        "out": None, "trace_csv": None,
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     for key in ("input", "n_init", "n_target"):
         if resolved[key] is None:
             raise InvalidInputError(f"seqdes needs --{key.replace('_', '-')}")
-    if not resolved.get("response"):
+    if not resolved["response"]:
         raise InvalidInputError("seqdes needs --response")
     ds = _dataset_from_args(resolved)
     if resolved["grid"]:
@@ -306,30 +267,28 @@ def cmd_seqdes(args) -> int:
         spec = ModelSpec(f_basis=fn, p=p)
     bias = _bias_from_json(resolved["bias"]) if resolved["bias"] else None
     cfg = SeqConfig(
-        n_init=int(resolved["n_init"]),
-        n_target=int(resolved["n_target"]),
-        batch_size=int(resolved["batch"]),
+        n_init=resolved["n_init"],
+        n_target=resolved["n_target"],
+        batch_size=resolved["batch"],
         utility=resolved["utility"],
-        nu=None if resolved["nu"] is None else float(resolved["nu"]),
+        nu=resolved["nu"],
         bias=bias,
         family=resolved["family"],
         distance=resolved["distance"],
         init_strategy=resolved["init"],
         init_column=resolved["init_column"],
-        init_quantiles=int(resolved["init_quantiles"]),
-        init_label=float(resolved["init_label"]),
-        seed=int(resolved["seed"]),
+        init_quantiles=resolved["init_quantiles"],
+        init_label=resolved["init_label"],
+        seed=resolved["seed"],
         stop_rule=resolved["stop"],
-        stop_epsilon=float(resolved["stop_epsilon"]),
+        stop_epsilon=resolved["stop_epsilon"],
     )
     selection, trace = run_sequential(ds, grid, spec, cfg)
-    resolved_echo = dict(resolved)
-    resolved_echo["bias"] = bool(bias)
     payload = {
         "command": "seqdes",
         "selection": selection.to_json_dict(),
         "trace": trace.to_json_dict(),
-        "resolved_config": _json_ready(resolved_echo),
+        "resolved_config": {**resolved, "bias": bool(bias)},
     }
     _emit(payload, resolved["out"])
     if resolved["trace_csv"]:
@@ -338,36 +297,28 @@ def cmd_seqdes(args) -> int:
 
 
 def cmd_robust(args) -> int:
-    defaults = {
-        "grid": None, "model": None, "nu": None, "iters": None, "n_init": None,
-        "seed": 0, "stop": "n_reached", "stop_epsilon": 0.0, "window": 25,
-        "full_rows": False, "out": None, "trace_csv": None,
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     for key in ("grid", "model", "nu", "iters"):
         if resolved[key] is None:
             raise InvalidInputError(f"robust needs --{key.replace('_', '-')}")
     grid = _grid_from_json(resolved["grid"])
     spec = model_spec_from_config(_load_json(resolved["model"]))
-    ctx = RobustContext.from_grid(
-        spec, grid, float(resolved["nu"]), full_rows=bool(resolved["full_rows"])
-    )
-    n_init = resolved["n_init"]
-    n_init = ctx.p + 1 if n_init is None else int(n_init)
+    ctx = RobustContext.from_grid(spec, grid, resolved["nu"], full_rows=resolved["full_rows"])
+    n_init = ctx.p + 1 if resolved["n_init"] is None else resolved["n_init"]
     measure, traj = run_wiens(
         ctx,
         n_init=n_init,
-        n_target=n_init + int(resolved["iters"]),
-        seed=int(resolved["seed"]),
+        n_target=n_init + resolved["iters"],
+        seed=resolved["seed"],
         stop=resolved["stop"],
-        stop_epsilon=float(resolved["stop_epsilon"]),
-        stop_window=int(resolved["window"]),
+        stop_epsilon=resolved["stop_epsilon"],
+        stop_window=resolved["window"],
     )
     payload = {
         "command": "robust",
         "measure": measure.to_json_dict(),
         "trajectory": traj.to_json_dict(),
-        "resolved_config": _json_ready({**resolved, "n_init": n_init}),
+        "resolved_config": {**resolved, "n_init": n_init},
     }
     _emit(payload, resolved["out"])
     if resolved["trace_csv"]:
@@ -376,25 +327,18 @@ def cmd_robust(args) -> int:
 
 
 def cmd_criteria(args) -> int:
-    defaults = {
-        "model": None, "design": None, "names": None, "grid": None, "nu": None,
-        "bias": None, "out": None,
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     for key in ("model", "design", "names"):
         if resolved[key] is None:
             raise InvalidInputError(f"criteria needs --{key}")
     spec = model_spec_from_config(_load_json(resolved["model"]))
     design = _design_from_json(resolved["design"])
-    names = resolved["names"]
-    if isinstance(names, str):
-        names = _name_list(names)
     grid = _grid_from_json(resolved["grid"]) if resolved["grid"] else None
     bias = _bias_from_json(resolved["bias"]) if resolved["bias"] else None
 
     records = []
     m = None
-    for name in names:
+    for name in resolved["names"]:
         if name in ("D", "A", "traceR", "detR_bias", "detR_conf") and m is None:
             m = information_matrix(spec, design)
         if name == "D":
@@ -408,7 +352,7 @@ def cmd_criteria(args) -> int:
         elif name in ("Inu", "Dnu"):
             if grid is None or resolved["nu"] is None:
                 raise InvalidInputError("criteria Inu/Dnu need --grid and --nu")
-            ctx = RobustContext.from_grid(spec, grid, float(resolved["nu"]))
+            ctx = RobustContext.from_grid(spec, grid, resolved["nu"])
             i_val, d_val = wiens_losses(ctx, design)
             records.append((i_val if name == "Inu" else d_val).to_json_dict())
         elif name == "traceR":
@@ -425,93 +369,35 @@ def cmd_criteria(args) -> int:
             records.append(det_r_conf(m, bias).to_json_dict())
         else:
             raise InvalidInputError(f"unknown criterion {name!r}")
-    resolved_echo = dict(resolved)
-    resolved_echo["names"] = names
-    payload = {
-        "command": "criteria",
-        "criteria": records,
-        "resolved_config": _json_ready(resolved_echo),
-    }
+    payload = {"command": "criteria", "criteria": records, "resolved_config": resolved}
     _emit(payload, resolved["out"])
     return 0
 
 
 def cmd_check_get(args) -> int:
-    defaults = {
-        "model": None, "design": None, "grid": None, "k_eff": None, "tol": 1e-6,
-        "out": None,
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     for key in ("model", "design", "grid"):
         if resolved[key] is None:
             raise InvalidInputError(f"check-get needs --{key}")
     spec = model_spec_from_config(_load_json(resolved["model"]))
     design = _design_from_json(resolved["design"])
     grid = _grid_from_json(resolved["grid"])
-    verdict = get_check(
-        spec,
-        design,
-        grid,
-        k_eff=None if resolved["k_eff"] is None else int(resolved["k_eff"]),
-        tol=float(resolved["tol"]),
-    )
-    payload = {
-        "command": "check-get",
-        "verdict": verdict.to_json_dict(),
-        "resolved_config": _json_ready(resolved),
-    }
+    verdict = get_check(spec, design, grid, k_eff=resolved["k_eff"], tol=resolved["tol"])
+    payload = {"command": "check-get", "verdict": verdict.to_json_dict(), "resolved_config": resolved}
     _emit(payload, resolved["out"])
     return 0
 
 
 def cmd_repro(args) -> int:
-    defaults = {
-        "example": args.example, "out_dir": None, "seed": 0,
-        "n_data": None, "n_init": None, "n_target": None, "n_test": None,
-        "n_points": None, "n_design": None, "grid_levels": None,
-        "nu": None, "robust_iters": None, "threshold": None,
-    }
-    resolved = _resolve(args, defaults)
-    if not resolved["out_dir"]:
+    """Run one pipeline with only the options given, so its signature holds the defaults."""
+    given = {k: v for k, v in _resolve(args).items() if v is not None}
+    out_dir = given.get("out_dir")
+    if not out_dir:
         raise InvalidInputError("repro needs --out-dir")
-    out_dir = resolved["out_dir"]
-    example = int(resolved["example"])
-
-    def take(key, fallback):
-        return fallback if resolved[key] is None else type(fallback)(resolved[key])
-
-    if example == 1:
-        manifest = repro_mod.repro_example1(
-            out_dir,
-            seed=int(resolved["seed"]),
-            n_data=take("n_data", 100_000),
-            n_init=take("n_init", 5000),
-            n_target=take("n_target", 6200),
-            n_test=take("n_test", 10_010),
-            threshold=take("threshold", 0.5),
-        )
-    elif example == 2:
-        manifest = repro_mod.repro_example2(
-            out_dir,
-            seed=int(resolved["seed"]),
-            n_points=take("n_points", 105),
-            n_design=take("n_design", 12),
-            n_init=take("n_init", 6),
-            grid_levels=take("grid_levels", 200),
-        )
-    elif example == 3:
-        manifest = repro_mod.repro_example3(
-            out_dir,
-            seed=int(resolved["seed"]),
-            n_design=take("n_design", 12),
-            n_init=take("n_init", 6),
-            nu=take("nu", 0.5),
-            robust_iters=take("robust_iters", 2000),
-            grid_levels=take("grid_levels", 100),
-        )
-    else:
-        raise InvalidInputError("repro example must be 1, 2, or 3")
-    write_json(_json_ready(manifest), os.path.join(out_dir, "resolved_config.json"))
+    run = (repro_mod.repro_example1, repro_mod.repro_example2, repro_mod.repro_example3)[given["example"] - 1]
+    params = inspect.signature(run).parameters
+    manifest = run(**{k: v for k, v in given.items() if k in params})
+    write_json(manifest, os.path.join(out_dir, "resolved_config.json"))
     sys.stdout.write(json.dumps({"command": "repro", "out_dir": out_dir}, sort_keys=True) + "\n")
     return 0
 
@@ -520,7 +406,8 @@ def cmd_repro(args) -> int:
 # parser wiring
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The `subsel` parser and its subcommand parsers by name."""
     parser = _Parser(prog="subsel", description="Model-oriented subsample selection")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -529,7 +416,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate a dataset CSV")
     p.add_argument("kind", choices=["example2", "example3", "mortgage"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int)
     p.add_argument("--theta", type=_float_list, help="comma-separated generator coefficients")
     p.add_argument("--out", help="output CSV path")
@@ -543,8 +430,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", type=_name_list)
     p.add_argument("--response", help="response column (excluded from features)")
     p.add_argument("--confounders", type=_name_list)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--strict", action="store_const", const=True)
+    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--strict", action="store_true")
     p.add_argument("--out", help="selection JSON path (stdout when omitted)")
     p.add_argument("--perm-report", dest="perm_report", help="write the all-permutations diff report here")
     common(p)
@@ -556,23 +443,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", help="model JSON ({f: ..., h: ..., g: ...})")
     p.add_argument("--n-init", dest="n_init", type=int)
     p.add_argument("--n-target", dest="n_target", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--utility", choices=["D", "A", "Inu", "Dnu", "traceR"])
+    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--utility", choices=["D", "A", "Inu", "Dnu", "traceR"], default="D")
     p.add_argument("--nu", type=float)
     p.add_argument("--bias", help="bias JSON for the traceR utility")
-    p.add_argument("--family", choices=["auto", "linear", "logistic"])
-    p.add_argument("--distance", choices=["euclidean", "scaled"])
-    p.add_argument("--init", choices=["random", "stratified", "dope"])
+    p.add_argument("--family", choices=["auto", "linear", "logistic"], default="auto")
+    p.add_argument("--distance", choices=["euclidean", "scaled"], default="euclidean")
+    p.add_argument("--init", choices=["random", "stratified", "dope"], default="random")
     p.add_argument("--init-column", dest="init_column")
-    p.add_argument("--init-quantiles", dest="init_quantiles", type=int)
-    p.add_argument("--init-label", dest="init_label", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stop", choices=["n_reached", "utility_gain_below"])
-    p.add_argument("--stop-epsilon", dest="stop_epsilon", type=float)
+    p.add_argument("--init-quantiles", dest="init_quantiles", type=int, default=10)
+    p.add_argument("--init-label", dest="init_label", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stop", choices=["n_reached", "utility_gain_below"], default="n_reached")
+    p.add_argument("--stop-epsilon", dest="stop_epsilon", type=float, default=0.0)
     p.add_argument("--features", type=_name_list)
     p.add_argument("--response")
     p.add_argument("--confounders", type=_name_list)
-    p.add_argument("--strict", action="store_const", const=True)
+    p.add_argument("--strict", action="store_true")
     p.add_argument("--out")
     p.add_argument("--trace-csv", dest="trace_csv", help="coefficient trajectory CSV path")
     common(p)
@@ -583,12 +470,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--model")
     p.add_argument("--nu", type=float)
     p.add_argument("--iters", type=int, help="number of mass-moving iterations")
-    p.add_argument("--n-init", dest="n_init", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stop", choices=["n_reached", "dnu_gain_below"])
-    p.add_argument("--stop-epsilon", dest="stop_epsilon", type=float)
-    p.add_argument("--window", type=int)
-    p.add_argument("--full-rows", dest="full_rows", action="store_const", const=True,
+    p.add_argument("--n-init", dest="n_init", type=int, help="initial support size (default p + 1)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stop", choices=["n_reached", "dnu_gain_below"], default="n_reached")
+    p.add_argument("--stop-epsilon", dest="stop_epsilon", type=float, default=0.0)
+    p.add_argument("--window", type=int, default=25)
+    p.add_argument("--full-rows", dest="full_rows", action="store_true",
                    help="use the full (f,h,g) row as the regression basis")
     p.add_argument("--out")
     p.add_argument("--trace-csv", dest="trace_csv", help="loss trajectory CSV path")
@@ -611,11 +498,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--design")
     p.add_argument("--grid")
     p.add_argument("--k-eff", dest="k_eff", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=cmd_check_get)
 
+    # no defaults here: the repro_exampleN signatures hold them
     p = sub.add_parser("repro", help="run a reproduction pipeline")
     p.add_argument("example", type=int, choices=[1, 2, 3])
     p.add_argument("--out-dir", dest="out_dir")
@@ -633,13 +521,17 @@ def _build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_repro)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the command's defaults, so flags still win
+            commands[args.command].set_defaults(**_config_defaults(args.config, _resolve(args)))
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit:
         raise
@@ -647,9 +539,6 @@ def main(argv=None) -> int:
         _emit_error("numerical", type(exc).__name__, str(exc))
         return 3
     except _CONFIG_ERRORS as exc:
-        _emit_error("config", type(exc).__name__, str(exc))
-        return 2
-    except SubselError as exc:
         _emit_error("config", type(exc).__name__, str(exc))
         return 2
 

@@ -124,27 +124,26 @@ def model_matrix(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray | N
     the same rows bit for bit.
     """
     xs = as_columns(x_points)
+    if xs.ndim != 2:
+        raise InvalidInputError("x_points must be a 1-D or 2-D array of points")
     n = xs.shape[0]
     zs = None
     if spec.q > 0:
         if z_points is None:
             raise InvalidInputError("model has confounder terms: z_points is required")
         zs = as_columns(z_points)
-        if zs.shape[0] != n:
+        if zs.ndim != 2 or zs.shape[0] != n:
             raise InvalidInputError("x_points and z_points must have matching row counts")
     blocks = [(spec.f_basis, xs, spec.p, "f")]
     if spec.m > 0:
         blocks.append((spec.h_basis, xs, spec.m, "h"))
     if spec.q > 0:
         blocks.append((spec.g_basis, zs, spec.q, "g"))
-    if n > 0 and all(hasattr(fn, "batch") and pts.ndim == 2 and pts.shape[1] > 0
-                     for fn, pts, _, _ in blocks):
+    if n > 0 and all(hasattr(fn, "batch") and pts.shape[1] > 0 for fn, pts, _, _ in blocks):
         try:
             return np.hstack([_eval_block(*block) for block in blocks])
         except Exception:
             pass  # the row-wise loop below raises the failing point's own error
-    if n > 0 and xs.ndim != 2:
-        raise InvalidInputError("x must be a scalar or a 1-D coordinate array")
     out = np.empty((n, spec.k_total), dtype=float)
     for i in range(n):
         out[i] = np.concatenate([_eval_basis(fn, pts[i], length, label)

@@ -1,5 +1,7 @@
 """Command-line interface: happy paths, config precedence, exit codes."""
 
+import functools
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import subsel
+from subsel import repro as repro_mod
 from subsel.cli import main
 from subsel.ingest_sim import load_csv, simulate_example2, write_csv
 from subsel.select_iboss import iboss_det_bound, run_iboss
@@ -27,6 +30,23 @@ def stderr_payload(err: str) -> dict:
     record = json.loads(lines[0])
     assert set(record) == {"error"}
     return record["error"]
+
+
+def run_with_config(capsys, tmp_path, cfg, *argv):
+    """Run `argv` with `cfg` as its --config file; argparse errors exit through SystemExit."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        code = main([*argv, "--config", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_same_config(got: dict, want: dict) -> None:
+    # compared as JSON text, so 1 and 1.0 or 0 and False differ
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 @pytest.fixture
@@ -75,6 +95,17 @@ def test_simulate_example3_honors_n(tmp_path, capsys):
                               "--seed", "1", "--out", str(out))
     assert code == 0
     assert json.loads(stdout)["n_rows"] == 17
+
+
+def test_simulate_defaults_are_kept(tmp_path, capsys):
+    out = str(tmp_path / "sim.csv")
+    code, stdout, _ = run_cli(capsys, "simulate", "example2", "--out", out)
+    assert code == 0
+    note = json.loads(stdout)
+    assert note["n_rows"] == 105
+    assert_same_config(note["resolved_config"], {
+        "kind": "example2", "seed": 0, "n": None, "theta": None, "out": out,
+    })
 
 
 def test_simulate_requires_out(capsys):
@@ -169,6 +200,55 @@ def test_config_file_provides_defaults_flags_override(tmp_path, data_csv, capsys
     assert len(payload["indices"]) == 8
 
 
+def test_iboss_defaults_are_kept(tmp_path, data_csv, capsys):
+    code, stdout, _ = run_cli(capsys, "iboss", "--input", data_csv, "--n", "6")
+    assert code == 0
+    assert_same_config(json.loads(stdout)["resolved_config"], {
+        "input": data_csv, "n": 6, "order": None, "features": None, "response": None,
+        "confounders": None, "sigma": 1.0, "out": None, "perm_report": None, "strict": False,
+    })
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"n": "abc"}, "n"),
+    ({"n": 6.5}, "n"),
+    ({"order": [1, "x"]}, "order"),
+    ({"sigma": [1.0, 2.0]}, "sigma"),
+    ({"strict": "false"}, "strict"),
+    ({"strict": 1}, "strict"),
+])
+def test_iboss_config_value_of_wrong_type_exits_2(tmp_path, data_csv, capsys, cfg, field):
+    code, _, err = run_with_config(capsys, tmp_path, {"n": 6, **cfg}, "iboss", "--input", data_csv)
+    assert code == 2
+    error = stderr_payload(err)
+    assert error["kind"] == "config"
+    assert field in error["message"]
+
+
+def test_seqdes_config_seed_of_wrong_type_exits_2(tmp_path, data_csv, capsys):
+    code, _, err = run_with_config(capsys, tmp_path, {"seed": "x"}, "seqdes", "--input", data_csv,
+                                   "--n-init", "5", "--n-target", "8", "--response", "y")
+    assert code == 2
+    assert "seed" in stderr_payload(err)["message"]
+
+
+@pytest.mark.parametrize("cfg, echoed", [
+    ({"order": "1,0"}, {"order": [1, 0]}),
+    ({"order": [1, 0]}, {"order": [1, 0]}),
+    ({"features": "x,z"}, {"features": ["x", "z"]}),
+    ({"features": ["x", "z"]}, {"features": ["x", "z"]}),
+    ({"sigma": 2}, {"sigma": 2.0}),
+    ({"strict": True}, {"strict": True}),
+    ({"perm_report": None}, {"perm_report": None}),
+])
+def test_iboss_config_values_parse_like_flags(tmp_path, data_csv, capsys, cfg, echoed):
+    code, stdout, err = run_with_config(capsys, tmp_path, {"n": 6, **cfg}, "iboss", "--input", data_csv,
+                                        "--response", "y")
+    assert code == 0, err
+    resolved = json.loads(stdout)["resolved_config"]
+    assert_same_config({key: resolved[key] for key in echoed}, echoed)
+
+
 def test_unknown_config_key_is_rejected(tmp_path, data_csv, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -244,6 +324,20 @@ def test_seqdes_defaults_grid_and_model_from_data(tmp_path, data_csv, capsys):
     assert payload["resolved_config"]["model"] is None
 
 
+def test_seqdes_defaults_are_kept(tmp_path, data_csv, capsys):
+    code, stdout, _ = run_cli(capsys, "seqdes", "--input", data_csv, "--n-init", "5",
+                              "--n-target", "8", "--response", "y")
+    assert code == 0
+    assert_same_config(json.loads(stdout)["resolved_config"], {
+        "input": data_csv, "grid": None, "model": None, "n_init": 5, "n_target": 8,
+        "batch": 1, "utility": "D", "nu": None, "bias": False, "family": "auto",
+        "distance": "euclidean", "init": "random", "init_column": None,
+        "init_quantiles": 10, "init_label": 1.0, "seed": 0, "stop": "n_reached",
+        "stop_epsilon": 0.0, "features": None, "response": "y", "confounders": None,
+        "strict": False, "out": None, "trace_csv": None,
+    })
+
+
 def test_seqdes_requires_response(data_csv, model_file, grid_file, capsys):
     code, _, err = run_cli(capsys, "seqdes", "--input", data_csv,
                            "--grid", grid_file, "--model", model_file,
@@ -298,6 +392,17 @@ def test_robust_end_to_end(tmp_path, model_file, grid_file, capsys):
     assert payload["resolved_config"]["n_init"] == 3  # p + 1 default
 
 
+def test_robust_defaults_are_kept(model_file, grid_file, capsys):
+    code, stdout, _ = run_cli(capsys, "robust", "--grid", grid_file, "--model", model_file,
+                              "--nu", "0.5", "--iters", "5")
+    assert code == 0
+    assert_same_config(json.loads(stdout)["resolved_config"], {
+        "grid": grid_file, "model": model_file, "nu": 0.5, "iters": 5, "n_init": 3,
+        "seed": 0, "stop": "n_reached", "stop_epsilon": 0.0, "window": 25,
+        "full_rows": False, "out": None, "trace_csv": None,
+    })
+
+
 def test_robust_rejects_endpoint_nu(model_file, grid_file, capsys):
     code, _, err = run_cli(capsys, "robust", "--grid", grid_file,
                            "--model", model_file, "--nu", "0.0", "--iters", "5")
@@ -321,6 +426,26 @@ def test_criteria_named_values(tmp_path, model_file, grid_file, design_file, cap
     assert by_name["D"]["value"] == pytest.approx(0.0)
     assert by_name["A"]["value"] == pytest.approx(2.0)
     assert by_name["I"]["value"] == pytest.approx(28.7)
+
+
+def test_criteria_defaults_are_kept(model_file, design_file, capsys):
+    code, stdout, _ = run_cli(capsys, "criteria", "--model", model_file,
+                              "--design", design_file, "--names", "D")
+    assert code == 0
+    assert_same_config(json.loads(stdout)["resolved_config"], {
+        "model": model_file, "design": design_file, "names": ["D"], "grid": None,
+        "nu": None, "bias": None, "out": None,
+    })
+
+
+def test_check_get_defaults_are_kept(model_file, grid_file, design_file, capsys):
+    code, stdout, _ = run_cli(capsys, "check-get", "--model", model_file,
+                              "--design", design_file, "--grid", grid_file)
+    assert code == 0
+    assert_same_config(json.loads(stdout)["resolved_config"], {
+        "model": model_file, "design": design_file, "grid": grid_file, "k_eff": None,
+        "tol": 1e-6, "out": None,
+    })
 
 
 def test_criteria_bias_names_need_bias_file(model_file, design_file, capsys):
@@ -375,6 +500,49 @@ def test_repro_example2_small_scale(tmp_path, capsys):
     listed = sorted(p.name for p in out_dir.iterdir())
     assert "resolved_config.json" in listed
     assert len(listed) > 1
+
+
+def record_repro_calls(monkeypatch, example: str) -> list:
+    """Replace repro_example<example> by a stub; the list gets its arguments, defaults filled in."""
+    real = getattr(repro_mod, f"repro_example{example}")
+    calls = []
+
+    @functools.wraps(real)
+    def stub(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        os.makedirs(bound.arguments["out_dir"], exist_ok=True)
+        return {"example": int(example)}
+
+    monkeypatch.setattr(repro_mod, f"repro_example{example}", stub)
+    return calls
+
+
+@pytest.mark.parametrize("example, want", [
+    ("1", {"seed": 0, "n_data": 100_000, "n_init": 5000, "n_target": 6200,
+           "n_test": 10_010, "threshold": 0.5}),
+    ("2", {"seed": 0, "n_points": 105, "n_design": 12, "n_init": 6, "grid_levels": 200}),
+    ("3", {"seed": 0, "n_design": 12, "n_init": 6, "nu": 0.5, "robust_iters": 2000,
+           "grid_levels": 100}),
+])
+def test_repro_defaults_are_kept(tmp_path, monkeypatch, capsys, example, want):
+    calls = record_repro_calls(monkeypatch, example)
+    out_dir = str(tmp_path / "out")
+    code, _, _ = run_cli(capsys, "repro", example, "--out-dir", out_dir)
+    assert code == 0
+    assert len(calls) == 1
+    assert_same_config(calls[0], {"out_dir": out_dir, **want})
+
+
+def test_repro_takes_flags_over_config(tmp_path, monkeypatch, capsys):
+    calls = record_repro_calls(monkeypatch, "3")
+    out_dir = str(tmp_path / "out")
+    code, _, err = run_with_config(capsys, tmp_path, {"nu": 0.25, "robust_iters": 50, "seed": 7},
+                                   "repro", "3", "--out-dir", out_dir, "--robust-iters", "40")
+    assert code == 0, err
+    assert_same_config(calls[0], {"out_dir": out_dir, "seed": 7, "n_design": 12, "n_init": 6,
+                                  "nu": 0.25, "robust_iters": 40, "grid_levels": 100})
 
 
 def test_repro_requires_out_dir(capsys):

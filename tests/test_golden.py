@@ -16,7 +16,11 @@ whether a change to the program left its behaviour alone.  This test can:
 - `robust.json` and `robust_trace.csv`: the exact `--out` and `--trace-csv`
   files of `subsel robust` on the seqdes model and its (x, z) grid, whose
   trajectory records every step's support size and weights hash while the
-  support grows from 6 to 71 points.
+  support grows from 6 to 71 points;
+- `criteria.json` and `check_get.json`: the `--out` files of `subsel
+  criteria` (all eight criterion names) and `subsel check-get` for a
+  ten-point design on that grid, with the seqdes model and bias file, which
+  pin the resolved configuration those two commands echo.
 
 Every command runs in a scratch directory with relative paths, so the
 resolved configuration echoed in the outputs does not depend on where the
@@ -74,8 +78,16 @@ SEQDES_GRID = {
     "z_axes": ["z"],
 }
 
+# ten (x, z) points of SEQDES_GRID with unequal weights
+GRID_DESIGN = {
+    "points": [[SEQDES_GRID["axes"]["x"][i]] for i in (0, 3, 7, 10, 14, 17, 21, 24, 28, 30)],
+    "z_points": [[SEQDES_GRID["axes"]["z"][j]] for j in (0, 10, 5, 2, 8, 1, 9, 4, 6, 3)],
+    "weights": [0.15, 0.05, 0.1, 0.1, 0.05, 0.15, 0.1, 0.1, 0.05, 0.15],
+}
 
-STORED = ("iboss.json", "seqdes.json", "seqdes_traceR.json", "robust.json", "robust_trace.csv")
+
+STORED = ("iboss.json", "seqdes.json", "seqdes_traceR.json", "robust.json", "robust_trace.csv",
+          "criteria.json", "check_get.json")
 
 
 def _cli(*argv: str) -> None:
@@ -119,6 +131,12 @@ def produce(work: Path) -> tuple[dict[str, str], dict[str, bytes]]:
              "--n-init", "12", "--n-target", "40", "--out", "seqdes_traceR.json")
         _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5",
              "--iters", "300", "--seed", "4", "--out", "robust.json", "--trace-csv", "robust_trace.csv")
+        Path("design.json").write_text(json.dumps(GRID_DESIGN))
+        _cli("criteria", "--model", "model.json", "--design", "design.json", "--grid", "grid.json",
+             "--nu", "0.5", "--bias", "bias.json",
+             "--names", "D,A,I,Inu,Dnu,traceR,detR_bias,detR_conf", "--out", "criteria.json")
+        _cli("check-get", "--model", "model.json", "--design", "design.json", "--grid", "grid.json",
+             "--out", "check_get.json")
     finally:
         os.chdir(here)
 

@@ -72,6 +72,18 @@ def test_eval_row_is_a_model_matrix_row_with_a_per_point_block():
         assert eval_row(mixed, xs[i], zs[i]).tobytes() == rows[i].tobytes()
 
 
+@pytest.mark.parametrize("spec, x_points, z_points, message", [
+    (line_spec(), 3.0, None, r"^x_points must be a 1-D or 2-D array of points$"),
+    (line_spec(), np.zeros((2, 1, 1)), None, r"^x_points must be a 1-D or 2-D array of points$"),
+    (full_spec(), [[0.0], [1.0]], None, r"^model has confounder terms: z_points is required$"),
+    (full_spec(), [[0.0], [1.0]], 3.0, r"^x_points and z_points must have matching row counts$"),
+    (full_spec(), [[0.0], [1.0]], [[1.0]], r"^x_points and z_points must have matching row counts$"),
+])
+def test_model_matrix_rejects_bad_points(spec, x_points, z_points, message):
+    with pytest.raises(InvalidInputError, match=message):
+        model_matrix(spec, x_points, z_points)
+
+
 def test_model_spec_validation():
     fn, p = polynomial_basis(1, True, 1)
     with pytest.raises(InvalidInputError):
