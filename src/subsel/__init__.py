@@ -9,7 +9,7 @@ about a regression model, using classical experimental-design criteria:
 - ``criteria``: D/A/I losses, robust losses, bias-aware traces, optimality checks
 - ``model_core``: model bases, design measures, information matrices
 - ``estimation``: least-squares and logistic fitting, classification scoring
-- ``ingest_sim``: CSV ingest, standardization, grids, synthetic data generators
+- ``ingest_sim``: CSV ingest, standardization, grids, synthetic data generators, artifact writers
 """
 
 from __future__ import annotations

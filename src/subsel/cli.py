@@ -39,6 +39,7 @@ from .errors import (
 )
 from .ingest_sim import (
     build_grid,
+    json_text,
     load_csv,
     simulate_example2,
     simulate_example3,
@@ -56,8 +57,16 @@ from .model_core import (
     polynomial_basis,
 )
 from .select_iboss import iboss_det_bound, iboss_permutation_report, run_iboss
-from .select_robust import run_wiens
-from .select_sequential import SeqConfig, run_sequential
+from .select_robust import STOPS, run_wiens
+from .select_sequential import (
+    DISTANCES,
+    FAMILIES,
+    STOP_RULES,
+    STRATEGIES,
+    UTILITIES,
+    SeqConfig,
+    run_sequential,
+)
 
 # every other SubselError is a configuration or input problem
 _CONFIG_ERRORS = (SubselError, FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError)
@@ -91,7 +100,7 @@ def _emit(obj, out_path) -> None:
     if out_path:
         write_json(obj, out_path)
     else:
-        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(obj))
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -205,6 +214,8 @@ def cmd_simulate(args) -> int:
     resolved = _resolve(args)
     kind, n, seed = resolved["kind"], resolved["n"], resolved["seed"]
     sized = {} if n is None else {"n": n}
+    if kind != "mortgage" and resolved["theta"] is not None:
+        raise InvalidInputError(f"simulate {kind} does not take --theta")
     if kind == "example2":
         ds = simulate_example2(seed=seed, **sized)
     elif kind == "example3":
@@ -233,7 +244,7 @@ def cmd_iboss(args) -> int:
     det, bound = iboss_det_bound(ds, selection, sigma=resolved["sigma"])
     payload = {
         "command": "iboss",
-        "indices": [int(i) for i in selection.indices],
+        "indices": selection.indices.tolist(),
         "det": det,
         "bound": bound,
         "per_variable_cuts": selection.provenance["cuts"],
@@ -394,9 +405,13 @@ def cmd_repro(args) -> int:
     out_dir = given.get("out_dir")
     if not out_dir:
         raise InvalidInputError("repro needs --out-dir")
-    run = (repro_mod.repro_example1, repro_mod.repro_example2, repro_mod.repro_example3)[given["example"] - 1]
-    params = inspect.signature(run).parameters
-    manifest = run(**{k: v for k, v in given.items() if k in params})
+    example = given.pop("example")
+    run = (repro_mod.repro_example1, repro_mod.repro_example2, repro_mod.repro_example3)[example - 1]
+    unused = [k for k in given if k not in inspect.signature(run).parameters]
+    if unused:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unused)
+        raise InvalidInputError(f"repro {example} does not take {flags}")
+    manifest = run(**given)
     write_json(manifest, os.path.join(out_dir, "resolved_config.json"))
     sys.stdout.write(json.dumps({"command": "repro", "out_dir": out_dir}, sort_keys=True) + "\n")
     return 0
@@ -444,17 +459,17 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--n-init", dest="n_init", type=int)
     p.add_argument("--n-target", dest="n_target", type=int)
     p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--utility", choices=["D", "A", "Inu", "Dnu", "traceR"], default="D")
+    p.add_argument("--utility", choices=UTILITIES, default="D")
     p.add_argument("--nu", type=float)
     p.add_argument("--bias", help="bias JSON for the traceR utility")
-    p.add_argument("--family", choices=["auto", "linear", "logistic"], default="auto")
-    p.add_argument("--distance", choices=["euclidean", "scaled"], default="euclidean")
-    p.add_argument("--init", choices=["random", "stratified", "dope"], default="random")
+    p.add_argument("--family", choices=FAMILIES, default="auto")
+    p.add_argument("--distance", choices=DISTANCES, default="euclidean")
+    p.add_argument("--init", choices=STRATEGIES, default="random")
     p.add_argument("--init-column", dest="init_column")
     p.add_argument("--init-quantiles", dest="init_quantiles", type=int, default=10)
     p.add_argument("--init-label", dest="init_label", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stop", choices=["n_reached", "utility_gain_below"], default="n_reached")
+    p.add_argument("--stop", choices=STOP_RULES, default="n_reached")
     p.add_argument("--stop-epsilon", dest="stop_epsilon", type=float, default=0.0)
     p.add_argument("--features", type=_name_list)
     p.add_argument("--response")
@@ -472,7 +487,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--iters", type=int, help="number of mass-moving iterations")
     p.add_argument("--n-init", dest="n_init", type=int, help="initial support size (default p + 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stop", choices=["n_reached", "dnu_gain_below"], default="n_reached")
+    p.add_argument("--stop", choices=STOPS, default="n_reached")
     p.add_argument("--stop-epsilon", dest="stop_epsilon", type=float, default=0.0)
     p.add_argument("--window", type=int, default=25)
     p.add_argument("--full-rows", dest="full_rows", action="store_true",

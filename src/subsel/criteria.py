@@ -33,6 +33,7 @@ from .model_core import (
     as_columns,
     eval_row,
     information_matrix,
+    json_ready,
     model_matrix,
 )
 
@@ -43,7 +44,7 @@ CRITERION_NAMES = ("D", "I", "A", "Inu", "Dnu", "traceR", "detR_bias", "detR_con
 
 @dataclass(frozen=True)
 class CriterionValue:
-    """A named criterion value plus JSON-safe diagnostics."""
+    """A named criterion value plus its diagnostics (`meta`, any value `json_ready` takes)."""
 
     name: str
     value: float
@@ -54,23 +55,7 @@ class CriterionValue:
             raise InvalidInputError(f"unknown criterion {self.name!r}")
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "value": float(self.value), "meta": _json_safe(self.meta)}
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+        return json_ready(vars(self))
 
 
 def _sym_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -153,13 +138,7 @@ class GetVerdict:
     tolerance: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "is_optimal": bool(self.is_optimal),
-            "max_variance": float(self.max_variance),
-            "bound": float(self.bound),
-            "worst_point": [float(v) for v in np.atleast_1d(self.worst_point)],
-            "tolerance": float(self.tolerance),
-        }
+        return json_ready(vars(self))
 
 
 def get_check(
@@ -497,12 +476,7 @@ class BiasConstrainedVerdict:
     bound: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": bool(self.ok),
-            "worst_point": [float(v) for v in np.atleast_1d(self.worst_point)],
-            "max_lhs": float(self.max_lhs),
-            "bound": float(self.bound),
-        }
+        return json_ready(vars(self))
 
 
 def montepiedra_check(

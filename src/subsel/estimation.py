@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, SeparationError, check_conditioning
+from .model_core import json_ready
 
 _SEPARATION_BOUND = 30.0
 # Newton decrement g'H^-1g below which a step is taken whole and the fit ends:
@@ -42,14 +43,7 @@ class FitResult:
     information: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "theta": [float(v) for v in self.theta],
-            "std_errors": [float(v) for v in self.std_errors],
-            "objective": float(self.objective),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-        }
+        return json_ready({k: v for k, v in vars(self).items() if k != "information"})
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,7 @@ class ConfusionMatrix:
 
     def to_json_dict(self) -> dict:
         return {
-            "counts_predicted_by_actual": [[int(v) for v in row] for row in self.counts],
+            "counts_predicted_by_actual": self.counts.tolist(),
             "total": self.total,
             "accuracy": self.accuracy,
         }

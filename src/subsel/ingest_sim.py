@@ -217,8 +217,21 @@ def _load_rowwise(path, used: list[str], pos: dict, strict: bool) -> tuple[np.nd
     return np.asarray(keep, dtype=float), dropped
 
 
+def _cell(v) -> str:
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def write_rows(path, header, rows) -> None:
+    """Write the CSV artifact: the header line, then one line per row as it is drawn from `rows`.
+    A float cell (np.float64 too) is written as repr(float(v)), which reads back exactly, any
+    other cell with str; "" leaves a cell empty."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
 def write_csv(data: Dataset, path) -> None:
-    """Write a Dataset back to CSV with full-roundtrip float formatting."""
+    """Write a Dataset back to CSV: features, confounders, then the response."""
     names = list(data.feature_names) + list(data.confounder_names)
     cols = [data.features[:, j] for j in range(data.n_features)]
     if data.confounders is not None:
@@ -226,11 +239,7 @@ def write_csv(data: Dataset, path) -> None:
     if data.response is not None:
         names.append(data.response_name or "y")
         cols.append(data.response)
-    lines = [",".join(names)]
-    for i in range(data.n_rows):
-        lines.append(",".join(repr(float(c[i])) for c in cols))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, names, zip(*cols))
 
 
 def _scalars(items) -> bool:
@@ -258,10 +267,15 @@ def _indented(obj, pad: str) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
+def json_text(obj) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True) and a newline: every JSON artifact."""
+    return _indented(obj, "") + "\n"
+
+
 def write_json(obj, path) -> None:
-    """Write the bytes of json.dump(obj, fh, indent=2, sort_keys=True) and a newline, in one write."""
+    """Write json_text(obj) in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_indented(obj, "") + "\n")
+        fh.write(json_text(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,18 @@ class SubsampleSelection:
         }
 
 
+def json_ready(obj):
+    """`obj` as values json.dumps takes: an object's `to_json_dict()`, a dict with string keys,
+    tuples as lists and numpy arrays and scalars as Python values; booleans stay booleans."""
+    if isinstance(obj, dict):
+        return {str(k): json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj.to_json_dict() if hasattr(obj, "to_json_dict") else obj
+
+
 # ---------------------------------------------------------------------------
 # built-in basis families (config-constructible)
 

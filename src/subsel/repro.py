@@ -26,11 +26,13 @@ from .ingest_sim import (
     standardize,
     write_csv,
     write_json,
+    write_rows,
 )
 from .model_core import (
     CandidateGrid,
     ModelSpec,
     information_matrix_from_selection,
+    json_ready,
     model_matrix,
     polynomial_basis,
 )
@@ -90,24 +92,20 @@ def repro_example1(
         ),
     }
 
-    estimates = {"generator_theta": [float(v) for v in theta_gen]}
+    estimates = {"generator_theta": theta_gen}
     criteria_out = {}
     for name, cfg in strategies.items():
         selection, trace = run_sequential(train, grid, spec, cfg)
         write_json(selection.to_json_dict(), os.path.join(out_dir, f"selection_{name}.json"))
         trace.write_theta_csv(os.path.join(out_dir, f"trajectory_{name}.csv"))
         fit = trace.final_fit
-        estimates[name] = {
-            "theta_hat": [float(v) for v in fit.theta],
-            "std_errors": [float(v) for v in fit.std_errors],
-            "converged": bool(fit.converged),
-        }
+        estimates[name] = {"theta_hat": fit.theta, "std_errors": fit.std_errors, "converged": fit.converged}
         confusion = predict_classify(fit, test_rows, test_y, threshold=threshold)
         write_json(confusion.to_json_dict(), os.path.join(out_dir, f"confusion_{name}.json"))
         m = information_matrix_from_selection(spec, train, selection)
         criteria_out[name] = d_criterion(m).to_json_dict()
 
-    write_json(estimates, os.path.join(out_dir, "estimates.json"))
+    write_json(json_ready(estimates), os.path.join(out_dir, "estimates.json"))
     write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
     return {
         "pipeline": 1,
@@ -121,32 +119,13 @@ def repro_example1(
     }
 
 
-def _design_scatter_rows(variant: str, algorithm: str, ds: Dataset, indices, weight=None):
-    rows = []
+_SCATTER_HEADER = ("variant", "algorithm", "data_index", "x", "z", "weight")
+
+
+def _design_scatter_rows(variant: str, algorithm: str, ds: Dataset, indices) -> list[list]:
+    """designs.csv rows of data points: no weight, and no z without a confounder."""
     z = ds.confounders[:, 0] if ds.confounders is not None else None
-    for i in indices:
-        rows.append(
-            {
-                "variant": variant,
-                "algorithm": algorithm,
-                "data_index": int(i),
-                "x": float(ds.features[i, 0]),
-                "z": float(z[i]) if z is not None else "",
-                "weight": "" if weight is None else repr(float(weight)),
-            }
-        )
-    return rows
-
-
-def _write_scatter_csv(path, rows) -> None:
-    header = "variant,algorithm,data_index,x,z,weight"
-    lines = [header]
-    for r in rows:
-        x = repr(r["x"])
-        z = repr(r["z"]) if r["z"] != "" else ""
-        lines.append(f"{r['variant']},{r['algorithm']},{r['data_index']},{x},{z},{r['weight']}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return [[variant, algorithm, i, ds.features[i, 0], "" if z is None else z[i], ""] for i in indices]
 
 
 def repro_example2(
@@ -194,7 +173,7 @@ def repro_example2(
         scatter += _design_scatter_rows(variant, "sequential", ds, sel_seq.indices)
         scatter += _design_scatter_rows(variant, "iboss", ds, sel_ib.indices)
 
-    _write_scatter_csv(os.path.join(out_dir, "designs.csv"), scatter)
+    write_rows(os.path.join(out_dir, "designs.csv"), _SCATTER_HEADER, scatter)
     write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
     return {
         "pipeline": 2,
@@ -260,21 +239,11 @@ def repro_example3(
         scatter += _design_scatter_rows(variant, "sequential", ds, sel_seq.indices)
         scatter += _design_scatter_rows(variant, "iboss", ds, sel_ib.indices)
         # robust design: grid points carrying the heaviest n_design weights
-        top = np.argsort(-measure.weights, kind="stable")[:n_design]
-        z_flag = measure.z_points is not None
-        for g in top:
-            scatter.append(
-                {
-                    "variant": variant,
-                    "algorithm": "robust",
-                    "data_index": -1,
-                    "x": float(measure.x_points[g, 0]),
-                    "z": float(measure.z_points[g, 0]) if z_flag else "",
-                    "weight": repr(float(measure.weights[g])),
-                }
-            )
+        z = measure.z_points
+        scatter += [[variant, "robust", -1, measure.x_points[g, 0], "" if z is None else z[g, 0], measure.weights[g]]
+                    for g in np.argsort(-measure.weights, kind="stable")[:n_design]]
 
-    _write_scatter_csv(os.path.join(out_dir, "designs.csv"), scatter)
+    write_rows(os.path.join(out_dir, "designs.csv"), _SCATTER_HEADER, scatter)
     write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
     return {
         "pipeline": 3,

@@ -32,10 +32,11 @@ import numpy as np
 
 from .criteria import RobustContext, _robust_kernel, _RobustParts
 from .errors import InvalidInputError
-from .model_core import DesignMeasure
+from .ingest_sim import write_rows
+from .model_core import DesignMeasure, json_ready
 from .rng import CounterRng
 
-_STOPS = ("n_reached", "dnu_gain_below")
+STOPS = ("n_reached", "dnu_gain_below")
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,7 @@ class RobustStep:
     weights_sha256: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "iteration": int(self.iteration),
-            "chosen_index": int(self.chosen_index),
-            "dnu": float(self.dnu),
-            "lambda_max": float(self.lambda_max),
-            "support_size": int(self.support_size),
-            "weights_sha256": self.weights_sha256,
-        }
+        return json_ready(vars(self))
 
 
 @dataclass
@@ -70,19 +64,11 @@ class RobustTrajectory:
     stop_reason: str = "n_reached"
 
     def write_dnu_csv(self, path) -> None:
-        lines = ["iteration,chosen_index,dnu,lambda_max"]
-        for s in self.steps:
-            lines.append(f"{s.iteration},{s.chosen_index},{s.dnu!r},{s.lambda_max!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_rows(path, ("iteration", "chosen_index", "dnu", "lambda_max"),
+                   ((s.iteration, s.chosen_index, s.dnu, s.lambda_max) for s in self.steps))
 
     def to_json_dict(self) -> dict:
-        return {
-            "initial_indices": self.initial_indices.tolist(),
-            "steps": [s.to_json_dict() for s in self.steps],
-            "final_dnu": float(self.final_dnu),
-            "stop_reason": self.stop_reason,
-        }
+        return json_ready(vars(self))
 
 
 def _pairwise_columns(q: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -136,8 +122,8 @@ def run_wiens(
         raise InvalidInputError("n_init must lie in [1, grid size]")
     if n_target <= n_init:
         raise InvalidInputError("n_target must exceed n_init")
-    if stop not in _STOPS:
-        raise InvalidInputError(f"stop must be one of {_STOPS}")
+    if stop not in STOPS:
+        raise InvalidInputError(f"stop must be one of {STOPS}")
     if stop_epsilon < 0.0 or stop_window < 1:
         raise InvalidInputError("stop_epsilon must be >= 0 and stop_window >= 1")
 

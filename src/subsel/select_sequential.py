@@ -53,21 +53,23 @@ from .errors import (
     SingularMatrixError,
 )
 from .estimation import FitResult, fit_logistic, fit_ols, sigmoid
+from .ingest_sim import write_rows
 from .model_core import (
     BiasSpec,
     CandidateGrid,
     ModelSpec,
     SubsampleSelection,
     data_columns,
+    json_ready,
     model_matrix,
 )
 from .rng import CounterRng
 
-_UTILITIES = ("D", "A", "Inu", "Dnu", "traceR")
-_FAMILIES = ("auto", "linear", "logistic")
-_STRATEGIES = ("random", "stratified", "dope")
-_STOP_RULES = ("n_reached", "utility_gain_below")
-_DISTANCES = ("euclidean", "scaled")
+UTILITIES = ("D", "A", "Inu", "Dnu", "traceR")
+FAMILIES = ("auto", "linear", "logistic")
+STRATEGIES = ("random", "stratified", "dope")
+STOP_RULES = ("n_reached", "utility_gain_below")
+DISTANCES = ("euclidean", "scaled")
 
 
 @dataclass(frozen=True)
@@ -99,26 +101,26 @@ class SeqConfig:
             raise InvalidInputError("batch_size must be at least 1")
         if self.n_target > self.n_init and self.batch_size > self.n_target - self.n_init:
             raise InvalidInputError("batch_size cannot exceed n_target - n_init")
-        if self.utility not in _UTILITIES:
-            raise InvalidInputError(f"utility must be one of {_UTILITIES}")
+        if self.utility not in UTILITIES:
+            raise InvalidInputError(f"utility must be one of {UTILITIES}")
         if self.utility in ("Inu", "Dnu"):
             if self.nu is None or not 0.0 <= self.nu <= 1.0:
                 raise InvalidInputError("Inu/Dnu utilities need nu in [0, 1]")
         if self.utility == "traceR" and self.bias is None:
             raise InvalidInputError("traceR utility needs a BiasSpec")
-        if self.family not in _FAMILIES:
-            raise InvalidInputError(f"family must be one of {_FAMILIES}")
-        if self.distance not in _DISTANCES:
-            raise InvalidInputError(f"distance must be one of {_DISTANCES}")
-        if self.init_strategy not in _STRATEGIES:
-            raise InvalidInputError(f"init_strategy must be one of {_STRATEGIES}")
+        if self.family not in FAMILIES:
+            raise InvalidInputError(f"family must be one of {FAMILIES}")
+        if self.distance not in DISTANCES:
+            raise InvalidInputError(f"distance must be one of {DISTANCES}")
+        if self.init_strategy not in STRATEGIES:
+            raise InvalidInputError(f"init_strategy must be one of {STRATEGIES}")
         if self.init_strategy == "stratified":
             if self.init_column is None:
                 raise InvalidInputError("stratified init needs init_column")
             if self.init_quantiles < 1:
                 raise InvalidInputError("init_quantiles must be at least 1")
-        if self.stop_rule not in _STOP_RULES:
-            raise InvalidInputError(f"stop_rule must be one of {_STOP_RULES}")
+        if self.stop_rule not in STOP_RULES:
+            raise InvalidInputError(f"stop_rule must be one of {STOP_RULES}")
         if self.stop_epsilon < 0.0:
             raise InvalidInputError("stop_epsilon must be non-negative")
 
@@ -145,18 +147,7 @@ class SeqStep:
     warm: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "iteration": int(self.iteration),
-            "grid_index": int(self.grid_index),
-            "grid_point": [float(v) for v in self.grid_point],
-            "data_indices": [int(i) for i in self.data_indices],
-            "utility": float(self.utility),
-            "theta": [float(v) for v in self.theta],
-            "n_selected": int(self.n_selected),
-            "newton_iters": int(self.newton_iters),
-            "converged": bool(self.converged),
-            "warm": bool(self.warm),
-        }
+        return json_ready(vars(self))
 
 
 @dataclass
@@ -169,30 +160,14 @@ class SeqTrace:
     final_fit: FitResult | None = None
     stop_reason: str = "n_reached"
 
-    def theta_rows(self) -> list[list[float]]:
-        """Rows (iteration, n_selected, theta...) for the trajectory CSV."""
-        rows = [[0, len(self.initial_indices), *map(float, self.initial_theta)]]
-        for s in self.steps:
-            rows.append([s.iteration, s.n_selected, *map(float, s.theta)])
-        return rows
-
     def write_theta_csv(self, path) -> None:
-        k = len(self.initial_theta)
-        header = "iteration,n_selected," + ",".join(f"theta_{j}" for j in range(k))
-        lines = [header]
-        for row in self.theta_rows():
-            lines.append(",".join([str(int(row[0])), str(int(row[1]))] + [repr(v) for v in row[2:]]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Rows (iteration, n_selected, theta...): the initial fit as iteration 0, then each step."""
+        header = ["iteration", "n_selected", *(f"theta_{j}" for j in range(len(self.initial_theta)))]
+        first = [(0, len(self.initial_indices), *self.initial_theta)]
+        write_rows(path, header, first + [(s.iteration, s.n_selected, *s.theta) for s in self.steps])
 
     def to_json_dict(self) -> dict:
-        return {
-            "initial_indices": [int(i) for i in self.initial_indices],
-            "initial_theta": [float(v) for v in self.initial_theta],
-            "steps": [s.to_json_dict() for s in self.steps],
-            "stop_reason": self.stop_reason,
-            "final_fit": None if self.final_fit is None else self.final_fit.to_json_dict(),
-        }
+        return json_ready(vars(self))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,15 @@ def test_simulate_defaults_are_kept(tmp_path, capsys):
     })
 
 
+@pytest.mark.parametrize("kind", ["example2", "example3"])
+def test_simulate_rejects_theta_outside_mortgage(tmp_path, capsys, kind):
+    out = tmp_path / "sim.csv"
+    code, _, err = run_cli(capsys, "simulate", kind, "--theta", "1,2", "--out", str(out))
+    assert code == 2
+    assert "--theta" in stderr_payload(err)["message"]
+    assert not out.exists()
+
+
 def test_simulate_requires_out(capsys):
     code, _, err = run_cli(capsys, "simulate", "example2", "--n", "10")
     assert code == 2
@@ -165,6 +174,11 @@ def test_iboss_out_file_is_replay_identical(tmp_path, data_csv, capsys):
         blobs.append(out.read_bytes())
         out.unlink()
     assert blobs[0] == blobs[1]
+    # without --out, stdout carries the same text, but for the echoed --out
+    code, stdout, _ = run_cli(capsys, "iboss", "--input", data_csv, "--n", "10",
+                              "--features", "x", "--response", "y")
+    assert code == 0
+    assert stdout.encode() == blobs[0].replace(json.dumps(str(out)).encode(), b"null")
 
 
 def test_iboss_perm_report(tmp_path, capsys):
@@ -543,6 +557,20 @@ def test_repro_takes_flags_over_config(tmp_path, monkeypatch, capsys):
     assert code == 0, err
     assert_same_config(calls[0], {"out_dir": out_dir, "seed": 7, "n_design": 12, "n_init": 6,
                                   "nu": 0.25, "robust_iters": 40, "grid_levels": 100})
+
+
+@pytest.mark.parametrize("example, argv, cfg, named", [
+    ("2", ["--nu", "0.3", "--threshold", "9", "--n-data", "5"], {}, "--n-data, --nu, --threshold"),
+    ("1", [], {"robust_iters": 10}, "--robust-iters"),
+], ids=["flags", "config"])
+def test_repro_rejects_options_its_example_does_not_take(tmp_path, monkeypatch, capsys,
+                                                         example, argv, cfg, named):
+    calls = record_repro_calls(monkeypatch, example)
+    code, _, err = run_with_config(capsys, tmp_path, cfg, "repro", example,
+                                   "--out-dir", str(tmp_path / "out"), *argv)
+    assert code == 2
+    assert stderr_payload(err)["message"] == f"repro {example} does not take {named}"
+    assert calls == []
 
 
 def test_repro_requires_out_dir(capsys):

@@ -96,6 +96,7 @@ def test_d_a_i_values_on_identity_information():
     m = information_matrix(spec, design)
     assert d_criterion(m).value == pytest.approx(0.0)  # log det I
     assert d_criterion(m).meta["det"] == pytest.approx(1.0)
+    assert d_criterion(m).to_json_dict()["meta"]["singular"] is False  # a JSON boolean, not 0
     assert a_criterion(m).value == pytest.approx(2.0)
     grid = CandidateGrid.from_axes([np.linspace(-1, 1, 21)])
     # sum over the grid of 1 + x^2: 21 + 2 * (0.1^2 + ... + 1.0^2) = 28.7
@@ -108,6 +109,7 @@ def test_d_criterion_singular_is_minus_inf():
     val = d_criterion(information_matrix(spec, design))
     assert val.value == float("-inf")
     assert val.meta["singular"]
+    assert val.to_json_dict()["meta"]["singular"] is True
     with pytest.raises(SingularMatrixError):
         a_criterion(information_matrix(spec, design))
 

@@ -27,6 +27,7 @@ from subsel.ingest_sim import (
     standardize,
     wave_mean,
     write_csv,
+    write_rows,
 )
 
 
@@ -59,6 +60,14 @@ def test_write_csv_formats_floats_for_exact_roundtrip(tmp_path):
     write_csv(data, path)
     again = load_csv(path)
     assert np.array_equal(again.features, vals)  # bitwise, not approximate
+
+
+def test_write_rows_spells_numpy_cells_as_python_ones(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = iter([(0.1 + 0.2, np.float64(0.1 + 0.2), 7, np.int64(7), ""),
+                 (-1e-300, np.float64(-1e-300), -3, np.int64(-3), "")])
+    write_rows(path, ("a", "b", "c", "d", "e"), rows)
+    assert path.read_text() == "a,b,c,d,e\n0.30000000000000004,0.30000000000000004,7,7,\n-1e-300,-1e-300,-3,-3,\n"
 
 
 def test_load_csv_selects_and_orders_columns(tmp_path):
