@@ -446,24 +446,24 @@ def trace_r(m: InformationMatrix, bias: BiasSpec, cross_term_coefficient: float 
     )
 
 
-def det_r_bias(m: InformationMatrix, bias: BiasSpec) -> CriterionValue:
-    """det(M11^-1) (1 + (n/sigma)^2 psi' M21 M11^-1 M12 psi)."""
+def _det_r(m: InformationMatrix, bias: BiasSpec, cross, coef, name: str, key: str) -> CriterionValue:
+    """det(M11^-1) (1 + (n/sigma)^2 c' cross' M11^-1 cross c) for one off-diagonal block."""
     m11_inv, eigs = _bias_blocks(m, bias)
-    u = m.m12 @ bias.psi if m.m else np.zeros(m.p)
+    u = cross @ coef
     pen = float(u @ m11_inv @ u)
     det_inv = float(np.prod(1.0 / eigs))
     value = det_inv * (1.0 + bias.ratio**2 * pen)
-    return CriterionValue("detR_bias", value, {"det_m11_inv": det_inv, "bias_penalty": pen})
+    return CriterionValue(name, value, {"det_m11_inv": det_inv, key: pen})
+
+
+def det_r_bias(m: InformationMatrix, bias: BiasSpec) -> CriterionValue:
+    """det(M11^-1) (1 + (n/sigma)^2 psi' M21 M11^-1 M12 psi)."""
+    return _det_r(m, bias, m.m12, bias.psi, "detR_bias", "bias_penalty")
 
 
 def det_r_conf(m: InformationMatrix, bias: BiasSpec) -> CriterionValue:
     """det(M11^-1) (1 + (n/sigma)^2 phi' M31 M11^-1 M13 phi)."""
-    m11_inv, eigs = _bias_blocks(m, bias)
-    v = m.m13 @ bias.phi if m.q else np.zeros(m.p)
-    pen = float(v @ m11_inv @ v)
-    det_inv = float(np.prod(1.0 / eigs))
-    value = det_inv * (1.0 + bias.ratio**2 * pen)
-    return CriterionValue("detR_conf", value, {"det_m11_inv": det_inv, "confounder_penalty": pen})
+    return _det_r(m, bias, m.m13, bias.phi, "detR_conf", "confounder_penalty")
 
 
 @dataclass(frozen=True)

@@ -601,7 +601,7 @@ def polynomial_basis(degree: int, intercept: bool = True, dim: int = 1, scale: f
         cols.extend(np.array([t**j for t in vals]) for j in range(2, degree + 1))
         return np.column_stack(cols)
 
-    return _per_point(batch), n_terms
+    return _per_point(batch, dim), n_terms
 
 
 def trig_basis(kind: str = "sin", coeffs: Sequence[float] = (1.0, 0.0, 0.0), amplitude: float = 1.0):
@@ -617,15 +617,20 @@ def trig_basis(kind: str = "sin", coeffs: Sequence[float] = (1.0, 0.0, 0.0), amp
         v = xs[:, 0]
         return (amplitude * wave(a * v * v + b * v + c))[:, None]
 
-    return _per_point(batch), 1
+    return _per_point(batch, 1), 1
 
 
-def _per_point(batch: Callable[[np.ndarray], np.ndarray]) -> BasisFn:
-    """The per-point basis callable of a whole-array evaluator, carrying it as `batch`."""
+def _per_point(batch: Callable[[np.ndarray], np.ndarray], dim: int) -> BasisFn:
+    """The per-point callable of a dim-coordinate whole-array evaluator, carrying it as `batch`."""
+    def checked(xs: np.ndarray) -> np.ndarray:
+        if xs.shape[1] != dim:
+            raise InvalidInputError(f"basis takes points of dimension {dim}, got {xs.shape[1]}")
+        return batch(xs)
+
     def fn(x: np.ndarray) -> np.ndarray:
-        return batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
+        return checked(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
-    fn.batch = batch
+    fn.batch = checked
     return fn
 
 

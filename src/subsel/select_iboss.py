@@ -7,6 +7,12 @@ Any shortfall n_target - 2 p r is distributed one extra row at a time, first
 to the smallest side of each variable in order, then (if still short) to the
 largest sides.  Ties at a cut value resolve to the lowest row index, which
 makes the output deterministic and replayable.
+
+Each side's candidates are the rows at or beyond a cut guessed from a sorted
+sample of every max(1, N // 65536)-th row.  A side needs its quota plus
+every earlier removal; when fewer rows reach the guess, the exact value from a
+full partition of the column replaces it, so the guess changes the cost, never
+the selection.
 """
 
 from __future__ import annotations
@@ -53,52 +59,48 @@ def _k_extreme(values: np.ndarray, rows: np.ndarray, k: int, side: str) -> np.nd
 
 
 def _extreme_available(
-    col: np.ndarray, mask: np.ndarray, removed: int, k: int, side: str
+    col: np.ndarray, mask: np.ndarray, k: int, m_needed: int, cut, side: str
 ) -> np.ndarray:
     """Indices of the k most extreme still-available rows of a full column.
 
-    Partitions the contiguous column as a whole instead of gathering the
-    available rows: the k extreme available rows always sit within the
-    k + removed most extreme rows overall, extended to every tie of the
-    boundary value so that the lowest-index rule stays exact.
+    m_needed is k plus every row removed before this side, so the k rows lie
+    within the m_needed most extreme rows and all ties of the last one: any
+    cut that m_needed rows reach bounds the candidates.  When fewer reach the
+    guessed `cut`, the exact m_needed-th value replaces it.
     """
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
     n = col.size
-    m_needed = k + removed
     if m_needed >= n:
         cand = np.flatnonzero(mask)
     else:
-        if side == "low":
-            cut0 = np.partition(col, m_needed - 1)[m_needed - 1]
-            cand = np.flatnonzero(col <= cut0)
-        else:
-            cut0 = np.partition(col, n - m_needed)[n - m_needed]
-            cand = np.flatnonzero(col >= cut0)
+        cand = np.flatnonzero(col <= cut if side == "low" else col >= cut)
+        if cand.size < m_needed:
+            if side == "low":
+                cut = np.partition(col, m_needed - 1)[m_needed - 1]
+                cand = np.flatnonzero(col <= cut)
+            else:
+                cut = np.partition(col, n - m_needed)[n - m_needed]
+                cand = np.flatnonzero(col >= cut)
         cand = cand[mask[cand]]
     return _k_extreme(col[cand], cand, k, side)
 
 
-# prefilter engages only when the data dwarfs the selection
-_PREFILTER_FACTOR = 16
-_PREFILTER_MIN_ROWS = 1 << 17
 _SAMPLE_TARGET = 1 << 16
 
 
-def _estimated_cuts(feats: np.ndarray, m_low: np.ndarray, m_high: np.ndarray):
-    """Conservative per-column cut estimates from a deterministic strided sample.
+def _estimated_cuts(feats: np.ndarray, order: list[int], m_low: np.ndarray, m_high: np.ndarray):
+    """Conservative cut guesses for the columns in `order`, from a strided sample.
 
-    The estimates only seed candidate sets; sufficiency is verified against
-    the exact requirement counts, with a full partition as fallback, so the
-    selection never depends on sample quality.
+    The guesses only bound candidate sets; `_extreme_available` checks each
+    against the exact requirement count and falls back to a full partition,
+    so the selection never depends on sample quality.
     """
     n = feats.shape[0]
     step = max(1, n // _SAMPLE_TARGET)
-    sample = np.sort(feats[::step], axis=0)
+    sample = np.sort(feats[::step][:, order], axis=0)
     s = sample.shape[0]
     ranks_lo = np.minimum(s - 1, 2 * np.ceil(m_low * s / n).astype(np.int64) + 32)
     ranks_hi = np.minimum(s - 1, 2 * np.ceil(m_high * s / n).astype(np.int64) + 32)
-    cols = np.arange(feats.shape[1])
+    cols = np.arange(len(order))
     return sample[ranks_lo, cols], sample[s - 1 - ranks_hi, cols]
 
 
@@ -124,61 +126,32 @@ def run_iboss(data, n_target: int, column_order=None) -> SubsampleSelection:
     r = n_target // (2 * p)
     shortfall = n_target - 2 * p * r
     # extras cycle small sides first, then large sides
-    extra_small = [0] * p
-    extra_large = [0] * p
-    for t in range(shortfall):
-        if t < p:
-            extra_small[t] += 1
-        else:
-            extra_large[t - p] += 1
-
-    k_small = [r + extra_small[pos] for pos in range(p)]
-    k_large = [r + extra_large[pos] for pos in range(p)]
-    # exact requirement per column: this side's quota plus every earlier removal
-    m_low = np.zeros(p, dtype=np.int64)
-    m_high = np.zeros(p, dtype=np.int64)
-    before = 0
-    for pos, j in enumerate(order):
-        m_low[j] = k_small[pos] + before
-        m_high[j] = k_large[pos] + before + k_small[pos]
-        before += k_small[pos] + k_large[pos]
-
-    prefilter = n >= _PREFILTER_MIN_ROWS and n >= _PREFILTER_FACTOR * n_target
-    if prefilter:
-        est_lo, est_hi = _estimated_cuts(feats, m_low, m_high)
-        low_mask = feats <= est_lo
-        high_mask = feats >= est_hi
-
-    def side_pick(j: int, k: int, m_needed: int, side: str) -> np.ndarray:
-        if prefilter:
-            cand_mask = low_mask[:, j] if side == "low" else high_mask[:, j]
-            cand = np.flatnonzero(cand_mask)
-            if cand.size >= m_needed:
-                cand = cand[mask[cand]]
-                return _k_extreme(feats[cand, j], cand, k, side)
-        col = np.ascontiguousarray(feats[:, j])
-        return _extreme_available(col, mask, removed, k, side)
+    pos = np.arange(p)
+    k_small = r + (pos < shortfall)
+    k_large = r + (pos < shortfall - p)
+    # exact requirement per side: its quota plus every earlier removal
+    m_high = np.cumsum(k_small + k_large)
+    m_low = m_high - k_large
+    est_lo, est_hi = _estimated_cuts(feats, order, m_low, m_high)
 
     mask = np.ones(n, dtype=bool)
-    removed = 0
     picked: list[np.ndarray] = []
     cuts: list[dict] = []
     for pos, j in enumerate(order):
-        low = side_pick(j, k_small[pos], int(m_low[j]), "low")
+        col = np.ascontiguousarray(feats[:, j])
+        low = _extreme_available(col, mask, k_small[pos], m_low[pos], est_lo[pos], "low")
         mask[low] = False
-        removed += low.size
-        high = side_pick(j, k_large[pos], int(m_high[j]), "high")
+        high = _extreme_available(col, mask, k_large[pos], m_high[pos], est_hi[pos], "high")
         mask[high] = False
-        removed += high.size
         picked.append(np.sort(low))
         picked.append(np.sort(high))
         cuts.append(
             {
                 "variable": int(j),
                 "low_count": int(low.size),
-                "low_cut": float(feats[low, j].max()) if low.size else None,
+                "low_cut": float(col[low].max()) if low.size else None,
                 "high_count": int(high.size),
-                "high_cut": float(feats[high, j].min()) if high.size else None,
+                "high_cut": float(col[high].min()) if high.size else None,
             }
         )
 

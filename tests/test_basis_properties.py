@@ -7,7 +7,8 @@ callables, which send model_matrix down its row-wise path.  For any
 configuration, including the confounder block, out-of-range values and
 mismatched point dimensions, the matrix (or the error) must be exactly what
 the scalar formulas give, and eval_row, a one-row model_matrix, must give
-the same rows.
+the same rows.  A point whose coordinate count is not the basis's dimension
+is an error, never a silently truncated point.
 """
 
 import numpy as np
@@ -34,9 +35,15 @@ COEF = st.floats(-3.0, 3.0)
 VALUES = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e120, 1e120), st.floats())
 
 
+def _check_dim(x, dim):
+    if len(x) != dim:
+        raise InvalidInputError(f"basis takes points of dimension {dim}, got {len(x)}")
+
+
 def _scalar_poly(degree, intercept, dim, scale):
     """The poly family term by term in Python floats, as a per-point callable."""
     def fn(x):
+        _check_dim(x, dim)
         terms = [1.0] if intercept else []
         if dim == 1:
             v = scale * float(x[0])
@@ -54,6 +61,7 @@ def _scalar_trig(kind, coeffs, amplitude):
     wave = np.sin if kind == "sin" else np.cos
 
     def fn(x):
+        _check_dim(x, 1)
         v = float(x[0])
         return np.asarray([amplitude * wave(a * v * v + b * v + c)], dtype=float)
 
@@ -201,20 +209,20 @@ def test_builtin_bases_take_the_whole_array_path(monkeypatch):
 
     xs = np.linspace(-2.0, 2.0, 30).reshape(10, 3)
     zs = np.linspace(0.0, 9.0, 10)
-    pairs = [
-        _spec_pair(_poly(3, scale=0.5), _trig("cos", (0.3, -1.0, 0.2), 0.35),
-                   _poly(1, intercept=False, scale=1.0 / 9.0)),
-        _spec_pair(_poly(1, dim=3), g=_trig("sin", (1.0, 0.0, 0.0))),
-        _spec_pair(_poly(0, dim=3)),
+    cases = [
+        (_spec_pair(_poly(3, scale=0.5), _trig("cos", (0.3, -1.0, 0.2), 0.35),
+                    _poly(1, intercept=False, scale=1.0 / 9.0)), xs[:, :1]),
+        (_spec_pair(_poly(1, dim=3), g=_trig("sin", (1.0, 0.0, 0.0))), xs),
+        (_spec_pair(_poly(0, dim=3)), xs),
     ]
-    want = [model_matrix(scalar, xs, zs if scalar.q else None) for _, scalar in pairs]
+    want = [model_matrix(scalar, x, zs if scalar.q else None) for (_, scalar), x in cases]
 
     def no_rows(*args, **kwargs):
         raise AssertionError("model_matrix evaluated a built-in basis point by point")
 
     monkeypatch.setattr(model_core, "_eval_basis", no_rows)
-    for (spec, _), rows in zip(pairs, want):
-        assert model_matrix(spec, xs, zs if spec.q else None).tobytes() == rows.tobytes()
+    for ((spec, _), x), rows in zip(cases, want):
+        assert model_matrix(spec, x, zs if spec.q else None).tobytes() == rows.tobytes()
 
 
 def test_montepiedra_check_matches_per_point_bases():

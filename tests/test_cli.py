@@ -388,6 +388,24 @@ def test_seqdes_bias_length_must_match_model(tmp_path, data_csv, grid_file, caps
     assert "psi" in error["message"]
 
 
+def test_seqdes_model_dimension_must_match_the_features(tmp_path, model_file, capsys):
+    # a dim-1 f basis on two feature columns is an error, not a model of the
+    # first column alone
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 2))
+    rows = ["x1,x2,y"] + [f"{a!r},{b!r},{a + b!r}" for a, b in x.tolist()]
+    data = tmp_path / "two.csv"
+    data.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(
+        capsys, "seqdes", "--input", str(data), "--model", model_file,
+        "--n-init", "5", "--n-target", "8", "--response", "y", "--family", "linear",
+    )
+    assert code == 2
+    error = stderr_payload(err)
+    assert error["type"] == "InvalidInputError"
+    assert "dimension 1, got 2" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # robust
 

@@ -106,21 +106,42 @@ def test_replay_determinism():
     assert a.provenance == b.provenance
 
 
-def test_prefilter_agrees_with_exact_path(monkeypatch):
-    # force the sampling prefilter on at small n and cross-check
+def test_exact_cut_when_the_guess_falls_short(monkeypatch):
+    # a 64-row sample target makes the guess read every 62nd row; those rows
+    # get each column's lowest (even columns) or highest (odd columns) values,
+    # so the sample overstates the tail, fewer rows than a side needs reach
+    # the guessed cut, and the full-column partition has to replace it
+    monkeypatch.setattr(si, "_SAMPLE_TARGET", 64)
+    n, p = 4000, 3
+    stride = np.arange(0, n, n // 64)
+    off_stride = np.setdiff1d(np.arange(n), stride)
+    full_partitions = []
+    partition = np.partition
+
+    def spy(a, kth, *args, **kwargs):
+        if np.size(a) == n:
+            full_partitions.append(kth)
+        return partition(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
     rng = CounterRng(33)
-    for trial in range(6):
-        n = 4000
-        feats = rng.normal(n * 3).reshape(n, 3)
+    for trial in range(4):
+        feats = rng.normal(n * p).reshape(n, p)
         if trial % 2:
             feats = np.round(feats, 1)  # tie-heavy
-        exact = run_iboss(feats, 60)
-        monkeypatch.setattr(si, "_PREFILTER_MIN_ROWS", 1)
-        monkeypatch.setattr(si, "_PREFILTER_FACTOR", 1)
-        fast = run_iboss(feats, 60)
-        monkeypatch.setattr(si, "_PREFILTER_MIN_ROWS", 1 << 17)
-        monkeypatch.setattr(si, "_PREFILTER_FACTOR", 16)
-        assert np.array_equal(exact.indices, fast.indices)
+        for j in range(p):
+            by_val = np.argsort(feats[:, j], kind="stable")
+            if j % 2:
+                by_val = by_val[::-1]
+            tail = by_val[: stride.size]
+            col = feats[:, j].copy()
+            feats[stride, j] = col[tail]
+            feats[off_stride, j] = col[np.setdiff1d(np.arange(n), tail)]
+        for n_target in (60, 600):
+            full_partitions.clear()
+            got = [int(i) for i in run_iboss(feats, n_target).indices]
+            assert full_partitions, "the guessed cut never fell short"
+            assert got == brute_force_reference(feats, n_target)
 
 
 def test_det_below_bound_on_simulated_data():

@@ -1,4 +1,4 @@
-"""What importing the command-line module costs."""
+"""What importing the package and the command-line module costs."""
 
 import os
 import subprocess
@@ -10,15 +10,27 @@ import numpy as np
 import subsel
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is most of the CLI's start-up time; only the simulators' intercept
-    # solver needs it, and that imports it when called
+def _probe(code: str, cwd=None) -> subprocess.CompletedProcess:
+    # a fresh interpreter that imports this checkout's sources
     src = Path(subsel.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = "import sys, subsel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         timeout=120, env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=cwd, check=True)
+
+
+def test_package_import_loads_nothing():
+    # the package exports nothing, so importing it pulls in neither numpy
+    # nor any of its own modules
+    out = _probe("import sys, subsel; "
+                 "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'subsel.'))))")
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is most of the CLI's start-up time; only the simulators' intercept
+    # solver needs it, and that imports it when called
+    out = _probe("import sys, subsel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.stdout.strip() == "[]"
 
 
@@ -28,14 +40,9 @@ def test_iboss_job_does_not_load_numpy_ma(tmp_path):
     rng = np.random.default_rng(0)
     rows = ["x1,x2,y"] + [f"{a!r},{b!r},{int(b > 0)}" for a, b in rng.normal(size=(30, 2)).tolist()]
     (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
-    src = Path(subsel.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = ("import sys; from subsel.cli import main; "
-             "code = main(['iboss', '--input', 'd.csv', '--n', '8', '--response', 'y', '--out', 'o.json']); "
-             "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         timeout=120, env=env, cwd=tmp_path, check=True)
+    out = _probe("import sys; from subsel.cli import main; "
+                 "code = main(['iboss', '--input', 'd.csv', '--n', '8', '--response', 'y', '--out', 'o.json']); "
+                 "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)", cwd=tmp_path)
     assert out.stderr.strip().splitlines()[-1] == "0 False"
     assert (tmp_path / "o.json").exists()
 
@@ -49,15 +56,10 @@ def test_stratified_logistic_seqdes_job_does_not_load_numpy_ma(tmp_path):
     y = (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(2.0 - x[:, 0]))).astype(int)
     rows = ["x1,x2,y"] + [f"{a!r},{b!r},{int(c)}" for (a, b), c in zip(x.tolist(), y)]
     (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
-    src = Path(subsel.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = ("import sys; from subsel.cli import main; "
-             "code = main(['seqdes', '--input', 'd.csv', '--response', 'y', '--family', 'logistic', "
-             "'--init', 'stratified', '--init-column', 'x1', '--init-quantiles', '4', "
-             "'--n-init', '60', '--n-target', '70', '--seed', '3', '--out', 'o.json']); "
-             "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         timeout=120, env=env, cwd=tmp_path, check=True)
+    out = _probe("import sys; from subsel.cli import main; "
+                 "code = main(['seqdes', '--input', 'd.csv', '--response', 'y', '--family', 'logistic', "
+                 "'--init', 'stratified', '--init-column', 'x1', '--init-quantiles', '4', "
+                 "'--n-init', '60', '--n-target', '70', '--seed', '3', '--out', 'o.json']); "
+                 "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)", cwd=tmp_path)
     assert out.stderr.strip().splitlines()[-1] == "0 False"
     assert (tmp_path / "o.json").exists()
