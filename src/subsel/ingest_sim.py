@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -99,9 +100,10 @@ def load_csv(
     confounder.  Raises ConfigError for missing columns and
     EmptyDatasetError when no usable rows remain.
 
-    A file whose used cells are all plain finite numbers is parsed in one
-    np.loadtxt pass; any other file is read again row by row, which alone
-    decides what is dropped or raised.  Both give the same values.
+    A file with no quote character whose used cells are all plain finite
+    numbers is parsed in one np.loadtxt pass; any other file is read again
+    row by row, which alone decides what is dropped or raised.  Both give
+    the same values.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -151,26 +153,39 @@ def load_csv(
     )
 
 
-def _unquoted(lines):
-    # csv.reader splits a quoted cell holding a comma or a newline where
-    # np.loadtxt does not, so a quote anywhere sends the file row by row
-    for line in lines:
-        if '"' in line:
-            raise ValueError("quoted cell")
-        yield line
+# Suffixes numpy decompresses when it opens a path; load_csv reads such a file as text
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _has_quote(path) -> bool:
+    with open(path, "rb") as fh:
+        return any(b'"' in block for block in iter(lambda: fh.read(1 << 20), b""))
 
 
 def _load_plain(path, usecols: list[int]) -> np.ndarray | None:
     """The used columns of the data rows in one np.loadtxt pass, or None
-    unless every used cell is a finite number and there is at least one row."""
+    unless every used cell is a finite number and there is at least one row.
+
+    csv.reader splits a quoted cell holding a comma or a newline where
+    np.loadtxt does not, so a quote anywhere in the file returns None.
+    np.loadtxt reads a path in C chunks; a name numpy would decompress is
+    handed over as an open text file instead, line by line.
+    """
+    if _has_quote(path):
+        return None
+    name = os.fspath(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        next(csv.reader(fh))  # the header
+        if isinstance(name, str) and os.path.splitext(name)[1] not in _COMPRESSED:
+            # absolute, so that numpy never takes the name for a URL
+            source = os.path.join(os.getcwd(), name)
+        else:
+            source = fh
         try:
             with warnings.catch_warnings():
                 # a file with no data rows warns; the row-wise reader reports it
                 warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt(_unquoted(fh), delimiter=",", usecols=usecols,
-                                 comments=None, dtype=float, ndmin=2)
+                arr = np.loadtxt(source, delimiter=",", skiprows=1, usecols=usecols,
+                                 comments=None, dtype=float, ndmin=2, encoding="utf-8")
         except ValueError:
             return None
     if arr.shape[0] == 0 or not np.all(np.isfinite(arr)):

@@ -13,6 +13,12 @@ Consecutive selections differ by one batch, so the loop reuses work:
 * each logistic refit starts from the previous estimate, and falls back to a
   cold start from 0 when that fit raises or ends unconverged; a sample with
   one response label has no MLE and is always fitted cold;
+* the selected rows of a logistic model also live in one
+  `estimation.LogisticRows` holder, to which each step appends its rows: a
+  refit starting at the previous fit's estimate starts from that fit's sums
+  plus the new rows' terms, and each Newton iterate is one fused pass over
+  the selection.  The fit's eigendecomposition of X'WX gives the D and A
+  utilities the inverse and log det of the working information matrix;
 * the nearest-row transfer keeps, for each grid point chosen, the leading
   part of the order of all rows by distance and a cursor into it (see
   `_NearestRows`);
@@ -26,10 +32,11 @@ Utilities:
 * ``Inu``/``Dnu``  minimize the robust loss of the augmented grid measure,
 * ``traceR`` minimize the bias-aware trace criterion (needs a BiasSpec).
 
-D, A and traceR invert one matrix per step through `criteria._sym_inverse`
-(the full working matrix, or for traceR its M11 block) and score every
-candidate as a rank-one update of that inverse (Sherman-Morrison), so a
-singular or ill-conditioned matrix raises SingularMatrixError.
+D, A and traceR invert one matrix per step (the full working matrix, or for
+traceR its M11 block) and score every candidate as a rank-one update of
+that inverse (Sherman-Morrison); a singular or ill-conditioned matrix
+raises SingularMatrixError.  The inverse comes from the logistic refit of
+the step before, or else from `criteria._sym_inverse`.
 
 The working regression inside the loop uses the full evaluated row (f, h, g
 blocks concatenated), so augmentation always sees the full information
@@ -52,7 +59,7 @@ from .errors import (
     SeparationError,
     SingularMatrixError,
 )
-from .estimation import FitResult, fit_logistic, fit_ols, sigmoid
+from .estimation import FitResult, LogisticRows, _logistic_terms, fit_logistic, fit_ols
 from .ingest_sim import write_rows
 from .model_core import (
     BiasSpec,
@@ -614,6 +621,10 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     sel_idx[:n_sel] = selected
     sel_rows[:n_sel] = rows_data[selected]
     sel_y[:n_sel] = y[selected]
+    # the same rows for the logistic refits, which keep their sums in it
+    held = LogisticRows(k, cfg.n_target) if family == "logistic" else None
+    if held is not None:
+        held.append(sel_rows[:n_sel], sel_y[:n_sel])
 
     def refit(theta0: np.ndarray) -> tuple[FitResult, bool]:
         """Fit of the current selection, and whether it was warm-started.
@@ -623,30 +634,34 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         sample has no MLE, so the start point would pick the answer: it is
         always fitted cold.
         """
-        xs, ys = sel_rows[:n_sel], sel_y[:n_sel]
+        ys = sel_y[:n_sel]
         if family != "logistic":
-            return fit_ols(xs, ys), False
+            return fit_ols(sel_rows[:n_sel], ys), False
         if ys.min() < ys.max():
             try:
-                warm = fit_logistic(xs, ys, theta0=theta0)
+                warm = fit_logistic(held, theta0=theta0)
             except (SingularMatrixError, SeparationError):
                 warm = None
             if warm is not None and warm.converged:
                 return warm, True
-        return fit_logistic(xs, ys), False
+        return fit_logistic(held), False
 
-    def empirical_info(theta: np.ndarray, info: np.ndarray | None = None) -> np.ndarray:
-        # info: X'WX of exactly these rows at theta, as a refit of them returns it
-        xs = sel_rows[:n_sel]
-        if info is None and family == "logistic":
-            pi = sigmoid(xs @ theta)
-            info = (xs * (pi * (1.0 - pi))[:, None]).T @ xs
-        elif info is None:
+    def working_info(theta: np.ndarray, fit: FitResult | None = None):
+        """(M, M^-1, log det M) of the working information matrix M of the
+        selection at theta.  The inverse and log det come from `fit` when it
+        is a logistic refit of exactly these rows, and are None otherwise."""
+        if fit is not None and fit.covariance is not None:
+            return (fit.information / n_sel, n_sel * fit.covariance,
+                    fit.information_logdet - k * np.log(n_sel))
+        if family == "logistic":
+            info = held.evaluate(theta)[2]
+        else:
+            xs = sel_rows[:n_sel]
             info = xs.T @ xs
         mat = info / n_sel
-        return (mat + mat.T) / 2.0
+        return (mat + mat.T) / 2.0, None, None
 
-    m_emp = empirical_info(fit.theta)
+    m_emp, m_inv, m_logdet = working_info(fit.theta)
     robust = None
     xi = None
     if cfg.utility in ("Inu", "Dnu"):
@@ -672,21 +687,20 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         n_c = n_sel
         w_new = 1.0 / (n_c + 1.0)
         if family == "logistic":
-            pi_g = sigmoid(rows_grid @ fit.theta)
-            c_grid = pi_g * (1.0 - pi_g)
+            c_grid = _logistic_terms(rows_grid @ fit.theta)[2]
         else:
             c_grid = np.ones(grid.n_points)
+        if cfg.utility in ("D", "A") and m_inv is None:
+            m_inv, _ = _sym_inverse(m_emp, "working information matrix")
+            m_logdet = np.linalg.slogdet(m_emp)[1]
 
         if cfg.utility == "D":
-            minv, _ = _sym_inverse(m_emp, "working information matrix")
-            gain = c_grid * np.einsum("gk,gk->g", rows_grid @ minv, rows_grid)
+            gain = c_grid * np.einsum("gk,gk->g", rows_grid @ m_inv, rows_grid)
             best = int(np.argmax(gain))
-            _, logdet = np.linalg.slogdet(m_emp)
-            util_val = float(logdet + np.log1p(w_new * gain[best]))
+            util_val = float(m_logdet + np.log1p(w_new * gain[best]))
         elif cfg.utility in ("A", "traceR"):
             if cfg.utility == "A":
-                minv, _ = _sym_inverse(m_emp, "working information matrix")
-                scores = _sherman_morrison(minv, rows_grid, w_new * c_grid)[2]
+                scores = _sherman_morrison(m_inv, rows_grid, w_new * c_grid)[2]
             else:
                 # the criterion lives on the unnormalized selection matrix / sigma^2
                 s2 = cfg.bias.sigma ** 2
@@ -709,17 +723,19 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         sel_idx[n_c:n_sel] = added
         sel_rows[n_c:n_sel] = rows_data[added]
         sel_y[n_c:n_sel] = y[added]
+        if held is not None:
+            held.append(sel_rows[n_c:n_sel], sel_y[n_c:n_sel])
 
         try:
             fit, warm = refit(fit.theta)
             newton_iters, converged = fit.iterations, fit.converged
-            m_emp = empirical_info(fit.theta, fit.information)
+            m_emp, m_inv, m_logdet = working_info(fit.theta, fit)
         except (SingularMatrixError, SeparationError):
             # keep the previous fit (its information on the new rows); the
             # step records a refit that failed
             fit_failures += 1
             warm, newton_iters, converged = False, 0, False
-            m_emp = empirical_info(fit.theta)
+            m_emp, m_inv, m_logdet = working_info(fit.theta)
         if xi is not None:
             xi = xi * n_c
             for i in added:

@@ -20,7 +20,15 @@ whether a change to the program left its behaviour alone.  This test can:
 - `criteria.json` and `check_get.json`: the `--out` files of `subsel
   criteria` (all eight criterion names) and `subsel check-get` for a
   ten-point design on that grid, with the seqdes model and bias file, which
-  pin the resolved configuration those two commands echo.
+  pin the resolved configuration those two commands echo;
+- `seqdes_logistic.json`: the selection of a logistic `subsel seqdes` run
+  (D utility, stratified initial sample on 20000 simulated loan rows,
+  2000 -> 2100), with each step's grid index and `newton_iters`, `converged`
+  and `warm`.  Its coefficients are not stored: they may move by ulps when
+  a refit's sums are reordered, and the selection must not;
+- `repro1_paper.json`: the `indices_sha256` of each of the three selections
+  of `subsel repro 1` at its paper-scale defaults (100000 rows, 5000 ->
+  6200).
 
 Every command runs in a scratch directory with relative paths, so the
 resolved configuration echoed in the outputs does not depend on where the
@@ -55,6 +63,7 @@ import numpy as np
 import pytest
 
 from subsel.cli import main
+from subsel.ingest_sim import default_analogue_grid
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -87,7 +96,16 @@ GRID_DESIGN = {
 
 
 STORED = ("iboss.json", "seqdes.json", "seqdes_traceR.json", "robust.json", "robust_trace.csv",
-          "criteria.json", "check_get.json")
+          "criteria.json", "check_get.json", "seqdes_logistic.json", "repro1_paper.json")
+
+
+def _analogue_grid() -> dict:
+    grid = default_analogue_grid()
+    return {"axes": {name: [float(v) for v in levels] for name, levels in zip(grid.names, grid.axes)}}
+
+
+def _write_json(path: str, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _cli(*argv: str) -> None:
@@ -137,6 +155,24 @@ def produce(work: Path) -> tuple[dict[str, str], dict[str, bytes]]:
              "--names", "D,A,I,Inu,Dnu,traceR,detR_bias,detR_conf", "--out", "criteria.json")
         _cli("check-get", "--model", "model.json", "--design", "design.json", "--grid", "grid.json",
              "--out", "check_get.json")
+
+        _cli("simulate", "mortgage", "--n", "20000", "--seed", "13", "--out", "loans20k.csv")
+        _write_json("analogue_grid.json", _analogue_grid())
+        _cli("seqdes", "--input", "loans20k.csv", "--grid", "analogue_grid.json", "--response", "default",
+             "--utility", "D", "--seed", "13", "--init", "stratified", "--init-column", "ccDebt",
+             "--init-quantiles", "10", "--n-init", "2000", "--n-target", "2100",
+             "--out", "seqdes_logistic_run.json")
+        run = json.loads(Path("seqdes_logistic_run.json").read_text())
+        keep = ("grid_index", "newton_iters", "converged", "warm")
+        _write_json("seqdes_logistic.json", {
+            "selection": run["selection"],
+            "steps": [{key: step[key] for key in keep} for step in run["trace"]["steps"]],
+        })
+        _cli("repro", "1", "--out-dir", "paper1", "--seed", "0")
+        _write_json("repro1_paper.json", {
+            name: json.loads(Path(f"paper1/selection_{name}.json").read_text())["provenance"]["indices_sha256"]
+            for name in ("random", "stratified", "doped")
+        })
     finally:
         os.chdir(here)
 

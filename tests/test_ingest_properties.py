@@ -3,9 +3,13 @@
 load_csv parses a file whose used cells are all plain finite numbers with
 one np.loadtxt pass and reads any other file row by row.  The generated
 files mix both kinds: unused columns, blank and whitespace-only lines, CRLF
-endings, a missing final newline, and cells that are empty, non-finite,
-underscored, quoted, commented, padded, short or long.
+and lone-CR endings, a missing final newline, and cells that are empty,
+non-finite, underscored, quoted, commented, padded, short or long.  Fixed
+cases add a quote only in the header, a quote past the first 1 MB block of
+the quote scan, and a file whose name ends in .gz, which is read as text.
 """
+
+import gzip
 
 import numpy as np
 import pytest
@@ -64,7 +68,7 @@ def csv_files(draw, hazard):
             odd.append(",".join(row() + [draw(st.sampled_from(HAZARDS)), draw(NUMBERS)]))
     for line in odd:
         lines.insert(draw(st.integers(0, len(lines))), line)
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join([",".join(names), *lines])
     if draw(st.booleans()):
         text += eol
@@ -126,17 +130,62 @@ def test_fast_path_agrees_with_rowwise_reader(csv_path, hazard, data):
         )
 
 
-def test_plain_file_is_parsed_in_one_pass(tmp_path, monkeypatch):
-    path = tmp_path / "plain.csv"
-    path.write_text("a,b,y\r\n1.5,-2,0.25\r\n\r\n3e2,4,1\r\n")
-
+def _forbid_rowwise(monkeypatch):
     def rowwise(*args):
         raise AssertionError("the row-wise reader ran on a plain file")
 
     monkeypatch.setattr("subsel.ingest_sim._load_rowwise", rowwise)
+
+
+def test_plain_file_is_parsed_in_one_pass(tmp_path, monkeypatch):
+    path = tmp_path / "plain.csv"
+    path.write_text("a,b,y\r\n1.5,-2,0.25\r\n\r\n3e2,4,1\r\n")
+    _forbid_rowwise(monkeypatch)
     data = load_csv(path, response_column="y")
     assert np.array_equal(data.features, [[1.5, -2.0], [300.0, 4.0]])
     assert np.array_equal(data.response, [0.25, 1.0])
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("header", ["a,b,y", '"a",b,y'])
+def test_line_endings_and_a_quoted_header(tmp_path, monkeypatch, eol, header):
+    path = tmp_path / "data.csv"
+    path.write_bytes(eol.join([header, "1.5,-2,0.25", "", "3e2,4,1", ""]).encode())
+    want = _outcome(lambda: _load_rowwise(path, ["a", "b", "y"], {"a": 0, "b": 1, "y": 2}, True))
+    if '"' not in header:
+        _forbid_rowwise(monkeypatch)  # one np.loadtxt pass, whatever the line ending
+    assert _outcome(lambda: _public(path, True, {"response_column": "y"})) == want
+    assert want[0] == "ok" and want[2] == (2, 3)
+    # a bad cell keeps its line number in the drop count and the strict error
+    monkeypatch.undo()
+    path.write_bytes(eol.join([header, "1.5,-2,0.25", "", "3e2,x,1", "5,6,0"]).encode())
+    assert load_csv(path, response_column="y").n_dropped == 1
+    with pytest.raises(ParseError) as err:
+        load_csv(path, response_column="y", strict=True)
+    assert (err.value.row, err.value.column) == (4, "b")
+
+
+def test_a_quote_past_the_first_block_sends_the_file_row_by_row(tmp_path):
+    # np.loadtxt would read the quoted cell's two lines as two rows
+    path = tmp_path / "big.csv"
+    text = "a,b\n" + "".join(f"{i}.5,{i}\n" for i in range(100_000)) + '7,"x\n8,9"\n'
+    assert text.index('"') > 1 << 20
+    path.write_text(text)
+    data = load_csv(path, feature_columns=["a"])
+    assert data.n_rows == 100_001 and data.features[-1, 0] == 7.0 and data.n_dropped == 0
+
+
+def test_a_gz_name_is_read_as_text(tmp_path, monkeypatch):
+    # numpy decompresses a path ending in .gz; load_csv never did
+    path = tmp_path / "data.csv.gz"
+    path.write_text("a,y\n1.5,0\n2.5,1\n")
+    _forbid_rowwise(monkeypatch)
+    data = load_csv(path, response_column="y")
+    assert np.array_equal(data.features, [[1.5], [2.5]]) and np.array_equal(data.response, [0.0, 1.0])
+    packed = tmp_path / "packed.csv.gz"
+    packed.write_bytes(gzip.compress(b"a,y\n1.5,0\n"))
+    with pytest.raises(UnicodeDecodeError):
+        load_csv(packed, response_column="y")
 
 
 def test_header_only_file_warns_nothing(tmp_path, recwarn):

@@ -311,6 +311,22 @@ def test_one_label_sample_is_refitted_cold():
     assert sel.provenance["fit_failures"] == 0
 
 
+def test_the_dope_initial_fit_never_seeds_a_refit():
+    # The dope initial fit also trains on the enrichment rows, so its sums are
+    # not those of the selection: the first refit starts at its theta but
+    # evaluates the selection in full, exactly as a fit of those rows does.
+    data = logistic_dataset()
+    cfg = SeqConfig(n_init=20, n_target=30, seed=3, init_strategy="dope", init_label=1.0)
+    sel, trace = run_sequential(data, GRID, line_spec(), cfg)
+    first = trace.steps[0]
+    assert first.warm
+    idx = sel.indices[: first.n_selected]
+    rows = model_matrix(line_spec(), data.features[idx])
+    direct = fit_logistic(rows, data.response[idx], theta0=trace.initial_theta)
+    assert np.array_equal(first.theta, direct.theta)
+    assert first.newton_iters == direct.iterations
+
+
 def test_step_record_of_warm_and_failed_refits():
     data = logistic_dataset()
     _, trace = run_sequential(data, GRID, line_spec(), SeqConfig(n_init=20, n_target=40, seed=3))
