@@ -31,7 +31,6 @@ from .model_core import (
     InformationMatrix,
     ModelSpec,
     as_columns,
-    eval_row,
     information_matrix,
     json_ready,
     model_matrix,
@@ -83,14 +82,6 @@ def effective_rank(m: InformationMatrix, tol: float = _RANK_TOL) -> int:
 
 # ---------------------------------------------------------------------------
 # classical values
-
-
-def variance_function(spec: ModelSpec, design: DesignMeasure, x, z=None) -> float:
-    """d((x, z), xi) = row' M(xi)^-1 row over the full (f, h, g) row."""
-    m = information_matrix(spec, design)
-    minv, _ = _sym_inverse(m.full, "information matrix")
-    row = eval_row(spec, x, z)
-    return float(row @ minv @ row)
 
 
 def variance_profile(spec: ModelSpec, design: DesignMeasure, grid: CandidateGrid) -> np.ndarray:
@@ -291,18 +282,13 @@ def top_eigenpair(sym: np.ndarray, tie_tol: float = 1e-10) -> tuple[float, np.nd
     eigvals, eigvecs = np.linalg.eigh((sym + sym.T) / 2.0)
     lam = float(eigvals[-1])
     thresh = tie_tol * max(1.0, abs(lam))
-    tied = [i for i in range(eigvals.size) if abs(eigvals[i] - lam) <= thresh]
-    best = None
-    for i in tied:
-        key = tuple(np.round(np.abs(eigvecs[:, i]), 12))
-        if best is None or key > best[0]:
-            best = (key, i)
-    vec = eigvecs[:, best[1]].copy()
-    for comp in vec:
-        if abs(comp) > 1e-12:
-            if comp < 0:
-                vec = -vec
-            break
+    tied = np.flatnonzero(np.abs(eigvals - lam) <= thresh).tolist()
+    # a single top column is taken as it is; among ties max keeps the first of the largest keys
+    best = tied[0] if len(tied) == 1 else max(tied, key=lambda i: tuple(np.round(np.abs(eigvecs[:, i]), 12)))
+    vec = eigvecs[:, best].copy()
+    lead = np.flatnonzero(np.abs(vec) > 1e-12)
+    if lead.size and vec[lead[0]] < 0:
+        vec = -vec
     return lam, vec
 
 
@@ -325,16 +311,14 @@ class _RobustParts(NamedTuple):
         return float(((1.0 - nu + nu * self.lam) / det_r) ** (1.0 / self.r_eigs.size))
 
 
-def _robust_kernel(q: np.ndarray, xi: np.ndarray, support: np.ndarray, iteration: int | None = None) -> _RobustParts:
+def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
     """The one evaluation of R and its functions behind every robust loss.
 
-    R and Q'D(xi^2)Q are sums over `support`, the ascending indices of the positive weights.
-    Raises SingularMatrixError when the smallest eigenvalue of R is below EIG_FLOOR.  For
-    orthonormal Q and simplex weights lambda_max(R) <= 1, so this rejects every R whose
-    condition number exceeds COND_LIMIT.
+    `q` and `xi` are the rows and weights of the support, the positive weights in ascending grid
+    order, so R and Q'D(xi^2)Q are sums over the support only.  Raises SingularMatrixError when the
+    smallest eigenvalue of R is below EIG_FLOOR.  For orthonormal Q and simplex weights
+    lambda_max(R) <= 1, so this rejects every R whose condition number exceeds COND_LIMIT.
     """
-    q = q[support]
-    xi = xi[support]
     r = (q * xi[:, None]).T @ q
     r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
     smallest = float(r_eigs[0])
@@ -377,7 +361,8 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
         raise InvalidInputError("weights must be non-negative")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise InvalidInputError("weights must sum to 1 within 1e-12")
-    parts = _robust_kernel(ctx.q_matrix, w, np.flatnonzero(w))
+    support = np.flatnonzero(w)
+    parts = _robust_kernel(ctx.q_matrix[support], w[support])
     nu = ctx.nu
 
     lam_u, vec_u = top_eigenpair(parts.u)

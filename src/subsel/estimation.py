@@ -141,13 +141,6 @@ def sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_likelihood(eta: np.ndarray, sign: np.ndarray) -> float:
-    # sign = 1 - 2y: log sigmoid(eta) = -log(1 + e^-eta), log(1 - sigmoid(eta)) = -log(1 + e^eta).
-    # The reference form `LogisticRows.evaluate` is tested against; the fit takes its
-    # log-likelihood from that pass's one exp instead (logaddexp would be a second one).
-    return float(-np.logaddexp(0.0, sign * eta).sum())
-
-
 def _logistic_terms(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(e, d, w) at eta: e = exp(-|eta|), d = 1 + e and the weight pi(1 - pi) = e/d^2."""
     e = np.exp(-np.abs(eta))

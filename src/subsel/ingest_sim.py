@@ -257,14 +257,25 @@ def write_csv(data: Dataset, path) -> None:
     write_rows(path, names, zip(*cols))
 
 
-def _scalars(items) -> bool:
-    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, items)))
+def _scalars(types) -> bool:
+    return not any(issubclass(t, (dict, list, tuple)) for t in types)
+
+
+def _float_texts(items: list, types: set) -> list[str] | None:
+    """json.dumps of each item if all are exactly float and most repeat an earlier value, formatting
+    each distinct bit pattern once (0.0 and -0.0 differ); else None: the C encoder writes the list."""
+    if types != {float} or 2 * len(set(items)) > len(items):
+        return None
+    bits = np.array(items).view(np.int64).tolist()
+    distinct = dict(zip(bits, items))
+    texts = json.dumps(list(distinct.values()), separators=("\n", ": "))[1:-1].split("\n")
+    return list(map(dict(zip(distinct, texts)).__getitem__, bits))
 
 
 def _indented(obj, pad: str) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) with lines after the first indented by `pad` more.
     A flat scalar list or a list of non-empty scalar rows takes one C-encoder call (json indents in
-    Python): its separator carries newline and indent, and only a row boundary puts `]` before it."""
+    Python) or `_float_texts`: its separator carries newline and indent, and only a row boundary puts `]`."""
     inner, deeper = pad + "  ", pad + "    "
     if not isinstance(obj, (dict, list, tuple)):
         return json.dumps(obj)
@@ -272,13 +283,24 @@ def _indented(obj, pad: str) -> str:
         if obj and all(isinstance(k, str) for k in obj):
             body = (",\n" + inner).join(f"{json.dumps(k)}: {_indented(obj[k], inner)}" for k in sorted(obj))
             return f"{{\n{inner}{body}\n{pad}}}"
-    elif obj and _scalars(obj):
-        return f"[\n{inner}" + json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1] + f"\n{pad}]"
-    elif obj and all(issubclass(t, (list, tuple)) for t in set(map(type, obj))) and all(obj) \
-            and _scalars(itertools.chain.from_iterable(obj)):
-        body = json.dumps(obj, separators=(",\n" + deeper, ": "))[2:-2]
-        body = body.replace("],\n" + deeper + "[", f"\n{inner}],\n{inner}[\n{deeper}")
-        return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
+    elif obj:
+        types = set(map(type, obj))
+        if _scalars(types):
+            sep = ",\n" + inner
+            texts = _float_texts(obj, types)
+            body = json.dumps(obj, separators=(sep, ": "))[1:-1] if texts is None else sep.join(texts)
+            return f"[\n{inner}{body}\n{pad}]"
+        if all(issubclass(t, (list, tuple)) for t in types) and all(obj):
+            cells = list(itertools.chain.from_iterable(obj))
+            types = set(map(type, cells))
+            if _scalars(types):
+                sep, rows = ",\n" + deeper, f"\n{inner}],\n{inner}[\n{deeper}"
+                texts = _float_texts(cells, types) if len(set(map(len, obj))) == 1 else None
+                if texts is None:
+                    body = json.dumps(obj, separators=(sep, ": "))[2:-2].replace("]" + sep + "[", rows)
+                else:
+                    body = rows.join(map(sep.join, zip(*[iter(texts)] * len(obj[0]))))
+                return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 

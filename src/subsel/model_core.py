@@ -259,20 +259,6 @@ def uniform_design(points, z_points=None) -> DesignMeasure:
     return DesignMeasure(xs, np.full(n, 1.0 / n), z_points)
 
 
-def convex_combination(a: DesignMeasure, b: DesignMeasure, alpha: float) -> DesignMeasure:
-    """(1 - alpha) a + alpha b; duplicate support merges at construction."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidInputError("alpha must lie in [0, 1]")
-    if a.dim != b.dim or (a.z_points is None) != (b.z_points is None):
-        raise InvalidInputError("measures live on different spaces")
-    xs = np.vstack([a.x_points, b.x_points])
-    w = np.concatenate([(1.0 - alpha) * a.weights, alpha * b.weights])
-    zs = None
-    if a.z_points is not None:
-        zs = np.vstack([a.z_points, b.z_points])
-    return DesignMeasure(xs, w, zs)
-
-
 # ---------------------------------------------------------------------------
 # candidate grids
 

@@ -18,9 +18,11 @@ and the mass moves toward argmax_i T_i (ties to the lowest index).  R and its
 functions come from the same kernel as criteria.wiens_losses, so the final
 D-loss of a run equals wiens_losses of its measure bit for bit.
 
-Each step adds mass at one point, so the kernel sums over the sorted support
-(at most n_init + iterations points); the grid pass is one product of the
-pairwise-column matrix, built once per run, with the packed triangle of A.
+Each step adds mass at one point, so the loop holds the sorted support, its
+weights and rows (at most n_init + iterations points), and the kernel sums over
+them; the one grid pass is the product of the pairwise-column matrix, built
+once per run, with the packed triangle of A.  Grid weights are scattered once,
+at the end, and the trace replays its per-step weights hashes when written.
 """
 
 from __future__ import annotations
@@ -48,10 +50,13 @@ class RobustStep:
     dnu: float
     lambda_max: float
     support_size: int  # grid points with positive weight after the step
-    weights_sha256: str
 
-    def to_json_dict(self) -> dict:
-        return json_ready(vars(self))
+
+def _add_point(w: np.ndarray, at: int, n: int) -> None:
+    """Move mass 1/(n+1) to w[at] in place: the measure of n points plus one at `at`."""
+    w *= n
+    w[at] += 1.0
+    w /= n + 1
 
 
 @dataclass
@@ -59,6 +64,7 @@ class RobustTrajectory:
     """Initial support, per-iteration records, and the final loss."""
 
     initial_indices: np.ndarray
+    n_grid: int
     steps: list[RobustStep] = field(default_factory=list)
     final_dnu: float = float("nan")
     stop_reason: str = "n_reached"
@@ -68,29 +74,42 @@ class RobustTrajectory:
                    ((s.iteration, s.chosen_index, s.dnu, s.lambda_max) for s in self.steps))
 
     def to_json_dict(self) -> dict:
-        return json_ready(vars(self))
+        """The trajectory with each step's `weights_sha256`, the sha256 of the grid's weight vector
+        after the step, replayed from `initial_indices` and the chosen points by the loop's update."""
+        xi = np.zeros(self.n_grid)
+        xi[self.initial_indices] = 1.0 / self.initial_indices.size
+        steps = []
+        for n, step in enumerate(self.steps, start=self.initial_indices.size):
+            _add_point(xi, step.chosen_index, n)
+            steps.append({**vars(step), "weights_sha256": hashlib.sha256(xi.tobytes()).hexdigest()})
+        return json_ready({"initial_indices": self.initial_indices, "steps": steps,
+                           "final_dnu": self.final_dnu, "stop_reason": self.stop_reason})
 
 
-def _pairwise_columns(q: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Products q_ia q_ib (a <= b) of every row, zero-padded to whole blocks of 16 rows so that
-    every row takes the same BLAS path (equal rows score equal), and the (a, b) pairs."""
+def _pairwise_columns(q: np.ndarray) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
+    """The quadratic-form columns of every row, q_ia q_ib for a = b and 2 q_ia q_ib for a < b,
+    zero-padded to whole blocks of 16 rows so that every row takes the same BLAS path (equal
+    rows score equal); the row count; and the (a, b) pairs."""
     n, p = q.shape
     triu = np.triu_indices(p)
     pairs = np.zeros((-(-n // 16) * 16, triu[0].size))
     np.multiply(q[:, triu[0]], q[:, triu[1]], out=pairs[:n])
-    return pairs, triu
+    pairs[:, triu[0] != triu[1]] *= 2.0  # exact, so each term equals the product with 2 a_ab
+    return pairs, n, triu
 
 
-def _direction_scores(q: np.ndarray, pairs: np.ndarray, triu: tuple[np.ndarray, np.ndarray],
-                      xi: np.ndarray, support: np.ndarray, nu: float, parts: _RobustParts) -> np.ndarray:
-    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every grid row q_i (xi_i = 0 off the support)."""
+def _direction_scores(grid: tuple, q_s: np.ndarray, xi_s: np.ndarray, support: np.ndarray, nu: float,
+                      parts: _RobustParts) -> np.ndarray:
+    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every row q_i of the `_pairwise_columns` grid; the xi_i
+    term is read from the support's rows q_s and weights xi_s (xi_i = 0 off the support)."""
+    pairs, n, triu = grid
     v = parts.root @ parts.z
     w = parts.inv_root @ parts.z
     j = parts.lam * (parts.rinv + np.outer(w, w)) + np.outer(w, v) + np.outer(v, w)
     a = (1.0 - nu) * parts.rinv + nu * j
-    scores = (pairs @ (a[triu] * np.where(triu[0] == triu[1], 1.0, 2.0)))[: q.shape[0]]
-    qw = q[support] @ w
-    scores[support] -= 2.0 * nu * xi[support] * (qw * qw)
+    scores = (pairs @ a[triu])[:n]
+    qw = q_s @ w
+    scores[support] -= 2.0 * nu * xi_s * (qw * qw)
     return scores
 
 
@@ -129,52 +148,42 @@ def run_wiens(
 
     q = ctx.q_matrix
     nu = ctx.nu
-    pairs, triu = _pairwise_columns(q)
+    grid = _pairwise_columns(q)
     rng = CounterRng(seed)
-    init = np.sort(rng.sample_indices(n_grid, n_init))
-    xi = np.zeros(n_grid)
-    xi[init] = 1.0 / n_init
-    support = init  # ascending; a point joins when first chosen and never leaves
+    # the ascending support (a point joins when first chosen and never leaves), its weights and rows
+    support = np.sort(rng.sample_indices(n_grid, n_init))
+    w = np.full(n_init, 1.0 / n_init)
+    q_s = q[support]
 
-    traj = RobustTrajectory(initial_indices=init.copy())
+    traj = RobustTrajectory(initial_indices=support.copy(), n_grid=n_grid)
     n = n_init
     while True:
         it = len(traj.steps) + 1
-        parts = _robust_kernel(q, xi, support, iteration=it)
+        parts = _robust_kernel(q_s, w, iteration=it)
         dnu = parts.dnu(nu)
         if n >= n_target or traj.stop_reason != "n_reached":
             traj.final_dnu = dnu
             break
-        best = int(np.argmax(_direction_scores(q, pairs, triu, xi, support, nu, parts)))
-        if xi[best] == 0.0:
-            support = np.insert(support, np.searchsorted(support, best), best)
+        best = int(np.argmax(_direction_scores(grid, q_s, w, support, nu, parts)))
+        at = int(np.searchsorted(support, best))
+        if at == support.size or support[at] != best:
+            support = np.insert(support, at, best)
+            w = np.insert(w, at, 0.0)
+            q_s = np.insert(q_s, at, q[best], axis=0)
 
-        xi *= n
-        xi[best] += 1.0
-        xi /= n + 1
+        _add_point(w, at, n)
         n += 1
-        total = float(xi.sum())
+        total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise InvalidInputError(f"weights left the simplex (sum {total!r})")
-        traj.steps.append(
-            RobustStep(
-                iteration=it,
-                chosen_index=best,
-                dnu=dnu,
-                lambda_max=parts.lam,
-                support_size=int(support.size),
-                weights_sha256=hashlib.sha256(xi.tobytes()).hexdigest(),
-            )
-        )
+        traj.steps.append(RobustStep(it, best, dnu, parts.lam, int(support.size)))
 
         if stop == "dnu_gain_below" and len(traj.steps) > stop_window:
             past = traj.steps[-1 - stop_window].dnu
             if (past - dnu) / max(abs(past), 1e-300) < stop_epsilon:
                 traj.stop_reason = "dnu_gain_below"
 
-    if ctx.z_dim > 0:
-        split = ctx.points.shape[1] - ctx.z_dim
-        measure = DesignMeasure(ctx.points[:, :split], xi, ctx.points[:, split:])
-    else:
-        measure = DesignMeasure(ctx.points, xi)
-    return measure, traj
+    xi = np.zeros(n_grid)
+    xi[support] = w
+    split = ctx.points.shape[1] - ctx.z_dim
+    return DesignMeasure(ctx.points[:, :split], xi, ctx.points[:, split:] if ctx.z_dim > 0 else None), traj

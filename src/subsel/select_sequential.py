@@ -373,7 +373,8 @@ class _RobustAugmenter:
         the Dnu candidates the bounds keep, in ascending order."""
         idx = np.arange(self.q.shape[0])
         try:
-            parts = _robust_kernel(self.q, xi, np.flatnonzero(xi))
+            support = np.flatnonzero(xi)
+            parts = _robust_kernel(self.q[support], xi[support])
         except SingularMatrixError:
             return idx, self._singular_base_values(xi, n)
         q, p, nu = self.q, self.p, self.nu

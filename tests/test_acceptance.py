@@ -328,7 +328,8 @@ def test_criterion_09_extreme_selection_beats_sequential_determinant(capsys):
 
 
 def test_criterion_10_robust_iteration_preserves_simplex_and_improves(capsys):
-    """Replayed weight paths stay on the simplex; the loss never worsens."""
+    """Replayed weight paths stay on the simplex, hash as the trace says and end at the returned
+    weights; the loss never worsens."""
     worst_sum = 0.0
     worst_gain = -np.inf
     hashes_ok = True
@@ -340,22 +341,22 @@ def test_criterion_10_robust_iteration_preserves_simplex_and_improves(capsys):
         f = model_matrix(spec, pts)
         ctx = RobustContext(f_matrix=f, q_matrix=np.linalg.qr(f)[0], nu=0.5, points=pts)
         n_init = spec.p + 1 + seed % 3
-        _, traj = run_wiens(ctx, n_init=n_init, n_target=n_init + 40, seed=seed)
+        measure, traj = run_wiens(ctx, n_init=n_init, n_target=n_init + 40, seed=seed)
+        hashes = [step["weights_sha256"] for step in traj.to_json_dict()["steps"]]
 
         # replay the exact weight path from the recorded choices
         xi = np.zeros(n_grid)
         xi[np.sort(CounterRng(seed).sample_indices(n_grid, n_init))] = 1.0 / n_init
         n = n_init
-        for step in traj.steps:
+        for step, digest in zip(traj.steps, hashes, strict=True):
             unit = np.zeros(n_grid)
             unit[step.chosen_index] = 1.0
             xi = (n * xi + unit) / (n + 1.0)
             n += 1
             worst_sum = max(worst_sum, abs(float(xi.sum()) - 1.0))
             nonneg_ok = nonneg_ok and bool(np.min(xi) >= 0.0)
-            hashes_ok = hashes_ok and (
-                hashlib.sha256(xi.tobytes()).hexdigest() == step.weights_sha256
-            )
+            hashes_ok = hashes_ok and hashlib.sha256(xi.tobytes()).hexdigest() == digest
+        hashes_ok = hashes_ok and np.array_equal(xi, measure.weights)
         worst_gain = max(worst_gain, traj.final_dnu - traj.steps[0].dnu)
 
     # near-pure bias weight piles mass onto the two endpoints
@@ -376,7 +377,7 @@ def test_criterion_10_robust_iteration_preserves_simplex_and_improves(capsys):
     _report(
         capsys, 10, ok,
         f"50 runs at nu=0.5: worst |sum-1| {worst_sum:.1e} (<= 1e-12), weights "
-        f"nonnegative {nonneg_ok}, hashes match {hashes_ok}, worst loss gain "
+        f"nonnegative {nonneg_ok}, hashes and final weights match {hashes_ok}, worst loss gain "
         f"{worst_gain:.1e} (<= 1e-9); nu=1e-6 endpoint mass {endpoint_mass:.4f} "
         f"(>= 0.9 after 2000 iterations)",
     )

@@ -19,7 +19,6 @@ from subsel.criteria import (
     montepiedra_check,
     top_eigenpair,
     trace_r,
-    variance_function,
     variance_profile,
     wiens_losses,
 )
@@ -29,6 +28,7 @@ from subsel.model_core import (
     CandidateGrid,
     DesignMeasure,
     ModelSpec,
+    eval_row,
     information_matrix,
     model_matrix,
     polynomial_basis,
@@ -81,6 +81,13 @@ def random_design(rng: CounterRng, spec: ModelSpec, n_pts: int = 6) -> DesignMea
 
 # ---------------------------------------------------------------------------
 # classical criteria
+
+
+def variance_function(spec: ModelSpec, design: DesignMeasure, x, z=None) -> float:
+    """d((x, z), xi) = row' M(xi)^-1 row over the full (f, h, g) row, one point at a time: the
+    scalar oracle of variance_profile."""
+    row = eval_row(spec, x, z)
+    return float(row @ np.linalg.solve(information_matrix(spec, design).full, row))
 
 
 def test_variance_function_uniform_endpoints():

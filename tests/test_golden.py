@@ -17,6 +17,9 @@ whether a change to the program left its behaviour alone.  This test can:
   files of `subsel robust` on the seqdes model and its (x, z) grid, whose
   trajectory records every step's support size and weights hash while the
   support grows from 6 to 71 points;
+- `robust_gain.json`: the `--out` file of `subsel robust` on the same model
+  and grid stopped by `--stop dnu_gain_below`, which pins the step at which
+  the relative Dnu gain over the trailing window first falls below epsilon;
 - `criteria.json` and `check_get.json`: the `--out` files of `subsel
   criteria` (all eight criterion names) and `subsel check-get` for a
   ten-point design on that grid, with the seqdes model and bias file, which
@@ -96,7 +99,7 @@ GRID_DESIGN = {
 
 
 STORED = ("iboss.json", "seqdes.json", "seqdes_traceR.json", "robust.json", "robust_trace.csv",
-          "criteria.json", "check_get.json", "seqdes_logistic.json", "repro1_paper.json")
+          "robust_gain.json", "criteria.json", "check_get.json", "seqdes_logistic.json", "repro1_paper.json")
 
 
 def _analogue_grid() -> dict:
@@ -149,6 +152,9 @@ def produce(work: Path) -> tuple[dict[str, str], dict[str, bytes]]:
              "--n-init", "12", "--n-target", "40", "--out", "seqdes_traceR.json")
         _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5",
              "--iters", "300", "--seed", "4", "--out", "robust.json", "--trace-csv", "robust_trace.csv")
+        _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5", "--iters", "300",
+             "--seed", "9", "--stop", "dnu_gain_below", "--stop-epsilon", "1e-3", "--window", "20",
+             "--out", "robust_gain.json")
         Path("design.json").write_text(json.dumps(GRID_DESIGN))
         _cli("criteria", "--model", "model.json", "--design", "design.json", "--grid", "grid.json",
              "--nu", "0.5", "--bias", "bias.json",

@@ -9,7 +9,6 @@ from subsel.model_core import (
     CandidateGrid,
     DesignMeasure,
     ModelSpec,
-    convex_combination,
     eval_row,
     information_matrix,
     information_matrix_from_selection,
@@ -107,18 +106,6 @@ def test_design_measure_read_only():
     d = uniform_design([[-1.0], [1.0]])
     with pytest.raises(ValueError):
         d.weights[0] = 0.9
-
-
-def test_convex_combination_mixes_information():
-    spec = line_spec()
-    a = uniform_design([[-1.0], [1.0]])
-    b = uniform_design([[0.0], [0.5]])
-    alpha = 0.3
-    mix = convex_combination(a, b, alpha)
-    m_mix = information_matrix(spec, mix).full
-    m_ab = (1 - alpha) * information_matrix(spec, a).full + alpha * information_matrix(spec, b).full
-    assert np.allclose(m_mix, m_ab, atol=1e-12)
-    assert mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_information_matrix_uniform_pm1_is_identity():

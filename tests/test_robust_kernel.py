@@ -86,11 +86,13 @@ def test_quadratic_form_matches_three_einsum_oracle(seed, p, extra, nu, data):
     support = data.draw(st.integers(p, n_grid), label="support")
     ctx = random_grid_ctx(seed, n_grid, p, nu)
     xi = simplex_weights(seed + 1, n_grid, support)
+    at = np.flatnonzero(xi)
+    q_s = ctx.q_matrix[at]
     try:
-        parts = _robust_kernel(ctx.q_matrix, xi, np.flatnonzero(xi))
+        parts = _robust_kernel(q_s, xi[at])
     except SingularMatrixError:
         assume(False)
-    got = _direction_scores(ctx.q_matrix, *_pairwise_columns(ctx.q_matrix), xi, np.flatnonzero(xi), nu, parts)
+    got = _direction_scores(_pairwise_columns(ctx.q_matrix), q_s, xi[at], at, nu, parts)
     want = oracle_scores(ctx.q_matrix, xi, nu)
     tol = 1e-12 * float(np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) <= tol
@@ -133,12 +135,13 @@ def test_run_wiens_weights_stay_on_the_simplex(seed, p, extra, nu, data):
     assert len(traj.steps) == n_target - n_init
     assert np.all(measure.weights >= 0.0)
     assert abs(float(measure.weights.sum()) - 1.0) <= 1e-12
+    hashes = [step["weights_sha256"] for step in traj.to_json_dict()["steps"]]
     xi = None
-    for step, xi in replay(ctx, traj, seed, n_init):
+    for (step, xi), digest in zip(replay(ctx, traj, seed, n_init), hashes, strict=True):
         assert np.all(xi >= 0.0)
         assert abs(float(xi.sum()) - 1.0) <= 1e-12
         assert step.support_size == np.count_nonzero(xi)
-        assert hashlib.sha256(xi.tobytes()).hexdigest() == step.weights_sha256
+        assert hashlib.sha256(xi.tobytes()).hexdigest() == digest
     assert np.array_equal(xi, measure.weights)
     assert wiens_losses(ctx, measure.weights)[1].value == traj.final_dnu
 
@@ -193,13 +196,14 @@ def test_support_kernel_matches_the_full_grid_kernel(seed, p, extra, nu, data):
     support = data.draw(st.integers(p, min(n_grid, 2 * p + 3)), label="support")
     ctx = random_grid_ctx(seed, n_grid, p, nu)
     xi = simplex_weights(seed + 1, n_grid, support)
+    at = np.flatnonzero(xi)
     try:
         r, b2, lam, dnu = full_grid_kernel(ctx.q_matrix, xi, nu)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
-            _robust_kernel(ctx.q_matrix, xi, np.flatnonzero(xi))
+            _robust_kernel(ctx.q_matrix[at], xi[at])
         return
-    parts = _robust_kernel(ctx.q_matrix, xi, np.flatnonzero(xi))
+    parts = _robust_kernel(ctx.q_matrix[at], xi[at])
     assert_close(parts.r, r)
     assert_close(parts.b2, b2)
     assert_close(parts.lam, lam)
@@ -240,13 +244,15 @@ def test_run_wiens_follows_the_full_grid_oracle(seed, p, extra, nu, data):
         measure, traj = run_wiens(ctx, n_init=n_init, n_target=n_target, seed=seed)
     except SingularMatrixError:
         assume(False)
+    hashes = [step["weights_sha256"] for step in traj.to_json_dict()["steps"]]
     xi = None
-    for step, (best, size, xi, decisive) in zip(traj.steps, oracle_path(ctx, n_init, n_target, seed)):
+    path = zip(traj.steps, hashes, oracle_path(ctx, n_init, n_target, seed), strict=True)
+    for step, digest, (best, size, xi, decisive) in path:
         if not decisive:
             return  # a near-tie: either choice is right, and the paths may part here
         assert step.chosen_index == best
         assert step.support_size == size
-        assert hashlib.sha256(xi.tobytes()).hexdigest() == step.weights_sha256
+        assert hashlib.sha256(xi.tobytes()).hexdigest() == digest
     assert np.array_equal(measure.weights, xi)
 
 
@@ -267,9 +273,64 @@ def test_equal_grid_rows_score_exactly_equal(seed, p, extra, nu, data):
     copies = data.draw(st.lists(st.integers(2 * p, n_grid - 2), max_size=6), label="copies")
     q = ctx.q_matrix.copy()
     q[copies + [n_grid - 1]] = q[-2]
+    at = np.flatnonzero(xi)
     try:
-        parts = _robust_kernel(q, xi, np.flatnonzero(xi))
+        parts = _robust_kernel(q[at], xi[at])
     except SingularMatrixError:
         assume(False)
-    scores = _direction_scores(q, *_pairwise_columns(q), xi, np.flatnonzero(xi), nu, parts)
+    scores = _direction_scores(_pairwise_columns(q), q[at], xi[at], at, nu, parts)
     assert np.all(scores[copies + [n_grid - 1]] == scores[-2])
+
+
+def tie_loop_top_eigenpair(sym: np.ndarray, tie_tol: float = 1e-10):
+    """The earlier top_eigenpair: every tied column keyed by its rounded |v|, then a loop over
+    the components for the sign."""
+    eigvals, eigvecs = np.linalg.eigh((sym + sym.T) / 2.0)
+    lam = float(eigvals[-1])
+    thresh = tie_tol * max(1.0, abs(lam))
+    tied = [i for i in range(eigvals.size) if abs(eigvals[i] - lam) <= thresh]
+    best = None
+    for i in tied:
+        key = tuple(np.round(np.abs(eigvecs[:, i]), 12))
+        if best is None or key > best[0]:
+            best = (key, i)
+    vec = eigvecs[:, best[1]].copy()
+    for comp in vec:
+        if abs(comp) > 1e-12:
+            if comp < 0:
+                vec = -vec
+            break
+    return lam, vec
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices, many with a top eigenvalue tied exactly or within the tie tolerance,
+    some with leading zero components in their eigenvectors."""
+    p = draw(st.integers(1, 6), label="p")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["random", "tied", "diagonal", "blocks"]), label="kind")
+    if kind == "random":
+        a = rng.normal(size=(p, p))
+        return a + a.T
+    top = draw(st.sampled_from([1.0, -0.5, 0.0, 1e-13, 3e5]), label="top")
+    ties = draw(st.integers(1, p), label="ties")
+    vals = np.concatenate([np.full(ties, top), top - rng.uniform(0.1, 2.0, p - ties)])
+    vals[:ties] += draw(st.sampled_from([0.0, 1e-14, 1e-11]), label="jitter") * np.arange(ties)
+    if kind == "diagonal":
+        return np.diag(rng.permutation(vals))
+    basis = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    if kind == "blocks":  # the leading coordinates fall outside the top eigenspace
+        basis[:, :ties] = np.eye(p)[:, p - ties:] * rng.choice([-1.0, 1.0], ties)
+        basis[:, ties:] = np.eye(p)[:, : p - ties]
+    return (basis * vals) @ basis.T
+
+
+@given(sym=symmetric_matrices())
+def test_top_eigenpair_is_bit_identical_to_the_tie_loop(sym):
+    lam, vec = top_eigenpair(sym)
+    want_lam, want_vec = tie_loop_top_eigenpair(sym)
+    assert np.float64(lam).tobytes() == np.float64(want_lam).tobytes()
+    assert vec.tobytes() == want_vec.tobytes()
+

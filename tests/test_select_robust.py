@@ -29,25 +29,26 @@ def test_returns_simplex_measure_on_the_grid():
 
 def test_replayed_weight_evolution_stays_on_simplex():
     # reconstruct the weight path from the recorded choices and confirm both
-    # the per-step hashes and the simplex invariant at every iteration
+    # the per-step hashes the trace writes and the simplex invariant at every iteration
     ctx = ctx_on_line(0.5)
     n_init, n_target, seed = 3, 103, 7
     measure, traj = run_wiens(ctx, n_init, n_target, seed=seed)
+    hashes = [step["weights_sha256"] for step in traj.to_json_dict()["steps"]]
     rng = CounterRng(seed)
     init = np.sort(rng.sample_indices(ctx.n_grid, n_init))
     assert np.array_equal(traj.initial_indices, init)
     xi = np.zeros(ctx.n_grid)
     xi[init] = 1.0 / n_init
     n = n_init
-    for step in traj.steps:
+    for step, digest in zip(traj.steps, hashes, strict=True):
         e = np.zeros(ctx.n_grid)
         e[step.chosen_index] = 1.0
         xi = (n * xi + e) / (n + 1.0)
         n += 1
         assert abs(xi.sum() - 1.0) <= 1e-12
         assert np.all(xi >= 0.0)
-        assert hashlib.sha256(xi.tobytes()).hexdigest() == step.weights_sha256
-    assert np.allclose(xi, measure.weights, atol=0)
+        assert hashlib.sha256(xi.tobytes()).hexdigest() == digest
+    assert np.array_equal(xi, measure.weights)
 
 
 def test_loss_improves_from_the_initial_measure():
@@ -72,7 +73,7 @@ def test_same_seed_replays_exactly():
     a, ta = run_wiens(ctx, n_init=4, n_target=104, seed=11)
     b, tb = run_wiens(ctx, n_init=4, n_target=104, seed=11)
     assert np.array_equal(a.weights, b.weights)
-    assert [s.weights_sha256 for s in ta.steps] == [s.weights_sha256 for s in tb.steps]
+    assert ta.to_json_dict() == tb.to_json_dict()
     c, _ = run_wiens(ctx, n_init=4, n_target=104, seed=12)
     assert not np.array_equal(a.weights, c.weights)
 
