@@ -31,7 +31,6 @@ from .criteria import (
 )
 from .errors import (
     ConfigError,
-    ExhaustionError,
     InvalidInputError,
     SeparationError,
     SingularMatrixError,
@@ -70,7 +69,7 @@ from .select_sequential import (
 
 # every other SubselError is a configuration or input problem
 _CONFIG_ERRORS = (SubselError, FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError)
-_NUMERICAL_ERRORS = (SingularMatrixError, SeparationError, ExhaustionError)
+_NUMERICAL_ERRORS = (SingularMatrixError, SeparationError)
 
 
 def _emit_error(kind: str, exc_type: str, message: str) -> None:

@@ -1,9 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Configuration-style failures (bad arguments, malformed files, degenerate
-inputs) derive from ValueError; numerical failures (singularity, separation,
-exhausted iteration budgets) derive from ArithmeticError / RuntimeError.
-The CLI maps the two families to distinct exit codes.
+inputs) derive from ValueError; numerical failures (singularity, separation)
+derive from ArithmeticError.  The CLI maps the two families to distinct exit
+codes.
 """
 
 from __future__ import annotations
@@ -76,11 +76,3 @@ def check_conditioning(eigvals, what: str) -> None:
 
 class SeparationError(SubselError, ArithmeticError):
     """Logistic fit diverged: coefficients grow without bound."""
-
-
-class ExhaustionError(SubselError, RuntimeError):
-    """An iterative procedure ran out of rows or iterations."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration

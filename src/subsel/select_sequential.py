@@ -2,11 +2,25 @@
 
 Starting from a seeded initial subsample, each iteration scores every
 candidate grid point by the improvement a one-point design augmentation
-would bring under the configured utility, picks the best candidate (ties to
-the lowest grid index), transfers the nearest not-yet-selected data rows to
-the selection, and refits the working model.  For a 0/1 response the fit is
-logistic and all information matrices carry the pi(1-pi) weights of the
+would bring under the configured utility, transfers the nearest
+not-yet-selected data rows to the best candidate, refits the working model,
+and counts the new rows into the scorer's state.  For a 0/1 response the fit
+is logistic and all information matrices carry the pi(1-pi) weights of the
 current fit; otherwise the fit is least squares and weights are 1.
+
+The utility is read once, before the loop, to pick its scorer
+(`_pick_scorer`); each returns the (grid index, value) of its best
+candidate, ties to the lowest grid index.  ``D`` maximizes det(M + w c r r'),
+``A`` minimizes the trace of its inverse and ``traceR`` (which needs a
+BiasSpec) the bias-aware trace.  These three read the working information
+matrix M of the selection, built from full rows r (f, h and g blocks), and
+each candidate's weight c, pi(1-pi) at the current fit or 1.  They invert
+one matrix per step (M, or for traceR its M11 block; the logistic refit
+supplies M's inverse) and score every candidate as a rank-one update of
+that inverse; a singular or ill-conditioned matrix raises
+SingularMatrixError.  ``Inu`` and ``Dnu`` minimize a robust loss of the grid
+measure xi of the selection, in which each selected row counts at its
+nearest grid cell.
 
 Consecutive selections differ by one batch, so the loop reuses work:
 
@@ -24,29 +38,13 @@ Consecutive selections differ by one batch, so the loop reuses work:
   `_NearestRows`);
 * the selected model rows and responses live in preallocated buffers, so
   refits and the working information matrix read a prefix.
-
-Utilities:
-
-* ``D``      maximize det(M + w c row row') via the variance function,
-* ``A``      minimize trace of the inverse of the augmented matrix,
-* ``Inu``/``Dnu``  minimize the robust loss of the augmented grid measure,
-* ``traceR`` minimize the bias-aware trace criterion (needs a BiasSpec).
-
-D, A and traceR invert one matrix per step (the full working matrix, or for
-traceR its M11 block) and score every candidate as a rank-one update of
-that inverse (Sherman-Morrison); a singular or ill-conditioned matrix
-raises SingularMatrixError.  The inverse comes from the logistic refit of
-the step before, or else from `criteria._sym_inverse`.
-
-The working regression inside the loop uses the full evaluated row (f, h, g
-blocks concatenated), so augmentation always sees the full information
-matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,7 +52,6 @@ from .criteria import _robust_kernel, _sym_inverse
 from .errors import (
     EIG_FLOOR,
     DegenerateColumnError,
-    ExhaustionError,
     InvalidInputError,
     SeparationError,
     SingularMatrixError,
@@ -113,8 +110,12 @@ class SeqConfig:
         if self.utility in ("Inu", "Dnu"):
             if self.nu is None or not 0.0 <= self.nu <= 1.0:
                 raise InvalidInputError("Inu/Dnu utilities need nu in [0, 1]")
+        elif self.nu is not None:
+            raise InvalidInputError(f"nu is read by the Inu and Dnu utilities only, not by {self.utility}")
         if self.utility == "traceR" and self.bias is None:
             raise InvalidInputError("traceR utility needs a BiasSpec")
+        if self.utility != "traceR" and self.bias is not None:
+            raise InvalidInputError(f"a BiasSpec is read by the traceR utility only, not by {self.utility}")
         if self.family not in FAMILIES:
             raise InvalidInputError(f"family must be one of {FAMILIES}")
         if self.distance not in DISTANCES:
@@ -225,24 +226,21 @@ def _stratified_init(rng: CounterRng, values: np.ndarray, edge_pool: np.ndarray,
 
 def _initial_indices(rng: CounterRng, cfg: SeqConfig, coords: np.ndarray,
                      y: np.ndarray, feature_names, family: str) -> tuple[list[int], list[int]]:
-    """Initial retained rows and the rows used to train the first estimate.
+    """Initial retained rows, and the further rows that train only the first estimate.
 
-    Both lists are usually identical.  The dope strategy differs: rows whose
-    response equals the label enrich the training list so the first estimate
-    is informed, but the retained subset stays response-blind.  Retaining
-    rows because of their own response would bias every later estimate (the
-    forced rows' score terms no longer average to zero), which is also why
-    the stratified strategy takes only its bin edges from the labeled rows.
+    The second list is empty but for the dope strategy: the rows whose
+    response equals the label (ascending) enrich the first fit so that its
+    estimate is informed, while the retained subset stays response-blind.
+    Retaining rows for their own response would bias every later estimate
+    (their score terms no longer average to zero); for the same reason the
+    stratified strategy takes only its bin edges from the labeled rows.
     """
     n = coords.shape[0]
     if cfg.init_strategy == "random":
-        retained = [int(i) for i in rng.sample_indices(n, cfg.n_init)]
-        return retained, retained
+        return [int(i) for i in rng.sample_indices(n, cfg.n_init)], []
     if cfg.init_strategy == "dope":
         retained = [int(i) for i in rng.sample_indices(n, cfg.n_init)]
-        doped = np.flatnonzero(y == cfg.init_label)
-        fit_rows = sorted(set(retained).union(int(i) for i in doped))
-        return retained, fit_rows
+        return retained, sorted(set(np.flatnonzero(y == cfg.init_label).tolist()) - set(retained))
     # stratified
     col = cfg.init_column
     if isinstance(col, str):
@@ -256,8 +254,7 @@ def _initial_indices(rng: CounterRng, cfg: SeqConfig, coords: np.ndarray,
     edge_pool = np.flatnonzero(y == 1.0) if family == "logistic" else np.arange(n)
     if edge_pool.size == 0:
         edge_pool = np.arange(n)
-    retained = _stratified_init(rng, coords[:, col], edge_pool, cfg.n_init, cfg.init_quantiles)
-    return retained, retained
+    return _stratified_init(rng, coords[:, col], edge_pool, cfg.n_init, cfg.init_quantiles), []
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +464,64 @@ def _trace_r_scores(m_full: np.ndarray, rows_grid: np.ndarray, a: np.ndarray, p:
     return tr + bias.ratio**2 * np.einsum("gi,gi->g", mz, mz)
 
 
+def _lowest(scores: np.ndarray) -> tuple[int, float]:
+    g = int(np.argmin(scores))
+    return g, float(scores[g])
+
+
+def _inverse(info) -> tuple[np.ndarray, float]:
+    """(M^-1, log det M) of info = (M, M^-1, log det M), inverting M when the refit gave no inverse."""
+    if info[1] is None:
+        return _sym_inverse(info[0], "working information matrix")[0], np.linalg.slogdet(info[0])[1]
+    return info[1], info[2]
+
+
+def _d_best(info, rows: np.ndarray, c: np.ndarray, n: int) -> tuple[int, float]:
+    """D: the largest log det(M + c_g r_g r_g'/(n + 1)), through the variance r_g'M^-1 r_g."""
+    m_inv, m_logdet = _inverse(info)
+    gain = c * np.einsum("gk,gk->g", rows @ m_inv, rows)
+    g = int(np.argmax(gain))
+    return g, float(m_logdet + np.log1p((1.0 / (n + 1.0)) * gain[g]))
+
+
+def _a_best(info, rows: np.ndarray, c: np.ndarray, n: int) -> tuple[int, float]:
+    """A: the smallest trace of (M + c_g r_g r_g'/(n + 1))^-1."""
+    return _lowest(_sherman_morrison(_inverse(info)[0], rows, (1.0 / (n + 1.0)) * c)[2])
+
+
+def _trace_r_best(bias: BiasSpec, p: int, info, rows: np.ndarray, c: np.ndarray, n: int) -> tuple[int, float]:
+    """traceR: the smallest bias-aware trace, on the unnormalized selection matrix n M / sigma^2."""
+    s2 = bias.sigma ** 2
+    return _lowest(_trace_r_scores(info[0] * n / s2, rows, c / s2, p, bias))
+
+
+def _pick_scorer(cfg: SeqConfig, p: int, rows_grid: np.ndarray, grid_s: np.ndarray, logistic: bool):
+    """(best, count) of cfg.utility: the one place the loop's utility is chosen.
+
+    best(info, theta, n) is the (grid index, value) of the best one-point
+    augmentation of the n selected rows; count(coords, n_old) adds the rows
+    at the matching coordinates `coords` to the scorer's state.
+    """
+    if cfg.utility in ("Inu", "Dnu"):
+        augmenter = _RobustAugmenter(rows_grid, cfg.nu, cfg.utility)
+        xi = np.zeros(grid_s.shape[0])
+
+        def count(coords: np.ndarray, n_old: int) -> None:
+            xi[:] *= n_old
+            for point in coords:
+                xi[int(np.argmin(((grid_s - point) ** 2).sum(axis=1)))] += 1.0
+            xi[:] /= n_old + coords.shape[0]
+
+        return (lambda info, theta, n: augmenter.best(xi, n)), count
+    score = {"D": _d_best, "A": _a_best, "traceR": partial(_trace_r_best, cfg.bias, p)}[cfg.utility]
+    ones = np.ones(rows_grid.shape[0])
+
+    def best(info, theta: np.ndarray, n: int) -> tuple[int, float]:
+        return score(info, rows_grid, _logistic_terms(rows_grid @ theta)[2] if logistic else ones, n)
+
+    return best, lambda coords, n_old: None
+
+
 # ---------------------------------------------------------------------------
 # nearest-row transfer
 
@@ -568,14 +623,10 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
             f"grid dimension {grid.dim} does not match data dimension {coords.shape[1]}"
         )
 
-    if cfg.distance == "scaled":
-        sd = coords.std(axis=0, ddof=1)
-        flat = np.flatnonzero(sd <= 0.0)
-        if flat.size:
-            raise DegenerateColumnError(f"constant column {int(flat[0])} cannot be distance-scaled")
-        scale = sd
-    else:
-        scale = np.ones(coords.shape[1])
+    scale = coords.std(axis=0, ddof=1) if cfg.distance == "scaled" else np.ones(coords.shape[1])
+    flat = np.flatnonzero(scale <= 0.0)
+    if flat.size:
+        raise DegenerateColumnError(f"constant column {int(flat[0])} cannot be distance-scaled")
     coords_s = coords / scale
     grid_s = grid.points / scale
 
@@ -589,10 +640,7 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
 
     rng = CounterRng(cfg.seed)
     names = getattr(data, "feature_names", None)
-    selected, init_fit_rows = _initial_indices(rng, cfg, feats, y, names, family)
-    # training-only enrichment rows (dope): inform the first estimate without
-    # entering the retained subset
-    extra_fit = sorted(set(init_fit_rows) - set(selected))
+    selected, extra_fit = _initial_indices(rng, cfg, feats, y, names, family)
     in_sel = np.zeros(n_rows, dtype=bool)
     in_sel[selected] = True
 
@@ -628,13 +676,9 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         held.append(sel_rows[:n_sel], sel_y[:n_sel])
 
     def refit(theta0: np.ndarray) -> tuple[FitResult, bool]:
-        """Fit of the current selection, and whether it was warm-started.
-
-        A logistic refit continues from theta0; it falls back to a cold
-        start from 0 when that fit raises or ends unconverged.  A one-label
-        sample has no MLE, so the start point would pick the answer: it is
-        always fitted cold.
-        """
+        """Fit of the current selection, and whether it continued from theta0
+        (see the module docstring: a one-label sample has no MLE, so its start
+        point would pick the answer)."""
         ys = sel_y[:n_sel]
         if family != "logistic":
             return fit_ols(sel_rows[:n_sel], ys), False
@@ -662,16 +706,9 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         mat = info / n_sel
         return (mat + mat.T) / 2.0, None, None
 
-    m_emp, m_inv, m_logdet = working_info(fit.theta)
-    robust = None
-    xi = None
-    if cfg.utility in ("Inu", "Dnu"):
-        robust = _RobustAugmenter(rows_grid, cfg.nu, cfg.utility)
-        xi = np.zeros(grid.n_points)
-        for i in selected:
-            g = int(np.argmin(((grid_s - coords_s[i]) ** 2).sum(axis=1)))
-            xi[g] += 1.0
-        xi /= n_sel
+    info = working_info(fit.theta)
+    score, count = _pick_scorer(cfg, spec.p, rows_grid, grid_s, family == "logistic")
+    count(coords_s[selected], 0)
 
     trace = SeqTrace(
         initial_indices=sel_idx[:n_sel].astype(int),
@@ -679,45 +716,14 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     )
     nearest = _NearestRows(coords_s, grid_s)
     fit_failures = 0
-    prev_utility = None
-    stop_reason = "n_reached"
-    iteration = 0
 
     while n_sel < cfg.n_target:
-        iteration += 1
         n_c = n_sel
-        w_new = 1.0 / (n_c + 1.0)
-        if family == "logistic":
-            c_grid = _logistic_terms(rows_grid @ fit.theta)[2]
-        else:
-            c_grid = np.ones(grid.n_points)
-        if cfg.utility in ("D", "A") and m_inv is None:
-            m_inv, _ = _sym_inverse(m_emp, "working information matrix")
-            m_logdet = np.linalg.slogdet(m_emp)[1]
+        best, util_val = score(info, fit.theta, n_c)
 
-        if cfg.utility == "D":
-            gain = c_grid * np.einsum("gk,gk->g", rows_grid @ m_inv, rows_grid)
-            best = int(np.argmax(gain))
-            util_val = float(m_logdet + np.log1p(w_new * gain[best]))
-        elif cfg.utility in ("A", "traceR"):
-            if cfg.utility == "A":
-                scores = _sherman_morrison(m_inv, rows_grid, w_new * c_grid)[2]
-            else:
-                # the criterion lives on the unnormalized selection matrix / sigma^2
-                s2 = cfg.bias.sigma ** 2
-                scores = _trace_r_scores(m_emp * n_c / s2, rows_grid, c_grid / s2, spec.p, cfg.bias)
-            best = int(np.argmin(scores))
-            util_val = float(scores[best])
-        else:
-            best, util_val = robust.best(xi, n_c)
-
-        # transfer the nearest unsampled data rows to the selection
+        # transfer the nearest unsampled data rows to the selection; n_target
+        # <= n_rows leaves at least m_eff of them
         m_eff = min(cfg.batch_size, cfg.n_target - n_c)
-        avail = int(n_rows - n_c)
-        if avail < m_eff:
-            raise ExhaustionError(
-                f"only {avail} selectable rows remain, need {m_eff}", iteration=iteration
-            )
         added = nearest.take(best, m_eff, in_sel)
         in_sel[added] = True
         n_sel = n_c + m_eff
@@ -730,23 +736,18 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         try:
             fit, warm = refit(fit.theta)
             newton_iters, converged = fit.iterations, fit.converged
-            m_emp, m_inv, m_logdet = working_info(fit.theta, fit)
+            info = working_info(fit.theta, fit)
         except (SingularMatrixError, SeparationError):
             # keep the previous fit (its information on the new rows); the
             # step records a refit that failed
             fit_failures += 1
             warm, newton_iters, converged = False, 0, False
-            m_emp, m_inv, m_logdet = working_info(fit.theta)
-        if xi is not None:
-            xi = xi * n_c
-            for i in added:
-                g = int(np.argmin(((grid_s - coords_s[i]) ** 2).sum(axis=1)))
-                xi[g] += 1.0
-            xi /= n_sel
+            info = working_info(fit.theta)
+        count(coords_s[added], n_c)
 
         trace.steps.append(
             SeqStep(
-                iteration=iteration,
+                iteration=len(trace.steps) + 1,
                 grid_index=best,
                 grid_point=grid.points[best].copy(),
                 data_indices=added.astype(int),
@@ -759,14 +760,12 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
             )
         )
 
-        if cfg.stop_rule == "utility_gain_below" and prev_utility is not None:
-            if abs(util_val - prev_utility) < cfg.stop_epsilon:
-                stop_reason = "utility_gain_below"
+        if cfg.stop_rule == "utility_gain_below" and len(trace.steps) > 1:
+            if abs(util_val - trace.steps[-2].utility) < cfg.stop_epsilon:
+                trace.stop_reason = "utility_gain_below"
                 break
-        prev_utility = util_val
 
     trace.final_fit = fit
-    trace.stop_reason = stop_reason
     checksum = hashlib.sha256(sel_idx[:n_sel].tobytes()).hexdigest()
     selection = SubsampleSelection(
         indices=sel_idx[:n_sel].astype(int),
@@ -779,7 +778,7 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
             "batch_size": cfg.batch_size,
             "init_strategy": cfg.init_strategy,
             "seed": cfg.seed,
-            "stop_reason": stop_reason,
+            "stop_reason": trace.stop_reason,
             "fit_failures": fit_failures,
             "indices_sha256": checksum,
         },

@@ -370,6 +370,24 @@ def test_seqdes_invalid_utility_combination(data_csv, model_file, grid_file, cap
     assert stderr_payload(err)["kind"] == "config"
 
 
+@pytest.mark.parametrize("option", ["nu", "bias"])
+def test_seqdes_option_the_utility_does_not_read_exits_2(tmp_path, data_csv, model_file, grid_file,
+                                                         capsys, option):
+    bias = tmp_path / "bias.json"
+    bias.write_text(json.dumps({"psi": [], "phi": [], "sigma": 1.0, "n_total": 300}))
+    value = {"nu": "0.5", "bias": str(bias)}[option]
+    code, out, err = run_cli(
+        capsys, "seqdes", "--input", data_csv, "--grid", grid_file,
+        "--model", model_file, "--n-init", "5", "--n-target", "12",
+        "--features", "x", "--response", "y", "--utility", "D", f"--{option}", value,
+    )
+    assert code == 2
+    assert out == ""
+    error = stderr_payload(err)
+    assert error["type"] == "InvalidInputError"
+    assert "only, not by D" in error["message"]
+
+
 def test_seqdes_bias_length_must_match_model(tmp_path, data_csv, grid_file, capsys):
     model = tmp_path / "model_h.json"
     model.write_text(json.dumps({"f": {"family": "poly", "degree": 1},

@@ -13,6 +13,10 @@ whether a change to the program left its behaviour alone.  This test can:
   basis terms are covered; `repro` uses degree-1 bases only;
 - `seqdes_traceR.json`: the `--out` file of `subsel seqdes --utility traceR`
   on the same model and data, with non-zero psi and phi in its bias file;
+- `seqdes_A.json` and `seqdes_Inu.json`: the `--out` files of `subsel seqdes
+  --utility A --batch 3` and `subsel seqdes --utility Inu --nu 0.5 --distance
+  scaled` on the same model and data, which cover the A and Inu utilities,
+  a batch above 1 and the scaled matching distance;
 - `robust.json` and `robust_trace.csv`: the exact `--out` and `--trace-csv`
   files of `subsel robust` on the seqdes model and its (x, z) grid, whose
   trajectory records every step's support size and weights hash while the
@@ -98,7 +102,8 @@ GRID_DESIGN = {
 }
 
 
-STORED = ("iboss.json", "seqdes.json", "seqdes_traceR.json", "robust.json", "robust_trace.csv",
+STORED = ("iboss.json", "seqdes.json", "seqdes_traceR.json", "seqdes_A.json", "seqdes_Inu.json",
+          "robust.json", "robust_trace.csv",
           "robust_gain.json", "criteria.json", "check_get.json", "seqdes_logistic.json", "repro1_paper.json")
 
 
@@ -150,6 +155,14 @@ def produce(work: Path) -> tuple[dict[str, str], dict[str, bytes]]:
              "--features", "x", "--confounders", "z", "--response", "y",
              "--utility", "traceR", "--bias", "bias.json", "--family", "linear", "--seed", "3",
              "--n-init", "12", "--n-target", "40", "--out", "seqdes_traceR.json")
+        _cli("seqdes", "--input", "curve.csv", "--grid", "grid.json", "--model", "model.json",
+             "--features", "x", "--confounders", "z", "--response", "y",
+             "--utility", "A", "--batch", "3", "--family", "linear", "--seed", "3",
+             "--n-init", "12", "--n-target", "40", "--out", "seqdes_A.json")
+        _cli("seqdes", "--input", "curve.csv", "--grid", "grid.json", "--model", "model.json",
+             "--features", "x", "--confounders", "z", "--response", "y",
+             "--utility", "Inu", "--nu", "0.5", "--distance", "scaled", "--family", "linear", "--seed", "3",
+             "--n-init", "12", "--n-target", "40", "--out", "seqdes_Inu.json")
         _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5",
              "--iters", "300", "--seed", "4", "--out", "robust.json", "--trace-csv", "robust_trace.csv")
         _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5", "--iters", "300",

@@ -235,6 +235,15 @@ def test_seq_config_validation():
         SeqConfig(n_init=2, n_target=10, utility="Inu")  # nu missing
     with pytest.raises(InvalidInputError):
         SeqConfig(n_init=2, n_target=10, utility="traceR")  # bias missing
+    bias = BiasSpec(psi=[1.0], phi=[], sigma=1.0, n_total=30)
+    for utility in ("D", "A", "traceR"):
+        kw = {"bias": bias} if utility == "traceR" else {}
+        with pytest.raises(InvalidInputError, match="nu is read by the Inu and Dnu utilities only"):
+            SeqConfig(n_init=2, n_target=10, utility=utility, nu=0.5, **kw)
+    for utility in ("D", "A", "Inu", "Dnu"):
+        kw = {"nu": 0.5} if utility in ("Inu", "Dnu") else {}
+        with pytest.raises(InvalidInputError, match="read by the traceR utility only"):
+            SeqConfig(n_init=2, n_target=10, utility=utility, bias=bias, **kw)
     with pytest.raises(InvalidInputError):
         SeqConfig(n_init=2, n_target=10, init_strategy="stratified")  # column missing
     with pytest.raises(InvalidInputError):
