@@ -50,10 +50,9 @@ from .model_core import (
     BiasSpec,
     CandidateGrid,
     DesignMeasure,
-    ModelSpec,
     information_matrix,
+    linear_spec,
     model_spec_from_config,
-    polynomial_basis,
 )
 from .select_iboss import iboss_det_bound, iboss_permutation_report, run_iboss
 from .select_robust import STOPS, run_wiens
@@ -70,6 +69,8 @@ from .select_sequential import (
 # every other SubselError is a configuration or input problem
 _CONFIG_ERRORS = (SubselError, FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (SingularMatrixError, SeparationError)
+# the criteria that read a bias file, by name
+_BIAS_CRITERIA = {"traceR": trace_r, "detR_bias": det_r_bias, "detR_conf": det_r_conf}
 
 
 def _emit_error(kind: str, exc_type: str, message: str) -> None:
@@ -102,9 +103,17 @@ def _emit(obj, out_path) -> None:
         sys.stdout.write(json_text(obj))
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """The command's options, as argparse resolved them: flags > config file > defaults."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+def _resolve(args: argparse.Namespace, *required: str) -> dict:
+    """The command's options, as argparse resolved them: flags > config file > defaults.
+
+    Raises InvalidInputError "<command> needs --<flag>" for the first of the
+    `required` options that is unset or empty.
+    """
+    resolved = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    for key in required:
+        if resolved[key] is None or resolved[key] == "":
+            raise InvalidInputError(f"{args.command} needs --{key.replace('_', '-')}")
+    return resolved
 
 
 def _config_defaults(path, options: dict) -> dict:
@@ -210,7 +219,7 @@ def _dataset_from_args(resolved: dict):
 
 
 def cmd_simulate(args) -> int:
-    resolved = _resolve(args)
+    resolved = _resolve(args, "out", *(["n"] if args.kind == "mortgage" else []))
     kind, n, seed = resolved["kind"], resolved["n"], resolved["seed"]
     sized = {} if n is None else {"n": n}
     if kind != "mortgage" and resolved["theta"] is not None:
@@ -220,24 +229,17 @@ def cmd_simulate(args) -> int:
     elif kind == "example3":
         ds = simulate_example3(seed=seed, **sized)
     else:
-        if n is None:
-            raise InvalidInputError("simulate mortgage needs --n")
         theta = resolved["theta"]
         if theta is not None:
             theta = np.asarray(theta, dtype=float)
         ds = simulate_mortgage_analogue(n, theta=theta, seed=seed)
-    out = resolved["out"]
-    if not out:
-        raise InvalidInputError("simulate needs --out for the CSV artifact")
-    write_csv(ds, out)
+    write_csv(ds, resolved["out"])
     _emit({"command": "simulate", "resolved_config": resolved, "n_rows": ds.n_rows}, None)
     return 0
 
 
 def cmd_iboss(args) -> int:
-    resolved = _resolve(args)
-    if not resolved["input"] or resolved["n"] is None:
-        raise InvalidInputError("iboss needs --input and --n")
+    resolved = _resolve(args, "input", "n")
     ds = _dataset_from_args(resolved)
     selection = run_iboss(ds, resolved["n"], column_order=resolved["order"])
     det, bound = iboss_det_bound(ds, selection, sigma=resolved["sigma"])
@@ -259,12 +261,7 @@ def cmd_iboss(args) -> int:
 
 
 def cmd_seqdes(args) -> int:
-    resolved = _resolve(args)
-    for key in ("input", "n_init", "n_target"):
-        if resolved[key] is None:
-            raise InvalidInputError(f"seqdes needs --{key.replace('_', '-')}")
-    if not resolved["response"]:
-        raise InvalidInputError("seqdes needs --response")
+    resolved = _resolve(args, "input", "n_init", "n_target", "response")
     ds = _dataset_from_args(resolved)
     if resolved["grid"]:
         grid = _grid_from_json(resolved["grid"])
@@ -273,8 +270,7 @@ def cmd_seqdes(args) -> int:
     if resolved["model"]:
         spec = model_spec_from_config(_load_json(resolved["model"]))
     else:
-        fn, p = polynomial_basis(degree=1, intercept=True, dim=ds.features.shape[1])
-        spec = ModelSpec(f_basis=fn, p=p)
+        spec = linear_spec(ds.features.shape[1])
     bias = _bias_from_json(resolved["bias"]) if resolved["bias"] else None
     cfg = SeqConfig(
         n_init=resolved["n_init"],
@@ -307,10 +303,7 @@ def cmd_seqdes(args) -> int:
 
 
 def cmd_robust(args) -> int:
-    resolved = _resolve(args)
-    for key in ("grid", "model", "nu", "iters"):
-        if resolved[key] is None:
-            raise InvalidInputError(f"robust needs --{key.replace('_', '-')}")
+    resolved = _resolve(args, "grid", "model", "nu", "iters")
     grid = _grid_from_json(resolved["grid"])
     spec = model_spec_from_config(_load_json(resolved["model"]))
     ctx = RobustContext.from_grid(spec, grid, resolved["nu"], full_rows=resolved["full_rows"])
@@ -337,10 +330,7 @@ def cmd_robust(args) -> int:
 
 
 def cmd_criteria(args) -> int:
-    resolved = _resolve(args)
-    for key in ("model", "design", "names"):
-        if resolved[key] is None:
-            raise InvalidInputError(f"criteria needs --{key}")
+    resolved = _resolve(args, "model", "design", "names")
     spec = model_spec_from_config(_load_json(resolved["model"]))
     design = _design_from_json(resolved["design"])
     grid = _grid_from_json(resolved["grid"]) if resolved["grid"] else None
@@ -349,7 +339,7 @@ def cmd_criteria(args) -> int:
     records = []
     m = None
     for name in resolved["names"]:
-        if name in ("D", "A", "traceR", "detR_bias", "detR_conf") and m is None:
+        if (name in ("D", "A") or name in _BIAS_CRITERIA) and m is None:
             m = information_matrix(spec, design)
         if name == "D":
             records.append(d_criterion(m).to_json_dict())
@@ -365,18 +355,10 @@ def cmd_criteria(args) -> int:
             ctx = RobustContext.from_grid(spec, grid, resolved["nu"])
             i_val, d_val = wiens_losses(ctx, design)
             records.append((i_val if name == "Inu" else d_val).to_json_dict())
-        elif name == "traceR":
+        elif name in _BIAS_CRITERIA:
             if bias is None:
-                raise InvalidInputError("criterion traceR needs --bias")
-            records.append(trace_r(m, bias).to_json_dict())
-        elif name == "detR_bias":
-            if bias is None:
-                raise InvalidInputError("criterion detR_bias needs --bias")
-            records.append(det_r_bias(m, bias).to_json_dict())
-        elif name == "detR_conf":
-            if bias is None:
-                raise InvalidInputError("criterion detR_conf needs --bias")
-            records.append(det_r_conf(m, bias).to_json_dict())
+                raise InvalidInputError(f"criterion {name} needs --bias")
+            records.append(_BIAS_CRITERIA[name](m, bias).to_json_dict())
         else:
             raise InvalidInputError(f"unknown criterion {name!r}")
     payload = {"command": "criteria", "criteria": records, "resolved_config": resolved}
@@ -385,10 +367,7 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_check_get(args) -> int:
-    resolved = _resolve(args)
-    for key in ("model", "design", "grid"):
-        if resolved[key] is None:
-            raise InvalidInputError(f"check-get needs --{key}")
+    resolved = _resolve(args, "model", "design", "grid")
     spec = model_spec_from_config(_load_json(resolved["model"]))
     design = _design_from_json(resolved["design"])
     grid = _grid_from_json(resolved["grid"])
@@ -400,10 +379,8 @@ def cmd_check_get(args) -> int:
 
 def cmd_repro(args) -> int:
     """Run one pipeline with only the options given, so its signature holds the defaults."""
-    given = {k: v for k, v in _resolve(args).items() if v is not None}
-    out_dir = given.get("out_dir")
-    if not out_dir:
-        raise InvalidInputError("repro needs --out-dir")
+    given = {k: v for k, v in _resolve(args, "out_dir").items() if v is not None}
+    out_dir = given["out_dir"]
     example = given.pop("example")
     run = (repro_mod.repro_example1, repro_mod.repro_example2, repro_mod.repro_example3)[example - 1]
     unused = [k for k in given if k not in inspect.signature(run).parameters]

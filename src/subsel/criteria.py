@@ -18,7 +18,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .model_core import (
 )
 
 _RANK_TOL = 1e-9
+_TIE_TOL = 1e-10
 
 CRITERION_NAMES = ("D", "I", "A", "Inu", "Dnu", "traceR", "detR_bias", "detR_conf")
 
@@ -71,13 +72,13 @@ def _sym_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return (inv + inv.T) / 2.0, eigvals
 
 
-def effective_rank(m: InformationMatrix, tol: float = _RANK_TOL) -> int:
-    """Count of eigenvalues above tol * ||M||_2 (the default k_eff)."""
+def effective_rank(m: InformationMatrix) -> int:
+    """Count of eigenvalues above _RANK_TOL * ||M||_2 (the default k_eff)."""
     eigs = np.linalg.eigvalsh(m.full)
     scale = max(float(eigs[-1]), 0.0)
     if scale == 0.0:
         return 0
-    return int(np.sum(eigs > tol * scale))
+    return int(np.sum(eigs > _RANK_TOL * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +175,34 @@ def get_check(
 class RobustContext:
     """Grid-level context for the robust losses.
 
-    f_matrix holds the regression-basis rows over the grid (N x p); q_matrix
-    is its orthonormalized version (reduced QR), validated to Q'Q = I within
-    1e-10.  nu in [0, 1] mixes variance (nu=0) against worst-case bias
-    (nu=1).  points optionally carries the grid coordinates for design
-    construction; its trailing z_dim columns are confounder coordinates.
+    f_matrix holds the regression-basis rows over the grid (N x p, N > p);
+    q_matrix, derived from it, is its orthonormal basis from the reduced QR.
+    F must have rank p, counted from the singular values of QR's R factor
+    (which are F's) with np.linalg.matrix_rank's default tolerance, so that
+    Q spans the regression space.  nu in [0, 1] mixes variance (nu=0)
+    against worst-case bias (nu=1).  points optionally carries the grid
+    coordinates for design construction; its trailing z_dim columns are
+    confounder coordinates.
     """
 
     f_matrix: np.ndarray
-    q_matrix: np.ndarray
     nu: float
     points: np.ndarray | None = None
     z_dim: int = 0
+    q_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         f = np.asarray(self.f_matrix, dtype=float)
-        qm = np.asarray(self.q_matrix, dtype=float)
-        if f.ndim != 2 or qm.shape != f.shape:
-            raise InvalidInputError("f_matrix and q_matrix must be matching 2-D arrays")
+        if f.ndim != 2:
+            raise InvalidInputError("f_matrix must be a 2-D array")
         if f.shape[0] <= f.shape[1]:
             raise InvalidInputError("grid must have more points than basis terms")
         if not 0.0 <= self.nu <= 1.0:
             raise InvalidInputError("nu must lie in [0, 1]")
-        gram = qm.T @ qm
-        if float(np.max(np.abs(gram - np.eye(qm.shape[1])))) > 1e-10:
-            raise InvalidInputError("q_matrix columns are not orthonormal to 1e-10")
+        qm, r = np.linalg.qr(f)
+        rank = int(np.linalg.matrix_rank(r))
+        if rank < f.shape[1]:
+            raise InvalidInputError(f"f_matrix has rank {rank} over the grid, below its {f.shape[1]} basis terms")
         f.setflags(write=False)
         qm.setflags(write=False)
         object.__setattr__(self, "f_matrix", f)
@@ -223,14 +227,6 @@ class RobustContext:
         return self.f_matrix.shape[1]
 
     @staticmethod
-    def from_f_matrix(
-        f: np.ndarray, nu: float, points: np.ndarray | None = None, z_dim: int = 0
-    ) -> "RobustContext":
-        f = np.asarray(f, dtype=float)
-        q, _ = np.linalg.qr(f)
-        return RobustContext(f_matrix=f, q_matrix=q, nu=nu, points=points, z_dim=z_dim)
-
-    @staticmethod
     def from_grid(spec: ModelSpec, grid: CandidateGrid, nu: float, full_rows: bool = False) -> "RobustContext":
         """Context over a candidate grid.
 
@@ -240,23 +236,18 @@ class RobustContext:
         rows = model_matrix(spec, grid.x_part(), grid.z_part())
         if not full_rows:
             rows = rows[:, : spec.p]
-        return RobustContext.from_f_matrix(rows, nu, points=grid.points, z_dim=grid.z_dim)
+        return RobustContext(rows, nu, points=grid.points, z_dim=grid.z_dim)
 
 
-def design_weights_on_grid(ctx_or_grid, design: DesignMeasure) -> np.ndarray:
-    """Express a measure as a weight vector over context/grid points.
+def design_weights_on_grid(ctx: RobustContext, design: DesignMeasure) -> np.ndarray:
+    """Express a measure as a weight vector over the context's grid points.
 
     Every design point (with its z part, if any) must match a grid point
     exactly; unmatched points raise ConfigError.
     """
-    if isinstance(ctx_or_grid, RobustContext):
-        pts = ctx_or_grid.points
-        if pts is None:
-            raise InvalidInputError("context carries no grid points")
-    elif isinstance(ctx_or_grid, CandidateGrid):
-        pts = ctx_or_grid.points
-    else:
-        pts = as_columns(ctx_or_grid)
+    pts = ctx.points
+    if pts is None:
+        raise InvalidInputError("context carries no grid points")
     lookup = {tuple(row): i for i, row in enumerate(pts)}
     w = np.zeros(pts.shape[0])
     d_pts = design.x_points
@@ -272,16 +263,16 @@ def design_weights_on_grid(ctx_or_grid, design: DesignMeasure) -> np.ndarray:
     return w
 
 
-def top_eigenpair(sym: np.ndarray, tie_tol: float = 1e-10) -> tuple[float, np.ndarray]:
+def top_eigenpair(sym: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a deterministically chosen unit eigenvector.
 
-    When the top eigenvalue has multiplicity > 1 within tie_tol, the vector
+    When the top eigenvalue has multiplicity > 1 within _TIE_TOL, the vector
     is the lexicographically largest |v| among the tied columns, then
     sign-normalized so its first non-negligible component is positive.
     """
     eigvals, eigvecs = np.linalg.eigh((sym + sym.T) / 2.0)
     lam = float(eigvals[-1])
-    thresh = tie_tol * max(1.0, abs(lam))
+    thresh = _TIE_TOL * max(1.0, abs(lam))
     tied = np.flatnonzero(np.abs(eigvals - lam) <= thresh).tolist()
     # a single top column is taken as it is; among ties max keeps the first of the largest keys
     best = tied[0] if len(tied) == 1 else max(tied, key=lambda i: tuple(np.round(np.abs(eigvecs[:, i]), 12)))

@@ -31,6 +31,8 @@ _SEPARATION_BOUND = 30.0
 # its expected log-likelihood gain (half of it) is below the rounding of the
 # log-likelihood sum, so step-halving would reject it as a loss.
 _DECREMENT_TOL = 1e-10
+_GRAD_TOL = 1e-8
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -130,22 +132,18 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> FitResult:
     )
 
 
-def sigmoid(eta: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _logistic_terms(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(e, d, w) at eta: e = exp(-|eta|), d = 1 + e and the weight pi(1 - pi) = e/d^2."""
     e = np.exp(-np.abs(eta))
     d = 1.0 + e
     return e, d, e / (d * d)
+
+
+def sigmoid(eta: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function: (1 or e)/d with e, d from `_logistic_terms`."""
+    eta = np.asarray(eta, dtype=float)
+    e, d, _ = _logistic_terms(eta)
+    return np.where(eta >= 0.0, 1.0, e) / d
 
 
 class _Sums(NamedTuple):
@@ -222,13 +220,7 @@ class LogisticRows:
         return loglik, grad, info
 
 
-def fit_logistic(
-    x,
-    y: np.ndarray | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-    theta0: np.ndarray | None = None,
-) -> FitResult:
+def fit_logistic(x, y: np.ndarray | None = None, theta0: np.ndarray | None = None) -> FitResult:
     """Logistic regression by Newton/IRLS with step-halving.
 
     Fits the model matrix x to the 0/1 responses y, or the rows of a
@@ -238,10 +230,10 @@ def fit_logistic(
     SeparationError once any |theta_j| exceeds 30 while the deviance is
     still falling; a singular weighted information matrix, or one whose
     condition number exceeds COND_LIMIT, raises SingularMatrixError.  The fit
-    converges when the gradient max-norm falls below tol, or when the Newton
+    converges when the gradient max-norm falls below _GRAD_TOL, or when the Newton
     decrement g'H^-1g of a step is below 1e-10; that last step is taken
     whole, without step-halving.  A fit that stops otherwise (ten halvings
-    without progress, or max_iter) reports converged=False.
+    without progress, or _MAX_ITER iterates) reports converged=False.
 
     Each iterate costs one `LogisticRows.evaluate` over all rows, which also
     gives the next step and, at the last iterate, the objective and
@@ -265,8 +257,8 @@ def fit_logistic(
         loglik, grad, info = rows.evaluate(theta)
     converged = False
     iters = 0
-    for iters in range(1, max_iter + 1):
-        if float(np.max(np.abs(grad))) < tol:
+    for iters in range(1, _MAX_ITER + 1):
+        if float(np.max(np.abs(grad))) < _GRAD_TOL:
             converged = True
             iters -= 1
             break

@@ -486,18 +486,18 @@ _DEFAULT_SLOPES = (1.0, -0.5, 0.3, 2.0)
 _DEFAULT_POSITIVE_RATE = 1031.0 / 1_000_000.0
 
 
-def solve_intercept(slopes, target_rate: float, n_nodes: int = 80) -> float:
+def solve_intercept(slopes, target_rate: float) -> float:
     """Intercept t0 such that E[sigmoid(t0 + b'X)] = target_rate, X std normal.
 
-    b'X ~ N(0, ||b||^2), so the expectation is a 1-D Gauss-Hermite integral;
-    the root is bracketed and solved with Brent's method.
+    b'X ~ N(0, ||b||^2), so the expectation is a 1-D, 80-node Gauss-Hermite
+    integral; the root is bracketed and solved with Brent's method.
     """
     from scipy import optimize  # imported here: scipy costs most of the CLI's start-up
 
     if not 0.0 < target_rate < 1.0:
         raise InvalidInputError("target_rate must lie strictly inside (0, 1)")
     norm = float(np.linalg.norm(np.asarray(slopes, dtype=float)))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
     weights = weights / weights.sum()
 
     def rate(t0: float) -> float:

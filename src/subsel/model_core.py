@@ -590,6 +590,12 @@ def polynomial_basis(degree: int, intercept: bool = True, dim: int = 1, scale: f
     return _per_point(batch, dim), n_terms
 
 
+def linear_spec(dim: int) -> ModelSpec:
+    """The intercept-plus-linear model in `dim` covariates: f(x) = (1, x_1, ..., x_dim)."""
+    fn, p = polynomial_basis(degree=1, intercept=True, dim=dim)
+    return ModelSpec(f_basis=fn, p=p)
+
+
 def trig_basis(kind: str = "sin", coeffs: Sequence[float] = (1.0, 0.0, 0.0), amplitude: float = 1.0):
     """Single term amplitude * sin_or_cos(a x^2 + b x + c) of a scalar x."""
     if kind not in ("sin", "cos"):

@@ -33,17 +33,13 @@ from .model_core import (
     ModelSpec,
     information_matrix_from_selection,
     json_ready,
+    linear_spec,
     model_matrix,
     polynomial_basis,
 )
 from .select_iboss import run_iboss
 from .select_robust import run_wiens
 from .select_sequential import SeqConfig, run_sequential
-
-
-def _linear_spec(p_covariates: int) -> ModelSpec:
-    fn, n_terms = polynomial_basis(degree=1, intercept=True, dim=p_covariates)
-    return ModelSpec(f_basis=fn, p=n_terms)
 
 
 def _curve_spec(with_confounder: bool) -> ModelSpec:
@@ -77,7 +73,7 @@ def repro_example1(
     test_y = full.response[n_data:]
 
     grid = default_analogue_grid()
-    spec = _linear_spec(4)
+    spec = linear_spec(4)
     test_rows = model_matrix(spec, test_x)
 
     strategies = {

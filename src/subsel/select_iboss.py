@@ -25,11 +25,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .model_core import (
     InformationMatrix,
-    ModelSpec,
     SubsampleSelection,
     data_columns,
     information_matrix_from_selection,
-    polynomial_basis,
+    linear_spec,
 )
 
 
@@ -167,12 +166,7 @@ def run_iboss(data, n_target: int, column_order=None) -> SubsampleSelection:
     )
 
 
-def iboss_det_bound(
-    data,
-    selection,
-    n_target: int | None = None,
-    sigma: float = 1.0,
-) -> tuple[float, float]:
+def iboss_det_bound(data, selection, sigma: float = 1.0) -> tuple[float, float]:
     """Determinant of the selection's information matrix and its upper bound.
 
     The working model is intercept-plus-linear in the p covariates.  For any
@@ -187,11 +181,7 @@ def iboss_det_bound(
     n, p = feats.shape
     idx = np.asarray(getattr(selection, "indices", selection), dtype=int).ravel()
     n_d = idx.size
-    if n_target is not None and int(n_target) != n_d:
-        raise InvalidInputError(f"n_target {n_target} does not match the selection size {n_d}")
-    fn, n_terms = polynomial_basis(degree=1, intercept=True, dim=p)
-    spec = ModelSpec(f_basis=fn, p=n_terms)
-    m: InformationMatrix = information_matrix_from_selection(spec, feats, idx, sigma=sigma)
+    m: InformationMatrix = information_matrix_from_selection(linear_spec(p), feats, idx, sigma=sigma)
     det = float(np.linalg.det(m.full))
     ranges = feats.max(axis=0) - feats.min(axis=0)
     bound = 4.0 * (n_d / (4.0 * sigma * sigma)) ** (p + 1) * float(np.prod(ranges * ranges))

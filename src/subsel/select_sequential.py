@@ -20,7 +20,9 @@ supplies M's inverse) and score every candidate as a rank-one update of
 that inverse; a singular or ill-conditioned matrix raises
 SingularMatrixError.  ``Inu`` and ``Dnu`` minimize a robust loss of the grid
 measure xi of the selection, in which each selected row counts at its
-nearest grid cell.
+nearest grid cell, over the `criteria.RobustContext` of the grid's full
+rows; grid rows of rank below their length raise InvalidInputError before
+the initial fit.
 
 Consecutive selections differ by one batch, so the loop reuses work:
 
@@ -48,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .criteria import _robust_kernel, _sym_inverse
+from .criteria import RobustContext, _robust_kernel, _sym_inverse
 from .errors import (
     EIG_FLOOR,
     DegenerateColumnError,
@@ -348,11 +350,11 @@ class _RobustAugmenter:
     eigenvalue is below the same floor scores inf.
     """
 
-    def __init__(self, rows_grid: np.ndarray, nu: float, kind: str):
-        self.q, _ = np.linalg.qr(rows_grid)
-        self.nu = nu
+    def __init__(self, ctx: RobustContext, kind: str):
+        self.q = ctx.q_matrix
+        self.nu = ctx.nu
         self.kind = kind
-        self.p = self.q.shape[1]
+        self.p = ctx.p
         self.outer = None  # q_g q_g' per candidate, built for a singular base only
 
     def candidate_values(self, xi: np.ndarray, n: int) -> np.ndarray:
@@ -503,7 +505,7 @@ def _pick_scorer(cfg: SeqConfig, p: int, rows_grid: np.ndarray, grid_s: np.ndarr
     at the matching coordinates `coords` to the scorer's state.
     """
     if cfg.utility in ("Inu", "Dnu"):
-        augmenter = _RobustAugmenter(rows_grid, cfg.nu, cfg.utility)
+        augmenter = _RobustAugmenter(RobustContext(rows_grid, cfg.nu), cfg.utility)
         xi = np.zeros(grid_s.shape[0])
 
         def count(coords: np.ndarray, n_old: int) -> None:
@@ -637,6 +639,7 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     rows_data = model_matrix(spec, feats, confs if spec.q > 0 else None)
     rows_grid = model_matrix(spec, grid.x_part(), grid.z_part())
     k = spec.k_total
+    score, count = _pick_scorer(cfg, spec.p, rows_grid, grid_s, family == "logistic")
 
     rng = CounterRng(cfg.seed)
     names = getattr(data, "feature_names", None)
@@ -707,7 +710,6 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         return (mat + mat.T) / 2.0, None, None
 
     info = working_info(fit.theta)
-    score, count = _pick_scorer(cfg, spec.p, rows_grid, grid_s, family == "logistic")
     count(coords_s[selected], 0)
 
     trace = SeqTrace(

@@ -289,6 +289,26 @@ def test_missing_input_file(capsys, tmp_path):
     assert stderr_payload(err)["kind"] == "config"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "example2"], "simulate needs --out"),
+    (["simulate", "mortgage", "--out", "m.csv"], "simulate needs --n"),
+    (["iboss", "--n", "10"], "iboss needs --input"),
+    (["seqdes", "--input", "rows.csv", "--n-init", "5", "--n-target", "9"], "seqdes needs --response"),
+    (["robust", "--grid", "g.json", "--model", "m.json", "--nu", "0.5"], "robust needs --iters"),
+    (["criteria", "--model", "m.json", "--design", "d.json"], "criteria needs --names"),
+    (["check-get", "--model", "m.json"], "check-get needs --design"),
+    (["repro", "1"], "repro needs --out-dir"),
+])
+def test_missing_required_option_is_named(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # nothing may be read or written before the check
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = stderr_payload(err)
+    assert (error["type"], error["message"]) == ("InvalidInputError", message)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_prints_json_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iboss", "--nonsense"])
@@ -460,6 +480,48 @@ def test_robust_rejects_endpoint_nu(model_file, grid_file, capsys):
     assert stderr_payload(err)["kind"] == "config"
 
 
+@pytest.fixture
+def f_equals_h_model(tmp_path):
+    # f = h = (1, x): its full rows (1, x, 1, x) have rank 2, not 4, on any grid
+    path = tmp_path / "model_fh.json"
+    line = {"family": "poly", "degree": 1}
+    path.write_text(json.dumps({"f": line, "h": line}))
+    return str(path)
+
+
+def assert_rank_deficient_exit(code: int, out: str, err: str) -> None:
+    assert code == 2
+    assert out == ""
+    error = stderr_payload(err)
+    assert error["type"] == "InvalidInputError"
+    assert "rank 2" in error["message"]
+
+
+def test_robust_full_rows_of_rank_below_p_exits_2(f_equals_h_model, grid_file, capsys):
+    code, out, err = run_cli(capsys, "robust", "--grid", grid_file, "--model", f_equals_h_model,
+                             "--nu", "0.5", "--iters", "5", "--full-rows")
+    assert_rank_deficient_exit(code, out, err)
+
+
+@pytest.mark.parametrize("utility", ["Dnu", "Inu"])
+def test_seqdes_robust_utility_on_grid_rows_of_rank_below_p_exits_2(tmp_path, data_csv, grid_file,
+                                                                      f_equals_h_model, capsys, utility):
+    common = ["seqdes", "--input", data_csv, "--n-init", "5", "--n-target", "12", "--response", "y",
+              "--family", "linear", "--utility", utility, "--nu", "0.5"]
+    # the model's own rows have rank 2 of 4 on data and grid alike
+    code, out, err = run_cli(capsys, *common, "--features", "x", "--grid", grid_file,
+                             "--model", f_equals_h_model)
+    assert_rank_deficient_exit(code, out, err)
+    # full-rank data rows, but the grid holds z at one level: its rows (1, x, z) have rank 2
+    grid = tmp_path / "flat_z.json"
+    grid.write_text(json.dumps({"axes": {"x": list(np.linspace(0, 4, 11)), "z": [0.0]}}))
+    model = tmp_path / "model_xz.json"
+    model.write_text(json.dumps({"f": {"family": "poly", "degree": 1, "dim": 2}}))
+    code, out, err = run_cli(capsys, *common, "--features", "x,z", "--grid", str(grid),
+                             "--model", str(model))
+    assert_rank_deficient_exit(code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # criteria and check-get
 
@@ -499,10 +561,11 @@ def test_check_get_defaults_are_kept(model_file, grid_file, design_file, capsys)
 
 
 def test_criteria_bias_names_need_bias_file(model_file, design_file, capsys):
-    code, _, err = run_cli(capsys, "criteria", "--model", model_file,
-                           "--design", design_file, "--names", "traceR")
-    assert code == 2
-    assert "bias" in stderr_payload(err)["message"]
+    for name in ("traceR", "detR_bias", "detR_conf"):
+        code, _, err = run_cli(capsys, "criteria", "--model", model_file,
+                               "--design", design_file, "--names", name)
+        assert code == 2
+        assert stderr_payload(err)["message"] == f"criterion {name} needs --bias"
 
 
 def test_criteria_numerical_failure_exits_3(tmp_path, model_file, capsys):

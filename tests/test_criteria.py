@@ -196,7 +196,7 @@ def test_get_check_validates_inputs():
 def small_ctx(nu: float, n_grid: int = 7) -> RobustContext:
     axis = np.linspace(-1, 1, n_grid)
     f = np.column_stack([np.ones(n_grid), axis])
-    return RobustContext.from_f_matrix(f, nu, points=axis[:, None])
+    return RobustContext(f, nu, points=axis[:, None])
 
 
 def oracle_losses(ctx: RobustContext, w: np.ndarray) -> tuple[float, float]:
@@ -259,10 +259,15 @@ def test_robust_context_validation():
     with pytest.raises(InvalidInputError):
         small_ctx(1.5)
     with pytest.raises(InvalidInputError):
-        RobustContext.from_f_matrix(np.ones((2, 3)), nu=0.5)
-    f = np.column_stack([np.ones(5), np.arange(5.0)])
-    with pytest.raises(InvalidInputError):
-        RobustContext(f_matrix=f, q_matrix=f, nu=0.5)  # not orthonormal
+        RobustContext(np.ones((2, 3)), nu=0.5)
+    # a basis of rank below p: (1, x, 2x), and the full rows of f = h = (1, x)
+    axis = np.arange(5.0)
+    with pytest.raises(InvalidInputError, match="rank 2"):
+        RobustContext(np.column_stack([np.ones(5), axis, 2.0 * axis]), nu=0.5)
+    f, p = polynomial_basis(degree=1)
+    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 11)])
+    with pytest.raises(InvalidInputError, match="rank 2"):
+        RobustContext.from_grid(ModelSpec(f_basis=f, p=p, h_basis=f, m=p), grid, 0.5, full_rows=True)
 
 
 def test_robust_weight_validation():

@@ -7,8 +7,12 @@ candidate whose smallest eigenvalue is at most 1e-14 scores inf.
 Both forms lose about cond(A) * eps of relative accuracy on a near-singular
 current measure A = Q'D(xi)Q (checked against 50-digit arithmetic: on the
 worst of 3000 random cases, cond(A) = 2.2e6, each was off by 4-9e-11), so
-they must agree within 1e-12 relative where cond(A) <= 1e3 and within
-1e-15 cond(A) beyond.
+they must agree within rel = 1e-12 where cond(A) <= 1e3 and within
+rel = 1e-15 cond(A) beyond, relative to the size of the terms each score is
+summed from.  An Inu score sums non-negative terms, so its size is its
+value.  The p-th power of a Dnu score, (1 - nu + nu lambda_max(H)) / det R
+with H = R^-1/2 B R^-1/2 - R, can cancel to an exact zero; its size is
+(|1 - nu| + nu (|R^-1/2 B R^-1/2|_2 + |R|_2)) / det R.
 """
 
 import numpy as np
@@ -18,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+from subsel.criteria import RobustContext
 from subsel.select_sequential import _RobustAugmenter
 
 
@@ -46,6 +51,24 @@ def oracle_values(q: np.ndarray, xi: np.ndarray, n: int, nu: float, kind: str) -
     return np.where(bad, np.inf, vals)
 
 
+def dnu_power_size(q: np.ndarray, xi: np.ndarray, n: int, nu: float) -> np.ndarray:
+    """The size of the terms of each Dnu score's p-th power (module docstring), built as in the oracle."""
+    outer = np.einsum("gi,gj->gij", q, q)
+    denom = n + 1.0
+    r_all = (n * ((q * xi[:, None]).T @ q)[None, :, :] + outer) / denom
+    b_all = (n * n * ((q * (xi * xi)[:, None]).T @ q)[None, :, :]
+             + (2.0 * n * xi + 1.0)[:, None, None] * outer) / (denom * denom)
+    eigvals, eigvecs = np.linalg.eigh(r_all)
+    inv_root = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / np.sqrt(eigvals), eigvecs)
+    sandwich = np.einsum("gij,gjk,gkl->gil", inv_root, b_all, inv_root)
+    norms = np.linalg.eigvalsh(sandwich)[:, -1] + eigvals[:, -1]  # both matrices are PSD
+    return (abs(1.0 - nu) + nu * norms) / np.prod(eigvals, axis=1)
+
+
+def robust_augmenter(rows: np.ndarray, nu: float, kind: str) -> _RobustAugmenter:
+    return _RobustAugmenter(RobustContext(rows, nu), kind)
+
+
 def random_rows(seed: int, n_grid: int, p: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(n_grid, p))
 
@@ -70,16 +93,35 @@ def simplex_weights(seed: int, n_grid: int, support: int) -> np.ndarray:
 def test_rank_one_scores_match_per_candidate_oracle(seed, p, extra, n, nu, kind, data):
     n_grid = p + extra
     support = data.draw(st.integers(p, n_grid), label="support")
-    aug = _RobustAugmenter(random_rows(seed, n_grid, p), nu, kind)
+    check_rank_one_scores(seed, p, n_grid, n, nu, kind, support)
+
+
+def test_rank_one_dnu_score_at_an_exact_zero():
+    # p = 1, xi on grid point 0, n = 1: adding point 1 gives R = 1/2 and
+    # R^-1/2 B R^-1/2 - R = (1/4)/(1/2) - 1/2 = 0, so at nu = 1 the score is
+    # 0 in exact arithmetic; both forms return a rounding-level value
+    # (5.6e-16 and 4.4e-16), which a comparison relative to the value fails
+    want = check_rank_one_scores(seed=0, p=1, n_grid=2, n=1, nu=1.0, kind="Dnu", support=1)
+    assert 0.0 <= want[1] < 1e-15
+
+
+def check_rank_one_scores(seed, p, n_grid, n, nu, kind, support) -> np.ndarray:
+    """Assert the rank-one scores equal the oracle's within rel (module docstring); return the oracle's."""
+    aug = robust_augmenter(random_rows(seed, n_grid, p), nu, kind)
     xi = simplex_weights(seed + 1, n_grid, support)
     got = aug.candidate_values(xi, n)
     want = oracle_values(aug.q, xi, n, nu, kind)
     assert np.all(np.isfinite(want))
     rel = max(1e-12, 1e-15 * np.linalg.cond((aug.q * xi[:, None]).T @ aug.q))
-    assert np.all(np.abs(got - want) <= rel * np.abs(want))
-    low_two = np.sort(want)[:2]
-    if low_two[1] - low_two[0] > rel * abs(low_two[0]):
+    if kind == "Dnu":  # compared as p-th powers, which have no power's infinite slope at 0
+        got_v, want_v, size = got**p, want**p, dnu_power_size(aug.q, xi, n, nu)
+    else:
+        got_v, want_v, size = got, want, np.abs(want)
+    assert np.all(np.abs(got_v - want_v) <= rel * size)
+    low, runner_up = np.argsort(want_v, kind="stable")[:2]
+    if want_v[runner_up] - want_v[low] > rel * (size[low] + size[runner_up]):
         assert int(np.argmin(got)) == int(np.argmin(want))
+    return want
 
 
 @pytest.mark.parametrize("kind", ["Dnu", "Inu"])
@@ -89,7 +131,7 @@ def test_singular_base_scores_equal_the_oracle(kind, p):
     # rank-one form cannot run; adding a support point again leaves R_g
     # singular (inf), adding any other point makes it regular (finite)
     n_grid = 4 * p
-    aug = _RobustAugmenter(random_rows(p, n_grid, p), 0.5, kind)
+    aug = robust_augmenter(random_rows(p, n_grid, p), 0.5, kind)
     support = np.arange(p - 1) * 3
     xi = np.zeros(n_grid)
     xi[support] = np.arange(1.0, p) / np.arange(1.0, p).sum()
@@ -141,7 +183,7 @@ def test_pruned_dnu_choice_equals_the_full_argmin(seed, p, extra, n, nu, rows, z
     if zero_row or (measure == "singular" and p == 1):
         grid_rows[rng.integers(0, grid_rows.shape[0])] = 0.0
     n_grid = grid_rows.shape[0]
-    aug = _RobustAugmenter(grid_rows, nu, "Dnu")
+    aug = robust_augmenter(grid_rows, nu, "Dnu")
     if measure == "uniform":
         xi = np.full(n_grid, 1.0 / n_grid)
     else:
@@ -172,5 +214,5 @@ def test_pruned_dnu_choice_where_the_bounds_are_tight(seed, p, extra, n):
     # rounding margin keeps the minimum; at nu = 1 the score moves with
     # lambda in full
     n_grid = p + extra
-    aug = _RobustAugmenter(np.random.default_rng(seed).normal(size=(n_grid, p)), 1.0, "Dnu")
+    aug = robust_augmenter(np.random.default_rng(seed).normal(size=(n_grid, p)), 1.0, "Dnu")
     _assert_best_is_argmin(aug, np.full(n_grid, 1.0 / n_grid), n)

@@ -164,9 +164,6 @@ def test_input_validation():
         run_iboss(feats, 4, column_order=[0, 0])
     with pytest.raises(InvalidInputError):
         run_iboss(np.empty((0, 2)), 4)
-    sel = run_iboss(feats, 4)
-    with pytest.raises(InvalidInputError):
-        iboss_det_bound(feats, sel, n_target=6)
 
 
 def test_permutation_report_groups_identical_outcomes():

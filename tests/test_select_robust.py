@@ -14,7 +14,7 @@ from subsel.select_robust import run_wiens
 def ctx_on_line(nu: float, n_grid: int = 21) -> RobustContext:
     axis = np.linspace(-1.0, 1.0, n_grid)
     f = np.column_stack([np.ones(n_grid), axis])
-    return RobustContext.from_f_matrix(f, nu, points=axis[:, None])
+    return RobustContext(f, nu, points=axis[:, None])
 
 
 def test_returns_simplex_measure_on_the_grid():
@@ -83,7 +83,7 @@ def test_small_nu_concentrates_on_extreme_points():
     # grid optimum puts half the mass on each end of the interval
     axis = np.linspace(-1.0, 1.0, 5)
     f = np.column_stack([np.ones(5), axis])
-    ctx = RobustContext.from_f_matrix(f, 0.01, points=axis[:, None])
+    ctx = RobustContext(f, 0.01, points=axis[:, None])
     measure, _ = run_wiens(ctx, n_init=2, n_target=502, seed=1)
     assert measure.weights[0] + measure.weights[-1] > 0.9
 
@@ -98,7 +98,7 @@ def test_endpoint_nu_values_are_rejected():
 def test_context_without_points_is_rejected():
     axis = np.linspace(-1.0, 1.0, 9)
     f = np.column_stack([np.ones(9), axis])
-    ctx = RobustContext.from_f_matrix(f, 0.5)
+    ctx = RobustContext(f, 0.5)
     with pytest.raises(InvalidInputError):
         run_wiens(ctx, n_init=3, n_target=10)
 
@@ -152,7 +152,7 @@ def test_confounder_axes_split_into_z_points():
     zax = np.array([-1.0, 1.0])
     pts = np.array([[x, z] for x in axis for z in zax])
     f = np.column_stack([np.ones(pts.shape[0]), pts[:, 0]])
-    ctx = RobustContext.from_f_matrix(f, 0.5, points=pts, z_dim=1)
+    ctx = RobustContext(f, 0.5, points=pts, z_dim=1)
     measure, _ = run_wiens(ctx, n_init=3, n_target=23, seed=9)
     assert measure.x_points.shape == (10, 1)
     assert measure.z_points.shape == (10, 1)
