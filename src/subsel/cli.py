@@ -165,9 +165,7 @@ def _grid_from_json(path) -> CandidateGrid:
     if "axes" in obj:
         return build_grid(obj["axes"], z_axes=obj.get("z_axes"))
     if "points" in obj:
-        return CandidateGrid.from_points(
-            obj["points"], names=obj.get("names"), z_dim=int(obj.get("z_dim", 0))
-        )
+        return CandidateGrid(obj["points"], names=obj.get("names"), z_dim=int(obj.get("z_dim", 0)))
     raise ConfigError("grid file needs an 'axes' or 'points' entry")
 
 

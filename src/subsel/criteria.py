@@ -18,6 +18,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -38,6 +39,7 @@ from .model_core import (
 
 _RANK_TOL = 1e-9
 _TIE_TOL = 1e-10
+_MONTEPIEDRA_TOL = 1e-9
 
 CRITERION_NAMES = ("D", "I", "A", "Inu", "Dnu", "traceR", "detR_bias", "detR_conf")
 
@@ -94,12 +96,17 @@ def variance_profile(spec: ModelSpec, design: DesignMeasure, grid: CandidateGrid
 
 
 def d_criterion(m: InformationMatrix) -> CriterionValue:
-    """log det M, with value -inf (and meta flag) for singular M."""
+    """log det M, with value -inf (and meta flag) for singular M.
+
+    meta's det is None when exp(log det) overflows a float (log det above
+    about 709.78), so the record stays strict JSON.
+    """
     sign, logdet = np.linalg.slogdet(m.full)
     if sign <= 0.0 or not np.isfinite(logdet):
         return CriterionValue("D", float("-inf"), {"det": 0.0, "singular": True})
-    det = float(np.exp(logdet))
-    return CriterionValue("D", float(logdet), {"det": det, "singular": False})
+    with np.errstate(over="ignore"):
+        det = float(np.exp(logdet))
+    return CriterionValue("D", float(logdet), {"det": det if math.isfinite(det) else None, "singular": False})
 
 
 def a_criterion(m: InformationMatrix) -> CriterionValue:
@@ -180,15 +187,13 @@ class RobustContext:
     F must have rank p, counted from the singular values of QR's R factor
     (which are F's) with np.linalg.matrix_rank's default tolerance, so that
     Q spans the regression space.  nu in [0, 1] mixes variance (nu=0)
-    against worst-case bias (nu=1).  points optionally carries the grid
-    coordinates for design construction; its trailing z_dim columns are
-    confounder coordinates.
+    against worst-case bias (nu=1).  grid is the candidate grid the rows
+    were evaluated on, one point per row of F.
     """
 
     f_matrix: np.ndarray
     nu: float
-    points: np.ndarray | None = None
-    z_dim: int = 0
+    grid: CandidateGrid
     q_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -199,6 +204,8 @@ class RobustContext:
             raise InvalidInputError("grid must have more points than basis terms")
         if not 0.0 <= self.nu <= 1.0:
             raise InvalidInputError("nu must lie in [0, 1]")
+        if self.grid.n_points != f.shape[0]:
+            raise InvalidInputError("the grid must have one point per row of f_matrix")
         qm, r = np.linalg.qr(f)
         rank = int(np.linalg.matrix_rank(r))
         if rank < f.shape[1]:
@@ -207,16 +214,6 @@ class RobustContext:
         qm.setflags(write=False)
         object.__setattr__(self, "f_matrix", f)
         object.__setattr__(self, "q_matrix", qm)
-        if self.points is not None:
-            pts = as_columns(self.points)
-            if pts.shape[0] != f.shape[0]:
-                raise InvalidInputError("points must have one row per grid point")
-            if not 0 <= self.z_dim <= pts.shape[1]:
-                raise InvalidInputError("z_dim must lie in [0, point dimension]")
-            pts.setflags(write=False)
-            object.__setattr__(self, "points", pts)
-        elif self.z_dim != 0:
-            raise InvalidInputError("z_dim without points is meaningless")
 
     @property
     def n_grid(self) -> int:
@@ -236,7 +233,7 @@ class RobustContext:
         rows = model_matrix(spec, grid.x_part(), grid.z_part())
         if not full_rows:
             rows = rows[:, : spec.p]
-        return RobustContext(rows, nu, points=grid.points, z_dim=grid.z_dim)
+        return RobustContext(rows, nu, grid=grid)
 
 
 def design_weights_on_grid(ctx: RobustContext, design: DesignMeasure) -> np.ndarray:
@@ -245,9 +242,7 @@ def design_weights_on_grid(ctx: RobustContext, design: DesignMeasure) -> np.ndar
     Every design point (with its z part, if any) must match a grid point
     exactly; unmatched points raise ConfigError.
     """
-    pts = ctx.points
-    if pts is None:
-        raise InvalidInputError("context carries no grid points")
+    pts = ctx.grid.points
     lookup = {tuple(row): i for i, row in enumerate(pts)}
     w = np.zeros(pts.shape[0])
     d_pts = design.x_points
@@ -462,7 +457,6 @@ def montepiedra_check(
     budget: float,
     lambda_star: float,
     grid: CandidateGrid,
-    tol: float = 1e-9,
 ) -> BiasConstrainedVerdict:
     """Check the bias-constrained D-optimality condition over a grid.
 
@@ -472,7 +466,7 @@ def montepiedra_check(
 
         d1(x) + lambda_star * d2(x) <= p - lambda_star * budget
 
-    for every grid point x.  Returns the verdict plus the worst point
+    for every grid point x, within _MONTEPIEDRA_TOL.  Returns the verdict plus the worst point
     (argmax of the left side; ties break to the lowest index).
     """
     if lambda_star < 0.0:
@@ -495,7 +489,7 @@ def montepiedra_check(
     lhs = d1 + lambda_star * (c * c - 2.0 * c * r)
     bound = spec.p - lambda_star * budget
     worst = int(np.argmax(lhs))
-    ok = bool(lhs[worst] <= bound + tol)
+    ok = bool(lhs[worst] <= bound + _MONTEPIEDRA_TOL)
     return BiasConstrainedVerdict(
         ok=ok, worst_point=grid.points[worst].copy(), max_lhs=float(lhs[worst]), bound=float(bound)
     )

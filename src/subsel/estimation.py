@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .criteria import _sym_inverse
 from .errors import InvalidInputError, SeparationError, check_conditioning
 from .model_core import json_ready
 
@@ -287,10 +288,9 @@ def fit_logistic(x, y: np.ndarray | None = None, theta0: np.ndarray | None = Non
         if converged:
             break
 
-    eigvals, eigvecs = np.linalg.eigh(info)
-    check_conditioning(eigvals, "observed information at the optimum")
-    cov = (eigvecs / eigvals) @ eigvecs.T
-    cov = (cov + cov.T) / 2.0
+    # info is exactly symmetric (one pairs column per entry pair), so the symmetrization in
+    # _sym_inverse leaves it as it is
+    cov, eigvals = _sym_inverse(info, "observed information at the optimum")
     rows.sums = _Sums(n, theta.copy(), loglik, grad, info.copy())
     return FitResult(
         theta=theta, std_errors=np.sqrt(np.maximum(np.diag(cov), 0.0)), objective=loglik,

@@ -392,15 +392,12 @@ def default_analogue_grid() -> CandidateGrid:
     return CandidateGrid.from_axes({k: [float(v) for v in vs] for k, vs in axes.items()})
 
 
-def grid_from_data(data: Dataset, n_levels: int = 200, n_z_levels: int | None = None) -> CandidateGrid:
-    """Equispaced grid spanning each observed column's [min, max].
-
-    Feature axes get n_levels points; confounder axes (appended last) get
-    n_z_levels points (default: same as n_levels).
+def grid_from_data(data: Dataset, n_levels: int = 200) -> CandidateGrid:
+    """Equispaced grid of n_levels points spanning each observed column's
+    [min, max]; confounder axes are appended last.
     """
     if n_levels < 2:
         raise ConfigError("n_levels must be at least 2")
-    nz = n_levels if n_z_levels is None else n_z_levels
     axes: dict[str, np.ndarray] = {}
     for j, name in enumerate(data.feature_names):
         col = data.features[:, j]
@@ -409,7 +406,7 @@ def grid_from_data(data: Dataset, n_levels: int = 200, n_z_levels: int | None = 
     if data.confounders is not None:
         for j, name in enumerate(data.confounder_names):
             col = data.confounders[:, j]
-            axes[name] = np.linspace(col.min(), col.max(), nz)
+            axes[name] = np.linspace(col.min(), col.max(), n_levels)
             z_names.append(name)
     return build_grid(axes, z_axes=z_names)
 

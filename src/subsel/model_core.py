@@ -236,10 +236,6 @@ class DesignMeasure:
         raise AttributeError("DesignMeasure is immutable")
 
     @property
-    def n_support(self) -> int:
-        return self.x_points.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.x_points.shape[1]
 
@@ -267,8 +263,9 @@ def uniform_design(points, z_points=None) -> DesignMeasure:
 class CandidateGrid:
     """Finite candidate set: either a cross product of axes or explicit points.
 
-    points has shape (n, d); the trailing z_dim columns are confounder
-    coordinates.  axes/names are retained when built from per-axis levels.
+    points has shape (n, d), finite; the trailing z_dim columns are
+    confounder coordinates.  names, one per column, are stored as a tuple;
+    axes are retained when built from per-axis levels.
     """
 
     points: np.ndarray
@@ -282,8 +279,10 @@ class CandidateGrid:
         object.__setattr__(self, "points", pts)
         if not 0 <= self.z_dim <= pts.shape[1]:
             raise InvalidInputError("z_dim must lie in [0, grid dimension]")
-        if self.names is not None and len(self.names) != pts.shape[1]:
-            raise ConfigError("one axis name per grid column is required")
+        if self.names is not None:
+            object.__setattr__(self, "names", tuple(self.names))
+            if len(self.names) != pts.shape[1]:
+                raise ConfigError("one axis name per grid column is required")
 
     @property
     def n_points(self) -> int:
@@ -306,20 +305,17 @@ class CandidateGrid:
         return self.points[:, self.x_dim :]
 
     @staticmethod
-    def from_axes(axes, names: Sequence[str] | None = None, z_dim: int = 0) -> "CandidateGrid":
+    def from_axes(axes, z_dim: int = 0) -> "CandidateGrid":
         """Cross product of per-axis level lists, row-major (first axis slowest).
 
-        axes may be a mapping name -> levels (insertion order respected) or a
-        sequence of level lists.  Levels must be strictly increasing.
+        axes may be a mapping name -> levels (insertion order respected; the
+        keys are the names) or a sequence of level lists, which has no names.
+        Levels must be strictly increasing.
         """
+        names = None
         if isinstance(axes, Mapping):
-            if names is not None:
-                raise ConfigError("names are taken from the mapping keys")
-            names = tuple(axes.keys())
-            levels = [np.asarray(v, dtype=float) for v in axes.values()]
-        else:
-            levels = [np.asarray(v, dtype=float) for v in axes]
-            names = tuple(names) if names is not None else None
+            names, axes = tuple(axes.keys()), axes.values()
+        levels = [np.asarray(v, dtype=float) for v in axes]
         if not levels:
             raise ConfigError("at least one axis is required")
         for i, lv in enumerate(levels):
@@ -332,15 +328,6 @@ class CandidateGrid:
         grids = np.meshgrid(*levels, indexing="ij")
         pts = np.column_stack([g.ravel(order="C") for g in grids])
         return CandidateGrid(points=pts, axes=tuple(levels), names=names, z_dim=z_dim)
-
-    @staticmethod
-    def from_points(points, names: Sequence[str] | None = None, z_dim: int = 0) -> "CandidateGrid":
-        pts = _as_point_array(points, "grid points")
-        return CandidateGrid(points=pts, axes=None, names=tuple(names) if names else None, z_dim=z_dim)
-
-    def bounds(self) -> np.ndarray:
-        """Per-column (min, max), shape (d, 2)."""
-        return np.column_stack([self.points.min(axis=0), self.points.max(axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +365,7 @@ class InformationMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "full", mat)
 
-    @property
-    def k_total(self) -> int:
-        return self.p + self.m + self.q
-
-    # block views; m21/m31/m32 are the transposes of their mirror blocks
+    # the blocks the criteria read; the others are transposes or diagonal blocks of `full`
     @property
     def m11(self) -> np.ndarray:
         return self.full[: self.p, : self.p]
@@ -395,36 +378,11 @@ class InformationMatrix:
     def m13(self) -> np.ndarray:
         return self.full[: self.p, self.p + self.m :]
 
-    @property
-    def m21(self) -> np.ndarray:
-        return self.m12.T
-
-    @property
-    def m22(self) -> np.ndarray:
-        return self.full[self.p : self.p + self.m, self.p : self.p + self.m]
-
-    @property
-    def m23(self) -> np.ndarray:
-        return self.full[self.p : self.p + self.m, self.p + self.m :]
-
-    @property
-    def m31(self) -> np.ndarray:
-        return self.m13.T
-
-    @property
-    def m32(self) -> np.ndarray:
-        return self.m23.T
-
-    @property
-    def m33(self) -> np.ndarray:
-        return self.full[self.p + self.m :, self.p + self.m :]
-
 
 def information_matrix(spec: ModelSpec, design: DesignMeasure) -> InformationMatrix:
     """M(xi) = sum_i w_i row(x_i, z_i) row(x_i, z_i)'."""
     rows = model_matrix(spec, design.x_points, design.z_points)
     mat = (rows * design.weights[:, None]).T @ rows
-    mat = (mat + mat.T) / 2.0
     return InformationMatrix(full=mat, p=spec.p, m=spec.m, q=spec.q)
 
 
@@ -457,7 +415,6 @@ def information_matrix_from_selection(
         z_sel = confs[idx]
     rows = model_matrix(spec, feats[idx], z_sel)
     mat = rows.T @ rows / (sigma * sigma)
-    mat = (mat + mat.T) / 2.0
     return InformationMatrix(full=mat, p=spec.p, m=spec.m, q=spec.q)
 
 

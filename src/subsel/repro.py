@@ -124,6 +124,25 @@ def _design_scatter_rows(variant: str, algorithm: str, ds: Dataset, indices) -> 
     return [[variant, algorithm, i, ds.features[i, 0], "" if z is None else z[i], ""] for i in indices]
 
 
+def _seq_and_iboss(out_dir, variant: str, ds: Dataset, grid: CandidateGrid, spec: ModelSpec,
+                   n_init: int, n_design: int, seed: int) -> tuple[dict, list[list], dict]:
+    """The sequential and extreme-value selections of one curve variant; the extreme-value one reads the
+    confounder exactly when `spec` models it.  Writes `selection_seq_<variant>.json` and
+    `selection_iboss_<variant>.json` and returns their D criteria, their designs.csv rows and the
+    selections, keyed "sequential" and "iboss"."""
+    cfg = SeqConfig(n_init=n_init, n_target=n_design, utility="D", seed=seed, family="linear")
+    selections = {
+        "sequential": run_sequential(ds, grid, spec, cfg)[0],
+        "iboss": run_iboss(np.hstack([ds.features, ds.confounders]) if spec.q else ds.features, n_design),
+    }
+    criteria, scatter = {}, []
+    for (algorithm, sel), short in zip(selections.items(), ("seq", "iboss")):
+        write_json(sel.to_json_dict(), os.path.join(out_dir, f"selection_{short}_{variant}.json"))
+        criteria[algorithm] = d_criterion(information_matrix_from_selection(spec, ds, sel)).to_json_dict()
+        scatter += _design_scatter_rows(variant, algorithm, ds, sel.indices)
+    return criteria, scatter, selections
+
+
 def repro_example2(
     out_dir,
     seed: int = 0,
@@ -142,32 +161,20 @@ def repro_example2(
     scatter = []
     criteria_out = {}
     for variant in ("xz", "x"):
-        with_conf = variant == "xz"
-        spec = _curve_spec(with_conf)
-        if with_conf:
+        if variant == "xz":
             grid = grid_from_data(ds, n_levels=grid_levels)
-            iboss_matrix = np.hstack([ds.features, ds.confounders])
         else:
             grid = CandidateGrid.from_axes(
                 {"x": np.linspace(ds.features[:, 0].min(), ds.features[:, 0].max(), grid_levels)}
             )
-            iboss_matrix = ds.features
-        cfg = SeqConfig(n_init=n_init, n_target=n_design, utility="D", seed=seed, family="linear")
-        sel_seq, trace = run_sequential(ds, grid, spec, cfg)
-        sel_ib = run_iboss(iboss_matrix, n_design)
-
-        write_json(sel_seq.to_json_dict(), os.path.join(out_dir, f"selection_seq_{variant}.json"))
-        write_json(sel_ib.to_json_dict(), os.path.join(out_dir, f"selection_iboss_{variant}.json"))
-        d_seq = d_criterion(information_matrix_from_selection(spec, ds, sel_seq))
-        d_ib = d_criterion(information_matrix_from_selection(spec, ds, sel_ib))
+        criteria, rows, selections = _seq_and_iboss(
+            out_dir, variant, ds, grid, _curve_spec(variant == "xz"), n_init, n_design, seed)
         criteria_out[variant] = {
-            "sequential": d_seq.to_json_dict(),
-            "iboss": d_ib.to_json_dict(),
-            "mean_abs_std_x_sequential": float(abs_std_x[sel_seq.indices].mean()),
-            "mean_abs_std_x_iboss": float(abs_std_x[sel_ib.indices].mean()),
+            **criteria,
+            **{f"mean_abs_std_x_{algorithm}": float(abs_std_x[sel.indices].mean())
+               for algorithm, sel in selections.items()},
         }
-        scatter += _design_scatter_rows(variant, "sequential", ds, sel_seq.indices)
-        scatter += _design_scatter_rows(variant, "iboss", ds, sel_ib.indices)
+        scatter += rows
 
     write_rows(os.path.join(out_dir, "designs.csv"), _SCATTER_HEADER, scatter)
     write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
@@ -198,42 +205,20 @@ def repro_example3(
     scatter = []
     criteria_out = {}
     for variant in ("xz", "x"):
-        with_conf = variant == "xz"
-        spec = _curve_spec(with_conf)
-        if with_conf:
-            grid = CandidateGrid.from_axes(
-                {
-                    "x": np.linspace(-100.0, 100.0, grid_levels),
-                    "z": np.linspace(-3.0, 3.0, grid_levels),
-                },
-                z_dim=1,
-            )
-            iboss_matrix = np.hstack([ds.features, ds.confounders])
-        else:
-            grid = CandidateGrid.from_axes({"x": np.linspace(-100.0, 100.0, grid_levels)})
-            iboss_matrix = ds.features
-
-        cfg = SeqConfig(n_init=n_init, n_target=n_design, utility="D", seed=seed, family="linear")
-        sel_seq, _ = run_sequential(ds, grid, spec, cfg)
-        sel_ib = run_iboss(iboss_matrix, n_design)
+        spec = _curve_spec(variant == "xz")
+        axes = {"x": np.linspace(-100.0, 100.0, grid_levels)}
+        if variant == "xz":
+            axes["z"] = np.linspace(-3.0, 3.0, grid_levels)
+        grid = CandidateGrid.from_axes(axes, z_dim=len(axes) - 1)
+        criteria, rows, _ = _seq_and_iboss(out_dir, variant, ds, grid, spec, n_init, n_design, seed)
 
         ctx = RobustContext.from_grid(spec, grid, nu, full_rows=True)
-        w_init = ctx.f_matrix.shape[1] + 1
+        w_init = ctx.p + 1
         measure, traj = run_wiens(ctx, n_init=w_init, n_target=w_init + robust_iters, seed=seed)
         traj.write_dnu_csv(os.path.join(out_dir, f"dnu_trajectory_{variant}.csv"))
         write_json(measure.to_json_dict(), os.path.join(out_dir, f"robust_measure_{variant}.json"))
-
-        write_json(sel_seq.to_json_dict(), os.path.join(out_dir, f"selection_seq_{variant}.json"))
-        write_json(sel_ib.to_json_dict(), os.path.join(out_dir, f"selection_iboss_{variant}.json"))
-        d_seq = d_criterion(information_matrix_from_selection(spec, ds, sel_seq))
-        d_ib = d_criterion(information_matrix_from_selection(spec, ds, sel_ib))
-        criteria_out[variant] = {
-            "sequential": d_seq.to_json_dict(),
-            "iboss": d_ib.to_json_dict(),
-            "robust_final_dnu": float(traj.final_dnu),
-        }
-        scatter += _design_scatter_rows(variant, "sequential", ds, sel_seq.indices)
-        scatter += _design_scatter_rows(variant, "iboss", ds, sel_ib.indices)
+        criteria_out[variant] = {**criteria, "robust_final_dnu": float(traj.final_dnu)}
+        scatter += rows
         # robust design: grid points carrying the heaviest n_design weights
         z = measure.z_points
         scatter += [[variant, "robust", -1, measure.x_points[g, 0], "" if z is None else z[g, 0], measure.weights[g]]

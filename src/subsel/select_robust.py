@@ -134,8 +134,6 @@ def run_wiens(
             "run_wiens needs nu strictly inside (0, 1): nu = 0 is the classical "
             "D-optimal problem and nu = 1 is solved by the uniform measure"
         )
-    if ctx.points is None:
-        raise InvalidInputError("context must carry grid points to build a measure")
     n_grid = ctx.n_grid
     if not 1 <= n_init <= n_grid:
         raise InvalidInputError("n_init must lie in [1, grid size]")
@@ -185,5 +183,4 @@ def run_wiens(
 
     xi = np.zeros(n_grid)
     xi[support] = w
-    split = ctx.points.shape[1] - ctx.z_dim
-    return DesignMeasure(ctx.points[:, :split], xi, ctx.points[:, split:] if ctx.z_dim > 0 else None), traj
+    return DesignMeasure(ctx.grid.x_part(), xi, ctx.grid.z_part()), traj

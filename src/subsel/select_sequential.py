@@ -497,7 +497,8 @@ def _trace_r_best(bias: BiasSpec, p: int, info, rows: np.ndarray, c: np.ndarray,
     return _lowest(_trace_r_scores(info[0] * n / s2, rows, c / s2, p, bias))
 
 
-def _pick_scorer(cfg: SeqConfig, p: int, rows_grid: np.ndarray, grid_s: np.ndarray, logistic: bool):
+def _pick_scorer(cfg: SeqConfig, p: int, grid: CandidateGrid, rows_grid: np.ndarray, grid_s: np.ndarray,
+                 logistic: bool):
     """(best, count) of cfg.utility: the one place the loop's utility is chosen.
 
     best(info, theta, n) is the (grid index, value) of the best one-point
@@ -505,7 +506,7 @@ def _pick_scorer(cfg: SeqConfig, p: int, rows_grid: np.ndarray, grid_s: np.ndarr
     at the matching coordinates `coords` to the scorer's state.
     """
     if cfg.utility in ("Inu", "Dnu"):
-        augmenter = _RobustAugmenter(RobustContext(rows_grid, cfg.nu), cfg.utility)
+        augmenter = _RobustAugmenter(RobustContext(rows_grid, cfg.nu, grid), cfg.utility)
         xi = np.zeros(grid_s.shape[0])
 
         def count(coords: np.ndarray, n_old: int) -> None:
@@ -639,7 +640,7 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     rows_data = model_matrix(spec, feats, confs if spec.q > 0 else None)
     rows_grid = model_matrix(spec, grid.x_part(), grid.z_part())
     k = spec.k_total
-    score, count = _pick_scorer(cfg, spec.p, rows_grid, grid_s, family == "logistic")
+    score, count = _pick_scorer(cfg, spec.p, grid, rows_grid, grid_s, family == "logistic")
 
     rng = CounterRng(cfg.seed)
     names = getattr(data, "feature_names", None)

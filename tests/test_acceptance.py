@@ -113,7 +113,7 @@ def test_criterion_04_robust_losses_reduce_to_classical_at_nu_zero(capsys):
     pts = np.linspace(-1.0, 1.0, 21)
     grid = CandidateGrid(pts[:, None])
     f = model_matrix(spec, pts)
-    ctx = RobustContext(f_matrix=f, nu=0.0, points=pts)
+    ctx = RobustContext(f_matrix=f, nu=0.0, grid=CandidateGrid(pts))
     det_ff = float(np.linalg.det(f.T @ f))
 
     designs = [np.full(21, 1.0 / 21)]
@@ -146,7 +146,7 @@ def test_criterion_05_uniform_minimizes_pure_bias_loss(capsys):
     spec = _poly_spec(1)
     pts = np.linspace(-1.0, 1.0, 5)
     f = model_matrix(spec, pts)
-    ctx = RobustContext(f_matrix=f, nu=1.0, points=pts)
+    ctx = RobustContext(f_matrix=f, nu=1.0, grid=CandidateGrid(pts))
     d_uniform = wiens_losses(ctx, np.full(5, 0.2))[1].value
     best_random = np.inf
     for seed in range(1000):
@@ -339,7 +339,7 @@ def test_criterion_10_robust_iteration_preserves_simplex_and_improves(capsys):
         pts = np.linspace(-1.0, 1.0, n_grid)
         spec = _poly_spec(1 + seed % 2)
         f = model_matrix(spec, pts)
-        ctx = RobustContext(f_matrix=f, nu=0.5, points=pts)
+        ctx = RobustContext(f_matrix=f, nu=0.5, grid=CandidateGrid(pts))
         n_init = spec.p + 1 + seed % 3
         measure, traj = run_wiens(ctx, n_init=n_init, n_target=n_init + 40, seed=seed)
         hashes = [step["weights_sha256"] for step in traj.to_json_dict()["steps"]]
@@ -363,7 +363,7 @@ def test_criterion_10_robust_iteration_preserves_simplex_and_improves(capsys):
     pts = np.linspace(-1.0, 1.0, 21)
     spec = _poly_spec(1)
     f = model_matrix(spec, pts)
-    ctx = RobustContext(f_matrix=f, nu=1e-6, points=pts)
+    ctx = RobustContext(f_matrix=f, nu=1e-6, grid=CandidateGrid(pts))
     measure, _ = run_wiens(ctx, n_init=3, n_target=2003, seed=0)
     endpoint_mass = float(measure.weights[0] + measure.weights[-1])
 

@@ -14,8 +14,11 @@ import pytest
 import subsel
 from subsel import repro as repro_mod
 from subsel.cli import main
+from subsel.criteria import RobustContext
 from subsel.ingest_sim import load_csv, simulate_example2, write_csv
+from subsel.model_core import CandidateGrid, model_spec_from_config
 from subsel.select_iboss import iboss_det_bound, run_iboss
+from subsel.select_robust import run_wiens
 
 
 def run_cli(capsys, *argv):
@@ -478,6 +481,30 @@ def test_robust_rejects_endpoint_nu(model_file, grid_file, capsys):
                            "--model", model_file, "--nu", "0.0", "--iters", "5")
     assert code == 2
     assert stderr_payload(err)["kind"] == "config"
+
+
+def test_robust_on_a_points_grid_with_a_confounder_column(tmp_path, capsys):
+    pts = [[x, z] for x in np.linspace(-1.0, 1.0, 5) for z in (-1.0, 1.0)]
+    grid = tmp_path / "points.json"
+    grid.write_text(json.dumps({"points": pts, "names": ["x", "z"], "z_dim": 1}))
+    model = {"f": {"family": "poly", "degree": 1}, "g": {"family": "poly", "degree": 1, "intercept": False}}
+    model_path = tmp_path / "model_xz.json"
+    model_path.write_text(json.dumps(model))
+    argv = ["robust", "--grid", str(grid), "--model", str(model_path), "--nu", "0.5", "--iters", "20",
+            "--seed", "1", "--full-rows"]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    measure = json.loads(stdout)["measure"]
+    ctx = RobustContext.from_grid(model_spec_from_config(model), CandidateGrid(pts, names=("x", "z"), z_dim=1),
+                                  0.5, full_rows=True)
+    want, _ = run_wiens(ctx, n_init=4, n_target=24, seed=1)
+    assert measure == json.loads(json.dumps(want.to_json_dict()))
+    assert measure["z_points"] == [[z] for _, z in pts]
+    # one name per column, as the constructor checks
+    grid.write_text(json.dumps({"points": pts, "names": ["x"], "z_dim": 1}))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert stderr_payload(err)["type"] == "ConfigError"
 
 
 @pytest.fixture

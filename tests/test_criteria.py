@@ -1,5 +1,8 @@
 """Design criteria, optimality checks, robust losses, bias-aware losses."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,6 +30,7 @@ from subsel.model_core import (
     BiasSpec,
     CandidateGrid,
     DesignMeasure,
+    InformationMatrix,
     ModelSpec,
     eval_row,
     information_matrix,
@@ -108,6 +112,16 @@ def test_d_a_i_values_on_identity_information():
     grid = CandidateGrid.from_axes([np.linspace(-1, 1, 21)])
     # sum over the grid of 1 + x^2: 21 + 2 * (0.1^2 + ... + 1.0^2) = 28.7
     assert i_criterion(spec, design, grid).value == pytest.approx(28.7)
+
+
+def test_d_criterion_det_beyond_float_range_is_null():
+    m = InformationMatrix(full=np.eye(4) * 1e200, p=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(log det) overflowing must not warn
+        val = d_criterion(m)
+    assert val.value == pytest.approx(4 * 200 * np.log(10.0))
+    assert val.meta == {"det": None, "singular": False}
+    json.dumps(val.to_json_dict(), allow_nan=False)  # strict JSON: no Infinity
 
 
 def test_d_criterion_singular_is_minus_inf():
@@ -196,7 +210,7 @@ def test_get_check_validates_inputs():
 def small_ctx(nu: float, n_grid: int = 7) -> RobustContext:
     axis = np.linspace(-1, 1, n_grid)
     f = np.column_stack([np.ones(n_grid), axis])
-    return RobustContext(f, nu, points=axis[:, None])
+    return RobustContext(f, nu, grid=CandidateGrid(axis[:, None]))
 
 
 def oracle_losses(ctx: RobustContext, w: np.ndarray) -> tuple[float, float]:
@@ -259,15 +273,28 @@ def test_robust_context_validation():
     with pytest.raises(InvalidInputError):
         small_ctx(1.5)
     with pytest.raises(InvalidInputError):
-        RobustContext(np.ones((2, 3)), nu=0.5)
+        RobustContext(np.ones((2, 3)), nu=0.5, grid=CandidateGrid(np.arange(2.0)))
     # a basis of rank below p: (1, x, 2x), and the full rows of f = h = (1, x)
     axis = np.arange(5.0)
     with pytest.raises(InvalidInputError, match="rank 2"):
-        RobustContext(np.column_stack([np.ones(5), axis, 2.0 * axis]), nu=0.5)
+        RobustContext(np.column_stack([np.ones(5), axis, 2.0 * axis]), nu=0.5, grid=CandidateGrid(axis))
     f, p = polynomial_basis(degree=1)
     grid = CandidateGrid.from_axes([np.linspace(-1, 1, 11)])
     with pytest.raises(InvalidInputError, match="rank 2"):
         RobustContext.from_grid(ModelSpec(f_basis=f, p=p, h_basis=f, m=p), grid, 0.5, full_rows=True)
+
+
+def test_robust_context_takes_a_checked_grid_of_one_point_per_row():
+    axis = np.linspace(-1.0, 1.0, 7)
+    f = np.column_stack([np.ones(7), axis])
+    with_nan = axis.copy()
+    with_nan[3] = np.nan
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        RobustContext(f, 0.5, grid=CandidateGrid(with_nan))
+    with pytest.raises(InvalidInputError, match="one point per row"):
+        RobustContext(f, 0.5, grid=CandidateGrid(axis[:6]))
+    grid = CandidateGrid(np.column_stack([axis, axis[::-1]]), z_dim=1)
+    assert RobustContext(f, 0.5, grid=grid).grid is grid
 
 
 def test_robust_weight_validation():

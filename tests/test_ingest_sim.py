@@ -185,9 +185,8 @@ def test_default_analogue_grid_shape():
     assert grid.n_points == 9 * 5 * 7 * 7  # 2205
     assert grid.dim == 4
     assert grid.z_dim == 0
-    b = grid.bounds()
-    assert np.array_equal(b[:, 0], [-4.0, -2.0, -2.0, -2.0])
-    assert np.array_equal(b[:, 1], [4.0, 2.0, 4.0, 4.0])
+    assert np.array_equal(grid.points.min(axis=0), [-4.0, -2.0, -2.0, -2.0])
+    assert np.array_equal(grid.points.max(axis=0), [4.0, 2.0, 4.0, 4.0])
 
 
 def test_grid_from_data_spans_observed_range():
@@ -195,12 +194,12 @@ def test_grid_from_data_spans_observed_range():
     conf = np.array([[3.0], [9.0], [6.0]])
     data = Dataset(feature_names=("a", "b"), features=feats,
                    confounders=conf, confounder_names=("z",))
-    grid = grid_from_data(data, n_levels=5, n_z_levels=3)
-    assert grid.n_points == 5 * 5 * 3
+    grid = grid_from_data(data, n_levels=5)
+    assert grid.n_points == 5 * 5 * 5
     assert grid.z_dim == 1
-    b = grid.bounds()
-    assert np.array_equal(b[:, 0], [0.0, -2.0, 3.0])
-    assert np.array_equal(b[:, 1], [10.0, 6.0, 9.0])
+    assert grid.names == ("a", "b", "z")
+    assert np.array_equal(grid.points.min(axis=0), [0.0, -2.0, 3.0])
+    assert np.array_equal(grid.points.max(axis=0), [10.0, 6.0, 9.0])
     with pytest.raises(ConfigError):
         grid_from_data(data, n_levels=1)
 

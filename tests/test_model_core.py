@@ -137,11 +137,12 @@ def test_information_matrix_blocks():
     d = DesignMeasure([[0.5], [-2.0]], [0.5, 0.5], [[1.0], [2.0]])
     m = information_matrix(spec, d)
     assert m.m11.shape == (2, 2)
-    assert m.m22.shape == (1, 1)
-    assert m.m33.shape == (1, 1)
-    assert np.allclose(m.m12, m.m21.T)
-    assert np.allclose(m.full[:2, :2], m.m11)
-    assert np.allclose(m.full[2:3, 3:4], m.m23)
+    assert m.m12.shape == (2, 1)
+    assert m.m13.shape == (2, 1)
+    assert np.array_equal(m.full[:2, :2], m.m11)
+    assert np.array_equal(m.full[:2, 2:3], m.m12)
+    assert np.array_equal(m.full[:2, 3:4], m.m13)
+    assert np.array_equal(m.m12, m.full[2:3, :2].T)
 
 
 def test_selection_matrix_matches_weighted_measure():
@@ -181,9 +182,8 @@ def test_grid_z_split():
     g = CandidateGrid.from_axes({"x": [0.0, 1.0], "z": [5.0, 6.0]}, z_dim=1)
     assert g.x_part().shape == (4, 1)
     assert g.z_part().shape == (4, 1)
-    b = g.bounds()
-    assert np.allclose(b[:, 0], [0.0, 5.0])
-    assert np.allclose(b[:, 1], [1.0, 6.0])
+    assert np.allclose(g.points.min(axis=0), [0.0, 5.0])
+    assert np.allclose(g.points.max(axis=0), [1.0, 6.0])
 
 
 def test_single_point_design_is_singular_but_valid():

@@ -7,12 +7,23 @@ candidate whose smallest eigenvalue is at most 1e-14 scores inf.
 Both forms lose about cond(A) * eps of relative accuracy on a near-singular
 current measure A = Q'D(xi)Q (checked against 50-digit arithmetic: on the
 worst of 3000 random cases, cond(A) = 2.2e6, each was off by 4-9e-11), so
-they must agree within rel = 1e-12 where cond(A) <= 1e3 and within
-rel = 1e-15 cond(A) beyond, relative to the size of the terms each score is
-summed from.  An Inu score sums non-negative terms, so its size is its
-value.  The p-th power of a Dnu score, (1 - nu + nu lambda_max(H)) / det R
-with H = R^-1/2 B R^-1/2 - R, can cancel to an exact zero; its size is
+the rank-one form is taken to lie within rel = 1e-12 of the exact score
+where cond(A) <= 1e3 and within rel = 1e-15 cond(A) beyond, relative to the
+size of the terms the score is summed from.  An Inu score sums non-negative
+terms, so its size is its value.  The p-th power of a Dnu score,
+(1 - nu + nu lambda_max(H)) / det R with H = R^-1/2 B R^-1/2 - R, can
+cancel to an exact zero; its size is
 (|1 - nu| + nu (|R^-1/2 B R^-1/2|_2 + |R|_2)) / det R.
+
+The oracle is a rounded computation too.  Its Inu scores form every
+R_g^-1 B_g R_g^-1 in full from B1 = Q'D(xi^2)Q, whose rounding a relative
+perturbation bound amplifies by up to cond(B1); at nu = 1 with exactly p
+support points cond(B1) reaches 1e9 where cond(A) is 1e5.  Against
+50-digit arithmetic over 1000 random draws (half at nu = 1, half with
+exactly p support points) the oracle's Inu scores were off by up to 115
+times rel and within 0.23 of 1e-15 (cond(A) + nu cond(B1)), so the oracle
+carries an error term of its own, 1e-15 nu cond(B1) beyond rel, and the
+Inu comparison allows the sum of the two.  Its Dnu scores keep rel.
 """
 
 import numpy as np
@@ -23,6 +34,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subsel.criteria import RobustContext
+from subsel.model_core import CandidateGrid
 from subsel.select_sequential import _RobustAugmenter
 
 
@@ -66,7 +78,7 @@ def dnu_power_size(q: np.ndarray, xi: np.ndarray, n: int, nu: float) -> np.ndarr
 
 
 def robust_augmenter(rows: np.ndarray, nu: float, kind: str) -> _RobustAugmenter:
-    return _RobustAugmenter(RobustContext(rows, nu), kind)
+    return _RobustAugmenter(RobustContext(rows, nu, CandidateGrid(rows)), kind)
 
 
 def random_rows(seed: int, n_grid: int, p: int) -> np.ndarray:
@@ -112,16 +124,84 @@ def check_rank_one_scores(seed, p, n_grid, n, nu, kind, support) -> np.ndarray:
     got = aug.candidate_values(xi, n)
     want = oracle_values(aug.q, xi, n, nu, kind)
     assert np.all(np.isfinite(want))
-    rel = max(1e-12, 1e-15 * np.linalg.cond((aug.q * xi[:, None]).T @ aug.q))
+    rel = score_rel(aug.q, xi)
     if kind == "Dnu":  # compared as p-th powers, which have no power's infinite slope at 0
         got_v, want_v, size = got**p, want**p, dnu_power_size(aug.q, xi, n, nu)
     else:
         got_v, want_v, size = got, want, np.abs(want)
-    assert np.all(np.abs(got_v - want_v) <= rel * size)
+    assert np.all(np.abs(got_v - want_v) <= (rel + oracle_extra_rel(aug.q, xi, nu, kind)) * size)
     low, runner_up = np.argsort(want_v, kind="stable")[:2]
     if want_v[runner_up] - want_v[low] > rel * (size[low] + size[runner_up]):
         assert int(np.argmin(got)) == int(np.argmin(want))
     return want
+
+
+def score_rel(q: np.ndarray, xi: np.ndarray) -> float:
+    """The relative error term of the rank-one form's scores (module docstring)."""
+    return max(1e-12, 1e-15 * np.linalg.cond((q * xi[:, None]).T @ q))
+
+
+def oracle_extra_rel(q: np.ndarray, xi: np.ndarray, nu: float, kind: str) -> float:
+    """The oracle's own error term beyond score_rel (module docstring)."""
+    if kind == "Dnu":
+        return 0.0
+    return 1e-15 * nu * np.linalg.cond((q * (xi * xi)[:, None]).T @ q)
+
+
+def exact_inu_scores(q: np.ndarray, xi: np.ndarray, n: int, nu: float) -> np.ndarray:
+    """Every candidate's Inu score in 50-digit arithmetic from the float inputs, rounded to floats."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        rows = [mp.matrix([mp.mpf(float(v)) for v in row]) for row in q]
+        a1 = mp.zeros(q.shape[1])
+        b1 = mp.zeros(q.shape[1])
+        for row, w in zip(rows, xi.tolist()):
+            a1 += mp.mpf(w) * (row * row.T)
+            b1 += mp.mpf(w) ** 2 * (row * row.T)
+        scores = []
+        for row, w in zip(rows, xi.tolist()):
+            outer = row * row.T
+            r_inv = mp.inverse((n * a1 + outer) / (n + 1))
+            b_g = (n * n * b1 + (2 * n * mp.mpf(w) + 1) * outer) / (n + 1) ** 2
+            lam = max(mp.eigsy(r_inv * b_g * r_inv, eigvals_only=True))
+            scores.append((1 - mp.mpf(nu)) * sum(r_inv[i, i] for i in range(q.shape[1])) + mp.mpf(nu) * lam)
+        return np.array([float(v) for v in scores])
+
+
+# Draws at nu = 1 with exactly p support points whose oracle Inu scores are
+# off the 50-digit ones by 3.5, 2.3, 4.2 and 115 times rel, which the
+# comparison failed before the oracle had an error term of its own.
+PINNED_INU_DRAWS = [(66316748, 4, 40, 11), (2621836399, 5, 41, 92), (3622119533, 3, 8, 184),
+                    (3920970167, 2, 30, 119)]  # the last: cond(B1) = 1.6e9 against cond(A) = 1.2e5
+
+# `_RobustAugmenter` scores Inu through W = A^-1/2, which loses more than
+# rel when cond(B1) far exceeds cond(A): these two draws are off the 50-digit
+# scores by 1.2 and 637 times rel (a FOUND line in CHANGES.md).
+RANK_ONE_INU_BEYOND_REL = pytest.mark.xfail(
+    strict=True, reason="rank-one Inu scores through W = A^-1/2 lose accuracy when cond(B1) >> cond(A)")
+
+
+def pinned_inu_draw(seed: int, p: int, n_grid: int) -> tuple[_RobustAugmenter, np.ndarray]:
+    return robust_augmenter(random_rows(seed, n_grid, p), 1.0, "Inu"), simplex_weights(seed + 1, n_grid, p)
+
+
+@pytest.mark.parametrize("seed, p, n_grid, n", PINNED_INU_DRAWS)
+def test_oracle_inu_scores_within_their_error_term_of_50_digits(seed, p, n_grid, n):
+    aug, xi = pinned_inu_draw(seed, p, n_grid)
+    exact = exact_inu_scores(aug.q, xi, n, 1.0)
+    allowed = (score_rel(aug.q, xi) + oracle_extra_rel(aug.q, xi, 1.0, "Inu")) * exact
+    assert np.all(np.abs(oracle_values(aug.q, xi, n, 1.0, "Inu") - exact) <= allowed)
+    check_rank_one_scores(seed, p, n_grid, n, nu=1.0, kind="Inu", support=p)
+
+
+@pytest.mark.parametrize("seed, p, n_grid, n", [
+    draw if draw[0] not in (2621836399, 3920970167) else pytest.param(*draw, marks=RANK_ONE_INU_BEYOND_REL)
+    for draw in PINNED_INU_DRAWS
+])
+def test_rank_one_inu_scores_within_rel_of_50_digits(seed, p, n_grid, n):
+    aug, xi = pinned_inu_draw(seed, p, n_grid)
+    exact = exact_inu_scores(aug.q, xi, n, 1.0)
+    assert np.all(np.abs(aug.candidate_values(xi, n) - exact) <= score_rel(aug.q, xi) * exact)
 
 
 @pytest.mark.parametrize("kind", ["Dnu", "Inu"])

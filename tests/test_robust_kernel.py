@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from subsel.criteria import RobustContext, _robust_kernel, top_eigenpair, wiens_losses
 from subsel.errors import SingularMatrixError
+from subsel.model_core import CandidateGrid
 from subsel.rng import CounterRng
 from subsel.select_robust import _direction_scores, _pairwise_columns, run_wiens
 
@@ -60,7 +61,7 @@ def random_grid_ctx(seed: int, n_grid: int, p: int, nu: float) -> RobustContext:
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(n_grid, 2))
     cols = [np.ones(n_grid), pts[:, 0], pts[:, 1], pts[:, 0] * pts[:, 1], pts[:, 0] ** 2]
-    return RobustContext(np.column_stack(cols[:p]), nu, points=pts)
+    return RobustContext(np.column_stack(cols[:p]), nu, grid=CandidateGrid(pts))
 
 
 def simplex_weights(seed: int, n_grid: int, support: int) -> np.ndarray:
@@ -148,7 +149,7 @@ def test_run_wiens_weights_stay_on_the_simplex(seed, p, extra, nu, data):
 
 def test_final_dnu_is_wiens_losses_of_the_measure_bit_for_bit():
     axis = np.linspace(-1.0, 1.0, 21)
-    ctx = RobustContext(np.column_stack([np.ones(21), axis]), 0.5, points=axis[:, None])
+    ctx = RobustContext(np.column_stack([np.ones(21), axis]), 0.5, grid=CandidateGrid(axis[:, None]))
     for seed in range(5):
         measure, traj = run_wiens(ctx, n_init=3, n_target=203, seed=seed)
         _, d_val = wiens_losses(ctx, measure.weights)
@@ -158,7 +159,7 @@ def test_final_dnu_is_wiens_losses_of_the_measure_bit_for_bit():
 
 def test_support_size_is_reported_per_step():
     axis = np.linspace(-1.0, 1.0, 21)
-    ctx = RobustContext(np.column_stack([np.ones(21), axis]), 0.5, points=axis[:, None])
+    ctx = RobustContext(np.column_stack([np.ones(21), axis]), 0.5, grid=CandidateGrid(axis[:, None]))
     measure, traj = run_wiens(ctx, n_init=3, n_target=53, seed=0)
     sizes = [s.support_size for s in traj.steps]
     assert sizes[0] in (3, 4)
@@ -171,7 +172,7 @@ def test_robust_gram_matrix_below_the_eigenvalue_floor_is_singular():
     # weights on fewer than p grid points leave R rank-deficient
     axis = np.linspace(-1.0, 1.0, 9)
     f = np.column_stack([np.ones(9), axis, axis**2])
-    ctx = RobustContext(f, 0.5)
+    ctx = RobustContext(f, 0.5, grid=CandidateGrid(axis))
     w = np.zeros(9)
     w[[0, 8]] = 0.5
     with pytest.raises(SingularMatrixError) as info:

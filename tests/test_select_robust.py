@@ -7,6 +7,7 @@ import pytest
 
 from subsel.criteria import RobustContext, wiens_losses
 from subsel.errors import InvalidInputError, SingularMatrixError
+from subsel.model_core import CandidateGrid
 from subsel.rng import CounterRng
 from subsel.select_robust import run_wiens
 
@@ -14,7 +15,7 @@ from subsel.select_robust import run_wiens
 def ctx_on_line(nu: float, n_grid: int = 21) -> RobustContext:
     axis = np.linspace(-1.0, 1.0, n_grid)
     f = np.column_stack([np.ones(n_grid), axis])
-    return RobustContext(f, nu, points=axis[:, None])
+    return RobustContext(f, nu, grid=CandidateGrid(axis[:, None]))
 
 
 def test_returns_simplex_measure_on_the_grid():
@@ -23,7 +24,7 @@ def test_returns_simplex_measure_on_the_grid():
     assert measure.weights.size == ctx.n_grid
     assert np.all(measure.weights >= 0.0)
     assert abs(measure.weights.sum() - 1.0) < 1e-12
-    assert np.array_equal(measure.x_points, ctx.points)
+    assert np.array_equal(measure.x_points, ctx.grid.points)
     assert len(traj.steps) == 50
 
 
@@ -83,7 +84,7 @@ def test_small_nu_concentrates_on_extreme_points():
     # grid optimum puts half the mass on each end of the interval
     axis = np.linspace(-1.0, 1.0, 5)
     f = np.column_stack([np.ones(5), axis])
-    ctx = RobustContext(f, 0.01, points=axis[:, None])
+    ctx = RobustContext(f, 0.01, grid=CandidateGrid(axis[:, None]))
     measure, _ = run_wiens(ctx, n_init=2, n_target=502, seed=1)
     assert measure.weights[0] + measure.weights[-1] > 0.9
 
@@ -98,9 +99,8 @@ def test_endpoint_nu_values_are_rejected():
 def test_context_without_points_is_rejected():
     axis = np.linspace(-1.0, 1.0, 9)
     f = np.column_stack([np.ones(9), axis])
-    ctx = RobustContext(f, 0.5)
-    with pytest.raises(InvalidInputError):
-        run_wiens(ctx, n_init=3, n_target=10)
+    with pytest.raises(TypeError, match="grid"):  # the grid is required at construction
+        RobustContext(f, 0.5)
 
 
 def test_parameter_validation():
@@ -152,7 +152,7 @@ def test_confounder_axes_split_into_z_points():
     zax = np.array([-1.0, 1.0])
     pts = np.array([[x, z] for x in axis for z in zax])
     f = np.column_stack([np.ones(pts.shape[0]), pts[:, 0]])
-    ctx = RobustContext(f, 0.5, points=pts, z_dim=1)
+    ctx = RobustContext(f, 0.5, grid=CandidateGrid(pts, z_dim=1))
     measure, _ = run_wiens(ctx, n_init=3, n_target=23, seed=9)
     assert measure.x_points.shape == (10, 1)
     assert measure.z_points.shape == (10, 1)
