@@ -13,6 +13,11 @@ whether a change to the program left its behaviour alone.  This test can:
   basis terms are covered; `repro` uses degree-1 bases only;
 - `seqdes_traceR.json`: the `--out` file of `subsel seqdes --utility traceR`
   on the same model and data, with non-zero psi and phi in its bias file;
+- `seqdes_dnu_grid.json`: the `--out` file of `subsel seqdes --utility Dnu
+  --nu 0.5` at the size of the benchmark's robust sequential case: 20000
+  simulated example2 rows, a 50 x 50 (x, z) grid, f = (1, x, x^2) and
+  g = z/9, 10 -> 60 rows.  It covers the pruned Dnu scoring and the
+  nearest-row transfer at that size;
 - `seqdes_A.json` and `seqdes_Inu.json`: the `--out` files of `subsel seqdes
   --utility A --batch 3` and `subsel seqdes --utility Inu --nu 0.5 --distance
   scaled` on the same model and data, which cover the A and Inu utilities,
@@ -94,6 +99,15 @@ SEQDES_GRID = {
     "z_axes": ["z"],
 }
 
+# the benchmark's robust sequential case at a fixed grid and seed
+DNU_GRID_MODEL = {"f": {"family": "poly", "degree": 2},
+                  "g": {"family": "poly", "degree": 1, "intercept": False, "scale": 1.0 / 9.0}}
+DNU_GRID = {
+    "axes": {"x": [float(v) for v in np.linspace(0.0, 4.0, 50)],
+             "z": [float(v) for v in np.linspace(-2.0, 2.0, 50)]},
+    "z_axes": ["z"],
+}
+
 # ten (x, z) points of SEQDES_GRID with unequal weights
 GRID_DESIGN = {
     "points": [[SEQDES_GRID["axes"]["x"][i]] for i in (0, 3, 7, 10, 14, 17, 21, 24, 28, 30)],
@@ -103,6 +117,7 @@ GRID_DESIGN = {
 
 
 STORED = ("iboss.json", "seqdes.json", "seqdes_traceR.json", "seqdes_A.json", "seqdes_Inu.json",
+          "seqdes_dnu_grid.json",
           "robust.json", "robust_trace.csv",
           "robust_gain.json", "criteria.json", "check_get.json", "seqdes_logistic.json", "repro1_paper.json")
 
@@ -163,6 +178,13 @@ def produce(work: Path) -> tuple[dict[str, str], dict[str, bytes]]:
              "--features", "x", "--confounders", "z", "--response", "y",
              "--utility", "Inu", "--nu", "0.5", "--distance", "scaled", "--family", "linear", "--seed", "3",
              "--n-init", "12", "--n-target", "40", "--out", "seqdes_Inu.json")
+        _cli("simulate", "example2", "--n", "20000", "--seed", "21", "--out", "curve20k.csv")
+        Path("dnu_model.json").write_text(json.dumps(DNU_GRID_MODEL))
+        Path("dnu_grid.json").write_text(json.dumps(DNU_GRID))
+        _cli("seqdes", "--input", "curve20k.csv", "--grid", "dnu_grid.json", "--model", "dnu_model.json",
+             "--features", "x", "--confounders", "z", "--response", "y",
+             "--utility", "Dnu", "--nu", "0.5", "--family", "linear", "--seed", "21",
+             "--n-init", "10", "--n-target", "60", "--out", "seqdes_dnu_grid.json")
         _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5",
              "--iters", "300", "--seed", "4", "--out", "robust.json", "--trace-csv", "robust_trace.csv")
         _cli("robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5", "--iters", "300",
