@@ -278,33 +278,37 @@ def top_eigenpair(sym: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, vec
 
 
-class _RobustParts(NamedTuple):
-    """R = Q'D(xi)Q and what the robust losses, their gradient and the
-    sequential one-point augmentations read of it."""
+class _RobustGram(NamedTuple):
+    """R = Q'D(xi)Q and what the sequential one-point augmentations and the loss part read of it."""
 
     r: np.ndarray  # R
-    r_eigs: np.ndarray  # eigenvalues of R, ascending
-    rinv: np.ndarray  # R^-1
-    root: np.ndarray  # R^1/2
+    r_eigs: np.ndarray  # eigenvalues of R, ascending, and their eigenvectors
+    r_vecs: np.ndarray
+    sqrt_eigs: np.ndarray  # square roots of the eigenvalues
     inv_root: np.ndarray  # R^-1/2
     b2: np.ndarray  # Q'D(xi^2)Q
+
+
+class _RobustParts(NamedTuple):
+    """What the robust losses and their gradient read of R: its gram part and the loss part."""
+
+    gram: _RobustGram
+    rinv: np.ndarray  # R^-1
+    root: np.ndarray  # R^1/2
     u: np.ndarray  # R^-1 Q'D(xi^2)Q R^-1
     lam: float  # top eigenpair (lam, z) of R^1/2 (U - I) R^1/2
     z: np.ndarray
 
     def dnu(self, nu: float) -> float:
-        det_r = float(np.prod(self.r_eigs))
-        return float(((1.0 - nu + nu * self.lam) / det_r) ** (1.0 / self.r_eigs.size))
+        det_r = float(np.prod(self.gram.r_eigs))
+        return float(((1.0 - nu + nu * self.lam) / det_r) ** (1.0 / self.gram.r_eigs.size))
 
 
-def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
-    """The one evaluation of R and its functions behind every robust loss.
-
-    `q` and `xi` are the rows and weights of the support, the positive weights in ascending grid
-    order, so R and Q'D(xi^2)Q are sums over the support only.  Raises SingularMatrixError when the
-    smallest eigenvalue of R is below EIG_FLOOR.  For orthonormal Q and simplex weights
-    lambda_max(R) <= 1, so this rejects every R whose condition number exceeds COND_LIMIT.
-    """
+def _robust_gram(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustGram:
+    """The one evaluation of R, its eigendecomposition, R^-1/2 and Q'D(xi^2)Q, summed over the support:
+    `q` and `xi` are its rows and positive weights in ascending grid order.  Raises SingularMatrixError
+    when the smallest eigenvalue of R is below EIG_FLOOR; for orthonormal Q and simplex weights
+    lambda_max(R) <= 1, so this rejects every R whose condition number exceeds COND_LIMIT."""
     r = (q * xi[:, None]).T @ q
     r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
     smallest = float(r_eigs[0])
@@ -312,14 +316,21 @@ def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) 
         where = "" if iteration is None else f" at iteration {iteration}"
         raise SingularMatrixError(f"weighted gram matrix R is singular{where} (smallest eigenvalue {smallest:.6e})",
                                   smallest_eigenvalue=smallest, iteration=iteration)
-    rinv = (r_vecs / r_eigs) @ r_vecs.T
     sqrt_eigs = np.sqrt(r_eigs)
-    root = (r_vecs * sqrt_eigs) @ r_vecs.T
     inv_root = (r_vecs / sqrt_eigs) @ r_vecs.T
     b2 = (q * (xi * xi)[:, None]).T @ q
-    u = rinv @ b2 @ rinv
-    lam, z = top_eigenpair(root @ (u - np.eye(r.shape[0])) @ root)
-    return _RobustParts(r, r_eigs, rinv, root, inv_root, b2, u, lam, z)
+    return _RobustGram(r, r_eigs, r_vecs, sqrt_eigs, inv_root, b2)
+
+
+def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
+    """The one evaluation of R and its functions behind every robust loss: the gram part `_robust_gram`
+    (same arguments and errors), then R^-1, R^1/2, U and the top eigenpair of R^1/2 (U - I) R^1/2."""
+    g = _robust_gram(q, xi, iteration)
+    rinv = (g.r_vecs / g.r_eigs) @ g.r_vecs.T
+    root = (g.r_vecs * g.sqrt_eigs) @ g.r_vecs.T
+    u = rinv @ g.b2 @ rinv
+    lam, z = top_eigenpair(root @ (u - np.eye(g.r.shape[0])) @ root)
+    return _RobustParts(g, rinv, root, u, lam, z)
 
 
 def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionValue]:
@@ -356,7 +367,7 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
     i_val = (1.0 - nu) * trace_rinv + nu * lam_u
 
     meta_i = {"lambda_max": lam_u, "eigenvector": vec_u, "trace_Rinv": trace_rinv, "nu": nu}
-    meta_d = {"lambda_max": parts.lam, "eigenvector": parts.z, "det_R": float(np.prod(parts.r_eigs)), "nu": nu}
+    meta_d = {"lambda_max": parts.lam, "eigenvector": parts.z, "det_R": float(np.prod(parts.gram.r_eigs)), "nu": nu}
     return (
         CriterionValue("Inu", float(i_val), meta_i),
         CriterionValue("Dnu", parts.dnu(nu), meta_d),

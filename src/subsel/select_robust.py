@@ -1,11 +1,13 @@
 """Robust design construction on a discrete grid by vertex-direction steps.
 
-Starting from a uniform measure on a seeded random subset of grid points,
-each iteration moves mass 1/(n+1) toward the grid point with the steepest
-ascent direction of the robust D-loss and renormalizes.  The mixing constant
-nu must lie strictly inside (0, 1): the endpoints have closed-form answers
-(nu = 0 is the classical D-optimal problem, nu = 1 is solved by the uniform
-measure on the grid) and the gradient expressions degenerate there.
+Starting from a uniform measure on a seeded random subset of grid points
+(redrawn from the same stream while its gram matrix is singular, at most
+_START_DRAWS times), each iteration moves mass 1/(n+1) toward the grid point
+with the steepest ascent direction of the robust D-loss and renormalizes.
+The mixing constant nu must lie strictly inside (0, 1): the endpoints have
+closed-form answers (nu = 0 is the classical D-optimal problem, nu = 1 is
+solved by the uniform measure on the grid) and the gradient expressions
+degenerate there.
 
 Per iteration, with R = Q'D(xi)Q, U = R^-1 Q'D^2(xi) Q R^-1, lambda/z the
 top eigenpair of R^1/2 (U - I) R^1/2, v = R^1/2 z and w = R^-1/2 z, every
@@ -33,12 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import RobustContext, _robust_kernel, _RobustParts
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SingularMatrixError
 from .ingest_sim import write_rows
 from .model_core import DesignMeasure, json_ready
 from .rng import CounterRng
 
 STOPS = ("n_reached", "dnu_gain_below")
+_START_DRAWS = 100  # random starts drawn before a start that stays singular raises
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ def _direction_scores(grid: tuple, q_s: np.ndarray, xi_s: np.ndarray, support: n
     term is read from the support's rows q_s and weights xi_s (xi_i = 0 off the support)."""
     pairs, n, triu = grid
     v = parts.root @ parts.z
-    w = parts.inv_root @ parts.z
+    w = parts.gram.inv_root @ parts.z
     j = parts.lam * (parts.rinv + np.outer(w, w)) + np.outer(w, v) + np.outer(v, w)
     a = (1.0 - nu) * parts.rinv + nu * j
     scores = (pairs @ a[triu])[:n]
@@ -144,20 +147,27 @@ def run_wiens(
     if stop_epsilon < 0.0 or stop_window < 1:
         raise InvalidInputError("stop_epsilon must be >= 0 and stop_window >= 1")
 
-    q = ctx.q_matrix
-    nu = ctx.nu
+    q, nu = ctx.q_matrix, ctx.nu
+    if n_init < ctx.p:
+        raise InvalidInputError(f"n_init {n_init} is below the {ctx.p} basis terms, so every start is singular")
     grid = _pairwise_columns(q)
     rng = CounterRng(seed)
-    # the ascending support (a point joins when first chosen and never leaves), its weights and rows
-    support = np.sort(rng.sample_indices(n_grid, n_init))
     w = np.full(n_init, 1.0 / n_init)
-    q_s = q[support]
+    # the ascending support (a point joins when first chosen and never leaves), its weights and rows
+    for draw in range(1, _START_DRAWS + 1):
+        support = np.sort(rng.sample_indices(n_grid, n_init))
+        q_s = q[support]
+        try:
+            parts = _robust_kernel(q_s, w, iteration=1)
+            break
+        except SingularMatrixError as err:
+            if draw == _START_DRAWS:
+                raise SingularMatrixError(f"no regular start in {draw} random draws of {n_init} grid points: {err}",
+                                          smallest_eigenvalue=err.smallest_eigenvalue, iteration=1) from err
 
     traj = RobustTrajectory(initial_indices=support.copy(), n_grid=n_grid)
     n = n_init
     while True:
-        it = len(traj.steps) + 1
-        parts = _robust_kernel(q_s, w, iteration=it)
         dnu = parts.dnu(nu)
         if n >= n_target or traj.stop_reason != "n_reached":
             traj.final_dnu = dnu
@@ -174,12 +184,13 @@ def run_wiens(
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise InvalidInputError(f"weights left the simplex (sum {total!r})")
-        traj.steps.append(RobustStep(it, best, dnu, parts.lam, int(support.size)))
+        traj.steps.append(RobustStep(len(traj.steps) + 1, best, dnu, parts.lam, int(support.size)))
 
         if stop == "dnu_gain_below" and len(traj.steps) > stop_window:
             past = traj.steps[-1 - stop_window].dnu
             if (past - dnu) / max(abs(past), 1e-300) < stop_epsilon:
                 traj.stop_reason = "dnu_gain_below"
+        parts = _robust_kernel(q_s, w, iteration=len(traj.steps) + 1)
 
     xi = np.zeros(n_grid)
     xi[support] = w

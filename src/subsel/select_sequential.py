@@ -50,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .criteria import RobustContext, _robust_kernel, _sym_inverse
+from .criteria import RobustContext, _robust_gram, _sym_inverse
 from .errors import (
     EIG_FLOOR,
     DegenerateColumnError,
@@ -263,7 +263,7 @@ def _initial_indices(rng: CounterRng, cfg: SeqConfig, coords: np.ndarray,
 # candidate scoring
 
 
-# Relative rounding margin of the Dnu eigenvalue bounds (see _dnu_keep).
+# Relative rounding margin of the Dnu lower bound (see _RobustAugmenter._dnu_kept).
 _BOUND_MARGIN = 32.0 * np.finfo(float).eps
 
 
@@ -273,55 +273,13 @@ def _plus_outer(base: np.ndarray, x: np.ndarray, u: np.ndarray, k: np.ndarray) -
     return base + xu + np.swapaxes(xu, 1, 2) + k[:, None, None] * (u[:, :, None] * u[:, None, :])
 
 
-def _dnu_keep(base: np.ndarray, x: np.ndarray, u: np.ndarray, k: np.ndarray, score) -> np.ndarray:
-    """Mask of the candidates that eigenvalue bounds cannot rule out of the smallest score.
-
-    The score of candidate g is score(lambda_max(M_g)), nondecreasing in
-    lambda, with M_g = `_plus_outer(base, x, u, k)` row g.  With (l1, v) the
-    top eigenpair of base and tau = k|u|^2 + 2 u.x, O(p) work per candidate
-    bounds lambda_max(M_g):
-
-    * below by the larger Rayleigh quotient of v and of u/|u|:
-      l1 + 2 (v.x)(v.u) + k (v.u)^2 and u'base u/|u|^2 + tau;
-    * above by Weyl's inequality, l1 plus the top eigenvalue of the rank-two
-      update, tau/2 + sqrt(tau^2/4 + |u|^2 |x|^2 - (u.x)^2); the root is
-      taken as hypot(tau/2, |u| |r|) with r = x - (u.x/|u|^2) u, which
-      avoids the cancellation of the difference.
-
-    Both bounds are widened by _BOUND_MARGIN p (||base|| + 2|u||x| + |k||u|^2),
-    which covers the rounding of forming M_g and of its eigvalsh, and the
-    smallest upper-bound score by the relative _BOUND_MARGIN, which covers
-    the rounding of the score's power.  A candidate is kept when its
-    lower-bound score is at most the smallest upper-bound score, when a
-    bound's score is not finite (NaN for a negative power base), or when
-    u = 0.
-    """
-    eigs, vecs = np.linalg.eigh(base)
-    l1, v = eigs[-1], vecs[:, -1]
-    uu = np.einsum("gi,gi->g", u, u)
-    ux = np.einsum("gi,gi->g", u, x)
-    tau = k * uu + 2.0 * ux
-    vu, vx = u @ v, x @ v
-    safe = np.where(uu > 0.0, uu, 1.0)
-    lower = np.maximum(l1 + 2.0 * vx * vu + k * vu * vu, np.einsum("gi,gi->g", u @ base, u) / safe + tau)
-    r = x - (ux / safe)[:, None] * u
-    upper = l1 + 0.5 * tau + np.hypot(0.5 * tau, np.sqrt(uu * np.einsum("gi,gi->g", r, r)))
-    margin = _BOUND_MARGIN * base.shape[0] * (
-        np.abs(eigs).max() + 2.0 * np.sqrt(uu * np.einsum("gi,gi->g", x, x)) + np.abs(k) * uu)
-    with np.errstate(invalid="ignore"):  # a negative power base gives NaN: kept below
-        lo, hi = score(lower - margin), score(upper + margin)
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    cut = np.min(hi, where=finite, initial=np.inf) * (1.0 + _BOUND_MARGIN)
-    return ~(lo > cut) | ~finite | (uu == 0.0)
-
-
 class _RobustAugmenter:
     """Batched robust-loss evaluation of one-point measure augmentations.
 
     With n the selection size, c = n/(n+1), A = Q'D(xi)Q, B1 = Q'D(xi^2)Q and
     b_g = (2 n xi_g + 1)/n^2, adding grid row q_g gives the rank-one updates
-    R_g = c (A + q_g q_g'/n) and B_g = c^2 (B1 + b_g q_g q_g').
-    `criteria._robust_kernel` evaluates A once per step.  With W = A^-1/2,
+    R_g = c (A + q_g q_g'/n) and B_g = c^2 (B1 + b_g q_g q_g'), read from the
+    gram part of the robust kernel (`criteria._robust_gram`).  With W = A^-1/2,
     C = W B1 W, u = W q_g, a = 1/n, t = sqrt(1 + a|u|^2), P = I + beta u u'
     and beta = -a/(t (1 + t)), (W P)(W P)' = c R_g^-1 and P u = u/t, so
 
@@ -337,12 +295,11 @@ class _RobustAugmenter:
     is near-singular.
 
     Only the smallest Dnu score is used, so `best` decomposes only the
-    candidates that cheap eigenvalue bounds cannot rule out (`_dnu_keep`:
-    Rayleigh quotients below, Weyl's inequality above, both widened by a
-    rounding margin of a few tens of eps times the matrices' scale).  Each
-    kept candidate goes through the same eigvalsh as in `candidate_values`,
-    so `best` returns the argmin of `candidate_values` and its value, bit
-    for bit.  Inu is scored in full.
+    candidates that a cheap lower bound cannot rule out (`_dnu_kept`).  Their
+    u, x and k are read from the same full-array products as in
+    `candidate_values` and go through the same eigvalsh, so `best` returns
+    the argmin of `candidate_values` and its value, bit for bit.  Inu is
+    scored in full.
 
     A singular current measure (smallest eigenvalue below the kernel's
     `errors.EIG_FLOOR`, e.g. fewer than p support points) has no W; then
@@ -363,52 +320,100 @@ class _RobustAugmenter:
 
     def best(self, xi: np.ndarray, n: int) -> tuple[int, float]:
         """(index, value) of the smallest score, ties to the lowest index."""
-        idx, vals = self._scores(xi, n, prune=True)
+        idx, vals = self._scores(xi, n, prune=self.kind == "Dnu")
         at = int(np.argmin(vals))
         return int(idx[at]), float(vals[at])
 
     def _scores(self, xi: np.ndarray, n: int, prune: bool) -> tuple[np.ndarray, np.ndarray]:
         """(candidate indices, their scores): every candidate, or with `prune`
-        the Dnu candidates the bounds keep, in ascending order."""
+        (Dnu only) the candidates `_dnu_kept` keeps, in ascending order."""
         idx = np.arange(self.q.shape[0])
         try:
             support = np.flatnonzero(xi)
-            parts = _robust_kernel(self.q[support], xi[support])
+            gram = _robust_gram(self.q[support], xi[support])
         except SingularMatrixError:
             return idx, self._singular_base_values(xi, n)
-        q, p, nu = self.q, self.p, self.nu
-        a = 1.0 / n
-        w = parts.inv_root
-        c_mat = w @ parts.b2 @ w
-        u = q @ w
-        t2 = 1.0 + a * np.einsum("gi,gi->g", u, u)
-        t = np.sqrt(t2)
-        beta = -a / (t * (1.0 + t))
-        cu = u @ c_mat
+        p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
+        w = gram.inv_root
+        c_mat = w @ gram.b2 @ w
+        u = self.q @ w
+        cu_all = u @ c_mat
 
-        # G = _plus_outer(C, x, u, k)
-        x = beta[:, None] * cu
-        k = beta * beta * np.einsum("gi,gi->g", cu, u) + (2.0 * n * xi + 1.0) * (a * a) / t2
+        def g_terms(at):
+            """u, t^2, t, beta and the x and k of G = _plus_outer(C, x, u, k) of the candidates `at`."""
+            uk, cu = u[at], cu_all[at]
+            t2 = 1.0 + a * np.einsum("gi,gi->g", uk, uk)
+            t = np.sqrt(t2)
+            beta = -a / (t * (1.0 + t))
+            k = beta * beta * np.einsum("gi,gi->g", cu, uk) + (2.0 * n * xi[at] + 1.0) * (a * a) / t2
+            return uk, t2, t, beta, beta[:, None] * cu, k
+
         if self.kind == "Inu":
-            pw = w + beta[:, None, None] * (u[:, :, None] * (u @ w)[:, None, :])
-            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (_plus_outer(c_mat, x, u, k) @ pw))[:, -1]
+            uk, t2, t, beta, x, k = g_terms(slice(None))
+            pw = w + beta[:, None, None] * (uk[:, :, None] * (uk @ w)[:, None, :])
+            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (_plus_outer(c_mat, x, uk, k) @ pw))[:, -1]
             trace = np.einsum("gij,gij->g", pw, pw) * ((n + 1.0) / n)
             return idx, (1.0 - nu) * trace + nu * lam
-        # G - P^-1 A P^-1 = _plus_outer(C - A, x, u, k) after these updates
-        gamma = a / (1.0 + t)
-        au = u @ parts.r
-        x -= gamma[:, None] * au
-        k -= gamma * gamma * np.einsum("gi,gi->g", au, u)
-        c = n / (n + 1.0)
-        base = c_mat - parts.r
-        det_r = c**p * np.prod(parts.r_eigs) * t2
+        base, au_all, det0 = c_mat - gram.r, u @ gram.r, c**p * np.prod(gram.r_eigs)
 
-        def score(lam, at=slice(None)):  # the Dnu score of candidates `at` with lambda_max(M_g) = lam
-            return ((1.0 - nu + nu * (c * lam)) / det_r[at]) ** (1.0 / p)
+        def powers(at):
+            """The p-th powers of the Dnu scores of the candidates `at`."""
+            uk, t2, t, beta, x, k = g_terms(at)
+            # G - P^-1 A P^-1 = _plus_outer(C - A, x, u, k) after these updates
+            gamma, au = a / (1.0 + t), au_all[at]
+            x -= gamma[:, None] * au
+            k -= gamma * gamma * np.einsum("gi,gi->g", au, uk)
+            lam = np.linalg.eigvalsh(_plus_outer(base, x, uk, k))[:, -1]
+            return (1.0 - nu + nu * (c * lam)) / (det0 * t2)
 
-        if prune:
-            idx = np.flatnonzero(_dnu_keep(base, x, u, k, score))
-        return idx, score(np.linalg.eigvalsh(_plus_outer(base, x[idx], u[idx], k[idx]))[:, -1], idx)
+        idx, vals = self._dnu_kept(u, c_mat, gram.r, base, xi, n, det0, powers) if prune else (idx, powers(idx))
+        return idx, vals ** (1.0 / p)
+
+    def _dnu_kept(self, u: np.ndarray, c_mat: np.ndarray, r: np.ndarray, base: np.ndarray, xi: np.ndarray,
+                  n: int, det0: float, powers) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates, ascending, that a lower bound cannot rule out of the smallest Dnu score,
+        and their `powers`, each decomposed once.
+
+        With A = R, a p-th power score (1 - nu + nu c lambda) / (det0 t^2) is nondecreasing in
+        lambda = lambda_max(M), M = base + x u' + u x' + k u u', base = C - A, x = beta C u - gamma A u.
+        One product of the column products u_a u_b with I, C and A gives |u|^2, u'Cu and u'Au, and so
+        u.x and k; one of u with v, C v and A v, (l1, v) the top eigenpair of base, gives v.u and v.x.
+        With tau = k |u|^2 + 2 u.x, lambda is at least the larger Rayleigh quotient of v and of u/|u|,
+        l1 + 2 (v.x)(v.u) + k (v.u)^2 and u'base u/|u|^2 + tau.  As 0 < -beta, gamma <= a/2,
+        |x| <= s |u| for s = a (|C| + |A|)/2 (Frobenius norms), and the bound is lowered by
+        rel (|C| + |A| + (2 s + k_max) |u|^2 + a s |u|^4), rel = _BOUND_MARGIN p^2, k_max the largest
+        (2 n xi + 1) a^2, for the rounding of the products, of M and of its eigvalsh.  The cut is the
+        exact p-th power score of the candidate with the smallest bound, times (1 + _BOUND_MARGIN)^p
+        for the rounding of the power and of t^2; kept are the candidates whose bound is at most the
+        cut, negative (no p-th root) or NaN, or whose |u|^2 is below the smallest normal float, and
+        all when the first score or its bound is negative.
+        """
+        p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
+        eigs, vecs = np.linalg.eigh(base)
+        l1, v = eigs[-1], vecs[:, -1]
+        ut = np.ascontiguousarray(u.T)
+        uu, ucu, uau = np.stack([np.eye(p), c_mat, r]).reshape(3, p * p) @ (ut[:, None] * ut).reshape(p * p, -1)
+        vu, cvu, avu = np.stack([v, c_mat @ v, r @ v]) @ ut
+        t2 = 1.0 + a * uu
+        t = np.sqrt(t2)
+        g, b = a / (1.0 + t), a / (t * (1.0 + t))  # gamma and -beta
+        k = (b * b) * ucu - (g * g) * uau + (xi * (2.0 * n * a * a) + a * a) / t2
+        tau = k * uu - 2.0 * (b * ucu + g * uau)
+        norms = np.linalg.norm(c_mat) + np.linalg.norm(r)
+        s_max, rel = 0.5 * a * norms, _BOUND_MARGIN * p * p
+        margin = rel * (norms + (2.0 * s_max + (2.0 * n * xi.max() + 1.0) * a * a + a * s_max * uu) * uu)
+        with np.errstate(divide="ignore", invalid="ignore"):  # |u| = 0: NaN, kept below
+            lower = np.maximum(l1 + (k * vu - 2.0 * (b * cvu + g * avu)) * vu, (ucu - uau) / uu + tau)
+        lo = (nu * c * (lower - margin) + (1.0 - nu)) / (det0 * t2)
+        first = int(np.argmin(np.where(lo >= 0.0, lo, np.inf)))
+        top = powers(np.array([first]))
+        cut = top[0] * (1.0 + _BOUND_MARGIN) ** p if lo[first] >= 0.0 and top[0] >= 0.0 else np.inf
+        keep = ~(lo > cut) | (uu < np.finfo(float).tiny)
+        keep[first] = False
+        rest = np.flatnonzero(keep)
+        idx = np.concatenate((rest, [first]))
+        order = np.argsort(idx)
+        return idx[order], np.concatenate((powers(rest), top))[order]
 
     def _singular_base_values(self, xi: np.ndarray, n: int) -> np.ndarray:
         """Per-candidate decomposition of every R_g (singular current measure)."""
@@ -502,18 +507,19 @@ def _pick_scorer(cfg: SeqConfig, p: int, grid: CandidateGrid, rows_grid: np.ndar
     """(best, count) of cfg.utility: the one place the loop's utility is chosen.
 
     best(info, theta, n) is the (grid index, value) of the best one-point
-    augmentation of the n selected rows; count(coords, n_old) adds the rows
-    at the matching coordinates `coords` to the scorer's state.
+    augmentation of the n selected rows; count(cols, n_old) adds the rows whose
+    matching coordinates are the columns of `cols` to the scorer's state.
     """
     if cfg.utility in ("Inu", "Dnu"):
         augmenter = _RobustAugmenter(RobustContext(rows_grid, cfg.nu, grid), cfg.utility)
         xi = np.zeros(grid_s.shape[0])
+        grid_cols = np.ascontiguousarray(grid_s.T)
 
-        def count(coords: np.ndarray, n_old: int) -> None:
+        def count(cols: np.ndarray, n_old: int) -> None:
             xi[:] *= n_old
-            for point in coords:
-                xi[int(np.argmin(((grid_s - point) ** 2).sum(axis=1)))] += 1.0
-            xi[:] /= n_old + coords.shape[0]
+            for j in range(cols.shape[1]):
+                xi[int(np.argmin(_sq_dists(grid_cols, cols[:, j])))] += 1.0
+            xi[:] /= n_old + cols.shape[1]
 
         return (lambda info, theta, n: augmenter.best(xi, n)), count
     score = {"D": _d_best, "A": _a_best, "traceR": partial(_trace_r_best, cfg.bias, p)}[cfg.utility]
@@ -522,7 +528,7 @@ def _pick_scorer(cfg: SeqConfig, p: int, grid: CandidateGrid, rows_grid: np.ndar
     def best(info, theta: np.ndarray, n: int) -> tuple[int, float]:
         return score(info, rows_grid, _logistic_terms(rows_grid @ theta)[2] if logistic else ones, n)
 
-    return best, lambda coords, n_old: None
+    return best, lambda cols, n_old: None
 
 
 # ---------------------------------------------------------------------------
@@ -536,33 +542,54 @@ _QUEUE_BUDGET = 8_000_000
 _QUEUE_PREFIX = 256
 
 
+def _sq_dists(cols: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared distances of the columns of the d x N array `cols` to `point`.
+
+    The bytes of ((c - point)**2).sum(axis=1) on the N x d rows c: numpy adds up to 7 terms of a row
+    in order, as this pass does one coordinate at a time; for d >= 8 it unrolls the sum, so rows are
+    summed as rows."""
+    d = cols.shape[0]
+    if d >= 8:
+        return (np.subtract(cols.T, point, order="C") ** 2).sum(axis=1)
+    dist = cols[0] - point[0]
+    dist *= dist
+    term = np.empty_like(dist)
+    for j in range(1, d):
+        np.subtract(cols[j], point[j], out=term)
+        term *= term
+        dist += term
+    return dist
+
+
 class _NearestRows:
     """The nearest not-yet-selected data rows to a grid point.
 
-    `scan` computes the squared distances of every row to the point, masks
-    the selected rows and takes the lowest ones, ties to the lowest row
-    index.  `take` returns the same rows from a queue: the first time a
-    point is chosen it stores a prefix of the stable argsort of those
-    distances (every row at most as far as the `prefix`-th nearest, found
-    with one partition) and a cursor, and every later choice takes the next
-    entries not yet selected, growing the prefix 4-fold when it runs out.
-    Entries before the cursor are all selected and rows beyond the prefix
-    are farther than all in it, so the result is exact.  Once the stored
-    prefixes would exceed `budget` entries, `take` scans.
+    The rows' coordinates are the columns of a contiguous d x N array, so each
+    distance pass (`_sq_dists`) runs over contiguous N-vectors.  `scan`
+    computes the squared distances of every row to the point, masks the
+    selected rows and takes the lowest ones, ties to the lowest row index.
+    `take` returns the same rows from a queue: the first time a point is
+    chosen it stores a prefix of the stable argsort of those distances (every
+    row at most as far as the `prefix`-th nearest, found with one partition)
+    and a cursor, and every later choice takes the next entries not yet
+    selected, growing the prefix 4-fold when it runs out.  Entries before the
+    cursor are all selected and rows beyond the prefix are farther than all in
+    it, so the result is exact.  Once the stored prefixes would exceed
+    `budget` entries, `take` scans.
     """
 
-    def __init__(self, coords: np.ndarray, points: np.ndarray, budget: int = _QUEUE_BUDGET,
+    def __init__(self, cols: np.ndarray, points: np.ndarray, budget: int = _QUEUE_BUDGET,
                  prefix: int = _QUEUE_PREFIX):
-        self.coords = coords
+        self.cols = cols
         self.points = points
         self.budget = budget
         self.prefix = prefix
         self.stored = 0
         self.queues: dict[int, tuple[np.ndarray, int]] = {}  # grid index -> (order prefix, cursor)
-        self.dtype = np.int32 if coords.shape[0] < 2**31 else np.int64
+        self.dtype = np.int32 if cols.shape[1] < 2**31 else np.int64
 
     def _dist(self, g: int) -> np.ndarray:
-        return ((self.coords - self.points[g]) ** 2).sum(axis=1)
+        return _sq_dists(self.cols, self.points[g])
 
     def _prefix(self, g: int, size: int) -> np.ndarray:
         """At least `size` leading entries of the stable argsort of the distances."""
@@ -630,7 +657,8 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     flat = np.flatnonzero(scale <= 0.0)
     if flat.size:
         raise DegenerateColumnError(f"constant column {int(flat[0])} cannot be distance-scaled")
-    coords_s = coords / scale
+    cols_s = np.array(coords.T, order="C")  # the scaled coordinates, column-major (see _NearestRows)
+    cols_s /= scale[:, None]
     grid_s = grid.points / scale
 
     family = cfg.family
@@ -711,13 +739,13 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         return (mat + mat.T) / 2.0, None, None
 
     info = working_info(fit.theta)
-    count(coords_s[selected], 0)
+    count(cols_s[:, selected], 0)
 
     trace = SeqTrace(
         initial_indices=sel_idx[:n_sel].astype(int),
         initial_theta=fit.theta.copy(),
     )
-    nearest = _NearestRows(coords_s, grid_s)
+    nearest = _NearestRows(cols_s, grid_s)
     fit_failures = 0
 
     while n_sel < cfg.n_target:
@@ -746,7 +774,7 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
             fit_failures += 1
             warm, newton_iters, converged = False, 0, False
             info = working_info(fit.theta)
-        count(coords_s[added], n_c)
+        count(cols_s[:, added], n_c)
 
         trace.steps.append(
             SeqStep(

@@ -26,6 +26,8 @@ carries an error term of its own, 1e-15 nu cond(B1) beyond rel, and the
 Inu comparison allows the sum of the two.  Its Dnu scores keep rel.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subsel.criteria import RobustContext
-from subsel.model_core import CandidateGrid
-from subsel.select_sequential import _RobustAugmenter
+from subsel.ingest_sim import simulate_example2
+from subsel.model_core import CandidateGrid, model_spec_from_config
+from subsel.select_sequential import SeqConfig, _RobustAugmenter, run_sequential
 
 
 def oracle_values(q: np.ndarray, xi: np.ndarray, n: int, nu: float, kind: str) -> np.ndarray:
@@ -244,7 +247,7 @@ def _assert_best_is_argmin(aug: _RobustAugmenter, xi: np.ndarray, n: int) -> Non
     spread=st.floats(min_value=0.0, max_value=4.0),
 )
 def test_pruned_dnu_choice_equals_the_full_argmin(seed, p, extra, n, nu, rows, zero_row, measure, spread):
-    """`best` decomposes only the Dnu candidates its bounds keep, and must
+    """`best` decomposes only the Dnu candidates its bound keeps, and must
     still return exactly the argmin of `candidate_values` and its bytes:
     ties to the lowest index (duplicated rows score alike), near-collinear
     rows, a zero row (u = 0), weights spread over 10^spread, and a singular
@@ -290,9 +293,76 @@ def test_pruned_dnu_choice_equals_the_full_argmin(seed, p, extra, n, nu, rows, z
 def test_pruned_dnu_choice_where_the_bounds_are_tight(seed, p, extra, n):
     # xi uniform on the whole grid makes A and C multiples of the identity
     # (Q is orthonormal), so C - A = 0 up to rounding and x is parallel to u:
-    # the lower and upper bounds agree in exact arithmetic and only the
-    # rounding margin keeps the minimum; at nu = 1 the score moves with
+    # the lower bound equals lambda_max in exact arithmetic and only the
+    # rounding margins keep the minimum; at nu = 1 the score moves with
     # lambda in full
     n_grid = p + extra
     aug = robust_augmenter(np.random.default_rng(seed).normal(size=(n_grid, p)), 1.0, "Dnu")
     _assert_best_is_argmin(aug, np.full(n_grid, 1.0 / n_grid), n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 5),
+    extra=st.integers(0, 2),
+    n_grid=st.integers(6, 60),
+    n=st.integers(1, 200),
+    nu=st.floats(min_value=0.0, max_value=1.0),
+    decades=st.floats(min_value=8.0, max_value=13.0),
+)
+def test_pruned_dnu_choice_on_ill_conditioned_measures(seed, p, extra, n_grid, n, nu, decades):
+    # p - 1 support points of weight about 1 and 1 to 3 of weight about
+    # 10^-decades: cond(A) runs from about 1e7 past the kernel's limit of
+    # 1e12, beyond which both forms take the singular path
+    rng = np.random.default_rng(seed)
+    n_grid = max(n_grid, p + extra)
+    aug = robust_augmenter(rng.normal(size=(n_grid, p)), nu, "Dnu")
+    at = rng.choice(n_grid, size=p + extra, replace=False)
+    xi = np.zeros(n_grid)
+    xi[at] = 10.0 ** -rng.uniform(0.0, 0.5, size=at.size)
+    xi[at[p - 1:]] *= 10.0 ** -decades
+    _assert_best_is_argmin(aug, xi / xi.sum(), n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 5),
+    extra=st.integers(1, 40),
+    n=st.integers(1, 200),
+    nu=st.sampled_from([0.5, 1.0]),
+    wobble=st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6]),
+)
+def test_pruned_dnu_choice_where_the_bound_terms_cancel(seed, p, extra, n, nu, wobble):
+    # xi uniform on the grid up to a relative wobble makes C - A of the order
+    # of the wobble, so the bound's u'Cu - u'Au cancels to the wobble's size,
+    # down to rounding, and so do k's beta^2 u'Cu and gamma^2 u'Au where
+    # t = sqrt(1 + |u|^2/n) is near 1
+    rng = np.random.default_rng(seed)
+    n_grid = p + extra
+    aug = robust_augmenter(rng.normal(size=(n_grid, p)), nu, "Dnu")
+    xi = 1.0 + wobble * rng.uniform(-1.0, 1.0, size=n_grid)
+    _assert_best_is_argmin(aug, xi / xi.sum(), n)
+
+
+def test_bound_keeps_few_candidates_on_the_golden_grid_case(monkeypatch):
+    """A margin that is too wide leaves `best` exact but quietly turns the
+    pruning off.  On the case of the golden `seqdes_dnu_grid.json`, 20000
+    rows on a 50 x 50 grid, the bound keeps at most 10 of the 2500
+    candidates at every step (1 to 6 when this was written)."""
+    golden = pytest.importorskip("test_golden")
+    kept = []
+    keep = _RobustAugmenter._dnu_kept
+
+    def counted(self, *args):
+        idx, powers = keep(self, *args)
+        kept.append(idx.size)
+        return idx, powers
+
+    monkeypatch.setattr(_RobustAugmenter, "_dnu_kept", counted)
+    grid = CandidateGrid.from_axes({name: np.array(v) for name, v in golden.DNU_GRID["axes"].items()}, z_dim=1)
+    cfg = SeqConfig(n_init=10, n_target=60, utility="Dnu", nu=0.5, family="linear", seed=21)
+    selection, _ = run_sequential(simulate_example2(20000, seed=21), grid,
+                                  model_spec_from_config(golden.DNU_GRID_MODEL), cfg)
+    recorded = json.loads((golden.GOLDEN / "seqdes_dnu_grid.json").read_text())["selection"]["indices"]
+    assert selection.indices.tolist() == recorded
+    assert len(kept) == 50 and max(kept) <= 10

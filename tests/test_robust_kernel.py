@@ -205,8 +205,8 @@ def test_support_kernel_matches_the_full_grid_kernel(seed, p, extra, nu, data):
             _robust_kernel(ctx.q_matrix[at], xi[at])
         return
     parts = _robust_kernel(ctx.q_matrix[at], xi[at])
-    assert_close(parts.r, r)
-    assert_close(parts.b2, b2)
+    assert_close(parts.gram.r, r)
+    assert_close(parts.gram.b2, b2)
     assert_close(parts.lam, lam)
     assert_close(parts.dnu(nu), dnu)
 

@@ -118,10 +118,42 @@ def test_parameter_validation():
 
 
 def test_rank_deficient_start_raises():
-    # a single support point cannot carry a 2-parameter gram matrix
+    # a single support point cannot carry a 2-parameter gram matrix, whatever the draw
     ctx = ctx_on_line(0.5)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(InvalidInputError, match="below the 2 basis terms"):
         run_wiens(ctx, n_init=1, n_target=10, seed=0)
+
+
+def ctx_on_two_lines() -> RobustContext:
+    # f = (1, x, z) on {-1, -.5, 0, .5, 1} x {-1, 1}: four points on one z level are singular
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1.0, 1.0, 5), "z": np.array([-1.0, 1.0])}, z_dim=1)
+    return RobustContext(np.column_stack([np.ones(grid.n_points), grid.points]), 0.5, grid)
+
+
+def test_singular_random_start_is_redrawn_from_the_same_stream():
+    ctx = ctx_on_two_lines()
+    first, second = (np.sort(draw) for draw in _draws(0, ctx.n_grid, 4, 2))
+    assert np.unique(ctx.grid.points[first, 1]).size == 1  # seed 0 first draws four points on one line
+    _, traj = run_wiens(ctx, n_init=4, n_target=20, seed=0)
+    assert traj.initial_indices.tolist() == second.tolist()
+    # a regular first draw is kept
+    _, traj = run_wiens(ctx, n_init=4, n_target=20, seed=1)
+    assert traj.initial_indices.tolist() == np.sort(_draws(1, ctx.n_grid, 4, 1)[0]).tolist()
+
+
+def test_start_draws_stop_after_a_bounded_count():
+    # one point off x = 0: a start of two points is regular only when it holds that point
+    axis = np.zeros(5000)
+    axis[-1] = 1.0
+    ctx = RobustContext(np.column_stack([np.ones(axis.size), axis]), 0.5, CandidateGrid(axis[:, None]))
+    assert not any(axis.size - 1 in draw for draw in _draws(0, axis.size, 2, 100))
+    with pytest.raises(SingularMatrixError, match="no regular start in 100 random draws"):
+        run_wiens(ctx, n_init=2, n_target=10, seed=0)
+
+
+def _draws(seed: int, n_grid: int, n_init: int, count: int) -> list[np.ndarray]:
+    rng = CounterRng(seed)
+    return [rng.sample_indices(n_grid, n_init) for _ in range(count)]
 
 
 def test_trailing_window_stop():

@@ -1,7 +1,10 @@
 """Properties of the incremental parts of the sequential loop.
 
+* The column-major distance pass gives the bytes of numpy's row sum
+  ((c - p)**2).sum(axis=1) on the N x d rows it replaced.
 * The queued nearest-row transfer returns exactly the rows of the full scan
-  it replaces, lowest row index first among equal distances.
+  it replaces, lowest row index first among equal distances.  Both read the
+  column-major pass, so this does not check the pass itself.
 * A logistic fit warm-started near the optimum and a cold fit from 0 reach
   the same estimate, to 1e-10 of its max-norm.
 * The stratified start's sort-based quantiles equal np.quantile's, and the
@@ -19,7 +22,38 @@ from hypothesis import strategies as st
 from subsel.errors import SeparationError, SingularMatrixError
 from subsel.estimation import fit_logistic, sigmoid
 from subsel.rng import CounterRng
-from subsel.select_sequential import _linear_quantiles, _NearestRows, _stratified_init
+from subsel.select_sequential import _linear_quantiles, _NearestRows, _sq_dists, _stratified_init
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    d=st.integers(1, 10),
+    n=st.integers(1, 500),
+    data=st.data(),
+)
+def test_column_major_distances_equal_the_row_sum(d, n, data):
+    # arbitrary finite floats, signed zeros included; large ones overflow to inf alike
+    values = data.draw(st.lists(FINITE, min_size=n * d, max_size=n * d), label="coords")
+    rows = np.array(values, dtype=float).reshape(n, d)
+    point = np.array(data.draw(st.lists(FINITE, min_size=d, max_size=d), label="point"), dtype=float)
+    with np.errstate(over="ignore"):
+        want = ((rows - point) ** 2).sum(axis=1)
+        got = _sq_dists(np.ascontiguousarray(rows.T), point)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_column_major_distances_keep_numpys_unrolled_row_sum_from_d_8():
+    # numpy unrolls a row sum of 8 or more terms, which a sum in order does not
+    # reproduce on these rows; the drawn floats above seldom tell the two apart
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(2000, 8)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 8))
+    want = (rows**2).sum(axis=1)
+    assert _sq_dists(np.ascontiguousarray(rows.T), np.zeros(8)).tobytes() == want.tobytes()
+    in_order = rows[:, 0] ** 2
+    for j in range(1, 8):
+        in_order = in_order + rows[:, j] ** 2
+    assert in_order.tobytes() != want.tobytes()
 
 
 @given(
@@ -38,7 +72,7 @@ def test_queued_transfer_equals_the_scan(seed, n, dim, levels, n_points, n_init,
     rng = np.random.default_rng(seed)
     coords = rng.integers(0, levels, size=(n, dim)).astype(float)
     points = rng.integers(0, levels + 1, size=(n_points, dim)).astype(float)
-    nearest = _NearestRows(coords, points, budget=budget, prefix=prefix)
+    nearest = _NearestRows(np.ascontiguousarray(coords.T), points, budget=budget, prefix=prefix)
     in_sel = np.zeros(n, dtype=bool)
     in_sel[rng.choice(n, size=min(n_init, n - 1), replace=False)] = True
     for g, m in picks:
@@ -57,7 +91,7 @@ def test_queued_transfer_equals_the_scan(seed, n, dim, levels, n_points, n_init,
 def test_queue_serves_a_point_chosen_again_and_respects_the_budget():
     coords = np.array([[0.0], [1.0], [1.0], [-1.0], [2.0], [0.0]])
     points = np.array([[0.0], [1.5]])
-    nearest = _NearestRows(coords, points, prefix=1)
+    nearest = _NearestRows(coords.T.copy(), points, prefix=1)
     in_sel = np.zeros(6, dtype=bool)
     taken = []
     for g, m in ((0, 2), (1, 2), (0, 1), (0, 1)):
@@ -67,7 +101,7 @@ def test_queue_serves_a_point_chosen_again_and_respects_the_budget():
     # rows 1, 2 and 4 tie at distance 0.25 from point 1, which takes the two
     # lowest; point 0 comes back after its stored prefix [0, 5] is used up
     assert taken == [[0, 5], [1, 2], [3], [4]]
-    scanned = _NearestRows(coords, points, budget=0)
+    scanned = _NearestRows(coords.T.copy(), points, budget=0)
     assert scanned.take(0, 2, np.zeros(6, dtype=bool)).tolist() == [0, 5]
     assert scanned.queues == {} and scanned.stored == 0
 
