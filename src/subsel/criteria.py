@@ -266,14 +266,14 @@ def top_eigenpair(sym: np.ndarray) -> tuple[float, np.ndarray]:
     sign-normalized so its first non-negligible component is positive.
     """
     eigvals, eigvecs = np.linalg.eigh((sym + sym.T) / 2.0)
-    lam = float(eigvals[-1])
+    vals = eigvals.tolist()
+    lam = vals[-1]
     thresh = _TIE_TOL * max(1.0, abs(lam))
-    tied = np.flatnonzero(np.abs(eigvals - lam) <= thresh).tolist()
+    tied = [i for i, e in enumerate(vals) if abs(e - lam) <= thresh]
     # a single top column is taken as it is; among ties max keeps the first of the largest keys
     best = tied[0] if len(tied) == 1 else max(tied, key=lambda i: tuple(np.round(np.abs(eigvecs[:, i]), 12)))
     vec = eigvecs[:, best].copy()
-    lead = np.flatnonzero(np.abs(vec) > 1e-12)
-    if lead.size and vec[lead[0]] < 0:
+    if next((c for c in vec.tolist() if abs(c) > 1e-12), 0.0) < 0:
         vec = -vec
     return lam, vec
 
@@ -300,7 +300,7 @@ class _RobustParts(NamedTuple):
     z: np.ndarray
 
     def dnu(self, nu: float) -> float:
-        det_r = float(np.prod(self.gram.r_eigs))
+        det_r = math.prod(self.gram.r_eigs.tolist())  # the same left-to-right product as np.prod
         return float(((1.0 - nu + nu * self.lam) / det_r) ** (1.0 / self.gram.r_eigs.size))
 
 
@@ -329,7 +329,9 @@ def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) 
     rinv = (g.r_vecs / g.r_eigs) @ g.r_vecs.T
     root = (g.r_vecs * g.sqrt_eigs) @ g.r_vecs.T
     u = rinv @ g.b2 @ rinv
-    lam, z = top_eigenpair(root @ (u - np.eye(g.r.shape[0])) @ root)
+    u_minus_i = u.copy()
+    u_minus_i.flat[:: u.shape[0] + 1] -= 1.0  # U - I
+    lam, z = top_eigenpair(root @ u_minus_i @ root)
     return _RobustParts(g, rinv, root, u, lam, z)
 
 

@@ -22,9 +22,10 @@ D-loss of a run equals wiens_losses of its measure bit for bit.
 
 Each step adds mass at one point, so the loop holds the sorted support, its
 weights and rows (at most n_init + iterations points), and the kernel sums over
-them; the one grid pass is the product of the pairwise-column matrix, built
-once per run, with the packed triangle of A.  Grid weights are scattered once,
-at the end, and the trace replays its per-step weights hashes when written.
+them; the one grid pass is the product of A's packed triangle with the
+pairwise-column matrix, built once per run and held column-major, a contiguous
+row per pair (a, b).  Grid weights are scattered once, at the end, and the
+trace replays its per-step weights hashes when written.
 """
 
 from __future__ import annotations
@@ -89,28 +90,28 @@ class RobustTrajectory:
                            "final_dnu": self.final_dnu, "stop_reason": self.stop_reason})
 
 
-def _pairwise_columns(q: np.ndarray) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
-    """The quadratic-form columns of every row, q_ia q_ib for a = b and 2 q_ia q_ib for a < b,
-    zero-padded to whole blocks of 16 rows so that every row takes the same BLAS path (equal
-    rows score equal); the row count; and the (a, b) pairs."""
+def _pairwise_columns(q: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The quadratic-form columns of every row, q_ia q_ib for a = b and 2 q_ia q_ib for a < b, column-major (a
+    contiguous row per pair (a, b)) and zero-padded to whole blocks of 16 grid rows so that every grid row takes
+    the same BLAS path (equal rows score equal); the row count; and the flat index a p + b of each pair."""
     n, p = q.shape
-    triu = np.triu_indices(p)
-    pairs = np.zeros((-(-n // 16) * 16, triu[0].size))
-    np.multiply(q[:, triu[0]], q[:, triu[1]], out=pairs[:n])
-    pairs[:, triu[0] != triu[1]] *= 2.0  # exact, so each term equals the product with 2 a_ab
-    return pairs, n, triu
+    a, b = np.triu_indices(p)
+    pairs = np.zeros((a.size, -(-n // 16) * 16))
+    np.multiply(q.T[a], q.T[b], out=pairs[:, :n])
+    pairs[a != b] *= 2.0  # exact, so each term equals the product with 2 a_ab
+    return pairs, n, a * p + b
 
 
 def _direction_scores(grid: tuple, q_s: np.ndarray, xi_s: np.ndarray, support: np.ndarray, nu: float,
                       parts: _RobustParts) -> np.ndarray:
     """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every row q_i of the `_pairwise_columns` grid; the xi_i
     term is read from the support's rows q_s and weights xi_s (xi_i = 0 off the support)."""
-    pairs, n, triu = grid
+    pairs, n, flat = grid
     v = parts.root @ parts.z
     w = parts.gram.inv_root @ parts.z
-    j = parts.lam * (parts.rinv + np.outer(w, w)) + np.outer(w, v) + np.outer(v, w)
+    j = parts.lam * (parts.rinv + w[:, None] * w) + w[:, None] * v + v[:, None] * w
     a = (1.0 - nu) * parts.rinv + nu * j
-    scores = (pairs @ a[triu])[:n]
+    scores = (a.take(flat) @ pairs)[:n]
     qw = q_s @ w
     scores[support] -= 2.0 * nu * xi_s * (qw * qw)
     return scores
@@ -172,8 +173,8 @@ def run_wiens(
         if n >= n_target or traj.stop_reason != "n_reached":
             traj.final_dnu = dnu
             break
-        best = int(np.argmax(_direction_scores(grid, q_s, w, support, nu, parts)))
-        at = int(np.searchsorted(support, best))
+        best = int(_direction_scores(grid, q_s, w, support, nu, parts).argmax())
+        at = int(support.searchsorted(best))
         if at == support.size or support[at] != best:
             support = np.insert(support, at, best)
             w = np.insert(w, at, 0.0)

@@ -1,0 +1,108 @@
+"""Guard mutants: check that each listed guard in the numerical shortcuts is killed by its test.
+
+Usage (from the root of a checkout):
+
+    PYTHONPATH=src python tests/guard_mutants.py [NAME ...]
+
+For each guard in GUARDS (or only the named ones) this copies `src/` to a
+temporary directory, removes the guard there by an exact text substitution,
+runs the guard's test against the copy, and prints whether the test failed
+("killed") or passed ("SURVIVED").  A guard whose text no longer appears
+exactly once in its module is reported as "STALE": update its entry along
+with the code.  The exit status is 0 only when every guard is killed.
+
+The file name does not start with `test_`, so pytest does not collect it.
+Rerun it after any change to a listed guard.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Guard(NamedTuple):
+    name: str
+    module: str  # file under src/subsel/
+    text: str  # the guard as it stands in the module, exactly once
+    without: str  # the same text with the guard removed
+    test: str  # the pytest node id that must fail without it
+    why: str
+
+
+GUARDS = [
+    Guard(
+        "pairwise-padding", "select_robust.py",
+        "pairs = np.zeros((a.size, -(-n // 16) * 16))",
+        "pairs = np.zeros((a.size, n))",
+        "tests/test_robust_kernel.py::test_equal_grid_rows_score_exactly_equal",
+        "the zero padding to whole blocks of 16 grid rows gives equal rows equal scores",
+    ),
+    Guard(
+        "dnu-tiny-u", "select_sequential.py",
+        "keep = ~(lo > cut) | (uu < np.finfo(float).tiny)",
+        "keep = ~(lo > cut)",
+        "tests/test_robust_augmenter.py::test_pruned_dnu_choice_with_u_below_the_smallest_normal",
+        "a candidate with |u|^2 below the smallest normal float is kept",
+    ),
+    Guard(
+        "dnu-first-nonnegative", "select_sequential.py",
+        "first = int(np.argmin(np.where(lo >= 0.0, lo, np.inf)))",
+        "first = int(np.argmin(lo))",
+        "tests/test_robust_augmenter.py::test_negative_dnu_bounds_leave_the_cut_finite",
+        "the cut candidate is the smallest non-negative bound, so a negative bound does not keep all",
+    ),
+    Guard(
+        "dnu-cut-factor", "select_sequential.py",
+        "cut = top[0] * (1.0 + _BOUND_MARGIN) ** p if",
+        "cut = top[0] if",
+        "tests/test_robust_augmenter.py::test_pruned_dnu_cut_covers_the_rounding_of_t2",
+        "the cut is widened by (1 + _BOUND_MARGIN)^p for the rounding of the power and of t^2",
+    ),
+]
+
+
+def run_mutant(guard: Guard, work: Path) -> str:
+    src = work / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "subsel" / guard.module
+    text = path.read_text()
+    if text.count(guard.text) != 1:
+        return "STALE"
+    path.write_text(text.replace(guard.text, guard.without))
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", guard.test],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR (pytest exit {proc.returncode}): {proc.stdout.strip().splitlines()[-1:]}"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {g.name for g in GUARDS}
+    if unknown:
+        print(f"unknown guards: {sorted(unknown)}; known: {[g.name for g in GUARDS]}", file=sys.stderr)
+        return 2
+    results = []
+    with tempfile.TemporaryDirectory(prefix="guard_mutants_") as tmp:
+        for guard in GUARDS:
+            if names and guard.name not in names:
+                continue
+            result = run_mutant(guard, Path(tmp))
+            results.append(result)
+            print(f"{guard.name:24s} {result:9s} {guard.test}  ({guard.why})", flush=True)
+    return 0 if all(r == "killed" for r in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

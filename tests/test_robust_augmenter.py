@@ -251,7 +251,8 @@ def test_pruned_dnu_choice_equals_the_full_argmin(seed, p, extra, n, nu, rows, z
     still return exactly the argmin of `candidate_values` and its bytes:
     ties to the lowest index (duplicated rows score alike), near-collinear
     rows, a zero row (u = 0), weights spread over 10^spread, and a singular
-    measure, where both read `_singular_base_values`."""
+    measure, where both read `_singular_base_values`.  Every drawn grid has
+    rank p, as `RobustContext` requires."""
     rng = np.random.default_rng(seed)
     n_grid = p + extra
     if rows == "duplicated":
@@ -263,8 +264,8 @@ def test_pruned_dnu_choice_equals_the_full_argmin(seed, p, extra, n, nu, rows, z
         grid_rows += 1e-6 * rng.normal(size=(n_grid, p))
     else:
         grid_rows = rng.normal(size=(n_grid, p))
-    if zero_row or (measure == "singular" and p == 1):
-        grid_rows[rng.integers(0, grid_rows.shape[0])] = 0.0
+    if zero_row or (measure == "singular" and p == 1):  # inserted, so the grid keeps rank p
+        grid_rows = np.insert(grid_rows, rng.integers(0, grid_rows.shape[0] + 1), 0.0, axis=0)
     n_grid = grid_rows.shape[0]
     aug = robust_augmenter(grid_rows, nu, "Dnu")
     if measure == "uniform":
@@ -344,12 +345,8 @@ def test_pruned_dnu_choice_where_the_bound_terms_cancel(seed, p, extra, n, nu, w
     _assert_best_is_argmin(aug, xi / xi.sum(), n)
 
 
-def test_bound_keeps_few_candidates_on_the_golden_grid_case(monkeypatch):
-    """A margin that is too wide leaves `best` exact but quietly turns the
-    pruning off.  On the case of the golden `seqdes_dnu_grid.json`, 20000
-    rows on a 50 x 50 grid, the bound keeps at most 10 of the 2500
-    candidates at every step (1 to 6 when this was written)."""
-    golden = pytest.importorskip("test_golden")
+def kept_counts(monkeypatch) -> list[int]:
+    """The number of candidates `_dnu_kept` keeps, one entry per call from now on."""
     kept = []
     keep = _RobustAugmenter._dnu_kept
 
@@ -359,6 +356,16 @@ def test_bound_keeps_few_candidates_on_the_golden_grid_case(monkeypatch):
         return idx, powers
 
     monkeypatch.setattr(_RobustAugmenter, "_dnu_kept", counted)
+    return kept
+
+
+def test_bound_keeps_few_candidates_on_the_golden_grid_case(monkeypatch):
+    """A margin that is too wide leaves `best` exact but quietly turns the
+    pruning off.  On the case of the golden `seqdes_dnu_grid.json`, 20000
+    rows on a 50 x 50 grid, the bound keeps at most 10 of the 2500
+    candidates at every step (1 to 6 when this was written)."""
+    golden = pytest.importorskip("test_golden")
+    kept = kept_counts(monkeypatch)
     grid = CandidateGrid.from_axes({name: np.array(v) for name, v in golden.DNU_GRID["axes"].items()}, z_dim=1)
     cfg = SeqConfig(n_init=10, n_target=60, utility="Dnu", nu=0.5, family="linear", seed=21)
     selection, _ = run_sequential(simulate_example2(20000, seed=21), grid,
@@ -366,3 +373,66 @@ def test_bound_keeps_few_candidates_on_the_golden_grid_case(monkeypatch):
     recorded = json.loads((golden.GOLDEN / "seqdes_dnu_grid.json").read_text())["selection"]["indices"]
     assert selection.indices.tolist() == recorded
     assert len(kept) == 50 and max(kept) <= 10
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_pruned_dnu_choice_with_u_below_the_smallest_normal(p):
+    # the last grid row scaled to 1e-159..1e-162, so |u|^2 is subnormal and
+    # u'Cu, u'Au keep a few bits: the Rayleigh quotient of u/|u| reads far
+    # from lambda_max and can rule the row out, though at nu = 1 and n = 1
+    # that row, which leaves the measure's shape as it is, mostly scores
+    # lowest; `_dnu_kept` keeps every row whose |u|^2 is below the smallest
+    # normal float (without that rule 24 of the 310 cases at p = 1 and 2 at
+    # p = 2 fail)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(p + 6, p))
+        xi = rng.exponential(size=p + 6)
+        xi[-1] = 0.0
+        for decades in np.linspace(159.0, 162.0, 31):
+            tiny = rows.copy()
+            tiny[-1] *= 10.0 ** -decades
+            _assert_best_is_argmin(robust_augmenter(tiny, 1.0, "Dnu"), xi / xi.sum(), 1)
+
+
+def test_negative_dnu_bounds_leave_the_cut_finite(monkeypatch):
+    # p = 1, xi uniform on all grid points but the last and n = N - 1: adding
+    # the last point makes the measure uniform on the grid, whose lambda_max
+    # is 0, so at nu = 1 its bound lies a margin below 0.  The cut is taken
+    # at the smallest non-negative bound, and the two are kept; taken at the
+    # negative bound it is inf and all 100 are decomposed, with the same answer
+    kept = kept_counts(monkeypatch)
+    n_grid = 100
+    for seed in range(5):
+        aug = robust_augmenter(np.random.default_rng(seed).normal(size=(n_grid, 1)), 1.0, "Dnu")
+        xi = np.full(n_grid, 1.0 / (n_grid - 1))
+        xi[-1] = 0.0
+        _assert_best_is_argmin(aug, xi, n_grid - 1)
+    assert kept == [2] * 5
+
+
+def harmonic_rows(n_grid: int, p: int, phase: float) -> np.ndarray:
+    """Rows (1/sqrt 2, cos t, sin t, cos 2t, sin 2t, ...) at n_grid equally spaced angles t: orthogonal
+    columns of equal norm, and for odd p rows of equal norm."""
+    angle = 2.0 * np.pi * (np.arange(n_grid) + phase) / n_grid
+    cols = [np.full(n_grid, np.sqrt(0.5))]
+    for k in range(1, p // 2 + 1):
+        cols += [np.cos(k * angle), np.sin(k * angle)]
+    return np.column_stack(cols[:p])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pruned_dnu_cut_covers_the_rounding_of_t2(p):
+    # rows of equal norm and xi uniform: every |u|^2 is equal up to rounding,
+    # and at nu = 0 or 1e-6 the scores 1/(det0 t^2) tie up to an ulp.  The
+    # bound's |u|^2 (one product with I) and the score's (a row sum) can
+    # round apart, so the cut is the first exact score times
+    # (1 + _BOUND_MARGIN)^p (without that factor 11 of these 54 cases fail
+    # at p = 3 and 19 at p = 5)
+    for n_grid in (13, 24, 37):
+        for phase in (0.0, 0.1, 0.37):
+            rows = harmonic_rows(n_grid, p, phase)
+            for nu in (0.0, 1e-6):
+                aug = robust_augmenter(rows, nu, "Dnu")
+                for n in (1, 7, 50):
+                    _assert_best_is_argmin(aug, np.full(n_grid, 1.0 / n_grid), n)
