@@ -56,11 +56,12 @@ class RobustStep:
     support_size: int  # grid points with positive weight after the step
 
 
-def _add_point(w: np.ndarray, at: int, n: int) -> None:
-    """Move mass 1/(n+1) to w[at] in place: the measure of n points plus one at `at`."""
+def _add_points(w: np.ndarray, cells, n: int) -> None:
+    """Make the measure w of n points that of n + len(cells) points, one more at each of `cells`, in place."""
     w *= n
-    w[at] += 1.0
-    w /= n + 1
+    for cell in cells:  # in order, so a repeated cell gains 1 at a time
+        w[cell] += 1.0
+    w /= n + len(cells)
 
 
 @dataclass
@@ -84,7 +85,7 @@ class RobustTrajectory:
         xi[self.initial_indices] = 1.0 / self.initial_indices.size
         steps = []
         for n, step in enumerate(self.steps, start=self.initial_indices.size):
-            _add_point(xi, step.chosen_index, n)
+            _add_points(xi, [step.chosen_index], n)
             steps.append({**vars(step), "weights_sha256": hashlib.sha256(xi.tobytes()).hexdigest()})
         return json_ready({"initial_indices": self.initial_indices, "steps": steps,
                            "final_dnu": self.final_dnu, "stop_reason": self.stop_reason})
@@ -180,7 +181,7 @@ def run_wiens(
             w = np.insert(w, at, 0.0)
             q_s = np.insert(q_s, at, q[best], axis=0)
 
-        _add_point(w, at, n)
+        _add_points(w, [at], n)
         n += 1
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:

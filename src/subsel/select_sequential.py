@@ -70,6 +70,7 @@ from .model_core import (
     model_matrix,
 )
 from .rng import CounterRng
+from .select_robust import _add_points
 
 UTILITIES = ("D", "A", "Inu", "Dnu", "traceR")
 FAMILIES = ("auto", "linear", "logistic")
@@ -205,25 +206,17 @@ def _stratified_init(rng: CounterRng, values: np.ndarray, edge_pool: np.ndarray,
     membership and sampling run over every row: the selection depends on the
     covariate only, which keeps downstream estimates free of selection bias.
     """
-    picked: list[int] = []
-    if edge_pool.size:
-        edges = _linear_quantiles(values[edge_pool], n_quantiles)
-        bins = np.searchsorted(edges[1:-1], values, side="right")
-        members = [np.flatnonzero(bins == b).tolist() for b in range(n_quantiles)]
-        # round r visits, in bin order, every bin with more than r members and
-        # draws below its remaining size; neither depends on the draws
-        sizes = np.array([len(m) for m in members])
-        visit_round, visit_bin = np.nonzero(sizes > np.arange(min(n_init, sizes.max()))[:, None])
-        visit_round, visit_bin = visit_round[:n_init], visit_bin[:n_init]
-        draws = rng.randbelow_many(sizes[visit_bin] - visit_round)
-        picked = [members[b].pop(at) for b, at in zip(visit_bin.tolist(), draws.tolist())]
-    if len(picked) < n_init:
-        free = np.ones(values.size, dtype=bool)
-        free[picked] = False
-        rest = np.flatnonzero(free)
-        fill = rng.sample_indices(rest.size, n_init - len(picked))
-        picked.extend(int(rest[i]) for i in fill)
-    return picked
+    edges = _linear_quantiles(values[edge_pool], n_quantiles)
+    bins = np.searchsorted(edges[1:-1], values, side="right")
+    members = [np.flatnonzero(bins == b).tolist() for b in range(n_quantiles)]
+    # round r visits, in bin order, every bin with more than r members and
+    # draws below its remaining size; neither depends on the draws.  The
+    # rounds visit sum_b min(size_b, n_init) >= n_init rows, as n_init <= N
+    sizes = np.array([len(m) for m in members])
+    visit_round, visit_bin = np.nonzero(sizes > np.arange(min(n_init, sizes.max()))[:, None])
+    visit_round, visit_bin = visit_round[:n_init], visit_bin[:n_init]
+    draws = rng.randbelow_many(sizes[visit_bin] - visit_round)
+    return [members[b].pop(at) for b, at in zip(visit_bin.tolist(), draws.tolist())]
 
 
 def _initial_indices(rng: CounterRng, cfg: SeqConfig, coords: np.ndarray,
@@ -294,12 +287,17 @@ class _RobustAugmenter:
     is formed explicitly: the expanded Sherman-Morrison trace cancels when A
     is near-singular.
 
-    Only the smallest Dnu score is used, so `best` decomposes only the
-    candidates that a cheap lower bound cannot rule out (`_dnu_kept`).  Their
-    u, x and k are read from the same full-array products as in
-    `candidate_values` and go through the same eigvalsh, so `best` returns
-    the argmin of `candidate_values` and its value, bit for bit.  Inu is
-    scored in full.
+    Each per-candidate term (|u|^2, t^2, t, beta, u'Cu, k, and for Dnu gamma
+    and u'Au) is computed once per step, for every candidate.  Only the
+    smallest Dnu score is used, so `best` decomposes only the candidates that
+    a cheap lower bound, read from the same terms, cannot rule out
+    (`_dnu_kept`): first those kept whatever the cut, then those whose bound
+    is at most the smallest exact score among the first.  They go through the
+    same eigvalsh as in `candidate_values`, so `best` returns the argmin of
+    `candidate_values` and its value, bit for bit.  Inu is scored in full.
+    lambda_max(R^-1/2 B R^-1/2 - R) >= 0 (for v an eigenvector of R,
+    v'R^-1/2 B R^-1/2 v >= (v'v)^2/(v'R^-1 v) = v'R v), so a Dnu p-th power
+    that rounds below 0 reads 0.
 
     A singular current measure (smallest eigenvalue below the kernel's
     `errors.EIG_FLOOR`, e.g. fewer than p support points) has no W; then
@@ -312,7 +310,6 @@ class _RobustAugmenter:
         self.nu = ctx.nu
         self.kind = kind
         self.p = ctx.p
-        self.outer = None  # q_g q_g' per candidate, built for a singular base only
 
     def candidate_values(self, xi: np.ndarray, n: int) -> np.ndarray:
         """The score of every candidate."""
@@ -336,95 +333,89 @@ class _RobustAugmenter:
         p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
         w = gram.inv_root
         c_mat = w @ gram.b2 @ w
+        # the per-candidate terms, each computed once per step for every candidate
         u = self.q @ w
-        cu_all = u @ c_mat
-
-        def g_terms(at):
-            """u, t^2, t, beta and the x and k of G = _plus_outer(C, x, u, k) of the candidates `at`."""
-            uk, cu = u[at], cu_all[at]
-            t2 = 1.0 + a * np.einsum("gi,gi->g", uk, uk)
-            t = np.sqrt(t2)
-            beta = -a / (t * (1.0 + t))
-            k = beta * beta * np.einsum("gi,gi->g", cu, uk) + (2.0 * n * xi[at] + 1.0) * (a * a) / t2
-            return uk, t2, t, beta, beta[:, None] * cu, k
-
+        cu = u @ c_mat
+        uu, ucu = np.einsum("gi,gi->g", u, u), np.einsum("gi,gi->g", cu, u)
+        t2 = 1.0 + a * uu
+        t = np.sqrt(t2)
+        beta = -a / (t * (1.0 + t))
+        k = beta * beta * ucu + (2.0 * n * xi + 1.0) * (a * a) / t2
         if self.kind == "Inu":
-            uk, t2, t, beta, x, k = g_terms(slice(None))
-            pw = w + beta[:, None, None] * (uk[:, :, None] * (uk @ w)[:, None, :])
-            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (_plus_outer(c_mat, x, uk, k) @ pw))[:, -1]
+            pw = w + beta[:, None, None] * (u[:, :, None] * (u @ w)[:, None, :])
+            g_mat = _plus_outer(c_mat, beta[:, None] * cu, u, k)
+            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (g_mat @ pw))[:, -1]
             trace = np.einsum("gij,gij->g", pw, pw) * ((n + 1.0) / n)
             return idx, (1.0 - nu) * trace + nu * lam
-        base, au_all, det0 = c_mat - gram.r, u @ gram.r, c**p * np.prod(gram.r_eigs)
+        # G - P^-1 A P^-1 = _plus_outer(C - A, x, u, k) with x = beta C u - gamma A u and these terms
+        base, au, den = c_mat - gram.r, u @ gram.r, c**p * np.prod(gram.r_eigs) * t2
+        gamma = a / (1.0 + t)
+        uau = np.einsum("gi,gi->g", au, u)
+        k -= gamma * gamma * uau
 
         def powers(at):
             """The p-th powers of the Dnu scores of the candidates `at`."""
-            uk, t2, t, beta, x, k = g_terms(at)
-            # G - P^-1 A P^-1 = _plus_outer(C - A, x, u, k) after these updates
-            gamma, au = a / (1.0 + t), au_all[at]
-            x -= gamma[:, None] * au
-            k -= gamma * gamma * np.einsum("gi,gi->g", au, uk)
-            lam = np.linalg.eigvalsh(_plus_outer(base, x, uk, k))[:, -1]
-            return (1.0 - nu + nu * (c * lam)) / (det0 * t2)
+            x = beta[at, None] * cu[at] - gamma[at, None] * au[at]
+            lam = np.linalg.eigvalsh(_plus_outer(base, x, u[at], k[at]))[:, -1]
+            return (1.0 - nu + nu * (c * lam)) / den[at]
 
-        idx, vals = self._dnu_kept(u, c_mat, gram.r, base, xi, n, det0, powers) if prune else (idx, powers(idx))
-        return idx, vals ** (1.0 / p)
+        if prune:
+            idx, vals = self._dnu_kept(u, uu, ucu, uau, beta, gamma, k, den, c_mat, gram.r, base, xi, n, powers)
+        else:
+            vals = powers(idx)
+        return idx, np.maximum(vals, 0.0) ** (1.0 / p)  # the power is >= 0 but for rounding
 
-    def _dnu_kept(self, u: np.ndarray, c_mat: np.ndarray, r: np.ndarray, base: np.ndarray, xi: np.ndarray,
-                  n: int, det0: float, powers) -> tuple[np.ndarray, np.ndarray]:
+    def _dnu_kept(self, u: np.ndarray, uu: np.ndarray, ucu: np.ndarray, uau: np.ndarray, beta: np.ndarray,
+                  gamma: np.ndarray, k: np.ndarray, den: np.ndarray, c_mat: np.ndarray, r: np.ndarray,
+                  base: np.ndarray, xi: np.ndarray, n: int, powers) -> tuple[np.ndarray, np.ndarray]:
         """The candidates, ascending, that a lower bound cannot rule out of the smallest Dnu score,
         and their `powers`, each decomposed once.
 
         With A = R, a p-th power score (1 - nu + nu c lambda) / (det0 t^2) is nondecreasing in
-        lambda = lambda_max(M), M = base + x u' + u x' + k u u', base = C - A, x = beta C u - gamma A u.
-        One product of the column products u_a u_b with I, C and A gives |u|^2, u'Cu and u'Au, and so
-        u.x and k; one of u with v, C v and A v, (l1, v) the top eigenpair of base, gives v.u and v.x.
+        lambda = lambda_max(M), M = base + x u' + u x' + k u u', base = C - A, x = beta C u - gamma A u;
+        the bound reads the scores' |u|^2, u'Cu, u'Au, t^2, beta, gamma and k, and so u.x, and one
+        product of u with v, C v and A v, (l1, v) the top eigenpair of base, gives v.u and v.x.
         With tau = k |u|^2 + 2 u.x, lambda is at least the larger Rayleigh quotient of v and of u/|u|,
         l1 + 2 (v.x)(v.u) + k (v.u)^2 and u'base u/|u|^2 + tau.  As 0 < -beta, gamma <= a/2,
         |x| <= s |u| for s = a (|C| + |A|)/2 (Frobenius norms), and the bound is lowered by
         rel (|C| + |A| + (2 s + k_max) |u|^2 + a s |u|^4), rel = _BOUND_MARGIN p^2, k_max the largest
-        (2 n xi + 1) a^2, for the rounding of the products, of M and of its eigvalsh.  The cut is the
-        exact p-th power score of the candidate with the smallest bound, times (1 + _BOUND_MARGIN)^p
-        for the rounding of the power and of t^2; kept are the candidates whose bound is at most the
-        cut, negative (no p-th root) or NaN, or whose |u|^2 is below the smallest normal float, and
-        all when the first score or its bound is negative.
+        (2 n xi + 1) a^2, for the rounding of the products, of M and of its eigvalsh.  The candidates
+        kept whatever the cut are decomposed first: every one whose bound is negative (no p-th root)
+        or NaN or whose |u|^2 is below the smallest normal float, and the one with the smallest
+        non-negative bound.  The cut is the smallest non-negative exact p-th power among them, times
+        (1 + _BOUND_MARGIN)^p for the rounding of the p-th root; the rest are kept where their bound
+        is at most the cut.
         """
         p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
         eigs, vecs = np.linalg.eigh(base)
         l1, v = eigs[-1], vecs[:, -1]
-        ut = np.ascontiguousarray(u.T)
-        uu, ucu, uau = np.stack([np.eye(p), c_mat, r]).reshape(3, p * p) @ (ut[:, None] * ut).reshape(p * p, -1)
-        vu, cvu, avu = np.stack([v, c_mat @ v, r @ v]) @ ut
-        t2 = 1.0 + a * uu
-        t = np.sqrt(t2)
-        g, b = a / (1.0 + t), a / (t * (1.0 + t))  # gamma and -beta
-        k = (b * b) * ucu - (g * g) * uau + (xi * (2.0 * n * a * a) + a * a) / t2
-        tau = k * uu - 2.0 * (b * ucu + g * uau)
+        vu, cvu, avu = (u @ np.column_stack((v, c_mat @ v, r @ v))).T
+        tau = k * uu + 2.0 * (beta * ucu - gamma * uau)
         norms = np.linalg.norm(c_mat) + np.linalg.norm(r)
         s_max, rel = 0.5 * a * norms, _BOUND_MARGIN * p * p
         margin = rel * (norms + (2.0 * s_max + (2.0 * n * xi.max() + 1.0) * a * a + a * s_max * uu) * uu)
         with np.errstate(divide="ignore", invalid="ignore"):  # |u| = 0: NaN, kept below
-            lower = np.maximum(l1 + (k * vu - 2.0 * (b * cvu + g * avu)) * vu, (ucu - uau) / uu + tau)
-        lo = (nu * c * (lower - margin) + (1.0 - nu)) / (det0 * t2)
-        first = int(np.argmin(np.where(lo >= 0.0, lo, np.inf)))
-        top = powers(np.array([first]))
-        cut = top[0] * (1.0 + _BOUND_MARGIN) ** p if lo[first] >= 0.0 and top[0] >= 0.0 else np.inf
-        keep = ~(lo > cut) | (uu < np.finfo(float).tiny)
-        keep[first] = False
-        rest = np.flatnonzero(keep)
-        idx = np.concatenate((rest, [first]))
+            lower = np.maximum(l1 + (k * vu + 2.0 * (beta * cvu - gamma * avu)) * vu, (ucu - uau) / uu + tau)
+        lo = (nu * c * (lower - margin) + (1.0 - nu)) / den
+        always = ~(lo >= 0.0) | (uu < np.finfo(float).tiny)
+        always[np.argmin(np.where(lo >= 0.0, lo, np.inf))] = True
+        first = np.flatnonzero(always)
+        top = powers(first)
+        cut = np.min(top, initial=np.inf, where=top >= 0.0) * (1.0 + _BOUND_MARGIN) ** p
+        rest = np.flatnonzero((lo <= cut) & ~always)
+        idx = np.concatenate((first, rest))
         order = np.argsort(idx)
-        return idx[order], np.concatenate((powers(rest), top))[order]
+        return idx[order], np.concatenate((top, powers(rest)))[order]
 
     def _singular_base_values(self, xi: np.ndarray, n: int) -> np.ndarray:
         """Per-candidate decomposition of every R_g (singular current measure)."""
         q, p, nu = self.q, self.p, self.nu
-        if self.outer is None:
-            self.outer = np.einsum("gi,gj->gij", q, q)
+        outer = np.einsum("gi,gj->gij", q, q)
         a1 = (q * xi[:, None]).T @ q
         b1 = (q * (xi * xi)[:, None]).T @ q
         denom = n + 1.0
-        r_all = (n * a1[None, :, :] + self.outer) / denom
-        b_all = (n * n * b1[None, :, :] + (2.0 * n * xi + 1.0)[:, None, None] * self.outer) / (denom * denom)
+        r_all = (n * a1[None, :, :] + outer) / denom
+        b_all = (n * n * b1[None, :, :] + (2.0 * n * xi + 1.0)[:, None, None] * outer) / (denom * denom)
         eigvals, eigvecs = np.linalg.eigh(r_all)
         bad = eigvals[:, 0] < EIG_FLOOR
         safe = np.where(bad[:, None], 1.0, eigvals)
@@ -436,8 +427,8 @@ class _RobustAugmenter:
         inv_root = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / np.sqrt(safe), eigvecs)
         h = np.einsum("gij,gjk,gkl->gil", inv_root, b_all, inv_root) - r_all
         lam = np.linalg.eigvalsh(h)[:, -1]
-        # the power only where R_g is regular: a singular one can have det < 0
-        base = (1.0 - nu + nu * lam) / np.prod(safe, axis=1)
+        # the root only where R_g is regular (a singular one can have det < 0), of a power >= 0 but for rounding
+        base = np.maximum((1.0 - nu + nu * lam) / np.prod(safe, axis=1), 0.0)
         return np.power(base, 1.0 / p, out=np.full_like(base, np.inf), where=~bad)
 
 
@@ -516,10 +507,7 @@ def _pick_scorer(cfg: SeqConfig, p: int, grid: CandidateGrid, rows_grid: np.ndar
         grid_cols = np.ascontiguousarray(grid_s.T)
 
         def count(cols: np.ndarray, n_old: int) -> None:
-            xi[:] *= n_old
-            for j in range(cols.shape[1]):
-                xi[int(np.argmin(_sq_dists(grid_cols, cols[:, j])))] += 1.0
-            xi[:] /= n_old + cols.shape[1]
+            _add_points(xi, [int(np.argmin(_sq_dists(grid_cols, col))) for col in cols.T], n_old)
 
         return (lambda info, theta, n: augmenter.best(xi, n)), count
     score = {"D": _d_best, "A": _a_best, "traceR": partial(_trace_r_best, cfg.bias, p)}[cfg.utility]
@@ -570,20 +558,17 @@ class _NearestRows:
     selected rows and takes the lowest ones, ties to the lowest row index.
     `take` returns the same rows from a queue: the first time a point is
     chosen it stores a prefix of the stable argsort of those distances (every
-    row at most as far as the `prefix`-th nearest, found with one partition)
+    row at most as far as the `_QUEUE_PREFIX`-th nearest, found with one partition)
     and a cursor, and every later choice takes the next entries not yet
     selected, growing the prefix 4-fold when it runs out.  Entries before the
     cursor are all selected and rows beyond the prefix are farther than all in
     it, so the result is exact.  Once the stored prefixes would exceed
-    `budget` entries, `take` scans.
+    `_QUEUE_BUDGET` entries, `take` scans.
     """
 
-    def __init__(self, cols: np.ndarray, points: np.ndarray, budget: int = _QUEUE_BUDGET,
-                 prefix: int = _QUEUE_PREFIX):
+    def __init__(self, cols: np.ndarray, points: np.ndarray):
         self.cols = cols
         self.points = points
-        self.budget = budget
-        self.prefix = prefix
         self.stored = 0
         self.queues: dict[int, tuple[np.ndarray, int]] = {}  # grid index -> (order prefix, cursor)
         self.dtype = np.int32 if cols.shape[1] < 2**31 else np.int64
@@ -609,14 +594,14 @@ class _NearestRows:
     def take(self, g: int, m: int, in_sel: np.ndarray) -> np.ndarray:
         """The m rows `scan` returns; at least m rows must be unselected."""
         order, pos = self.queues.get(g, (np.empty(0, dtype=self.dtype), 0))
+        held = order.size
         free = np.flatnonzero(~in_sel[order[pos:]])[:m]
         while free.size < m and order.size < in_sel.size:
-            grown = self._prefix(g, max(self.prefix, 4 * order.size))
-            if self.stored + grown.size - order.size > self.budget:
+            order = self._prefix(g, max(_QUEUE_PREFIX, 4 * order.size))
+            if self.stored + order.size - held > _QUEUE_BUDGET:
                 return self.scan(g, m, in_sel)
-            self.stored += grown.size - order.size
-            order = grown
             free = np.flatnonzero(~in_sel[order[pos:]])[:m]
+        self.stored += order.size - held
         self.queues[g] = (order, pos + int(free[-1]) + 1)
         return order[pos + free]
 

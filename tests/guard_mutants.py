@@ -47,24 +47,31 @@ GUARDS = [
     ),
     Guard(
         "dnu-tiny-u", "select_sequential.py",
-        "keep = ~(lo > cut) | (uu < np.finfo(float).tiny)",
-        "keep = ~(lo > cut)",
+        "always = ~(lo >= 0.0) | (uu < np.finfo(float).tiny)",
+        "always = ~(lo >= 0.0)",
         "tests/test_robust_augmenter.py::test_pruned_dnu_choice_with_u_below_the_smallest_normal",
         "a candidate with |u|^2 below the smallest normal float is kept",
     ),
     Guard(
         "dnu-first-nonnegative", "select_sequential.py",
-        "first = int(np.argmin(np.where(lo >= 0.0, lo, np.inf)))",
-        "first = int(np.argmin(lo))",
+        "always[np.argmin(np.where(lo >= 0.0, lo, np.inf))] = True",
+        "always[np.argmin(lo)] = True",
         "tests/test_robust_augmenter.py::test_negative_dnu_bounds_leave_the_cut_finite",
-        "the cut candidate is the smallest non-negative bound, so a negative bound does not keep all",
+        "the candidate with the smallest non-negative bound is decomposed before the cut",
+    ),
+    Guard(
+        "dnu-cut-over-kept", "select_sequential.py",
+        "where=top >= 0.0)",
+        "where=(top >= 0.0) & (lo[first] >= 0.0))",
+        "tests/test_robust_augmenter.py::test_negative_dnu_bounds_leave_the_cut_finite",
+        "the cut reads the exact powers of every candidate decomposed before it, negative bounds too",
     ),
     Guard(
         "dnu-cut-factor", "select_sequential.py",
-        "cut = top[0] * (1.0 + _BOUND_MARGIN) ** p if",
-        "cut = top[0] if",
+        "cut = np.min(top, initial=np.inf, where=top >= 0.0) * (1.0 + _BOUND_MARGIN) ** p",
+        "cut = np.min(top, initial=np.inf, where=top >= 0.0)",
         "tests/test_robust_augmenter.py::test_pruned_dnu_cut_covers_the_rounding_of_t2",
-        "the cut is widened by (1 + _BOUND_MARGIN)^p for the rounding of the power and of t^2",
+        "the cut is widened by (1 + _BOUND_MARGIN)^p for the rounding of the p-th root",
     ),
 ]
 

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from subsel import select_sequential
 from subsel.errors import SeparationError, SingularMatrixError
 from subsel.estimation import fit_logistic, sigmoid
 from subsel.rng import CounterRng
@@ -67,31 +68,37 @@ def test_column_major_distances_keep_numpys_unrolled_row_sum_from_d_8():
     prefix=st.sampled_from([1, 3, 256]),
     picks=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=60),
 )
+# a prefix grown and then dropped for a scan within one `take` once stayed counted in `stored`
+@example(seed=63, n=8, dim=2, levels=2, n_points=1, n_init=0, budget=5, prefix=1, picks=[(0, 2)])
 def test_queued_transfer_equals_the_scan(seed, n, dim, levels, n_points, n_init, budget, prefix, picks):
     # coordinates on a few integer levels force exact distance ties
     rng = np.random.default_rng(seed)
     coords = rng.integers(0, levels, size=(n, dim)).astype(float)
     points = rng.integers(0, levels + 1, size=(n_points, dim)).astype(float)
-    nearest = _NearestRows(np.ascontiguousarray(coords.T), points, budget=budget, prefix=prefix)
+    nearest = _NearestRows(np.ascontiguousarray(coords.T), points)
     in_sel = np.zeros(n, dtype=bool)
     in_sel[rng.choice(n, size=min(n_init, n - 1), replace=False)] = True
-    for g, m in picks:
-        g %= n_points
-        m = min(m, int(n - in_sel.sum()))
-        if m == 0:
-            break
-        want = nearest.scan(g, m, in_sel)
-        got = nearest.take(g, m, in_sel)
-        assert got.tolist() == want.tolist()
-        in_sel[got] = True
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(select_sequential, "_QUEUE_BUDGET", budget)
+        patch.setattr(select_sequential, "_QUEUE_PREFIX", prefix)
+        for g, m in picks:
+            g %= n_points
+            m = min(m, int(n - in_sel.sum()))
+            if m == 0:
+                break
+            want = nearest.scan(g, m, in_sel)
+            got = nearest.take(g, m, in_sel)
+            assert got.tolist() == want.tolist()
+            in_sel[got] = True
     assert nearest.stored <= budget
     assert sum(order.size for order, _ in nearest.queues.values()) == nearest.stored
 
 
-def test_queue_serves_a_point_chosen_again_and_respects_the_budget():
+def test_queue_serves_a_point_chosen_again_and_respects_the_budget(monkeypatch):
     coords = np.array([[0.0], [1.0], [1.0], [-1.0], [2.0], [0.0]])
     points = np.array([[0.0], [1.5]])
-    nearest = _NearestRows(coords.T.copy(), points, prefix=1)
+    monkeypatch.setattr(select_sequential, "_QUEUE_PREFIX", 1)
+    nearest = _NearestRows(coords.T.copy(), points)
     in_sel = np.zeros(6, dtype=bool)
     taken = []
     for g, m in ((0, 2), (1, 2), (0, 1), (0, 1)):
@@ -101,7 +108,8 @@ def test_queue_serves_a_point_chosen_again_and_respects_the_budget():
     # rows 1, 2 and 4 tie at distance 0.25 from point 1, which takes the two
     # lowest; point 0 comes back after its stored prefix [0, 5] is used up
     assert taken == [[0, 5], [1, 2], [3], [4]]
-    scanned = _NearestRows(coords.T.copy(), points, budget=0)
+    monkeypatch.setattr(select_sequential, "_QUEUE_BUDGET", 0)
+    scanned = _NearestRows(coords.T.copy(), points)
     assert scanned.take(0, 2, np.zeros(6, dtype=bool)).tolist() == [0, 5]
     assert scanned.queues == {} and scanned.stored == 0
 
@@ -187,12 +195,13 @@ def scalar_stratified_init(rng, values, edge_pool, n_init, n_quantiles):
     kind=st.sampled_from(["spread", "ties", "rounded"]),
     n_bins=st.integers(1, 40),
     init_frac=st.floats(0.0, 1.0),
-    pool=st.sampled_from(["all", "some", "none"]),
+    pool=st.sampled_from(["all", "some"]),
 )
 def test_stratified_init_equals_the_scalar_round_robin(seed, n, kind, n_bins, init_frac, pool):
+    # `_initial_indices` never passes an empty edge pool
     values = sample_values(seed, n, kind)
     n_init = int(init_frac * n)
-    edge_pool = {"all": np.arange(n), "some": np.arange(0, n, 7), "none": np.arange(0)}[pool]
+    edge_pool = {"all": np.arange(n), "some": np.arange(0, n, 7)}[pool]
     old, new = CounterRng(seed), CounterRng(seed)
     want = scalar_stratified_init(old, values, edge_pool, n_init, n_bins)
     got = _stratified_init(new, values, edge_pool, n_init, n_bins)
