@@ -56,7 +56,7 @@ class RobustStep:
     support_size: int  # grid points with positive weight after the step
 
 
-def _add_points(w: np.ndarray, cells, n: int) -> None:
+def _add_points(w: np.ndarray, cells: list[int], n: int) -> None:
     """Make the measure w of n points that of n + len(cells) points, one more at each of `cells`, in place."""
     w *= n
     for cell in cells:  # in order, so a repeated cell gains 1 at a time

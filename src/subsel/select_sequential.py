@@ -201,10 +201,11 @@ def _stratified_init(rng: CounterRng, values: np.ndarray, edge_pool: np.ndarray,
                      n_init: int, n_quantiles: int) -> list[int]:
     """Round-robin across quantile bins of `values`.
 
-    Bin edges come from the `edge_pool` rows (e.g. the rare-label rows of a
-    binary response, so strata concentrate where the response varies), but
-    membership and sampling run over every row: the selection depends on the
-    covariate only, which keeps downstream estimates free of selection bias.
+    Bin edges come from the `edge_pool` rows, at least one (e.g. the
+    rare-label rows of a binary response, so strata concentrate where the
+    response varies), but membership and sampling run over every row: the
+    selection depends on the covariate only, which keeps downstream
+    estimates free of selection bias.
     """
     edges = _linear_quantiles(values[edge_pool], n_quantiles)
     bins = np.searchsorted(edges[1:-1], values, side="right")
@@ -333,7 +334,6 @@ class _RobustAugmenter:
         p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
         w = gram.inv_root
         c_mat = w @ gram.b2 @ w
-        # the per-candidate terms, each computed once per step for every candidate
         u = self.q @ w
         cu = u @ c_mat
         uu, ucu = np.einsum("gi,gi->g", u, u), np.einsum("gi,gi->g", cu, u)
@@ -342,12 +342,12 @@ class _RobustAugmenter:
         beta = -a / (t * (1.0 + t))
         k = beta * beta * ucu + (2.0 * n * xi + 1.0) * (a * a) / t2
         if self.kind == "Inu":
+            x = beta[:, None] * cu
             pw = w + beta[:, None, None] * (u[:, :, None] * (u @ w)[:, None, :])
-            g_mat = _plus_outer(c_mat, beta[:, None] * cu, u, k)
-            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (g_mat @ pw))[:, -1]
+            lam = np.linalg.eigvalsh(np.swapaxes(pw, 1, 2) @ (_plus_outer(c_mat, x, u, k) @ pw))[:, -1]
             trace = np.einsum("gij,gij->g", pw, pw) * ((n + 1.0) / n)
             return idx, (1.0 - nu) * trace + nu * lam
-        # G - P^-1 A P^-1 = _plus_outer(C - A, x, u, k) with x = beta C u - gamma A u and these terms
+        # G - P^-1 A P^-1 = _plus_outer(C - A, x, u, k - gamma^2 u'Au) with x = beta C u - gamma A u
         base, au, den = c_mat - gram.r, u @ gram.r, c**p * np.prod(gram.r_eigs) * t2
         gamma = a / (1.0 + t)
         uau = np.einsum("gi,gi->g", au, u)
@@ -373,8 +373,8 @@ class _RobustAugmenter:
 
         With A = R, a p-th power score (1 - nu + nu c lambda) / (det0 t^2) is nondecreasing in
         lambda = lambda_max(M), M = base + x u' + u x' + k u u', base = C - A, x = beta C u - gamma A u;
-        the bound reads the scores' |u|^2, u'Cu, u'Au, t^2, beta, gamma and k, and so u.x, and one
-        product of u with v, C v and A v, (l1, v) the top eigenpair of base, gives v.u and v.x.
+        the bound reads the scores' |u|^2, u'Cu, u'Au, beta, gamma, k and det0 t^2, and so u.x, and
+        one product of u with v, C v and A v, (l1, v) the top eigenpair of base, gives v.u and v.x.
         With tau = k |u|^2 + 2 u.x, lambda is at least the larger Rayleigh quotient of v and of u/|u|,
         l1 + 2 (v.x)(v.u) + k (v.u)^2 and u'base u/|u|^2 + tau.  As 0 < -beta, gamma <= a/2,
         |x| <= s |u| for s = a (|C| + |A|)/2 (Frobenius norms), and the bound is lowered by
