@@ -4,7 +4,8 @@ One command per process; every command resolves its options as
 flags > config file > defaults, echoes the resolved configuration in its
 output, and writes deterministic JSON/CSV artifacts.  Exit codes: 0 on
 success, 2 on configuration errors, 3 on numerical errors; failures emit a
-one-line machine-parseable JSON record on stderr.
+one-line machine-parseable JSON record on stderr, and so does an input CSV
+that had rows dropped.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .model_core import (
     CandidateGrid,
     DesignMeasure,
     information_matrix,
+    json_ready,
     linear_spec,
     model_spec_from_config,
 )
@@ -73,8 +75,8 @@ _NUMERICAL_ERRORS = (SingularMatrixError, SeparationError)
 _BIAS_CRITERIA = {"traceR": trace_r, "detR_bias": det_r_bias, "detR_conf": det_r_conf}
 
 
-def _emit_error(kind: str, exc_type: str, message: str) -> None:
-    record = {"error": {"kind": kind, "type": exc_type, "message": message}}
+def _emit_record(level: str, kind: str, exc_type: str, message: str, **fields) -> None:
+    record = {level: {"kind": kind, "type": exc_type, "message": message, **fields}}
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -82,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports errors as one-line JSON and exits 2."""
 
     def error(self, message):
-        _emit_error("config", "ArgumentError", message)
+        _emit_record("error", "config", "ArgumentError", message)
         raise SystemExit(2)
 
 
@@ -203,13 +205,19 @@ def _bias_from_json(path) -> BiasSpec:
 
 
 def _dataset_from_args(resolved: dict):
-    return load_csv(
-        resolved["input"],
+    """The --input CSV; rows it dropped are named in one warning record on stderr."""
+    path = resolved["input"]
+    ds = load_csv(
+        path,
         response_column=resolved["response"],
         feature_columns=resolved["features"],
         confounder_columns=resolved["confounders"],
         strict=resolved["strict"],
     )
+    if ds.n_dropped:
+        message = f"dropped {ds.n_dropped} rows of {path} with a used cell that is not a finite number"
+        _emit_record("warning", "input", "DroppedRows", message, file=path, n_dropped=ds.n_dropped)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ def cmd_seqdes(args) -> int:
     payload = {
         "command": "seqdes",
         "selection": selection.to_json_dict(),
-        "trace": trace.to_json_dict(),
+        "trace": json_ready(trace),
         "resolved_config": {**resolved, "bias": bool(bias)},
     }
     _emit(payload, resolved["out"])
@@ -340,26 +348,26 @@ def cmd_criteria(args) -> int:
         if (name in ("D", "A") or name in _BIAS_CRITERIA) and m is None:
             m = information_matrix(spec, design)
         if name == "D":
-            records.append(d_criterion(m).to_json_dict())
+            records.append(d_criterion(m))
         elif name == "A":
-            records.append(a_criterion(m).to_json_dict())
+            records.append(a_criterion(m))
         elif name == "I":
             if grid is None:
                 raise InvalidInputError("criterion I needs --grid")
-            records.append(i_criterion(spec, design, grid).to_json_dict())
+            records.append(i_criterion(spec, design, grid))
         elif name in ("Inu", "Dnu"):
             if grid is None or resolved["nu"] is None:
                 raise InvalidInputError("criteria Inu/Dnu need --grid and --nu")
             ctx = RobustContext.from_grid(spec, grid, resolved["nu"])
             i_val, d_val = wiens_losses(ctx, design)
-            records.append((i_val if name == "Inu" else d_val).to_json_dict())
+            records.append(i_val if name == "Inu" else d_val)
         elif name in _BIAS_CRITERIA:
             if bias is None:
                 raise InvalidInputError(f"criterion {name} needs --bias")
-            records.append(_BIAS_CRITERIA[name](m, bias).to_json_dict())
+            records.append(_BIAS_CRITERIA[name](m, bias))
         else:
             raise InvalidInputError(f"unknown criterion {name!r}")
-    payload = {"command": "criteria", "criteria": records, "resolved_config": resolved}
+    payload = {"command": "criteria", "criteria": json_ready(records), "resolved_config": resolved}
     _emit(payload, resolved["out"])
     return 0
 
@@ -370,7 +378,7 @@ def cmd_check_get(args) -> int:
     design = _design_from_json(resolved["design"])
     grid = _grid_from_json(resolved["grid"])
     verdict = get_check(spec, design, grid, k_eff=resolved["k_eff"], tol=resolved["tol"])
-    payload = {"command": "check-get", "verdict": verdict.to_json_dict(), "resolved_config": resolved}
+    payload = {"command": "check-get", "verdict": json_ready(verdict), "resolved_config": resolved}
     _emit(payload, resolved["out"])
     return 0
 
@@ -525,10 +533,10 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     except _NUMERICAL_ERRORS as exc:
-        _emit_error("numerical", type(exc).__name__, str(exc))
+        _emit_record("error", "numerical", type(exc).__name__, str(exc))
         return 3
     except _CONFIG_ERRORS as exc:
-        _emit_error("config", type(exc).__name__, str(exc))
+        _emit_record("error", "config", type(exc).__name__, str(exc))
         return 2
 
 

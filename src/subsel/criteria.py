@@ -33,7 +33,6 @@ from .model_core import (
     ModelSpec,
     as_columns,
     information_matrix,
-    json_ready,
     model_matrix,
 )
 
@@ -55,9 +54,6 @@ class CriterionValue:
     def __post_init__(self):
         if self.name not in CRITERION_NAMES:
             raise InvalidInputError(f"unknown criterion {self.name!r}")
-
-    def to_json_dict(self) -> dict:
-        return json_ready(vars(self))
 
 
 def _sym_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -135,9 +131,6 @@ class GetVerdict:
     bound: float
     worst_point: np.ndarray
     tolerance: float
-
-    def to_json_dict(self) -> dict:
-        return json_ready(vars(self))
 
 
 def get_check(
@@ -458,9 +451,6 @@ class BiasConstrainedVerdict:
     worst_point: np.ndarray
     max_lhs: float
     bound: float
-
-    def to_json_dict(self) -> dict:
-        return json_ready(vars(self))
 
 
 def montepiedra_check(

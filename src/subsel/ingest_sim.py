@@ -100,10 +100,10 @@ def load_csv(
     confounder.  Raises ConfigError for missing columns and
     EmptyDatasetError when no usable rows remain.
 
-    A file with no quote character whose used cells are all plain finite
-    numbers is parsed in one np.loadtxt pass; any other file is read again
-    row by row, which alone decides what is dropped or raised.  Both give
-    the same values.
+    A file whose used cells are all finite numbers, quoted or not, is
+    parsed in one np.loadtxt pass; any other file is read again row by
+    row, which alone decides what is dropped or raised.  Both give the same
+    values.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -111,6 +111,7 @@ def load_csv(
             header = next(reader)
         except StopIteration:
             raise EmptyDatasetError(f"{path} is empty") from None
+        header_lines = reader.line_num  # a quoted header cell may hold a newline
         header = [h.strip() for h in header]
 
     confounder_columns = list(confounder_columns or [])
@@ -119,21 +120,18 @@ def load_csv(
         claimed.add(response_column)
     if feature_columns is None:
         feature_columns = [h for h in header if h not in claimed]
-    for name in list(feature_columns) + confounder_columns + (
+    used = list(feature_columns) + confounder_columns + (
         [response_column] if response_column else []
-    ):
+    )
+    for name in used:
         if name not in header:
             raise ConfigError(f"column {name!r} not found in {path}")
     overlap = set(feature_columns) & claimed
     if overlap:
         raise ConfigError(f"columns {sorted(overlap)} claimed twice")
-
-    used = list(feature_columns) + confounder_columns + (
-        [response_column] if response_column else []
-    )
     pos = {name: header.index(name) for name in used}
 
-    arr = _load_plain(path, [pos[name] for name in used]) if used else None
+    arr = _load_plain(path, [pos[name] for name in used], header_lines) if used else None
     dropped = 0
     if arr is None:
         arr, dropped = _load_rowwise(path, used, pos, strict)
@@ -157,22 +155,16 @@ def load_csv(
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _has_quote(path) -> bool:
-    with open(path, "rb") as fh:
-        return any(b'"' in block for block in iter(lambda: fh.read(1 << 20), b""))
+def _load_plain(path, usecols: list[int], header_lines: int) -> np.ndarray | None:
+    """The used columns of the rows after the first `header_lines` lines in
+    one np.loadtxt pass, or None unless every used cell is a finite number
+    and there is at least one row.
 
-
-def _load_plain(path, usecols: list[int]) -> np.ndarray | None:
-    """The used columns of the data rows in one np.loadtxt pass, or None
-    unless every used cell is a finite number and there is at least one row.
-
-    csv.reader splits a quoted cell holding a comma or a newline where
-    np.loadtxt does not, so a quote anywhere in the file returns None.
-    np.loadtxt reads a path in C chunks; a name numpy would decompress is
-    handed over as an open text file instead, line by line.
+    np.loadtxt reads a quoted cell as csv.reader does, a comma, newline or
+    doubled quote inside it included.  It reads a path in C chunks; a name
+    numpy would decompress is handed over as an open text file instead,
+    line by line.
     """
-    if _has_quote(path):
-        return None
     name = os.fspath(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if isinstance(name, str) and os.path.splitext(name)[1] not in _COMPRESSED:
@@ -184,8 +176,8 @@ def _load_plain(path, usecols: list[int]) -> np.ndarray | None:
             with warnings.catch_warnings():
                 # a file with no data rows warns; the row-wise reader reports it
                 warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt(source, delimiter=",", skiprows=1, usecols=usecols,
-                                 comments=None, dtype=float, ndmin=2, encoding="utf-8")
+                arr = np.loadtxt(source, delimiter=",", skiprows=header_lines, usecols=usecols,
+                                 comments=None, quotechar='"', dtype=float, ndmin=2, encoding="utf-8")
         except ValueError:
             return None
     if arr.shape[0] == 0 or not np.all(np.isfinite(arr)):

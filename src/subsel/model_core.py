@@ -15,7 +15,7 @@ drive every criterion in :mod:`subsel.criteria`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -498,15 +498,18 @@ class SubsampleSelection:
 
 
 def json_ready(obj):
-    """`obj` as values json.dumps takes: an object's `to_json_dict()`, a dict with string keys,
-    tuples as lists and numpy arrays and scalars as Python values; booleans stay booleans."""
+    """`obj` as values json.dumps takes: an object's `to_json_dict()`, a dataclass without one as
+    the dict of its fields, a dict with string keys, tuples as lists and numpy arrays and scalars
+    as Python values; booleans stay booleans."""
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    return obj.to_json_dict() if hasattr(obj, "to_json_dict") else obj
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    return json_ready(vars(obj)) if is_dataclass(obj) else obj
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def repro_example1(
         confusion = predict_classify(fit, test_rows, test_y, threshold=threshold)
         write_json(confusion.to_json_dict(), os.path.join(out_dir, f"confusion_{name}.json"))
         m = information_matrix_from_selection(spec, train, selection)
-        criteria_out[name] = d_criterion(m).to_json_dict()
+        criteria_out[name] = json_ready(d_criterion(m))
 
     write_json(json_ready(estimates), os.path.join(out_dir, "estimates.json"))
     write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
@@ -138,7 +138,7 @@ def _seq_and_iboss(out_dir, variant: str, ds: Dataset, grid: CandidateGrid, spec
     criteria, scatter = {}, []
     for (algorithm, sel), short in zip(selections.items(), ("seq", "iboss")):
         write_json(sel.to_json_dict(), os.path.join(out_dir, f"selection_{short}_{variant}.json"))
-        criteria[algorithm] = d_criterion(information_matrix_from_selection(spec, ds, sel)).to_json_dict()
+        criteria[algorithm] = json_ready(d_criterion(information_matrix_from_selection(spec, ds, sel)))
         scatter += _design_scatter_rows(variant, algorithm, ds, sel.indices)
     return criteria, scatter, selections
 

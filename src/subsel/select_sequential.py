@@ -66,7 +66,6 @@ from .model_core import (
     ModelSpec,
     SubsampleSelection,
     data_columns,
-    json_ready,
     model_matrix,
 )
 from .rng import CounterRng
@@ -157,9 +156,6 @@ class SeqStep:
     converged: bool
     warm: bool
 
-    def to_json_dict(self) -> dict:
-        return json_ready(vars(self))
-
 
 @dataclass
 class SeqTrace:
@@ -176,9 +172,6 @@ class SeqTrace:
         header = ["iteration", "n_selected", *(f"theta_{j}" for j in range(len(self.initial_theta)))]
         first = [(0, len(self.initial_indices), *self.initial_theta)]
         write_rows(path, header, first + [(s.iteration, s.n_selected, *s.theta) for s in self.steps])
-
-    def to_json_dict(self) -> dict:
-        return json_ready(vars(self))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,45 @@ GUARDS = [
         "tests/test_robust_augmenter.py::test_pruned_dnu_cut_covers_the_rounding_of_t2",
         "the cut is widened by (1 + _BOUND_MARGIN)^p for the rounding of the p-th root",
     ),
+    Guard(
+        "warm-refit-raises", "select_sequential.py",
+        """            try:
+                warm = fit_logistic(held, theta0=theta0)
+            except (SingularMatrixError, SeparationError):
+                warm = None
+""",
+        "            warm = fit_logistic(held, theta0=theta0)\n",
+        "tests/test_select_sequential.py::test_a_warm_refit_that_raises_keeps_the_cold_fit",
+        "a warm logistic refit that raises falls back to the cold fit",
+    ),
+    Guard(
+        "csv-header-lines", "ingest_sim.py",
+        "skiprows=header_lines",
+        "skiprows=1",
+        "tests/test_ingest_properties.py::test_quoted_header_and_cells_take_the_one_pass",
+        "the one pass skips every line of a header whose quoted cell holds a line break",
+    ),
+    Guard(
+        "csv-quotechar", "ingest_sim.py",
+        "quotechar='\"', ",
+        "",
+        "tests/test_ingest_properties.py::test_a_quote_past_the_first_megabyte_is_read_in_the_one_pass",
+        "the one pass reads a quoted cell's comma and line break as csv.reader does",
+    ),
+    Guard(
+        "csv-finite", "ingest_sim.py",
+        "arr.shape[0] == 0 or not np.all(np.isfinite(arr))",
+        "arr.shape[0] == 0",
+        "tests/test_ingest_properties.py::test_non_finite_cells_are_dropped",
+        "a file with a non-finite used cell goes to the row-wise reader, which drops its row",
+    ),
+    Guard(
+        "csv-empty", "ingest_sim.py",
+        "arr.shape[0] == 0 or not np.all(np.isfinite(arr))",
+        "not np.all(np.isfinite(arr))",
+        "tests/test_ingest_properties.py::test_header_only_file_warns_nothing",
+        "a file with no data rows goes to the row-wise reader, whose error names the file",
+    ),
 ]
 
 

@@ -199,6 +199,30 @@ def test_iboss_perm_report(tmp_path, capsys):
     assert sum(len(g["orders"]) for g in report["groups"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["iboss", "--n", "12"],
+    ["seqdes", "--n-init", "5", "--n-target", "12", "--family", "linear", "--seed", "2"],
+])
+def test_dropped_rows_are_named_on_stderr(tmp_path, data_csv, capsys, argv):
+    # the dirty file is the clean one plus two rows with a bad used cell: stdout is
+    # unchanged, and stderr holds one warning record with the count and the file
+    path = tmp_path / "input.csv"
+    argv = [*argv, "--input", str(path), "--features", "x", "--response", "y"]
+    header, *rows = Path(data_csv).read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(rows))
+    code, want, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    path.write_text(header + ",0.5,1.0\n" + "".join(rows) + "0.3,0.1,nan\n")
+    code, got, err = run_cli(capsys, *argv)
+    assert code == 0 and got == want
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])["warning"]
+    assert {k: record[k] for k in ("kind", "type", "file", "n_dropped")} == {
+        "kind": "input", "type": "DroppedRows", "file": str(path), "n_dropped": 2}
+    assert record["message"].startswith(f"dropped 2 rows of {path} ")
+
+
 def test_config_file_provides_defaults_flags_override(tmp_path, data_csv, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 6, "sigma": 2.0}))

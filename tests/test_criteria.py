@@ -34,6 +34,7 @@ from subsel.model_core import (
     ModelSpec,
     eval_row,
     information_matrix,
+    json_ready,
     model_matrix,
     polynomial_basis,
     uniform_design,
@@ -107,7 +108,7 @@ def test_d_a_i_values_on_identity_information():
     m = information_matrix(spec, design)
     assert d_criterion(m).value == pytest.approx(0.0)  # log det I
     assert d_criterion(m).meta["det"] == pytest.approx(1.0)
-    assert d_criterion(m).to_json_dict()["meta"]["singular"] is False  # a JSON boolean, not 0
+    assert json_ready(d_criterion(m))["meta"]["singular"] is False  # a JSON boolean, not 0
     assert a_criterion(m).value == pytest.approx(2.0)
     grid = CandidateGrid.from_axes([np.linspace(-1, 1, 21)])
     # sum over the grid of 1 + x^2: 21 + 2 * (0.1^2 + ... + 1.0^2) = 28.7
@@ -121,7 +122,7 @@ def test_d_criterion_det_beyond_float_range_is_null():
         val = d_criterion(m)
     assert val.value == pytest.approx(4 * 200 * np.log(10.0))
     assert val.meta == {"det": None, "singular": False}
-    json.dumps(val.to_json_dict(), allow_nan=False)  # strict JSON: no Infinity
+    json.dumps(json_ready(val), allow_nan=False)  # strict JSON: no Infinity
 
 
 def test_d_criterion_singular_is_minus_inf():
@@ -130,7 +131,7 @@ def test_d_criterion_singular_is_minus_inf():
     val = d_criterion(information_matrix(spec, design))
     assert val.value == float("-inf")
     assert val.meta["singular"]
-    assert val.to_json_dict()["meta"]["singular"] is True
+    assert json_ready(val)["meta"]["singular"] is True
     with pytest.raises(SingularMatrixError):
         a_criterion(information_matrix(spec, design))
 

@@ -1,14 +1,17 @@
 """CSV ingest properties: the whole-file parse agrees with the row-wise reader.
 
-load_csv parses a file whose used cells are all plain finite numbers with
-one np.loadtxt pass and reads any other file row by row.  The generated
-files mix both kinds: unused columns, blank and whitespace-only lines, CRLF
-and lone-CR endings, a missing final newline, and cells that are empty,
-non-finite, underscored, quoted, commented, padded, short or long.  Fixed
-cases add a quote only in the header, a quote past the first 1 MB block of
-the quote scan, and a file whose name ends in .gz, which is read as text.
+load_csv parses a file whose used cells are all finite numbers, quoted or
+not, with one np.loadtxt pass and reads any other file row by row.  The
+generated files mix both kinds: unused columns, blank and whitespace-only
+lines, CRLF and lone-CR endings, a missing final newline, and cells that
+are empty, non-finite, underscored, quoted (unterminated, padded, doubled,
+holding a comma or a line break), commented, short or long.  Fixed cases
+add quoted headers that hold a comma, a line break or a doubled quote, a
+quote past the first megabyte, non-finite cells, and a file whose name ends
+in .gz, which is read as text.
 """
 
+import csv
 import gzip
 
 import numpy as np
@@ -29,6 +32,7 @@ NUMBERS = st.one_of(
 HAZARDS = [
     "", " ", "nan", "-inf", "Infinity", "1e400", "1_0", '"2.5"', '"a,5,b"', '"7\n8"',
     "#x", "# 1", "abc", "0x10", "1d5", "1,5", "１",
+    '"3', ' "4"', '"5" ', '"6"x', '"1""2"', '"\r\n"', '"1\r2"', '"-0.5"',
 ]
 
 
@@ -123,7 +127,7 @@ def test_fast_path_agrees_with_rowwise_reader(csv_path, hazard, data):
         got = _outcome(lambda: _public(csv_path, strict, kwargs))
         assert got == ref
 
-    fast = _load_plain(csv_path, [pos[name] for name in used])
+    fast = _load_plain(csv_path, [pos[name] for name in used], 1)
     if fast is not None:
         assert _outcome(lambda: (fast, 0)) == _outcome(
             lambda: _load_rowwise(csv_path, used, pos, True)
@@ -146,33 +150,66 @@ def test_plain_file_is_parsed_in_one_pass(tmp_path, monkeypatch):
     assert np.array_equal(data.response, [0.25, 1.0])
 
 
+def _rowwise_oracle(path, strict, response="y"):
+    """_load_rowwise's outcome on `path` with the load_csv defaults: every
+    column but `response` a feature."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh))]
+    used = [h for h in header if h != response] + [response]
+    return _outcome(lambda: _load_rowwise(path, used, {h: header.index(h) for h in used}, strict))
+
+
 @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("header", ["a,b,y", '"a",b,y'])
+@pytest.mark.parametrize("header", ["a,b,y", '"a",b,y', '"a,1",b,y', '"a{eol}1",b,y', '"a""1",b,y'])
 def test_line_endings_and_a_quoted_header(tmp_path, monkeypatch, eol, header):
+    header = header.format(eol=eol)  # a quoted header cell holding this file's line break
     path = tmp_path / "data.csv"
     path.write_bytes(eol.join([header, "1.5,-2,0.25", "", "3e2,4,1", ""]).encode())
-    want = _outcome(lambda: _load_rowwise(path, ["a", "b", "y"], {"a": 0, "b": 1, "y": 2}, True))
-    if '"' not in header:
-        _forbid_rowwise(monkeypatch)  # one np.loadtxt pass, whatever the line ending
-    assert _outcome(lambda: _public(path, True, {"response_column": "y"})) == want
+    want = _rowwise_oracle(path, True)
     assert want[0] == "ok" and want[2] == (2, 3)
+    _forbid_rowwise(monkeypatch)  # one np.loadtxt pass, whatever the header and line ending
+    assert _outcome(lambda: _public(path, True, {"response_column": "y"})) == want
     # a bad cell keeps its line number in the drop count and the strict error
     monkeypatch.undo()
     path.write_bytes(eol.join([header, "1.5,-2,0.25", "", "3e2,x,1", "5,6,0"]).encode())
+    for strict in (False, True):
+        assert _outcome(lambda: _public(path, strict, {"response_column": "y"})) == _rowwise_oracle(path, strict)
     assert load_csv(path, response_column="y").n_dropped == 1
-    with pytest.raises(ParseError) as err:
-        load_csv(path, response_column="y", strict=True)
-    assert (err.value.row, err.value.column) == (4, "b")
+    if eol not in header:
+        with pytest.raises(ParseError) as err:
+            load_csv(path, response_column="y", strict=True)
+        assert (err.value.row, err.value.column) == (4, "b")
 
 
-def test_a_quote_past_the_first_block_sends_the_file_row_by_row(tmp_path):
-    # np.loadtxt would read the quoted cell's two lines as two rows
+def test_quoted_header_and_cells_take_the_one_pass(tmp_path, monkeypatch):
+    # R's write.csv quotes every name and writes its row names as a quoted first column
+    path = tmp_path / "data.csv"
+    path.write_text('"","x\n(cm)","y"\n"1",1.5,0\n"2","-2.5e1",1\n"3"," 4 ","1"\n')
+    _forbid_rowwise(monkeypatch)
+    data = load_csv(path, response_column="y")
+    assert data.feature_names == ("", "x\n(cm)")
+    assert np.array_equal(data.features, [[1.0, 1.5], [2.0, -25.0], [3.0, 4.0]])
+    assert np.array_equal(data.response, [0.0, 1.0, 1.0]) and data.n_dropped == 0
+
+
+def test_a_quote_past_the_first_megabyte_is_read_in_the_one_pass(tmp_path, monkeypatch):
+    # the quoted cell's two lines are one cell of one row, as csv.reader reads them
     path = tmp_path / "big.csv"
     text = "a,b\n" + "".join(f"{i}.5,{i}\n" for i in range(100_000)) + '7,"x\n8,9"\n'
     assert text.index('"') > 1 << 20
     path.write_text(text)
+    _forbid_rowwise(monkeypatch)
     data = load_csv(path, feature_columns=["a"])
     assert data.n_rows == 100_001 and data.features[-1, 0] == 7.0 and data.n_dropped == 0
+    assert np.array_equal(data.features[:-1, 0], np.arange(100_000) + 0.5)
+
+
+def test_non_finite_cells_are_dropped(tmp_path):
+    # np.loadtxt reads nan, inf and 1e400; their rows are dropped as the row-wise reader drops them
+    path = tmp_path / "data.csv"
+    path.write_text("a,y\n1.5,0\nnan,1\n2.5,-inf\n1e400,0\n3.5,1\n")
+    data = load_csv(path, response_column="y")
+    assert np.array_equal(data.features, [[1.5], [3.5]]) and data.n_dropped == 3
 
 
 def test_a_gz_name_is_read_as_text(tmp_path, monkeypatch):
@@ -191,7 +228,7 @@ def test_a_gz_name_is_read_as_text(tmp_path, monkeypatch):
 def test_header_only_file_warns_nothing(tmp_path, recwarn):
     path = tmp_path / "header.csv"
     path.write_text("a,y\n")
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(EmptyDatasetError, match="no usable data rows"):
         load_csv(path, response_column="y")
     assert not recwarn.list
 

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from subsel.errors import DegenerateColumnError, InvalidInputError
+from subsel.errors import DegenerateColumnError, InvalidInputError, SingularMatrixError
 from subsel.estimation import fit_logistic, sigmoid
 from subsel.ingest_sim import Dataset
 from subsel.model_core import (
     BiasSpec,
     CandidateGrid,
     ModelSpec,
+    json_ready,
     model_matrix,
     polynomial_basis,
 )
@@ -340,7 +341,7 @@ def test_step_record_of_warm_and_failed_refits():
     data = logistic_dataset()
     _, trace = run_sequential(data, GRID, line_spec(), SeqConfig(n_init=20, n_target=40, seed=3))
     assert all(s.warm and s.converged and s.newton_iters >= 0 for s in trace.steps)
-    assert set(trace.steps[0].to_json_dict()) >= {"newton_iters", "converged", "warm"}
+    assert set(json_ready(trace.steps[0])) >= {"newton_iters", "converged", "warm"}
     # at seed 3 the dope sample's events are its largest x for eight steps:
     # a separated sample fails both refits, and each step keeps the previous fit
     cfg = SeqConfig(n_init=8, n_target=40, seed=3, init_strategy="dope", init_label=1.0)
@@ -351,6 +352,35 @@ def test_step_record_of_warm_and_failed_refits():
         step = trace.steps[i]
         assert step.newton_iters == 0 and not step.warm
         assert np.array_equal(step.theta, trace.steps[i - 1].theta)
+
+
+def test_a_warm_refit_that_raises_keeps_the_cold_fit(monkeypatch):
+    # Every warm logistic refit raises: each step keeps the cold fit from 0,
+    # records warm=False and no failure, and the run equals one whose refits
+    # are all cold.
+    import subsel.select_sequential as seq
+
+    real = seq.fit_logistic
+
+    def cold(x, y=None, theta0=None):
+        return real(x, y)
+
+    def warm_raises(x, y=None, theta0=None):
+        if theta0 is not None:
+            raise SingularMatrixError("warm refit")
+        return real(x, y)
+
+    data = logistic_dataset()
+    cfg = SeqConfig(n_init=20, n_target=40, seed=3)
+    monkeypatch.setattr(seq, "fit_logistic", cold)
+    want_sel, want = run_sequential(data, GRID, line_spec(), cfg)
+    monkeypatch.setattr(seq, "fit_logistic", warm_raises)
+    sel, trace = run_sequential(data, GRID, line_spec(), cfg)
+    assert len(trace.steps) == 20 and sel.provenance["fit_failures"] == 0
+    assert np.array_equal(sel.indices, want_sel.indices)
+    for step, ref in zip(trace.steps, want.steps):
+        assert not step.warm and step.converged and step.newton_iters > 0
+        assert np.array_equal(step.theta, ref.theta) and step.newton_iters == ref.newton_iters
 
 
 def test_dnu_on_a_singular_initial_support_warns_nothing():
