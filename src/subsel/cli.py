@@ -411,6 +411,13 @@ def _build_parser() -> tuple[_Parser, dict]:
     def common(p):
         p.add_argument("--config", help="JSON file with option defaults")
 
+    def csv_input(p):
+        p.add_argument("--input", help="input CSV")
+        p.add_argument("--features", type=_name_list, help="comma-separated feature columns")
+        p.add_argument("--response", help="response column (excluded from features)")
+        p.add_argument("--confounders", type=_name_list, help="comma-separated confounder columns")
+        p.add_argument("--strict", action="store_true", help="fail on the first bad row instead of dropping it")
+
     p = sub.add_parser("simulate", help="generate a dataset CSV")
     p.add_argument("kind", choices=["example2", "example3", "mortgage"])
     p.add_argument("--seed", type=int, default=0)
@@ -421,21 +428,17 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("iboss", help="extreme-value subsample selection")
-    p.add_argument("--input", help="input CSV")
+    csv_input(p)
     p.add_argument("--n", type=int, help="subsample size")
     p.add_argument("--order", type=_int_list, help="column processing order, e.g. 2,0,1,3")
-    p.add_argument("--features", type=_name_list)
-    p.add_argument("--response", help="response column (excluded from features)")
-    p.add_argument("--confounders", type=_name_list)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--out", help="selection JSON path (stdout when omitted)")
     p.add_argument("--perm-report", dest="perm_report", help="write the all-permutations diff report here")
     common(p)
     p.set_defaults(func=cmd_iboss)
 
     p = sub.add_parser("seqdes", help="sequential design-guided selection")
-    p.add_argument("--input")
+    csv_input(p)
     p.add_argument("--grid", help="grid JSON ({axes: {...}} or {points: [...]})")
     p.add_argument("--model", help="model JSON ({f: ..., h: ..., g: ...})")
     p.add_argument("--n-init", dest="n_init", type=int)
@@ -453,10 +456,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stop", choices=STOP_RULES, default="n_reached")
     p.add_argument("--stop-epsilon", dest="stop_epsilon", type=float, default=0.0)
-    p.add_argument("--features", type=_name_list)
-    p.add_argument("--response")
-    p.add_argument("--confounders", type=_name_list)
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--out")
     p.add_argument("--trace-csv", dest="trace_csv", help="coefficient trajectory CSV path")
     common(p)

@@ -95,7 +95,8 @@ def load_csv(
 
     Cells in the used columns must parse as floats.  By default a row with
     an unparseable or empty cell is dropped and counted in n_dropped;
-    strict=True raises ParseError naming the first bad row and column.
+    strict=True raises ParseError naming the first bad row, by the line it
+    starts on, and column.
     Feature columns default to every column not claimed as response or
     confounder.  Raises ConfigError for missing columns and
     EmptyDatasetError when no usable rows remain.
@@ -186,13 +187,16 @@ def _load_plain(path, usecols: list[int], header_lines: int) -> np.ndarray | Non
 
 
 def _load_rowwise(path, used: list[str], pos: dict, strict: bool) -> tuple[np.ndarray, int]:
-    """Parse the data rows one at a time: the rows kept and the count dropped."""
+    """Parse the data rows one at a time: the rows kept and the count dropped.
+    A row is numbered by its first physical line; a quoted cell may hold line breaks."""
     keep: list[list[float]] = []
     dropped = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header
-        for r_i, row in enumerate(reader, start=2):  # header is line 1
+        line = reader.line_num  # the last physical line read
+        for row in reader:
+            r_i, line = line + 1, reader.line_num
             if not row or (len(row) == 1 and row[0].strip() == ""):
                 continue  # blank line (csv.reader yields [] for one)
             vals = []
@@ -311,21 +315,7 @@ def write_json(obj, path) -> None:
 # standardization
 
 
-@dataclass(frozen=True)
-class ColumnTransform:
-    """Per-feature affine transform x -> (x - mean) / sd and its inverse."""
-
-    means: np.ndarray
-    sds: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.means) / self.sds
-
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.sds + self.means
-
-
-def standardize(data: Dataset) -> tuple[Dataset, ColumnTransform]:
+def standardize(data: Dataset) -> Dataset:
     """Center and scale every feature column to mean 0, sd 1 (ddof = 1).
 
     Constant columns raise DegenerateColumnError naming the column.
@@ -338,17 +328,15 @@ def standardize(data: Dataset) -> tuple[Dataset, ColumnTransform]:
             raise DegenerateColumnError(
                 f"feature column {data.feature_names[j]!r} is constant; cannot standardize"
             )
-    transform = ColumnTransform(means=means, sds=sds)
-    out = Dataset(
+    return Dataset(
         feature_names=data.feature_names,
-        features=transform.apply(data.features),
+        features=(data.features - means) / sds,
         response=data.response,
         response_name=data.response_name,
         confounders=data.confounders,
         confounder_names=data.confounder_names,
         n_dropped=data.n_dropped,
     )
-    return out, transform
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +402,10 @@ def curve_mean(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return -x / 2.0 - 5.0 / 3.0 + 0.35 * np.sin(x * x) + z / 9.0
 
 
-def simulate_example2(n: int = 105, seed: int = 0, noise_sd: float = 1.0) -> Dataset:
+def simulate_example2(n: int = 105, seed: int = 0) -> Dataset:
     """Noisy nonlinear curve with a weak additive confounder.
 
-    x ~ N(2, 1), z ~ N(0, 1), y = curve_mean(x, z) + N(0, noise_sd^2).
+    x ~ N(2, 1), z ~ N(0, 1), y = curve_mean(x, z) + N(0, 1).
     Draw order: the x block, then the z block, then the noise block.
     """
     if n < 1:
@@ -425,7 +413,7 @@ def simulate_example2(n: int = 105, seed: int = 0, noise_sd: float = 1.0) -> Dat
     rng = CounterRng(seed)
     x = rng.normal(n, mean=2.0, sd=1.0)
     z = rng.normal(n)
-    eps = rng.normal(n, sd=noise_sd)
+    eps = rng.normal(n, sd=1.0)
     y = curve_mean(x, z) + eps
     return Dataset(
         feature_names=("x",),
@@ -444,22 +432,20 @@ def wave_mean(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x + np.cos(x) + z / 9.0
 
 
-def simulate_example3(seed: int = 0, n: int = 105, noise_sd: float = 1.0,
-                      x_low: int = -100, x_high: int = 100) -> Dataset:
+def simulate_example3(seed: int = 0, n: int = 105) -> Dataset:
     """Integer-located wave data with a weak additive confounder.
 
-    x is a without-replacement sample of n integers from [x_low, x_high],
-    z ~ N(0, 1), y = wave_mean(x, z) + N(0, noise_sd^2).  Draw order: the
+    x is a without-replacement sample of n integers from [-100, 100],
+    z ~ N(0, 1), y = wave_mean(x, z) + N(0, 1).  Draw order: the
     integer sample, then the z block, then the noise block.
     """
-    span = x_high - x_low + 1
-    if n < 1 or n > span:
-        raise InvalidInputError(f"n must lie in [1, {span}]")
+    if n < 1 or n > 201:
+        raise InvalidInputError("n must lie in [1, 201]")
     rng = CounterRng(seed)
-    picks = rng.sample_indices(span, n)
-    x = (x_low + picks).astype(float)
+    picks = rng.sample_indices(201, n)
+    x = (-100 + picks).astype(float)
     z = rng.normal(n)
-    eps = rng.normal(n, sd=noise_sd)
+    eps = rng.normal(n, sd=1.0)
     y = wave_mean(x, z) + eps
     return Dataset(
         feature_names=("x",),

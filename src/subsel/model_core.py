@@ -96,23 +96,6 @@ def _eval_basis(fn: BasisFn, coords: np.ndarray, length: int, label: str) -> np.
     return out
 
 
-def eval_row(spec: ModelSpec, x, z=None) -> np.ndarray:
-    """The concatenated (f, h, g) row at one point: model_matrix on one row.
-
-    z is required exactly when spec.q > 0.  Both arguments are checked
-    before any basis is evaluated.
-    """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.ndim != 1:
-        raise InvalidInputError("x must be a scalar or a 1-D coordinate array")
-    if spec.q > 0 and z is None:
-        raise InvalidInputError("model has confounder terms: z is required")
-    if spec.q == 0 and z is not None:
-        raise InvalidInputError("model has no confounder terms but z was supplied")
-    zs = None if z is None else np.atleast_1d(np.asarray(z, dtype=float))[None]
-    return model_matrix(spec, xv[None], zs)[0]
-
-
 def model_matrix(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray | None = None) -> np.ndarray:
     """The (n, p+m+q) matrix whose row i is (f(x_i), h(x_i), g(z_i)).
 
@@ -234,10 +217,6 @@ class DesignMeasure:
 
     def __setattr__(self, name, value):
         raise AttributeError("DesignMeasure is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.x_points.shape[1]
 
     def to_json_dict(self) -> dict:
         out = {

@@ -155,7 +155,7 @@ def repro_example2(
     os.makedirs(out_dir, exist_ok=True)
     ds = simulate_example2(n_points, seed=seed)
     write_csv(ds, os.path.join(out_dir, "dataset.csv"))
-    ds_std, _ = standardize(ds)
+    ds_std = standardize(ds)
     abs_std_x = np.abs(ds_std.features[:, 0])
 
     scatter = []

@@ -145,15 +145,13 @@ class CounterRng:
         self._counter += n
         return _mix64_array(state)
 
-    def uniform(self, n: int | None = None):
-        """Uniform draws in the open interval (0, 1)."""
-        if n is None:
-            return (float(self.u64() >> 11) + 0.5) * 2.0**-53
+    def uniform(self, n: int) -> np.ndarray:
+        """n uniform draws in the open interval (0, 1)."""
         words = self.u64_array(n)
         return ((words >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
 
-    def normal(self, n: int | None = None, mean: float = 0.0, sd: float = 1.0):
-        """Normal draws via the inverse-CDF applied to uniform(n)."""
+    def normal(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
+        """n normal draws via the inverse-CDF applied to uniform(n)."""
         if sd <= 0.0:
             raise InvalidInputError("sd must be positive")
         z = inverse_normal_cdf(self.uniform(n))
@@ -196,9 +194,3 @@ class CounterRng:
         for i, d in enumerate(draws.tolist()):
             arr[i], arr[i + d] = arr[i + d], arr[i]
         return arr[:k].copy()
-
-    def shuffle(self, values: np.ndarray) -> np.ndarray:
-        """Full Fisher-Yates permutation of a copy of `values`."""
-        out = np.array(values)
-        order = self.sample_indices(len(out), len(out))
-        return out[order]

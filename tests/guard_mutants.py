@@ -112,6 +112,13 @@ GUARDS = [
         "tests/test_ingest_properties.py::test_header_only_file_warns_nothing",
         "a file with no data rows goes to the row-wise reader, whose error names the file",
     ),
+    Guard(
+        "csv-physical-line", "ingest_sim.py",
+        "r_i, line = line + 1, reader.line_num",
+        "r_i, line = line + 1, line + 1",
+        "tests/test_ingest_properties.py::test_a_strict_error_names_the_first_physical_line_of_its_row",
+        "a bad row is numbered by its first physical line, not by its record count",
+    ),
 ]
 
 

@@ -6,7 +6,7 @@ oracle is the families' scalar formulas below, written as per-point
 callables, which send model_matrix down its row-wise path.  For any
 configuration, including the confounder block, out-of-range values and
 mismatched point dimensions, the matrix (or the error) must be exactly what
-the scalar formulas give, and eval_row, a one-row model_matrix, must give
+the scalar formulas give, and model_matrix on one row at a time must give
 the same rows.  A point whose coordinate count is not the basis's dimension
 is an error, never a silently truncated point.
 """
@@ -25,7 +25,6 @@ from subsel.model_core import (
     CandidateGrid,
     DesignMeasure,
     ModelSpec,
-    eval_row,
     json_ready,
     model_matrix,
     polynomial_basis,
@@ -133,7 +132,8 @@ def _outcome(call):
 
 
 def _stacked(spec, xs, zs):
-    rows = [eval_row(spec, xs[i], None if zs is None else zs[i]) for i in range(xs.shape[0])]
+    rows = [model_matrix(spec, xs[i:i + 1], None if zs is None else zs[i:i + 1])[0]
+            for i in range(xs.shape[0])]
     return np.array(rows, dtype=float).reshape(xs.shape[0], spec.k_total)
 
 
@@ -143,7 +143,7 @@ def _per_point(fn):
 
 
 @given(specs_and_points())
-def test_model_matrix_equals_stacked_eval_row(case):
+def test_model_matrix_equals_stacked_one_row_matrices(case):
     spec, scalar, xs, zs = case
     want = _outcome(lambda: _stacked(scalar, xs, zs))
     assert _outcome(lambda: _stacked(spec, xs, zs)) == want
@@ -185,7 +185,7 @@ def test_per_point_callable_errors_keep_their_messages():
         model_matrix(raising, xs)
 
 
-def test_builtin_basis_errors_match_eval_row():
+def test_builtin_basis_errors_match_one_row_matrices():
     # a degree-2 power that overflows, and a wave of an infinite argument
     f_fn, p = polynomial_basis(degree=2)
     h_fn, m = trig_basis("sin", (1.0, 0.0, 0.0))

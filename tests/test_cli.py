@@ -630,6 +630,18 @@ def test_criteria_numerical_failure_exits_3(tmp_path, model_file, capsys):
     assert payload["type"] == "SingularMatrixError"
 
 
+def test_seqdes_singular_initial_fit_exits_3(tmp_path, capsys):
+    # two copies of one column: the initial fit stays singular up to --n-target
+    x = np.linspace(-1.0, 1.0, 40).tolist()
+    data = tmp_path / "twin.csv"
+    data.write_text("a,b,y\n" + "".join(f"{v!r},{v!r},{1.0 + 2.0 * v!r}\n" for v in x))
+    code, out, err = run_cli(capsys, "seqdes", "--input", str(data), "--response", "y",
+                             "--family", "linear", "--n-init", "4", "--n-target", "10")
+    assert (code, out) == (3, "")
+    error = stderr_payload(err)
+    assert (error["kind"], error["type"]) == ("numerical", "SingularMatrixError")
+
+
 def test_check_get_verdicts(tmp_path, model_file, grid_file, design_file, capsys):
     code, stdout, _ = run_cli(capsys, "check-get", "--model", model_file,
                               "--design", design_file, "--grid", grid_file)

@@ -32,7 +32,6 @@ from subsel.model_core import (
     DesignMeasure,
     InformationMatrix,
     ModelSpec,
-    eval_row,
     information_matrix,
     json_ready,
     model_matrix,
@@ -91,7 +90,7 @@ def random_design(rng: CounterRng, spec: ModelSpec, n_pts: int = 6) -> DesignMea
 def variance_function(spec: ModelSpec, design: DesignMeasure, x, z=None) -> float:
     """d((x, z), xi) = row' M(xi)^-1 row over the full (f, h, g) row, one point at a time: the
     scalar oracle of variance_profile."""
-    row = eval_row(spec, x, z)
+    row = model_matrix(spec, [x], None if z is None else [z])[0]
     return float(row @ np.linalg.solve(information_matrix(spec, design).full, row))
 
 

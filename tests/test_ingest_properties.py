@@ -8,11 +8,13 @@ are empty, non-finite, underscored, quoted (unterminated, padded, doubled,
 holding a comma or a line break), commented, short or long.  Fixed cases
 add quoted headers that hold a comma, a line break or a doubled quote, a
 quote past the first megabyte, non-finite cells, and a file whose name ends
-in .gz, which is read as text.
+in .gz, which is read as text.  A strict error names the physical line its
+row starts on, which a quoted line break before it moves.
 """
 
 import csv
 import gzip
+import io
 
 import numpy as np
 import pytest
@@ -129,9 +131,17 @@ def test_fast_path_agrees_with_rowwise_reader(csv_path, hazard, data):
 
     fast = _load_plain(csv_path, [pos[name] for name in used], 1)
     if fast is not None:
-        assert _outcome(lambda: (fast, 0)) == _outcome(
-            lambda: _load_rowwise(csv_path, used, pos, True)
-        )
+        assert _outcome(lambda: (fast, 0)) == ref
+
+    if ref[0] == "parse":
+        # the error names the bad row's first physical line: the lines before that one
+        # load without an error, and the header followed by the lines from it on fails on line 2
+        lines = io.StringIO(text, newline="").readlines()
+        part = csv_path.with_name("part.csv")
+        part.write_bytes("".join(lines[: ref[1] - 1]).encode("utf-8"))
+        assert _outcome(lambda: _load_rowwise(part, used, pos, True))[0] != "parse"
+        part.write_bytes("".join(lines[:1] + lines[ref[1] - 1 :]).encode("utf-8"))
+        assert _outcome(lambda: _load_rowwise(part, used, pos, True)) == ("parse", 2, ref[2])
 
 
 def _forbid_rowwise(monkeypatch):
@@ -169,16 +179,28 @@ def test_line_endings_and_a_quoted_header(tmp_path, monkeypatch, eol, header):
     assert want[0] == "ok" and want[2] == (2, 3)
     _forbid_rowwise(monkeypatch)  # one np.loadtxt pass, whatever the header and line ending
     assert _outcome(lambda: _public(path, True, {"response_column": "y"})) == want
-    # a bad cell keeps its line number in the drop count and the strict error
+    # a bad cell keeps its row in the drop count, and the strict error names its line
     monkeypatch.undo()
     path.write_bytes(eol.join([header, "1.5,-2,0.25", "", "3e2,x,1", "5,6,0"]).encode())
     for strict in (False, True):
         assert _outcome(lambda: _public(path, strict, {"response_column": "y"})) == _rowwise_oracle(path, strict)
     assert load_csv(path, response_column="y").n_dropped == 1
-    if eol not in header:
-        with pytest.raises(ParseError) as err:
-            load_csv(path, response_column="y", strict=True)
-        assert (err.value.row, err.value.column) == (4, "b")
+    with pytest.raises(ParseError) as err:
+        load_csv(path, response_column="y", strict=True)
+    assert (err.value.row, err.value.column) == (5 if eol in header else 4, "b")
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("text, line, column", [
+    ('a,y\n1,0\n"2\n",1\nx,0\n', 5, "a"),  # a data cell holds a line break
+    ('"a\nb",y\n1,0\nx,0\n', 4, "a\nb"),  # a header cell holds one
+])
+def test_a_strict_error_names_the_first_physical_line_of_its_row(tmp_path, eol, text, line, column):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.replace("\n", eol).encode())
+    with pytest.raises(ParseError, match=f" on line {line} of ") as err:
+        load_csv(path, response_column="y", strict=True)
+    assert (err.value.row, err.value.column) == (line, column.replace("\n", eol))
 
 
 def test_quoted_header_and_cells_take_the_one_pass(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from subsel.model_core import (
     CandidateGrid,
     DesignMeasure,
     ModelSpec,
-    eval_row,
     information_matrix,
     information_matrix_from_selection,
     model_matrix,
@@ -33,34 +32,19 @@ def full_spec() -> ModelSpec:
     return ModelSpec(f_basis=f_fn, p=p, h_basis=h_fn, m=m, g_basis=g_fn, q=q)
 
 
-def test_eval_row_blocks():
+def test_one_row_blocks():
     spec = full_spec()
-    row = eval_row(spec, np.array([2.0]), np.array([3.0]))
+    row = model_matrix(spec, [[2.0]], [[3.0]])[0]
     assert np.allclose(row, [1.0, 2.0, np.sin(4.0), 3.0 / 9.0])
     assert spec.k_total == 4
 
 
-def test_eval_row_no_extras():
+def test_one_row_no_extras():
     spec = line_spec()
-    assert np.allclose(eval_row(spec, np.array([0.0]), None), [1.0, 0.0])
+    assert np.allclose(model_matrix(spec, [[0.0]])[0], [1.0, 0.0])
 
 
-def test_eval_row_checks_z_against_q():
-    with pytest.raises(InvalidInputError, match=r"^model has no confounder terms but z was supplied$"):
-        eval_row(line_spec(), np.array([0.0]), np.array([1.0]))
-    with pytest.raises(InvalidInputError, match=r"^model has confounder terms: z is required$"):
-        eval_row(full_spec(), np.array([0.0]))
-
-    def boom(x):
-        raise ZeroDivisionError("no")
-
-    # the arguments are checked before any basis is evaluated
-    failing = ModelSpec(f_basis=boom, p=1, g_basis=full_spec().g_basis, q=1)
-    with pytest.raises(InvalidInputError, match=r"^model has confounder terms: z is required$"):
-        eval_row(failing, np.array([0.0]))
-
-
-def test_eval_row_is_a_model_matrix_row_with_a_per_point_block():
+def test_a_one_row_matrix_is_a_stacked_row_with_a_per_point_block():
     spec = full_spec()
     mixed = ModelSpec(f_basis=spec.f_basis, p=spec.p, h_basis=spec.h_basis, m=spec.m,
                       g_basis=lambda z: np.array([z[0] / 9.0]), q=spec.q)
@@ -68,7 +52,7 @@ def test_eval_row_is_a_model_matrix_row_with_a_per_point_block():
     zs = np.array([[3.0], [-7.0], [0.5]])
     rows = model_matrix(mixed, xs, zs)
     for i in range(xs.shape[0]):
-        assert eval_row(mixed, xs[i], zs[i]).tobytes() == rows[i].tobytes()
+        assert model_matrix(mixed, xs[i:i + 1], zs[i:i + 1])[0].tobytes() == rows[i].tobytes()
 
 
 @pytest.mark.parametrize("spec, x_points, z_points, message", [
@@ -126,7 +110,7 @@ def test_information_matrix_brute_force_oracle():
         d = DesignMeasure(xs, w, zs)
         expect = np.zeros((4, 4))
         for xp, zp, wp in zip(d.x_points, d.z_points, d.weights):
-            r = eval_row(spec, xp, zp)
+            r = model_matrix(spec, [xp], [zp])[0]
             expect += wp * np.outer(r, r)
         got = information_matrix(spec, d).full
         assert np.allclose(got, expect, atol=1e-12)
@@ -227,7 +211,7 @@ def test_model_spec_from_config_round_trip():
     }
     spec = model_spec_from_config(cfg)
     assert (spec.p, spec.m, spec.q) == (2, 1, 1)
-    row = eval_row(spec, np.array([2.0]), np.array([9.0]))
+    row = model_matrix(spec, [[2.0]], [[9.0]])[0]
     assert np.allclose(row, [1.0, 2.0, np.sin(4.0), 1.0])
     with pytest.raises(ConfigError):
         model_spec_from_config({"h": {"family": "poly"}})

@@ -122,14 +122,3 @@ def test_sample_indices_distinct_and_in_range():
         assert all(0 <= int(i) < n_pop for i in idx)
     with pytest.raises(ValueError):
         rng.sample_indices(5, 6)
-
-
-def test_shuffle_is_permutation():
-    rng = CounterRng(41)
-    arr = np.arange(257)
-    out = rng.shuffle(arr)
-    assert sorted(out.tolist()) == arr.tolist()
-    assert not np.array_equal(out, arr)
-    # input untouched, output reproducible
-    assert np.array_equal(arr, np.arange(257))
-    assert np.array_equal(out, CounterRng(41).shuffle(arr))

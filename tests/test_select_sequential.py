@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subsel.errors import DegenerateColumnError, InvalidInputError, SingularMatrixError
-from subsel.estimation import fit_logistic, sigmoid
+from subsel.estimation import fit_logistic, fit_ols, sigmoid
 from subsel.ingest_sim import Dataset
 from subsel.model_core import (
     BiasSpec,
@@ -17,7 +17,7 @@ from subsel.model_core import (
     polynomial_basis,
 )
 from subsel.rng import CounterRng
-from subsel.select_sequential import SeqConfig, run_sequential
+from subsel.select_sequential import SeqConfig, _stratified_init, run_sequential
 from subsel.select_iboss import run_iboss
 
 
@@ -175,6 +175,18 @@ def test_stratified_init_is_deterministic_and_sized():
                                  init_column="missing"))
 
 
+def test_stratified_edges_fall_back_to_all_rows_without_a_one():
+    # a 0/1 response with no 1s runs under the logistic family; its bin edges
+    # come from every row.  Only the start is pinned: such a sample has no finite MLE
+    x = CounterRng(4).normal(200)
+    data = Dataset(feature_names=("x",), features=x[:, None], response=np.zeros(200), response_name="y")
+    cfg = SeqConfig(n_init=10, n_target=12, seed=5,
+                    init_strategy="stratified", init_column="x", init_quantiles=4)
+    _, trace = run_sequential(data, GRID, line_spec(), cfg)
+    want = _stratified_init(CounterRng(5), x, np.arange(200), 10, 4)
+    assert trace.initial_indices.tolist() == want
+
+
 def test_stratified_covers_the_range():
     # with enough quantile bins the initial sample spans the covariate range
     data = linear_dataset(n=200, seed=10)
@@ -288,6 +300,32 @@ def test_separation_fallback_grows_initial_sample():
     assert trace.initial_indices.size > 2
     assert sel.indices.size == 60
     assert np.unique(sel.indices).size == 60
+
+
+def duplicate_column_dataset(n: int = 60) -> Dataset:
+    x = linear_dataset(n).features[:, 0]
+    return Dataset(feature_names=("a", "b"), features=np.column_stack([x, x]),
+                   response=1.0 + 2.0 * x, response_name="y")
+
+
+def test_an_initial_fit_singular_at_n_target_raises(monkeypatch):
+    # two copies of one column leave X'X singular however many rows are drawn:
+    # the initial sample doubles up to n_target, and the fit there raises
+    import subsel.select_sequential as seq
+
+    sizes = []
+
+    def counted(rows, y):
+        sizes.append(rows.shape[0])
+        return fit_ols(rows, y)
+
+    monkeypatch.setattr(seq, "fit_ols", counted)
+    f, p = polynomial_basis(degree=1, dim=2)
+    grid = CandidateGrid.from_axes([np.linspace(-1.0, 1.0, 5)] * 2)
+    with pytest.raises(SingularMatrixError):
+        run_sequential(duplicate_column_dataset(), grid, ModelSpec(f_basis=f, p=p),
+                       SeqConfig(n_init=4, n_target=10, seed=1, family="linear"))
+    assert sizes == [4, 8, 10]
 
 
 def rare_event_dataset() -> Dataset:
