@@ -25,6 +25,7 @@ from .criteria import (
     d_criterion,
     det_r_bias,
     det_r_conf,
+    exp_or_none,
     get_check,
     i_criterion,
     trace_r,
@@ -248,12 +249,14 @@ def cmd_iboss(args) -> int:
     resolved = _resolve(args, "input", "n")
     ds = _dataset_from_args(resolved)
     selection = run_iboss(ds, resolved["n"], column_order=resolved["order"])
-    det, bound = iboss_det_bound(ds, selection, sigma=resolved["sigma"])
+    log_det, log_bound = iboss_det_bound(ds, selection, sigma=resolved["sigma"])
     payload = {
         "command": "iboss",
         "indices": selection.indices.tolist(),
-        "det": det,
-        "bound": bound,
+        "det": exp_or_none(log_det),
+        "bound": exp_or_none(log_bound),
+        "log_det": None if log_det == -np.inf else log_det,
+        "log_bound": None if log_bound == -np.inf else log_bound,
         "per_variable_cuts": selection.provenance["cuts"],
         "column_order": selection.provenance["column_order"],
         "r": selection.provenance["r"],
@@ -384,17 +387,24 @@ def cmd_check_get(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    """Run one pipeline with only the options given, so its signature holds the defaults."""
+    """Run one pipeline with only the options given, so its signature holds the defaults.
+
+    resolved_config.json holds the pipeline's number, its arguments with the defaults
+    applied (out_dir aside) and what the pipeline returns.
+    """
     given = {k: v for k, v in _resolve(args, "out_dir").items() if v is not None}
-    out_dir = given["out_dir"]
     example = given.pop("example")
     run = (repro_mod.repro_example1, repro_mod.repro_example2, repro_mod.repro_example3)[example - 1]
-    unused = [k for k in given if k not in inspect.signature(run).parameters]
+    signature = inspect.signature(run)
+    unused = [k for k in given if k not in signature.parameters]
     if unused:
         flags = ", ".join("--" + k.replace("_", "-") for k in unused)
         raise InvalidInputError(f"repro {example} does not take {flags}")
-    manifest = run(**given)
-    write_json(manifest, os.path.join(out_dir, "resolved_config.json"))
+    arguments = signature.bind(**given)
+    arguments.apply_defaults()
+    echoed = dict(arguments.arguments)
+    out_dir = echoed.pop("out_dir")
+    write_json({"pipeline": example, **echoed, **run(**given)}, os.path.join(out_dir, "resolved_config.json"))
     sys.stdout.write(json.dumps({"command": "repro", "out_dir": out_dir}, sort_keys=True) + "\n")
     return 0
 

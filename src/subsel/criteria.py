@@ -100,9 +100,14 @@ def d_criterion(m: InformationMatrix) -> CriterionValue:
     sign, logdet = np.linalg.slogdet(m.full)
     if sign <= 0.0 or not np.isfinite(logdet):
         return CriterionValue("D", float("-inf"), {"det": 0.0, "singular": True})
+    return CriterionValue("D", float(logdet), {"det": exp_or_none(logdet), "singular": False})
+
+
+def exp_or_none(log_value: float) -> float | None:
+    """exp(log_value), or None when it overflows a float, so a record holding it stays strict JSON."""
     with np.errstate(over="ignore"):
-        det = float(np.exp(logdet))
-    return CriterionValue("D", float(logdet), {"det": det if math.isfinite(det) else None, "singular": False})
+        value = float(np.exp(log_value))
+    return value if math.isfinite(value) else None
 
 
 def a_criterion(m: InformationMatrix) -> CriterionValue:

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 
+# A basis maps an (n, d) point array to the (n, length) array of its values;
+# row i depends on point i alone, so any slice of the points gives the same rows.
 BasisFn = Callable[[np.ndarray], np.ndarray]
 
 _SYM_TOL = 1e-12
@@ -37,13 +39,8 @@ class ModelSpec:
     """Basis triple (f, h, g) with block dimensions (p, m, q).
 
     h_basis/g_basis may be None when the corresponding dimension is zero.
-    Basis callables take a 1-D coordinate array and return a 1-D float array
-    of the declared length.  A callable may also carry a `batch` attribute,
-    a whole-array evaluator mapping an (n, d) coordinate array to the
-    (n, length) stack of its per-point values.  The built-in families are
-    written as such an evaluator, and their per-point callable runs it on a
-    one-row array.  model_matrix, the one place rows are built, uses `batch`
-    when every block has one and the per-point callables otherwise.
+    A basis maps an (n, d) point array to the (n, length) float array of its
+    values, row i computed from point i alone (see `BasisFn`).
     """
 
     f_basis: BasisFn
@@ -80,16 +77,16 @@ def data_columns(data) -> tuple[np.ndarray, np.ndarray | None]:
     return as_columns(getattr(data, "features", data)), None if confs is None else as_columns(confs)
 
 
-def _eval_basis(fn: BasisFn, coords: np.ndarray, length: int, label: str) -> np.ndarray:
+def _eval_block(fn: BasisFn, points: np.ndarray, length: int, label: str) -> np.ndarray:
     try:
-        out = np.atleast_1d(np.asarray(fn(coords), dtype=float))
+        out = np.asarray(fn(points), dtype=float)
     except Exception as exc:
         raise InvalidInputError(
-            f"{label} basis failed on a point of dimension {coords.size}: {exc}"
+            f"{label} basis failed on a point of dimension {points.shape[1]}: {exc}"
         ) from exc
-    if out.ndim != 1 or out.size != length:
+    if out.shape != (points.shape[0], length):
         raise InvalidInputError(
-            f"{label} basis returned shape {out.shape}, expected ({length},)"
+            f"{label} basis returned shape {out.shape}, expected ({points.shape[0]}, {length})"
         )
     if not np.all(np.isfinite(out)):
         raise InvalidInputError(f"{label} basis returned a non-finite value")
@@ -99,12 +96,11 @@ def _eval_basis(fn: BasisFn, coords: np.ndarray, length: int, label: str) -> np.
 def model_matrix(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray | None = None) -> np.ndarray:
     """The (n, p+m+q) matrix whose row i is (f(x_i), h(x_i), g(z_i)).
 
-    When every block's basis has a `batch` evaluator, all points are computed
-    at once.  Otherwise, or when a batch evaluator raises or fails its shape
-    or finiteness check, each point is passed to the per-point callables.
-    That loop raises the error of the first failing row and, within it, of
-    the first failing block.  For the built-in families the two paths give
-    the same rows bit for bit.
+    Each block's basis is evaluated once on all points.  When a block fails,
+    the blocks are re-run on one point at a time, in row order and then f, h,
+    g order, so the error raised is that of the first failing point's first
+    failing block; if no single point fails, the whole-array error is raised.
+    No points give an empty matrix without a basis call.
     """
     xs = as_columns(x_points)
     if xs.ndim != 2:
@@ -117,28 +113,20 @@ def model_matrix(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray | N
         zs = as_columns(z_points)
         if zs.ndim != 2 or zs.shape[0] != n:
             raise InvalidInputError("x_points and z_points must have matching row counts")
+    if n == 0:
+        return np.empty((0, spec.k_total))
     blocks = [(spec.f_basis, xs, spec.p, "f")]
     if spec.m > 0:
         blocks.append((spec.h_basis, xs, spec.m, "h"))
     if spec.q > 0:
         blocks.append((spec.g_basis, zs, spec.q, "g"))
-    if n > 0 and all(hasattr(fn, "batch") and pts.shape[1] > 0 for fn, pts, _, _ in blocks):
-        try:
-            return np.hstack([_eval_block(*block) for block in blocks])
-        except Exception:
-            pass  # the row-wise loop below raises the failing point's own error
-    out = np.empty((n, spec.k_total), dtype=float)
-    for i in range(n):
-        out[i] = np.concatenate([_eval_basis(fn, pts[i], length, label)
-                                 for fn, pts, length, label in blocks])
-    return out
-
-
-def _eval_block(fn: BasisFn, points: np.ndarray, length: int, label: str) -> np.ndarray:
-    out = np.asarray(fn.batch(points), dtype=float)
-    if out.shape != (points.shape[0], length) or not np.all(np.isfinite(out)):
-        raise InvalidInputError(f"{label} basis failed its shape or finiteness check")
-    return out
+    try:
+        return np.hstack([_eval_block(*block) for block in blocks])
+    except InvalidInputError:
+        for i in range(n):
+            for fn, pts, length, label in blocks:
+                _eval_block(fn, pts[i:i + 1], length, label)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +272,13 @@ class CandidateGrid:
         return self.points[:, self.x_dim :]
 
     @staticmethod
-    def from_axes(axes, z_dim: int = 0) -> "CandidateGrid":
+    def from_axes(axes: Mapping, z_dim: int = 0) -> "CandidateGrid":
         """Cross product of per-axis level lists, row-major (first axis slowest).
 
-        axes may be a mapping name -> levels (insertion order respected; the
-        keys are the names) or a sequence of level lists, which has no names.
-        Levels must be strictly increasing.
+        axes maps each name to its levels, in insertion order.  Levels must
+        be strictly increasing.
         """
-        names = None
-        if isinstance(axes, Mapping):
-            names, axes = tuple(axes.keys()), axes.values()
-        levels = [np.asarray(v, dtype=float) for v in axes]
+        levels = [np.asarray(v, dtype=float) for v in axes.values()]
         if not levels:
             raise ConfigError("at least one axis is required")
         for i, lv in enumerate(levels):
@@ -306,7 +290,7 @@ class CandidateGrid:
                 raise ConfigError(f"axis {i} levels must be strictly increasing")
         grids = np.meshgrid(*levels, indexing="ij")
         pts = np.column_stack([g.ravel(order="C") for g in grids])
-        return CandidateGrid(points=pts, axes=tuple(levels), names=names, z_dim=z_dim)
+        return CandidateGrid(points=pts, axes=tuple(levels), names=tuple(axes), z_dim=z_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +495,8 @@ def polynomial_basis(degree: int, intercept: bool = True, dim: int = 1, scale: f
         raise ConfigError("degree 0 without intercept has no terms")
     n_terms = (1 if intercept else 0) + (degree if dim == 1 else dim * degree)
 
-    def batch(xs: np.ndarray) -> np.ndarray:
+    def fn(xs: np.ndarray) -> np.ndarray:
+        _check_dim(xs, dim)
         cols = [np.ones((xs.shape[0], 1))] if intercept else []
         if dim > 1:
             if degree == 1:
@@ -526,7 +511,7 @@ def polynomial_basis(degree: int, intercept: bool = True, dim: int = 1, scale: f
         cols.extend(np.array([t**j for t in vals]) for j in range(2, degree + 1))
         return np.column_stack(cols)
 
-    return _per_point(batch, dim), n_terms
+    return fn, n_terms
 
 
 def linear_spec(dim: int) -> ModelSpec:
@@ -544,25 +529,17 @@ def trig_basis(kind: str = "sin", coeffs: Sequence[float] = (1.0, 0.0, 0.0), amp
     a, b, c = (float(v) for v in coeffs)
     wave = np.sin if kind == "sin" else np.cos
 
-    def batch(xs: np.ndarray) -> np.ndarray:
+    def fn(xs: np.ndarray) -> np.ndarray:
+        _check_dim(xs, 1)
         v = xs[:, 0]
         return (amplitude * wave(a * v * v + b * v + c))[:, None]
 
-    return _per_point(batch, 1), 1
+    return fn, 1
 
 
-def _per_point(batch: Callable[[np.ndarray], np.ndarray], dim: int) -> BasisFn:
-    """The per-point callable of a dim-coordinate whole-array evaluator, carrying it as `batch`."""
-    def checked(xs: np.ndarray) -> np.ndarray:
-        if xs.shape[1] != dim:
-            raise InvalidInputError(f"basis takes points of dimension {dim}, got {xs.shape[1]}")
-        return batch(xs)
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return checked(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-    fn.batch = checked
-    return fn
+def _check_dim(xs: np.ndarray, dim: int) -> None:
+    if xs.shape[1] != dim:
+        raise InvalidInputError(f"basis takes points of dimension {dim}, got {xs.shape[1]}")
 
 
 _BASIS_FAMILIES = ("poly", "trig")

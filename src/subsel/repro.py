@@ -4,7 +4,9 @@ Each pipeline simulates its dataset from a fixed seed, runs the applicable
 selection algorithms, and writes selections, criterion values, coefficient
 trajectories, and design scatter data into an output directory.  Artifacts
 are deterministic functions of (seed, sizes): rerunning a pipeline with the
-same arguments rewrites byte-identical files.
+same arguments rewrites byte-identical files.  A pipeline returns only the
+facts of its run that are not arguments; `subsel repro` writes them next to
+the arguments in `resolved_config.json`.
 """
 
 from __future__ import annotations
@@ -103,16 +105,7 @@ def repro_example1(
 
     write_json(json_ready(estimates), os.path.join(out_dir, "estimates.json"))
     write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
-    return {
-        "pipeline": 1,
-        "seed": seed,
-        "n_data": n_data,
-        "n_init": n_init,
-        "n_target": n_target,
-        "n_test": n_test,
-        "threshold": threshold,
-        "positives_train": int(train.response.sum()),
-    }
+    return {"positives_train": int(train.response.sum())}
 
 
 _SCATTER_HEADER = ("variant", "algorithm", "data_index", "x", "z", "weight")
@@ -178,14 +171,7 @@ def repro_example2(
 
     write_rows(os.path.join(out_dir, "designs.csv"), _SCATTER_HEADER, scatter)
     write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
-    return {
-        "pipeline": 2,
-        "seed": seed,
-        "n_points": n_points,
-        "n_design": n_design,
-        "n_init": n_init,
-        "grid_levels": grid_levels,
-    }
+    return {}
 
 
 def repro_example3(
@@ -226,12 +212,4 @@ def repro_example3(
 
     write_rows(os.path.join(out_dir, "designs.csv"), _SCATTER_HEADER, scatter)
     write_json(criteria_out, os.path.join(out_dir, "criteria.json"))
-    return {
-        "pipeline": 3,
-        "seed": seed,
-        "n_design": n_design,
-        "n_init": n_init,
-        "nu": nu,
-        "robust_iters": robust_iters,
-        "grid_levels": grid_levels,
-    }
+    return {}

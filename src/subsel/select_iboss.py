@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .criteria import d_criterion
 from .errors import InvalidInputError
 from .model_core import (
     InformationMatrix,
@@ -167,25 +168,25 @@ def run_iboss(data, n_target: int, column_order=None) -> SubsampleSelection:
 
 
 def iboss_det_bound(data, selection, sigma: float = 1.0) -> tuple[float, float]:
-    """Determinant of the selection's information matrix and its upper bound.
+    """Log determinant of the selection's information matrix and the log of its upper bound.
 
     The working model is intercept-plus-linear in the p covariates.  For any
     n_d-row selection the determinant is bounded by
 
         4 (n_d / (4 sigma^2))^(p+1) * prod_j range_j^2
 
-    where range_j is the full-data spread of covariate j.  Returns
-    (det, bound).
+    where range_j is the full-data spread of covariate j.  Both are taken in
+    log space, so neither overflows.  Returns (log_det, log_bound): log_det
+    is -inf for a singular selection and log_bound for a constant covariate.
     """
     feats = _features_of(data)
-    n, p = feats.shape
+    p = feats.shape[1]
     idx = np.asarray(getattr(selection, "indices", selection), dtype=int).ravel()
-    n_d = idx.size
     m: InformationMatrix = information_matrix_from_selection(linear_spec(p), feats, idx, sigma=sigma)
-    det = float(np.linalg.det(m.full))
-    ranges = feats.max(axis=0) - feats.min(axis=0)
-    bound = 4.0 * (n_d / (4.0 * sigma * sigma)) ** (p + 1) * float(np.prod(ranges * ranges))
-    return det, bound
+    with np.errstate(divide="ignore"):
+        log_ranges = np.log(feats.max(axis=0) - feats.min(axis=0))
+    log_bound = math.log(4.0) + (p + 1) * math.log(idx.size / (4.0 * sigma * sigma)) + 2.0 * float(log_ranges.sum())
+    return d_criterion(m).value, log_bound
 
 
 def iboss_permutation_report(data, n_target: int) -> dict:

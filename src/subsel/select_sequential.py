@@ -91,7 +91,7 @@ class SeqConfig:
     family: str = "auto"
     distance: str = "euclidean"
     init_strategy: str = "random"
-    init_column: int | str | None = None
+    init_column: str | None = None
     init_quantiles: int = 10
     init_label: float = 1.0
     seed: int = 0
@@ -231,14 +231,10 @@ def _initial_indices(rng: CounterRng, cfg: SeqConfig, coords: np.ndarray,
         retained = [int(i) for i in rng.sample_indices(n, cfg.n_init)]
         return retained, sorted(set(np.flatnonzero(y == cfg.init_label).tolist()) - set(retained))
     # stratified
-    col = cfg.init_column
-    if isinstance(col, str):
-        if feature_names is None or col not in feature_names:
-            raise InvalidInputError(f"unknown init_column {col!r}")
-        col = list(feature_names).index(col)
-    col = int(col)
-    if not 0 <= col < coords.shape[1]:
-        raise InvalidInputError("init_column is out of range")
+    names = list(feature_names or ())
+    if cfg.init_column not in names:
+        raise InvalidInputError(f"unknown init_column {cfg.init_column!r}")
+    col = names.index(cfg.init_column)
     # for a binary response, focus the bins where the rare label lives
     edge_pool = np.flatnonzero(y == 1.0) if family == "logistic" else np.arange(n)
     if edge_pool.size == 0:

@@ -46,6 +46,16 @@ GUARDS = [
         "the zero padding to whole blocks of 16 grid rows gives equal rows equal scores",
     ),
     Guard(
+        "basis-first-failing-point", "model_core.py",
+        """        for i in range(n):
+            for fn, pts, length, label in blocks:
+                _eval_block(fn, pts[i:i + 1], length, label)
+""",
+        "",
+        "tests/test_basis_properties.py::test_builtin_basis_errors_match_one_row_matrices",
+        "a failing basis is re-run one point at a time, so the first failing point's first block names the error",
+    ),
+    Guard(
         "dnu-tiny-u", "select_sequential.py",
         "always = ~(lo >= 0.0) | (uu < np.finfo(float).tiny)",
         "always = ~(lo >= 0.0)",
@@ -153,7 +163,7 @@ def main(names: list[str]) -> int:
                 continue
             result = run_mutant(guard, Path(tmp))
             results.append(result)
-            print(f"{guard.name:24s} {result:9s} {guard.test}  ({guard.why})", flush=True)
+            print(f"{guard.name:26s} {result:9s} {guard.test}  ({guard.why})", flush=True)
     return 0 if all(r == "killed" for r in results) else 1
 
 

@@ -81,8 +81,8 @@ def test_criterion_02_determinant_bound_holds_on_random_data(capsys):
         n_d = (40, 120, 400)[seed % 3]
         sigma = 2.0 if seed % 5 == 0 else 1.0
         sel = run_iboss(feats, n_d)
-        det, bound = iboss_det_bound(feats, sel, sigma=sigma)
-        worst = max(worst, det / bound)
+        log_det, log_bound = iboss_det_bound(feats, sel, sigma=sigma)
+        worst = max(worst, np.exp(log_det - log_bound))
     ok = worst <= 1.0 + 1e-9
     _report(
         capsys, 2, ok,
@@ -217,9 +217,9 @@ def _partitioned_instance(seed: int):
     spec = ModelSpec(
         f_basis=fn,
         p=p,
-        h_basis=lambda c, pw=h_pows: np.power(c[0], pw),
+        h_basis=lambda c, pw=h_pows: np.power(c[:, :1], pw),
         m=m,
-        g_basis=(lambda c, pw=g_pows: np.power(c[0], pw)) if q else None,
+        g_basis=(lambda c, pw=g_pows: np.power(c[:, :1], pw)) if q else None,
         q=q,
     )
     n_pts = p + m + q + 2

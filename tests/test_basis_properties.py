@@ -1,14 +1,14 @@
 """Basis evaluation properties: model_matrix equals the scalar formulas bit for bit.
 
-The built-in `poly` and `trig` families are written as whole-array
-evaluators, which model_matrix uses in place of one call per point.  The
-oracle is the families' scalar formulas below, written as per-point
-callables, which send model_matrix down its row-wise path.  For any
-configuration, including the confounder block, out-of-range values and
-mismatched point dimensions, the matrix (or the error) must be exactly what
-the scalar formulas give, and model_matrix on one row at a time must give
-the same rows.  A point whose coordinate count is not the basis's dimension
-is an error, never a silently truncated point.
+A basis maps an (n, d) point array to the (n, length) array of its values,
+row i computed from point i alone.  The oracle is the built-in `poly` and
+`trig` families' scalar formulas below, term by term at one point, run row
+by row by a test-local loop.  For any configuration, including the
+confounder block, out-of-range values and mismatched point dimensions, the
+matrix (or the error) must be exactly what the scalar formulas give, and
+model_matrix on one row at a time must give the same rows.  A point whose
+coordinate count is not the basis's dimension is an error, never a silently
+truncated point.
 """
 
 import numpy as np
@@ -40,8 +40,13 @@ def _check_dim(x, dim):
         raise InvalidInputError(f"basis takes points of dimension {dim}, got {len(x)}")
 
 
+def _rowwise(point_fn):
+    """The whole-array basis that applies a one-point formula to each row in turn."""
+    return lambda pts: np.array([point_fn(x) for x in pts])
+
+
 def _scalar_poly(degree, intercept, dim, scale):
-    """The poly family term by term in Python floats, as a per-point callable."""
+    """The poly family term by term in Python floats, one point at a time."""
     def fn(x):
         _check_dim(x, dim)
         terms = [1.0] if intercept else []
@@ -52,11 +57,11 @@ def _scalar_poly(degree, intercept, dim, scale):
             terms.extend(scale * float(v) for v in x)
         return np.asarray(terms, dtype=float)
 
-    return fn
+    return _rowwise(fn)
 
 
 def _scalar_trig(kind, coeffs, amplitude):
-    """The trig family at one scalar point, as a per-point callable."""
+    """The trig family at one scalar point at a time."""
     a, b, c = coeffs
     wave = np.sin if kind == "sin" else np.cos
 
@@ -65,7 +70,7 @@ def _scalar_trig(kind, coeffs, amplitude):
         v = float(x[0])
         return np.asarray([amplitude * wave(a * v * v + b * v + c)], dtype=float)
 
-    return fn
+    return _rowwise(fn)
 
 
 def _poly(degree, intercept=True, dim=1, scale=1.0):
@@ -137,35 +142,23 @@ def _stacked(spec, xs, zs):
     return np.array(rows, dtype=float).reshape(xs.shape[0], spec.k_total)
 
 
-def _per_point(fn):
-    """The same basis without its whole-array evaluator."""
-    return None if fn is None else (lambda x: fn(x))
-
-
 @given(specs_and_points())
 def test_model_matrix_equals_stacked_one_row_matrices(case):
     spec, scalar, xs, zs = case
     want = _outcome(lambda: _stacked(scalar, xs, zs))
     assert _outcome(lambda: _stacked(spec, xs, zs)) == want
     assert _outcome(lambda: model_matrix(spec, xs, zs)) == want
-    # a per-point callable in any block sends the whole matrix row by row
-    mixed = ModelSpec(f_basis=spec.f_basis, p=spec.p, h_basis=_per_point(spec.h_basis), m=spec.m,
-                      g_basis=spec.g_basis, q=spec.q)
-    assert _outcome(lambda: model_matrix(mixed, xs, zs)) == want
 
 
-def test_per_point_callable_errors_keep_their_messages():
+def test_user_basis_errors_keep_their_messages():
     f_fn, p = polynomial_basis(degree=2)
     xs = np.array([[0.5], [1.5], [2.5]])
 
-    short = ModelSpec(f_basis=f_fn, p=p, h_basis=lambda x: np.array([x[0], 1.0]), m=3)
-    with pytest.raises(InvalidInputError, match=r"^h basis returned shape \(2,\), expected \(3,\)$"):
+    short = ModelSpec(f_basis=f_fn, p=p, h_basis=lambda x: np.column_stack([x[:, 0], np.ones(len(x))]), m=3)
+    with pytest.raises(InvalidInputError, match=r"^h basis returned shape \(1, 2\), expected \(1, 3\)$"):
         model_matrix(short, xs)
 
-    def nan_at_1_5(x):
-        return np.array([np.nan if x[0] == 1.5 else x[0]])
-
-    bad = ModelSpec(f_basis=f_fn, p=p, g_basis=nan_at_1_5, q=1)
+    bad = ModelSpec(f_basis=f_fn, p=p, g_basis=lambda z: np.where(z == 1.5, np.nan, z), q=1)
     with pytest.raises(InvalidInputError, match=r"^g basis returned a non-finite value$"):
         model_matrix(bad, xs, xs)
 
@@ -176,13 +169,15 @@ def test_per_point_callable_errors_keep_their_messages():
     with pytest.raises(InvalidInputError, match=r"^f basis failed on a point of dimension 1: no$"):
         model_matrix(raising, xs)
 
-    # whatever a batch evaluator raises, the failing point's own error is reported
-    def bad_batch(points):
-        raise TypeError("batch")
+    # a basis that fails on several rows at once but on no single row: the whole-array error stands
+    def one_row_only(x):
+        if len(x) > 1:
+            raise ValueError("one row at a time")
+        return x
 
-    boom.batch = bad_batch
-    with pytest.raises(InvalidInputError, match=r"^f basis failed on a point of dimension 1: no$"):
-        model_matrix(raising, xs)
+    with pytest.raises(InvalidInputError, match=r"^f basis failed on a point of dimension 1: one row at a time$"):
+        model_matrix(ModelSpec(f_basis=one_row_only, p=1), xs)
+    assert model_matrix(ModelSpec(f_basis=one_row_only, p=1), xs[1:2]).tolist() == [[1.5]]
 
 
 def test_builtin_basis_errors_match_one_row_matrices():
@@ -218,10 +213,13 @@ def test_builtin_bases_take_the_whole_array_path(monkeypatch):
     ]
     want = [model_matrix(scalar, x, zs if scalar.q else None) for (_, scalar), x in cases]
 
-    def no_rows(*args, **kwargs):
-        raise AssertionError("model_matrix evaluated a built-in basis point by point")
+    whole = model_core._eval_block
 
-    monkeypatch.setattr(model_core, "_eval_basis", no_rows)
+    def whole_array_only(fn, points, length, label):
+        assert points.shape[0] == 10, "model_matrix re-ran a basis point by point on good input"
+        return whole(fn, points, length, label)
+
+    monkeypatch.setattr(model_core, "_eval_block", whole_array_only)
     for ((spec, _), x), rows in zip(cases, want):
         assert model_matrix(spec, x, zs if spec.q else None).tobytes() == rows.tobytes()
 
@@ -230,13 +228,13 @@ def test_montepiedra_check_matches_per_point_bases():
     f_fn, p = polynomial_basis(degree=2, scale=0.5)
     h_fn, m = trig_basis("sin", (1.0, 0.0, 0.0), amplitude=0.35)
     spec = ModelSpec(f_basis=f_fn, p=p, h_basis=h_fn, m=m)
-    per_point = ModelSpec(f_basis=_scalar_poly(2, True, 1, 0.5), p=p,
-                          h_basis=_scalar_trig("sin", (1.0, 0.0, 0.0), 0.35), m=m)
+    scalar = ModelSpec(f_basis=_scalar_poly(2, True, 1, 0.5), p=p,
+                       h_basis=_scalar_trig("sin", (1.0, 0.0, 0.0), 0.35), m=m)
     design = DesignMeasure([[-1.0], [-0.2], [0.4], [1.0]], [0.3, 0.2, 0.2, 0.3])
     bias = BiasSpec(psi=[0.7], phi=[], sigma=2.0, n_total=6)
-    grid = CandidateGrid.from_axes([np.linspace(-1.3, 1.3, 57)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1.3, 1.3, 57)})
     got = montepiedra_check(spec, design, bias, budget=0.05, lambda_star=0.8, grid=grid)
-    want = montepiedra_check(per_point, design, bias, budget=0.05, lambda_star=0.8, grid=grid)
+    want = montepiedra_check(scalar, design, bias, budget=0.05, lambda_star=0.8, grid=grid)
     assert json_ready(got) == json_ready(want)
     assert got.max_lhs == want.max_lhs
 
@@ -248,4 +246,4 @@ def test_powers_follow_python_pow_on_many_values():
     xs = np.random.default_rng(7).normal(size=(20000, 1)) * 40.0
     f_fn, p = polynomial_basis(degree=3, scale=0.5)
     scalar = ModelSpec(f_basis=_scalar_poly(3, True, 1, 0.5), p=p)
-    assert model_matrix(ModelSpec(f_basis=f_fn, p=p), xs).tobytes() == _stacked(scalar, xs, None).tobytes()
+    assert model_matrix(ModelSpec(f_basis=f_fn, p=p), xs).tobytes() == model_matrix(scalar, xs).tobytes()

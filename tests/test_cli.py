@@ -156,14 +156,35 @@ def test_iboss_payload_matches_library(tmp_path, data_csv, capsys):
     payload = json.loads(stdout)
     ds = load_csv(data_csv, response_column="y", feature_columns=["x"])
     sel = run_iboss(ds, 12)
-    det, bound = iboss_det_bound(ds, sel)
+    log_det, log_bound = iboss_det_bound(ds, sel)
     assert payload["indices"] == [int(i) for i in sel.indices]
-    assert payload["det"] == pytest.approx(det)
-    assert payload["bound"] == pytest.approx(bound)
+    assert (payload["log_det"], payload["log_bound"]) == (log_det, log_bound)
+    assert payload["det"] == pytest.approx(np.exp(log_det))
+    assert payload["bound"] == pytest.approx(np.exp(log_bound))
     assert payload["column_order"] == [0]
     assert payload["r"] == 6
     assert payload["per_variable_cuts"][0]["low_count"] == 6
     assert payload["resolved_config"]["sigma"] == 1.0
+
+
+def test_iboss_on_a_wide_design_writes_strict_json(tmp_path):
+    # on 2000 rows of 115 covariates the bound, 4 (2000 / 4)^116 times the squared
+    # ranges, and the determinant both overflow a float: only their logs are written
+    feats = np.random.default_rng(3).normal(size=(2000, 115))
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, feats, delimiter=",", header=",".join(f"x{j}" for j in range(115)), comments="")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(subsel.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "subsel.cli", "iboss", "--input", str(path), "--n", "2000"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    payload = json.loads(proc.stdout, parse_constant=no_constant)
+    assert payload["det"] is None and payload["bound"] is None
+    assert payload["log_det"] <= payload["log_bound"]
 
 
 def test_iboss_out_file_is_replay_identical(tmp_path, data_csv, capsys):

@@ -48,7 +48,7 @@ def line_spec() -> ModelSpec:
 
 def contaminated_spec() -> ModelSpec:
     f, p = polynomial_basis(degree=1)
-    return ModelSpec(f_basis=f, p=p, h_basis=lambda x: np.array([x[0] ** 2]), m=1)
+    return ModelSpec(f_basis=f, p=p, h_basis=lambda x: x[:, :1] ** 2, m=1)
 
 
 def random_partitioned_spec(rng: CounterRng):
@@ -58,7 +58,7 @@ def random_partitioned_spec(rng: CounterRng):
     q = 1 + rng.randbelow(2)
 
     def monomials(k, start):
-        return lambda v: np.array([v[0] ** (start + j) for j in range(k)])
+        return lambda v: v[:, :1] ** np.arange(start, start + k)
 
     return (
         ModelSpec(
@@ -66,7 +66,7 @@ def random_partitioned_spec(rng: CounterRng):
             p=p,
             h_basis=monomials(m, p) if m else None,
             m=m,
-            g_basis=lambda z: np.array([z[0] ** (1 + j) for j in range(q)]),
+            g_basis=lambda z: z[:, :1] ** np.arange(1, q + 1),
             q=q,
         ),
         p,
@@ -109,7 +109,7 @@ def test_d_a_i_values_on_identity_information():
     assert d_criterion(m).meta["det"] == pytest.approx(1.0)
     assert json_ready(d_criterion(m))["meta"]["singular"] is False  # a JSON boolean, not 0
     assert a_criterion(m).value == pytest.approx(2.0)
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 21)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 21)})
     # sum over the grid of 1 + x^2: 21 + 2 * (0.1^2 + ... + 1.0^2) = 28.7
     assert i_criterion(spec, design, grid).value == pytest.approx(28.7)
 
@@ -155,7 +155,7 @@ def test_support_average_of_variance_equals_rank():
 
 def test_get_check_optimal_endpoints():
     spec = line_spec()
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 201)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 201)})
     verdict = get_check(spec, uniform_design([[-1.0], [1.0]]), grid)
     assert verdict.is_optimal
     assert verdict.max_variance == pytest.approx(2.0, abs=1e-9)
@@ -165,7 +165,7 @@ def test_get_check_optimal_endpoints():
 
 def test_get_check_rejects_interior_support():
     spec = line_spec()
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 201)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 201)})
     verdict = get_check(spec, uniform_design([[-0.5], [0.5]]), grid)
     assert not verdict.is_optimal
     # d(x) = 1 + x^2 / 0.25 peaks at 5 on the boundary
@@ -178,7 +178,7 @@ def test_get_check_agrees_with_exhaustive_two_point_search():
     # the unique det maximizer, so only it passes the check
     spec = line_spec()
     axis = np.linspace(-1, 1, 11)
-    grid = CandidateGrid.from_axes([axis])
+    grid = CandidateGrid.from_axes({"x": axis})
     best, best_det = None, -1.0
     for i in range(axis.size):
         for j in range(i + 1, axis.size):
@@ -195,7 +195,7 @@ def test_get_check_agrees_with_exhaustive_two_point_search():
 
 def test_get_check_validates_inputs():
     spec = line_spec()
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 5)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 5)})
     design = uniform_design([[-1.0], [1.0]])
     with pytest.raises(InvalidInputError):
         get_check(spec, design, grid, tol=0.0)
@@ -245,7 +245,7 @@ def test_wiens_losses_match_direct_formula():
 
 def test_wiens_nu_zero_reduces_to_classical():
     spec = line_spec()
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 21)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 21)})
     ctx = RobustContext.from_grid(spec, grid, nu=0.0)
     design = uniform_design([[-1.0], [1.0]])
     i_val, d_val = wiens_losses(ctx, design)
@@ -279,7 +279,7 @@ def test_robust_context_validation():
     with pytest.raises(InvalidInputError, match="rank 2"):
         RobustContext(np.column_stack([np.ones(5), axis, 2.0 * axis]), nu=0.5, grid=CandidateGrid(axis))
     f, p = polynomial_basis(degree=1)
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 11)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 11)})
     with pytest.raises(InvalidInputError, match="rank 2"):
         RobustContext.from_grid(ModelSpec(f_basis=f, p=p, h_basis=f, m=p), grid, 0.5, full_rows=True)
 
@@ -429,7 +429,7 @@ def test_montepiedra_uniform_endpoints_satisfies_bound():
     spec = contaminated_spec()
     design = uniform_design([[-1.0], [1.0]])
     bias = BiasSpec(psi=[1.0], phi=[], sigma=1.0, n_total=1)
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 41)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 41)})
     verdict = montepiedra_check(spec, design, bias, budget=0.0, lambda_star=1.0, grid=grid)
     assert verdict.ok
     assert verdict.max_lhs == pytest.approx(2.0)
@@ -440,7 +440,7 @@ def test_montepiedra_uniform_endpoints_satisfies_bound():
 def test_montepiedra_direct_summation_oracle():
     rng = CounterRng(29)
     spec = contaminated_spec()
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 21)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 21)})
     x = np.array([-1.0, -0.4, 0.3, 1.0])
     w = 0.1 + rng.uniform(4)
     w = w / w.sum()
@@ -472,7 +472,7 @@ def test_montepiedra_tightened_budget_fails():
     spec = contaminated_spec()
     design = uniform_design([[-1.0], [1.0]])
     bias = BiasSpec(psi=[1.0], phi=[], sigma=1.0, n_total=1)
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 41)])
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 41)})
     verdict = montepiedra_check(spec, design, bias, budget=0.5, lambda_star=1.0, grid=grid)
     assert not verdict.ok
     assert verdict.bound == pytest.approx(1.5)
@@ -498,7 +498,7 @@ def confounder_oracle(spec, xs, zs, phi):
 
 def confounded_spec() -> ModelSpec:
     f, p = polynomial_basis(degree=1)
-    return ModelSpec(f_basis=f, p=p, g_basis=lambda z: np.array([z[0]]), q=1)
+    return ModelSpec(f_basis=f, p=p, g_basis=lambda z: z[:, :1], q=1)
 
 
 def test_confounder_loss_hand_checked():
@@ -568,7 +568,7 @@ def test_variance_profile_vectorization_matches_scalar():
     spec = confounded_spec()
     design = DesignMeasure(points=[[-1.0], [0.5], [1.0]], weights=[0.4, 0.2, 0.4],
                            z_points=[[1.0], [-1.0], [0.5]])
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 5), np.array([-1.0, 1.0])], z_dim=1)
+    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 5), "z": np.array([-1.0, 1.0])}, z_dim=1)
     prof = variance_profile(spec, design, grid)
     for i in range(grid.n_points):
         d = variance_function(spec, design, grid.x_part()[i], grid.z_part()[i])

@@ -44,10 +44,10 @@ def test_one_row_no_extras():
     assert np.allclose(model_matrix(spec, [[0.0]])[0], [1.0, 0.0])
 
 
-def test_a_one_row_matrix_is_a_stacked_row_with_a_per_point_block():
+def test_a_one_row_matrix_is_a_stacked_row_with_a_user_block():
     spec = full_spec()
     mixed = ModelSpec(f_basis=spec.f_basis, p=spec.p, h_basis=spec.h_basis, m=spec.m,
-                      g_basis=lambda z: np.array([z[0] / 9.0]), q=spec.q)
+                      g_basis=lambda z: z / 9.0, q=spec.q)
     xs = np.array([[-1.5], [0.25], [2.0]])
     zs = np.array([[3.0], [-7.0], [0.5]])
     rows = model_matrix(mixed, xs, zs)
@@ -186,10 +186,10 @@ def test_bias_spec_ratio():
 def test_polynomial_basis_degrees():
     fn, n = polynomial_basis(degree=3, intercept=False, dim=1)
     assert n == 3
-    assert np.allclose(fn(np.array([2.0])), [2.0, 4.0, 8.0])
+    assert np.allclose(fn(np.array([[2.0]])), [[2.0, 4.0, 8.0]])
     fn2, n2 = polynomial_basis(degree=1, intercept=True, dim=3, scale=2.0)
     assert n2 == 4
-    assert np.allclose(fn2(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 4.0, 6.0])
+    assert np.allclose(fn2(np.array([[1.0, 2.0, 3.0]])), [[1.0, 2.0, 4.0, 6.0]])
     with pytest.raises(ConfigError):
         polynomial_basis(degree=4)
     with pytest.raises(ConfigError):
@@ -199,8 +199,8 @@ def test_polynomial_basis_degrees():
 def test_trig_basis_quadratic_argument():
     fn, n = trig_basis("cos", (2.0, 1.0, -0.5), amplitude=3.0)
     assert n == 1
-    x = np.array([1.5])
-    assert np.allclose(fn(x), [3.0 * np.cos(2.0 * 2.25 + 1.5 - 0.5)])
+    x = np.array([[1.5]])
+    assert np.allclose(fn(x), [[3.0 * np.cos(2.0 * 2.25 + 1.5 - 0.5)]])
 
 
 def test_model_spec_from_config_round_trip():

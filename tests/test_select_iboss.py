@@ -41,19 +41,19 @@ def test_single_variable_keeps_both_ends():
     sel = run_iboss(feats, 4)
     assert sorted(int(i) for i in sel.indices) == [0, 1, 8, 9]
     assert sel.algorithm == "iboss"
-    det, bound = iboss_det_bound(feats, sel)
+    log_det, log_bound = iboss_det_bound(feats, sel)
     # M = sum r r' / sigma^2 over rows 1, 2, 9, 10: det = 4*186 - 22^2 = 260
-    assert det == pytest.approx(260.0)
+    assert np.exp(log_det) == pytest.approx(260.0)
     # 4 (4/4)^2 * 9^2 = 324, attained only by a 2+2 design at the endpoints
-    assert bound == pytest.approx(324.0)
-    assert det <= bound
+    assert np.exp(log_bound) == pytest.approx(324.0)
+    assert log_det <= log_bound
 
 
 def test_bound_attained_by_endpoint_design():
     feats = np.array([0.0, 0.0, 1.0, 1.0])[:, None]
     sel = run_iboss(feats, 4)
-    det, bound = iboss_det_bound(feats, sel)
-    assert det == pytest.approx(bound)
+    log_det, log_bound = iboss_det_bound(feats, sel)
+    assert np.exp(log_det) == pytest.approx(np.exp(log_bound))
 
 
 def test_matches_brute_force_reference():
@@ -148,8 +148,8 @@ def test_det_below_bound_on_simulated_data():
     for seed in range(8):
         ds = simulate_example2(2000, seed=seed)
         sel = run_iboss(ds, 40)
-        det, bound = iboss_det_bound(ds, sel)
-        assert 0.0 < det <= bound * (1.0 + 1e-9)
+        log_det, log_bound = iboss_det_bound(ds, sel)
+        assert -np.inf < log_det <= log_bound + 1e-9
 
 
 def test_input_validation():

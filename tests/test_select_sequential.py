@@ -41,7 +41,7 @@ def logistic_dataset(n: int = 400, seed: int = 4) -> Dataset:
     return Dataset(feature_names=("x",), features=x[:, None], response=y, response_name="y")
 
 
-GRID = CandidateGrid.from_axes([np.linspace(-1.0, 1.0, 21)])
+GRID = CandidateGrid.from_axes({"x": np.linspace(-1.0, 1.0, 21)})
 
 
 def test_first_step_matches_det_augmentation_oracle():
@@ -191,7 +191,7 @@ def test_stratified_covers_the_range():
     # with enough quantile bins the initial sample spans the covariate range
     data = linear_dataset(n=200, seed=10)
     cfg = SeqConfig(n_init=20, n_target=21, seed=29, family="linear",
-                    init_strategy="stratified", init_column=0, init_quantiles=10)
+                    init_strategy="stratified", init_column="x", init_quantiles=10)
     _, trace = run_sequential(data, GRID, line_spec(), cfg)
     vals = data.features[trace.initial_indices, 0]
     lo, hi = data.features[:, 0].min(), data.features[:, 0].max()
@@ -225,7 +225,7 @@ def test_robust_utilities_run():
 
 def test_trace_r_utility_prefers_low_contamination():
     f, p = polynomial_basis(degree=1)
-    spec = ModelSpec(f_basis=f, p=p, h_basis=lambda x: np.array([x[0] ** 2]), m=1)
+    spec = ModelSpec(f_basis=f, p=p, h_basis=lambda x: x[:, :1] ** 2, m=1)
     bias = BiasSpec(psi=[1.0], phi=[], sigma=1.0, n_total=30)
     data = linear_dataset(n=100, seed=16)
     cfg = SeqConfig(n_init=6, n_target=16, seed=41, family="linear",
@@ -271,7 +271,7 @@ def test_run_validation():
     no_y = Dataset(feature_names=("x",), features=np.linspace(-1, 1, 10)[:, None])
     with pytest.raises(InvalidInputError):
         run_sequential(no_y, GRID, line_spec(), SeqConfig(n_init=2, n_target=4))
-    wide = CandidateGrid.from_axes([np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)])
+    wide = CandidateGrid.from_axes({"a": np.linspace(-1, 1, 5), "b": np.linspace(-1, 1, 5)})
     with pytest.raises(InvalidInputError):
         run_sequential(data, wide, line_spec(),
                        SeqConfig(n_init=2, n_target=4, family="linear"))
@@ -282,7 +282,7 @@ def test_scaled_distance_rejects_constant_column():
     feats = np.column_stack([np.linspace(-1, 1, n), np.zeros(n)])
     data = Dataset(feature_names=("a", "b"), features=feats,
                    response=np.linspace(0, 1, n), response_name="y")
-    grid = CandidateGrid.from_axes([np.linspace(-1, 1, 5), np.array([-1.0, 0.0, 1.0])])
+    grid = CandidateGrid.from_axes({"a": np.linspace(-1, 1, 5), "b": np.array([-1.0, 0.0, 1.0])})
     f, p = polynomial_basis(degree=1, dim=2)
     spec = ModelSpec(f_basis=f, p=p)
     with pytest.raises(DegenerateColumnError):
@@ -321,7 +321,7 @@ def test_an_initial_fit_singular_at_n_target_raises(monkeypatch):
 
     monkeypatch.setattr(seq, "fit_ols", counted)
     f, p = polynomial_basis(degree=1, dim=2)
-    grid = CandidateGrid.from_axes([np.linspace(-1.0, 1.0, 5)] * 2)
+    grid = CandidateGrid.from_axes(dict.fromkeys(("a", "b"), np.linspace(-1.0, 1.0, 5)))
     with pytest.raises(SingularMatrixError):
         run_sequential(duplicate_column_dataset(), grid, ModelSpec(f_basis=f, p=p),
                        SeqConfig(n_init=4, n_target=10, seed=1, family="linear"))
