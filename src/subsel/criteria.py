@@ -282,19 +282,20 @@ class _RobustGram(NamedTuple):
     r: np.ndarray  # R
     r_eigs: np.ndarray  # eigenvalues of R, ascending, and their eigenvectors
     r_vecs: np.ndarray
-    sqrt_eigs: np.ndarray  # square roots of the eigenvalues
     inv_root: np.ndarray  # R^-1/2
     b2: np.ndarray  # Q'D(xi^2)Q
 
 
 class _RobustParts(NamedTuple):
-    """What the robust losses and their gradient read of R: its gram part and the loss part."""
+    """What the robust losses and their gradient read of R: its gram part and the loss part.
+
+    The loss part is the top eigenpair (lam, z) of the sandwich R^-1/2 B R^-1/2 - R, B = Q'D(xi^2)Q,
+    which equals R^1/2 (U - I) R^1/2 for U = R^-1 B R^-1 but is formed without U, whose eigenproblem
+    would square cond(R)."""
 
     gram: _RobustGram
     rinv: np.ndarray  # R^-1
-    root: np.ndarray  # R^1/2
-    u: np.ndarray  # R^-1 Q'D(xi^2)Q R^-1
-    lam: float  # top eigenpair (lam, z) of R^1/2 (U - I) R^1/2
+    lam: float  # top eigenpair (lam, z) of R^-1/2 B R^-1/2 - R
     z: np.ndarray
 
     def dnu(self, nu: float) -> float:
@@ -314,32 +315,31 @@ def _robust_gram(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) ->
         where = "" if iteration is None else f" at iteration {iteration}"
         raise SingularMatrixError(f"weighted gram matrix R is singular{where} (smallest eigenvalue {smallest:.6e})",
                                   smallest_eigenvalue=smallest, iteration=iteration)
-    sqrt_eigs = np.sqrt(r_eigs)
-    inv_root = (r_vecs / sqrt_eigs) @ r_vecs.T
+    inv_root = (r_vecs / np.sqrt(r_eigs)) @ r_vecs.T
     b2 = (q * (xi * xi)[:, None]).T @ q
-    return _RobustGram(r, r_eigs, r_vecs, sqrt_eigs, inv_root, b2)
+    return _RobustGram(r, r_eigs, r_vecs, inv_root, b2)
 
 
 def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
     """The one evaluation of R and its functions behind every robust loss: the gram part `_robust_gram`
-    (same arguments and errors), then R^-1, R^1/2, U and the top eigenpair of R^1/2 (U - I) R^1/2."""
+    (same arguments and errors), then R^-1 and the top eigenpair of R^-1/2 Q'D(xi^2)Q R^-1/2 - R, the
+    sandwich form of R^1/2 (U - I) R^1/2."""
     g = _robust_gram(q, xi, iteration)
     rinv = (g.r_vecs / g.r_eigs) @ g.r_vecs.T
-    root = (g.r_vecs * g.sqrt_eigs) @ g.r_vecs.T
-    u = rinv @ g.b2 @ rinv
-    u_minus_i = u.copy()
-    u_minus_i.flat[:: u.shape[0] + 1] -= 1.0  # U - I
-    lam, z = top_eigenpair(root @ u_minus_i @ root)
-    return _RobustParts(g, rinv, root, u, lam, z)
+    lam, z = top_eigenpair(g.inv_root @ g.b2 @ g.inv_root - g.r)
+    return _RobustParts(g, rinv, lam, z)
 
 
 def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionValue]:
     """Robust I- and D-loss of a measure on the context grid.
 
-    With R = Q'D(xi)Q and U = R^-1 Q'D^2Q R^-1:
+    With R = Q'D(xi)Q, B = Q'D^2Q and U = R^-1 B R^-1:
 
         Inu = (1 - nu) tr(R^-1) + nu lambda_max(U)
-        Dnu = ((1 - nu + nu lambda_max(R^1/2 (U - I) R^1/2)) / det R)^(1/p)
+        Dnu = ((1 - nu + nu lambda_max(R^-1/2 B R^-1/2 - R)) / det R)^(1/p)
+
+    R^-1/2 B R^-1/2 - R equals R^1/2 (U - I) R^1/2 and is formed without U,
+    which only Inu reads.
 
     `design` may be a DesignMeasure supported on the grid or a bare weight
     vector.  At nu = 0 both reduce to the classical I/D values of the
@@ -362,7 +362,7 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
     parts = _robust_kernel(ctx.q_matrix[support], w[support])
     nu = ctx.nu
 
-    lam_u, vec_u = top_eigenpair(parts.u)
+    lam_u, vec_u = top_eigenpair(parts.rinv @ parts.gram.b2 @ parts.rinv)
     trace_rinv = float(np.trace(parts.rinv))
     i_val = (1.0 - nu) * trace_rinv + nu * lam_u
 

@@ -259,13 +259,14 @@ def _scalars(types) -> bool:
 
 def _float_texts(items: list, types: set) -> list[str] | None:
     """json.dumps of each item if all are exactly float and most repeat an earlier value, formatting
-    each distinct bit pattern once (0.0 and -0.0 differ); else None: the C encoder writes the list."""
+    each distinct bit pattern once (np.unique over the bits, so 0.0 and -0.0 differ); else None: the C
+    encoder writes the list."""
     if types != {float} or 2 * len(set(items)) > len(items):
         return None
-    bits = np.array(items).view(np.int64).tolist()
-    distinct = dict(zip(bits, items))
-    texts = json.dumps(list(distinct.values()), separators=("\n", ": "))[1:-1].split("\n")
-    return list(map(dict(zip(distinct, texts)).__getitem__, bits))
+    values = np.array(items)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    texts = json.dumps(values[first].tolist(), separators=("\n", ": "))[1:-1].split("\n")
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _indented(obj, pad: str) -> str:

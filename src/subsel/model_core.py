@@ -301,8 +301,9 @@ class CandidateGrid:
 class InformationMatrix:
     """Symmetric PSD matrix with (p, m, q) block structure.
 
-    Construction validates symmetry to 1e-12 (relative to the largest entry)
-    and positive semidefiniteness to a -1e-10 * ||M|| eigenvalue slack.
+    Construction validates that every entry is finite, symmetry to 1e-12
+    (relative to the largest entry) and positive semidefiniteness to a
+    -1e-10 * ||M|| eigenvalue slack.
     Singular matrices are legal; criteria that need invertibility raise.
     """
 
@@ -316,6 +317,8 @@ class InformationMatrix:
         k = self.p + self.m + self.q
         if mat.shape != (k, k):
             raise InvalidInputError(f"matrix shape {mat.shape} does not match blocks {(self.p, self.m, self.q)}")
+        if not np.isfinite(mat).all():
+            raise InvalidInputError("information matrix has a non-finite entry (an overflowed product of rows?)")
         scale = max(1.0, float(np.max(np.abs(mat))))
         if float(np.max(np.abs(mat - mat.T))) > _SYM_TOL * scale:
             raise InvalidInputError("information matrix is not symmetric to 1e-12")
@@ -377,7 +380,8 @@ def information_matrix_from_selection(
             raise InvalidInputError("model has confounder terms but data has no confounder columns")
         z_sel = confs[idx]
     rows = model_matrix(spec, feats[idx], z_sel)
-    mat = rows.T @ rows / (sigma * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by InformationMatrix
+        mat = rows.T @ rows / (sigma * sigma)
     return InformationMatrix(full=mat, p=spec.p, m=spec.m, q=spec.q)
 
 

@@ -9,9 +9,10 @@ closed-form answers (nu = 0 is the classical D-optimal problem, nu = 1 is
 solved by the uniform measure on the grid) and the gradient expressions
 degenerate there.
 
-Per iteration, with R = Q'D(xi)Q, U = R^-1 Q'D^2(xi) Q R^-1, lambda/z the
-top eigenpair of R^1/2 (U - I) R^1/2, v = R^1/2 z and w = R^-1/2 z, every
-grid row q_i is scored by one quadratic form:
+Per iteration, with R = Q'D(xi)Q, B = Q'D^2(xi)Q, lambda/z the top eigenpair
+of the sandwich R^-1/2 B R^-1/2 - R (which equals R^1/2 (U - I) R^1/2 for
+U = R^-1 B R^-1), w = R^-1/2 z and v = R w = R^1/2 z, every grid row q_i is
+scored by one quadratic form:
 
     A = (1 - nu) R^-1 + nu (lambda (R^-1 + w w') + w v' + v w')
     T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2
@@ -108,8 +109,8 @@ def _direction_scores(grid: tuple, q_s: np.ndarray, xi_s: np.ndarray, support: n
     """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every row q_i of the `_pairwise_columns` grid; the xi_i
     term is read from the support's rows q_s and weights xi_s (xi_i = 0 off the support)."""
     pairs, n, flat = grid
-    v = parts.root @ parts.z
     w = parts.gram.inv_root @ parts.z
+    v = parts.gram.r @ w
     j = parts.lam * (parts.rinv + w[:, None] * w) + w[:, None] * v + v[:, None] * w
     a = (1.0 - nu) * parts.rinv + nu * j
     scores = (a.take(flat) @ pairs)[:n]

@@ -187,6 +187,18 @@ def test_iboss_on_a_wide_design_writes_strict_json(tmp_path):
     assert payload["log_det"] <= payload["log_bound"]
 
 
+def test_iboss_on_a_covariate_whose_square_overflows_exits_2(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b\n1e308,1\n-1e308,2\n5,3\n6,4\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(subsel.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "subsel.cli", "iboss", "--input", str(path), "--n", "4"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    error = stderr_payload(proc.stderr)
+    assert error["type"] == "InvalidInputError" and "non-finite" in error["message"]
+
+
 def test_iboss_out_file_is_replay_identical(tmp_path, data_csv, capsys):
     # same command, same path: the artifact must be byte-identical on rerun
     out = tmp_path / "a.json"

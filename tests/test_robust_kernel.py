@@ -4,7 +4,11 @@ The oracle for the direction scores is the earlier three-einsum form of
 run_wiens's gradient, T = (1 - nu) q'R^-1 q + nu (q'Jq - xi q'Kq), and the
 oracle for the kernel, which sums over the support of the weights, is the
 earlier kernel that sums over every grid row; both are written out here
-from scratch.
+from scratch, and both take lambda and z of the sandwich
+R^-1/2 Q'D(xi^2)Q R^-1/2 - R.  The form R^1/2 (U - I) R^1/2 with
+U = R^-1 Q'D(xi^2)Q R^-1 is the same matrix in exact arithmetic, but U's
+rounding grows with cond(R)^2, so it would miss the 1e-12 tolerances on
+ill-conditioned supports; the 50-digit test pins such a case.
 """
 
 import hashlib
@@ -24,15 +28,13 @@ from subsel.select_robust import _direction_scores, _pairwise_columns, run_wiens
 
 
 def oracle_scores(q: np.ndarray, xi: np.ndarray, nu: float) -> np.ndarray:
-    p = q.shape[1]
     r = (q * xi[:, None]).T @ q
     r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
     rinv = (r_vecs / r_eigs) @ r_vecs.T
     root = (r_vecs * np.sqrt(r_eigs)) @ r_vecs.T
     inv_root = (r_vecs / np.sqrt(r_eigs)) @ r_vecs.T
     b2 = (q * (xi * xi)[:, None]).T @ q
-    u = rinv @ b2 @ rinv
-    lam, z = top_eigenpair(root @ (u - np.eye(p)) @ root)
+    lam, z = top_eigenpair(inv_root @ b2 @ inv_root - r)
     v = root @ z
     w = inv_root @ z
     j = lam * (rinv + np.outer(w, w)) + np.outer(w, v) + np.outer(v, w)
@@ -49,10 +51,9 @@ def full_grid_kernel(q: np.ndarray, xi: np.ndarray, nu: float):
     r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
     if r_eigs[0] < 1e-12:
         raise SingularMatrixError("singular", smallest_eigenvalue=float(r_eigs[0]))
-    rinv = (r_vecs / r_eigs) @ r_vecs.T
-    root = (r_vecs * np.sqrt(r_eigs)) @ r_vecs.T
+    inv_root = (r_vecs / np.sqrt(r_eigs)) @ r_vecs.T
     b2 = (q * (xi * xi)[:, None]).T @ q
-    lam, _ = top_eigenpair(root @ (rinv @ b2 @ rinv - np.eye(p)) @ root)
+    lam, _ = top_eigenpair(inv_root @ b2 @ inv_root - r)
     dnu = ((1.0 - nu + nu * lam) / float(np.prod(r_eigs))) ** (1.0 / p)
     return r, b2, lam, dnu
 
@@ -209,6 +210,39 @@ def test_support_kernel_matches_the_full_grid_kernel(seed, p, extra, nu, data):
     assert_close(parts.gram.b2, b2)
     assert_close(parts.lam, lam)
     assert_close(parts.dnu(nu), dnu)
+
+
+def exact_kernel(q: np.ndarray, xi: np.ndarray, nu: float) -> tuple[float, float, float]:
+    """(lambda, Dnu, cond(R)) in 50-digit arithmetic from the float rows and weights."""
+    mp = pytest.importorskip("mpmath")
+    p = q.shape[1]
+    with mp.workdps(50):
+        r, b2 = mp.zeros(p), mp.zeros(p)
+        for row, w in zip(q.tolist(), xi.tolist()):
+            v = mp.matrix(row)
+            r += w * (v * v.T)
+            b2 += mp.mpf(w) ** 2 * (v * v.T)
+        r_eigs, r_vecs = mp.eigsy(r)
+        inv_root = r_vecs * mp.diag([1 / mp.sqrt(e) for e in r_eigs]) * r_vecs.T
+        lam = max(mp.eigsy(inv_root * b2 * inv_root - r, eigvals_only=True))
+        dnu = ((1 - mp.mpf(nu) + nu * lam) / mp.det(r)) ** (mp.mpf(1) / p)
+        return float(lam), float(dnu), float(max(r_eigs) / min(r_eigs))
+
+
+# (seed, p, extra, support) draws of random_grid_ctx and simplex_weights with cond(R) of 1e6 and 4e7,
+# where the form R^1/2 (U - I) R^1/2 is off the 50-digit lambda by 1.1 and 3.1 times the bound
+@pytest.mark.parametrize("seed, p, extra, support", [(1, 3, 8, 3), (15, 3, 8, 3)])
+def test_kernel_lambda_and_dnu_within_p2_cond_eps_of_50_digits(seed, p, extra, support):
+    nu = 0.5
+    ctx = random_grid_ctx(seed, p + extra, p, nu)
+    xi = simplex_weights(seed + 1, p + extra, support)
+    at = np.flatnonzero(xi)
+    parts = _robust_kernel(ctx.q_matrix[at], xi[at])
+    lam, dnu, cond = exact_kernel(ctx.q_matrix[at], xi[at], nu)
+    assert cond > 1e6
+    bound = p * p * cond * np.finfo(float).eps
+    assert abs(parts.lam - lam) <= bound * abs(lam)
+    assert abs(parts.dnu(nu) - dnu) <= bound * dnu
 
 
 def oracle_path(ctx: RobustContext, n_init: int, n_target: int, seed: int):
