@@ -267,9 +267,9 @@ def top_eigenpair(sym: np.ndarray) -> tuple[float, np.ndarray]:
     vals = eigvals.tolist()
     lam = vals[-1]
     thresh = _TIE_TOL * max(1.0, abs(lam))
-    tied = [i for i, e in enumerate(vals) if abs(e - lam) <= thresh]
-    # a single top column is taken as it is; among ties max keeps the first of the largest keys
-    best = tied[0] if len(tied) == 1 else max(tied, key=lambda i: tuple(np.round(np.abs(eigvecs[:, i]), 12)))
+    # ascending, so a simple top eigenvalue's column is the last; among ties max keeps the first of the largest keys
+    tied = [] if len(vals) == 1 or lam - vals[-2] > thresh else [i for i, e in enumerate(vals) if lam - e <= thresh]
+    best = max(tied, key=lambda i: tuple(np.round(np.abs(eigvecs[:, i]), 12))) if tied else -1
     vec = eigvecs[:, best].copy()
     if next((c for c in vec.tolist() if abs(c) > 1e-12), 0.0) < 0:
         vec = -vec
@@ -277,25 +277,28 @@ def top_eigenpair(sym: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 class _RobustGram(NamedTuple):
-    """R = Q'D(xi)Q and what the sequential one-point augmentations and the loss part read of it."""
+    """R = Q'D(xi)Q over a support and what the sequential one-point augmentations and the loss part read of it."""
 
+    dq: np.ndarray  # D(xi)Q_s for the support's rows Q_s and positive weights xi
     r: np.ndarray  # R
     r_eigs: np.ndarray  # eigenvalues of R, ascending, and their eigenvectors
     r_vecs: np.ndarray
     inv_root: np.ndarray  # R^-1/2
-    b2: np.ndarray  # Q'D(xi^2)Q
+
+
+def _b2(q: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """B = Q'D(xi^2)Q over support rows `q` and weights `xi`, which the loss part does without."""
+    return (q * (xi * xi)[:, None]).T @ q
 
 
 class _RobustParts(NamedTuple):
-    """What the robust losses and their gradient read of R: its gram part and the loss part.
-
-    The loss part is the top eigenpair (lam, z) of the sandwich R^-1/2 B R^-1/2 - R, B = Q'D(xi^2)Q,
-    which equals R^1/2 (U - I) R^1/2 for U = R^-1 B R^-1 but is formed without U, whose eigenproblem
-    would square cond(R)."""
+    """What the robust losses and their gradient read of R: its gram part and the loss part, the top
+    eigenpair (lam, z) of the sandwich C - R, C = R^-1/2 B R^-1/2 for B = Q'D(xi^2)Q formed as Y'Y with
+    Y = D(xi)Q_s R^-1/2: exactly symmetric, and without B.  C - R equals R^1/2 (U - I) R^1/2 for
+    U = R^-1 B R^-1 but is formed without U, whose eigenproblem would square cond(R)."""
 
     gram: _RobustGram
-    rinv: np.ndarray  # R^-1
-    lam: float  # top eigenpair (lam, z) of R^-1/2 B R^-1/2 - R
+    lam: float  # top eigenpair (lam, z) of C - R
     z: np.ndarray
 
     def dnu(self, nu: float) -> float:
@@ -304,30 +307,30 @@ class _RobustParts(NamedTuple):
 
 
 def _robust_gram(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustGram:
-    """The one evaluation of R, its eigendecomposition, R^-1/2 and Q'D(xi^2)Q, summed over the support:
-    `q` and `xi` are its rows and positive weights in ascending grid order.  Raises SingularMatrixError
-    when the smallest eigenvalue of R is below EIG_FLOOR; for orthonormal Q and simplex weights
-    lambda_max(R) <= 1, so this rejects every R whose condition number exceeds COND_LIMIT."""
-    r = (q * xi[:, None]).T @ q
+    """The one evaluation of R, its eigendecomposition and R^-1/2, summed over the support: `q` and `xi`
+    are its rows and positive weights in ascending grid order.  Raises SingularMatrixError when the
+    smallest eigenvalue of R is below EIG_FLOOR; for orthonormal Q and simplex weights lambda_max(R) <= 1,
+    so this rejects every R whose condition number exceeds COND_LIMIT."""
+    dq = q * xi[:, None]
+    r = dq.T.dot(q)  # ndarray.dot: the BLAS call of @, so the same bits, at half its overhead on p x p operands
     r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
     smallest = float(r_eigs[0])
     if smallest < EIG_FLOOR:
         where = "" if iteration is None else f" at iteration {iteration}"
         raise SingularMatrixError(f"weighted gram matrix R is singular{where} (smallest eigenvalue {smallest:.6e})",
                                   smallest_eigenvalue=smallest, iteration=iteration)
-    inv_root = (r_vecs / np.sqrt(r_eigs)) @ r_vecs.T
-    b2 = (q * (xi * xi)[:, None]).T @ q
-    return _RobustGram(r, r_eigs, r_vecs, inv_root, b2)
+    inv_root = (r_vecs / np.sqrt(r_eigs)).dot(r_vecs.T)
+    return _RobustGram(dq, r, r_eigs, r_vecs, inv_root)
 
 
 def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
     """The one evaluation of R and its functions behind every robust loss: the gram part `_robust_gram`
-    (same arguments and errors), then R^-1 and the top eigenpair of R^-1/2 Q'D(xi^2)Q R^-1/2 - R, the
-    sandwich form of R^1/2 (U - I) R^1/2."""
+    (same arguments and errors), then the top eigenpair of C - R with C = Y'Y and Y = D(xi)Q_s R^-1/2,
+    the Gram form of the sandwich R^-1/2 Q'D(xi^2)Q R^-1/2 = R^1/2 U R^1/2."""
     g = _robust_gram(q, xi, iteration)
-    rinv = (g.r_vecs / g.r_eigs) @ g.r_vecs.T
-    lam, z = top_eigenpair(g.inv_root @ g.b2 @ g.inv_root - g.r)
-    return _RobustParts(g, rinv, lam, z)
+    y = g.dq.dot(g.inv_root)
+    lam, z = top_eigenpair(y.T.dot(y) - g.r)
+    return _RobustParts(g, lam, z)
 
 
 def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionValue]:
@@ -338,8 +341,8 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
         Inu = (1 - nu) tr(R^-1) + nu lambda_max(U)
         Dnu = ((1 - nu + nu lambda_max(R^-1/2 B R^-1/2 - R)) / det R)^(1/p)
 
-    R^-1/2 B R^-1/2 - R equals R^1/2 (U - I) R^1/2 and is formed without U,
-    which only Inu reads.
+    R^-1/2 B R^-1/2 - R equals R^1/2 (U - I) R^1/2 and is formed as Y'Y - R,
+    Y = D(xi)Q R^-1/2 (`_robust_kernel`), without B or U, which Inu reads.
 
     `design` may be a DesignMeasure supported on the grid or a bare weight
     vector.  At nu = 0 both reduce to the classical I/D values of the
@@ -359,15 +362,16 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise InvalidInputError("weights must sum to 1 within 1e-12")
     support = np.flatnonzero(w)
-    parts = _robust_kernel(ctx.q_matrix[support], w[support])
-    nu = ctx.nu
-
-    lam_u, vec_u = top_eigenpair(parts.rinv @ parts.gram.b2 @ parts.rinv)
-    trace_rinv = float(np.trace(parts.rinv))
+    q_s, xi_s = ctx.q_matrix[support], w[support]
+    parts = _robust_kernel(q_s, xi_s)
+    g, nu = parts.gram, ctx.nu
+    rinv = (g.r_vecs / g.r_eigs) @ g.r_vecs.T
+    lam_u, vec_u = top_eigenpair(rinv @ _b2(q_s, xi_s) @ rinv)
+    trace_rinv = float(np.trace(rinv))
     i_val = (1.0 - nu) * trace_rinv + nu * lam_u
 
     meta_i = {"lambda_max": lam_u, "eigenvector": vec_u, "trace_Rinv": trace_rinv, "nu": nu}
-    meta_d = {"lambda_max": parts.lam, "eigenvector": parts.z, "det_R": float(np.prod(parts.gram.r_eigs)), "nu": nu}
+    meta_d = {"lambda_max": parts.lam, "eigenvector": parts.z, "det_R": float(np.prod(g.r_eigs)), "nu": nu}
     return (
         CriterionValue("Inu", float(i_val), meta_i),
         CriterionValue("Dnu", parts.dnu(nu), meta_d),

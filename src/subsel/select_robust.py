@@ -10,23 +10,26 @@ solved by the uniform measure on the grid) and the gradient expressions
 degenerate there.
 
 Per iteration, with R = Q'D(xi)Q, B = Q'D^2(xi)Q, lambda/z the top eigenpair
-of the sandwich R^-1/2 B R^-1/2 - R (which equals R^1/2 (U - I) R^1/2 for
-U = R^-1 B R^-1), w = R^-1/2 z and v = R w = R^1/2 z, every grid row q_i is
-scored by one quadratic form:
+of the sandwich R^-1/2 B R^-1/2 - R = Y'Y - R, Y = D(xi)Q R^-1/2 (it equals
+R^1/2 (U - I) R^1/2 for U = R^-1 B R^-1), w = R^-1/2 z and u = R w + (lambda/2) w,
+every grid row q_i is scored by one quadratic form:
 
-    A = (1 - nu) R^-1 + nu (lambda (R^-1 + w w') + w v' + v w')
+    A = (1 - nu + nu lambda) R^-1 + nu (w u' + u w')
     T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2
 
-and the mass moves toward argmax_i T_i (ties to the lowest index).  R and its
-functions come from the same kernel as criteria.wiens_losses, so the final
-D-loss of a run equals wiens_losses of its measure bit for bit.
+and the mass moves toward argmax_i T_i: equal scores go to the lowest index, but
+grid points that share one Q row differ only in -2 nu xi_i (q_i' w)^2, so among
+those with weights equal in exact arithmetic the weights' last ulp picks.  R and
+its functions come from the kernel of criteria.wiens_losses, so each step's
+D-loss is wiens_losses of the measure before it, bit for bit.
 
 Each step adds mass at one point, so the loop holds the sorted support, its
-weights and rows (at most n_init + iterations points), and the kernel sums over
-them; the one grid pass is the product of A's packed triangle with the
-pairwise-column matrix, built once per run and held column-major, a contiguous
-row per pair (a, b).  Grid weights are scattered once, at the end, and the
-trace replays its per-step weights hashes when written.
+weights and rows in buffers for every point the support can reach (a new point
+shifts the tail in place), and the kernel sums over them; the one grid pass is
+the product of A's packed triangle with the pairwise-column matrix, built once
+per run and held column-major, a contiguous row per pair (a, b).  Grid weights
+are scattered once, at the end, and the trace replays its per-step weights
+hashes when written.
 """
 
 from __future__ import annotations
@@ -106,15 +109,14 @@ def _pairwise_columns(q: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
 
 def _direction_scores(grid: tuple, q_s: np.ndarray, xi_s: np.ndarray, support: np.ndarray, nu: float,
                       parts: _RobustParts) -> np.ndarray:
-    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every row q_i of the `_pairwise_columns` grid; the xi_i
-    term is read from the support's rows q_s and weights xi_s (xi_i = 0 off the support)."""
+    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every row q_i of the `_pairwise_columns` grid, R^-1 in A
+    formed as R^-1/2 R^-1/2; the xi_i term is read from the support's rows q_s and weights xi_s (0 off it)."""
     pairs, n, flat = grid
-    w = parts.gram.inv_root @ parts.z
-    v = parts.gram.r @ w
-    j = parts.lam * (parts.rinv + w[:, None] * w) + w[:, None] * v + v[:, None] * w
-    a = (1.0 - nu) * parts.rinv + nu * j
+    w = parts.gram.inv_root.dot(parts.z)  # ndarray.dot as in criteria._robust_gram; the grid product keeps @
+    wu = w[:, None] * (nu * (parts.gram.r.dot(w) + (0.5 * parts.lam) * w))
+    a = ((1.0 - nu + nu * parts.lam) * parts.gram.inv_root).dot(parts.gram.inv_root) + (wu + wu.T)
     scores = (a.take(flat) @ pairs)[:n]
-    qw = q_s @ w
+    qw = q_s.dot(w)
     scores[support] -= 2.0 * nu * xi_s * (qw * qw)
     return scores
 
@@ -140,9 +142,9 @@ def run_wiens(
             "run_wiens needs nu strictly inside (0, 1): nu = 0 is the classical "
             "D-optimal problem and nu = 1 is solved by the uniform measure"
         )
-    n_grid = ctx.n_grid
-    if not 1 <= n_init <= n_grid:
-        raise InvalidInputError("n_init must lie in [1, grid size]")
+    n_grid, p = ctx.n_grid, ctx.p
+    if not p <= n_init <= n_grid:
+        raise InvalidInputError(f"n_init must lie in [{p}, grid size]: below the {p} basis terms no start is regular")
     if n_target <= n_init:
         raise InvalidInputError("n_target must exceed n_init")
     if stop not in STOPS:
@@ -151,15 +153,16 @@ def run_wiens(
         raise InvalidInputError("stop_epsilon must be >= 0 and stop_window >= 1")
 
     q, nu = ctx.q_matrix, ctx.nu
-    if n_init < ctx.p:
-        raise InvalidInputError(f"n_init {n_init} is below the {ctx.p} basis terms, so every start is singular")
     grid = _pairwise_columns(q)
     rng = CounterRng(seed)
-    w = np.full(n_init, 1.0 / n_init)
-    # the ascending support (a point joins when first chosen and never leaves), its weights and rows
+    # the ascending support (a point joins when first chosen and never leaves), its weights and rows: the first
+    # k entries of buffers for every point the support can reach
+    k, size = n_init, min(n_grid, n_target)
+    bufs = (np.empty(size, dtype=np.intp), np.full(size, 1.0 / n_init), np.empty((size, p)))
+    support, w, q_s = (buf[:k] for buf in bufs)
     for draw in range(1, _START_DRAWS + 1):
-        support = np.sort(rng.sample_indices(n_grid, n_init))
-        q_s = q[support]
+        support[:] = np.sort(rng.sample_indices(n_grid, n_init))
+        np.take(q, support, axis=0, out=q_s)
         try:
             parts = _robust_kernel(q_s, w, iteration=1)
             break
@@ -177,17 +180,19 @@ def run_wiens(
             break
         best = int(_direction_scores(grid, q_s, w, support, nu, parts).argmax())
         at = int(support.searchsorted(best))
-        if at == support.size or support[at] != best:
-            support = np.insert(support, at, best)
-            w = np.insert(w, at, 0.0)
-            q_s = np.insert(q_s, at, q[best], axis=0)
+        if at == k or support[at] != best:  # a new support point: shift the tails one place, in place
+            for buf, value in zip(bufs, (best, 0.0, q[best])):
+                buf[at + 1:k + 1] = buf[at:k]
+                buf[at] = value
+            k += 1
+            support, w, q_s = (buf[:k] for buf in bufs)
 
         _add_points(w, [at], n)
         n += 1
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise InvalidInputError(f"weights left the simplex (sum {total!r})")
-        traj.steps.append(RobustStep(len(traj.steps) + 1, best, dnu, parts.lam, int(support.size)))
+        traj.steps.append(RobustStep(len(traj.steps) + 1, best, dnu, parts.lam, k))
 
         if stop == "dnu_gain_below" and len(traj.steps) > stop_window:
             past = traj.steps[-1 - stop_window].dnu

@@ -50,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .criteria import RobustContext, _robust_gram, _sym_inverse
+from .criteria import RobustContext, _b2, _robust_gram, _sym_inverse
 from .errors import (
     EIG_FLOOR,
     DegenerateColumnError,
@@ -317,12 +317,13 @@ class _RobustAugmenter:
         idx = np.arange(self.q.shape[0])
         try:
             support = np.flatnonzero(xi)
-            gram = _robust_gram(self.q[support], xi[support])
+            q_s, xi_s = self.q[support], xi[support]
+            gram = _robust_gram(q_s, xi_s)
         except SingularMatrixError:
             return idx, self._singular_base_values(xi, n)
         p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
         w = gram.inv_root
-        c_mat = w @ gram.b2 @ w
+        c_mat = w @ _b2(q_s, xi_s) @ w
         u = self.q @ w
         cu = u @ c_mat
         uu, ucu = np.einsum("gi,gi->g", u, u), np.einsum("gi,gi->g", cu, u)

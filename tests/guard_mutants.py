@@ -46,6 +46,13 @@ GUARDS = [
         "the zero padding to whole blocks of 16 grid rows gives equal rows equal scores",
     ),
     Guard(
+        "top-eigenpair-simple", "criteria.py",
+        "len(vals) == 1 or lam - vals[-2] > thresh",
+        "True",
+        "tests/test_robust_kernel.py::test_top_eigenpair_is_bit_identical_to_the_tie_loop",
+        "the last eigenvector column is taken as it is only when the top eigenvalue is simple",
+    ),
+    Guard(
         "basis-first-failing-point", "model_core.py",
         """        for i in range(n):
             for fn, pts, length, label in blocks:

@@ -652,6 +652,36 @@ def test_criteria_bias_names_need_bias_file(model_file, design_file, capsys):
         assert stderr_payload(err)["message"] == f"criterion {name} needs --bias"
 
 
+@pytest.fixture
+def confounder_model_file(tmp_path):
+    # f = (1, x) and g = (1, z): two confounder terms
+    path = tmp_path / "model_g.json"
+    path.write_text(json.dumps({"f": {"family": "poly", "degree": 1}, "g": {"family": "poly", "degree": 1}}))
+    return str(path)
+
+
+def test_criteria_dnu_with_a_design_lacking_the_grid_z_exits_2(tmp_path, confounder_model_file,
+                                                                design_file, capsys):
+    grid = tmp_path / "grid_xz.json"
+    grid.write_text(json.dumps({"axes": {"x": [-1.0, 0.0, 1.0], "z": [-1.0, 1.0]}, "z_axes": ["z"]}))
+    code, out, err = run_cli(capsys, "criteria", "--model", confounder_model_file, "--design", design_file,
+                             "--grid", str(grid), "--nu", "0.5", "--names", "Dnu")
+    assert (code, out) == (2, "")
+    assert stderr_payload(err)["message"] == "design and grid dimensions differ"
+
+
+def test_criteria_trace_r_with_a_phi_of_the_wrong_length_exits_2(tmp_path, confounder_model_file, capsys):
+    design = tmp_path / "design_z.json"
+    design.write_text(json.dumps({"points": [[-1.0], [0.0], [1.0]], "z_points": [[-1.0], [1.0], [0.0]],
+                                  "weights": [0.25, 0.5, 0.25]}))
+    bias = tmp_path / "bias.json"
+    bias.write_text(json.dumps({"phi": [0.5], "sigma": 1.0, "n_total": 100}))
+    code, out, err = run_cli(capsys, "criteria", "--model", confounder_model_file, "--design", str(design),
+                             "--names", "traceR", "--bias", str(bias))
+    assert (code, out) == (2, "")
+    assert stderr_payload(err)["message"] == "phi has length 1 but the model has q = 2"
+
+
 def test_criteria_numerical_failure_exits_3(tmp_path, model_file, capsys):
     design = tmp_path / "singular.json"
     design.write_text(json.dumps({"points": [[0.5]], "weights": [1.0]}))

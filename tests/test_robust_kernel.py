@@ -4,8 +4,11 @@ The oracle for the direction scores is the earlier three-einsum form of
 run_wiens's gradient, T = (1 - nu) q'R^-1 q + nu (q'Jq - xi q'Kq), and the
 oracle for the kernel, which sums over the support of the weights, is the
 earlier kernel that sums over every grid row; both are written out here
-from scratch, and both take lambda and z of the sandwich
-R^-1/2 Q'D(xi^2)Q R^-1/2 - R.  The form R^1/2 (U - I) R^1/2 with
+from scratch.  The scores' oracle takes lambda and z of the sandwich
+R^-1/2 Q'D(xi^2)Q R^-1/2 - R as that triple product; the kernel's oracle
+forms it as the kernel does, Y'Y - R with Y = D(xi)Q R^-1/2, but over every
+grid row, so that it checks the support sums alone (the two forms differ by
+rounding that grows with cond(R)).  The form R^1/2 (U - I) R^1/2 with
 U = R^-1 Q'D(xi^2)Q R^-1 is the same matrix in exact arithmetic, but U's
 rounding grows with cond(R)^2, so it would miss the 1e-12 tolerances on
 ill-conditioned supports; the 50-digit test pins such a case.
@@ -20,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from subsel.criteria import RobustContext, _robust_kernel, top_eigenpair, wiens_losses
+from subsel.criteria import RobustContext, _b2, _robust_kernel, top_eigenpair, wiens_losses
 from subsel.errors import SingularMatrixError
 from subsel.model_core import CandidateGrid
 from subsel.rng import CounterRng
@@ -53,7 +56,8 @@ def full_grid_kernel(q: np.ndarray, xi: np.ndarray, nu: float):
         raise SingularMatrixError("singular", smallest_eigenvalue=float(r_eigs[0]))
     inv_root = (r_vecs / np.sqrt(r_eigs)) @ r_vecs.T
     b2 = (q * (xi * xi)[:, None]).T @ q
-    lam, _ = top_eigenpair(inv_root @ b2 @ inv_root - r)
+    y = (q * xi[:, None]) @ inv_root
+    lam, _ = top_eigenpair(y.T @ y - r)
     dnu = ((1.0 - nu + nu * lam) / float(np.prod(r_eigs))) ** (1.0 / p)
     return r, b2, lam, dnu
 
@@ -148,6 +152,31 @@ def test_run_wiens_weights_stay_on_the_simplex(seed, p, extra, nu, data):
     assert wiens_losses(ctx, measure.weights)[1].value == traj.final_dnu
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 4),
+    extra=st.integers(2, 40),
+    nu=nus,
+    data=st.data(),
+)
+def test_every_step_reports_wiens_losses_of_the_measure_before_it_bit_for_bit(seed, p, extra, nu, data):
+    n_grid = p + extra
+    n_init = data.draw(st.integers(p, n_grid), label="n_init")
+    n_target = n_init + data.draw(st.integers(1, 40), label="iterations")
+    ctx = random_grid_ctx(seed, n_grid, p, nu)
+    try:
+        _, traj = run_wiens(ctx, n_init=n_init, n_target=n_target, seed=seed)
+    except SingularMatrixError:
+        assume(False)
+    before = np.zeros(n_grid)
+    before[traj.initial_indices] = 1.0 / n_init
+    for step, after in replay(ctx, traj, seed, n_init):
+        d_val = wiens_losses(ctx, before)[1]
+        assert (step.dnu, step.lambda_max) == (d_val.value, d_val.meta["lambda_max"])
+        before = after
+    assert wiens_losses(ctx, before)[1].value == traj.final_dnu
+
+
 def test_final_dnu_is_wiens_losses_of_the_measure_bit_for_bit():
     axis = np.linspace(-1.0, 1.0, 21)
     ctx = RobustContext(np.column_stack([np.ones(21), axis]), 0.5, grid=CandidateGrid(axis[:, None]))
@@ -207,7 +236,7 @@ def test_support_kernel_matches_the_full_grid_kernel(seed, p, extra, nu, data):
         return
     parts = _robust_kernel(ctx.q_matrix[at], xi[at])
     assert_close(parts.gram.r, r)
-    assert_close(parts.gram.b2, b2)
+    assert_close(_b2(ctx.q_matrix[at], xi[at]), b2)
     assert_close(parts.lam, lam)
     assert_close(parts.dnu(nu), dnu)
 
