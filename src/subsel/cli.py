@@ -236,10 +236,7 @@ def cmd_simulate(args) -> int:
     elif kind == "example3":
         ds = simulate_example3(seed=seed, **sized)
     else:
-        theta = resolved["theta"]
-        if theta is not None:
-            theta = np.asarray(theta, dtype=float)
-        ds = simulate_mortgage_analogue(n, theta=theta, seed=seed)
+        ds = simulate_mortgage_analogue(n, theta=resolved["theta"], seed=seed)
     write_csv(ds, resolved["out"])
     _emit({"command": "simulate", "resolved_config": resolved, "n_rows": ds.n_rows}, None)
     return 0

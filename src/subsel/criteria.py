@@ -40,9 +40,6 @@ _RANK_TOL = 1e-9
 _TIE_TOL = 1e-10
 _MONTEPIEDRA_TOL = 1e-9
 
-CRITERION_NAMES = ("D", "I", "A", "Inu", "Dnu", "traceR", "detR_bias", "detR_conf")
-
-
 @dataclass(frozen=True)
 class CriterionValue:
     """A named criterion value plus its diagnostics (`meta`, any value `json_ready` takes)."""
@@ -50,10 +47,6 @@ class CriterionValue:
     name: str
     value: float
     meta: dict
-
-    def __post_init__(self):
-        if self.name not in CRITERION_NAMES:
-            raise InvalidInputError(f"unknown criterion {self.name!r}")
 
 
 def _sym_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:

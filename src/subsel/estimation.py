@@ -70,8 +70,6 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=int)
-        if c.shape != (2, 2) or np.any(c < 0):
-            raise InvalidInputError("counts must be a non-negative 2x2 table")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -196,8 +194,8 @@ class LogisticRows:
             raise InvalidInputError("rows and responses must match and fit the holder")
         if np.any((y != 0.0) & (y != 1.0)):
             raise InvalidInputError("logistic fit requires a 0/1 response")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InvalidInputError("X and y must be finite")
+        if not np.all(np.isfinite(x)):
+            raise InvalidInputError("X must be finite")
         cols = self.cols[:, a:b]
         cols[...] = x.T
         np.multiply(cols[self._upper[0]], cols[self._upper[1]], out=self.pairs[:, a:b])

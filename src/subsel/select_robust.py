@@ -191,7 +191,7 @@ def run_wiens(
         n += 1
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
-            raise InvalidInputError(f"weights left the simplex (sum {total!r})")
+            raise InvalidInputError(f"weights left the simplex (sum {total!r})")  # not run under tier-1: drift check
         traj.steps.append(RobustStep(len(traj.steps) + 1, best, dnu, parts.lam, k))
 
         if stop == "dnu_gain_below" and len(traj.steps) > stop_window:

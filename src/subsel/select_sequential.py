@@ -610,6 +610,8 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
     y = np.asarray(y, dtype=float).ravel()
     if cfg.n_target > n_rows:
         raise InvalidInputError(f"n_target {cfg.n_target} exceeds the {n_rows} data rows")
+    if cfg.n_init < spec.k_total:
+        raise InvalidInputError(f"n_init {cfg.n_init} is below the model's {spec.k_total} terms")
     if cfg.bias is not None and (cfg.bias.psi.size != spec.m or cfg.bias.phi.size != spec.q):
         raise InvalidInputError(
             f"bias needs {spec.m} psi and {spec.q} phi coefficients (one per h and g term), "

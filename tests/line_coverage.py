@@ -1,8 +1,14 @@
-"""Line coverage: print every executable line of `src/subsel` that a pytest run never executes.
+"""Line coverage: every executable line of `src/subsel` that a pytest run never executes must say why.
 
 Usage (from the root of a checkout):
 
     PYTHONPATH=src python tests/line_coverage.py [PYTEST_ARGS ...]
+
+A line that the run never executes must end in a comment
+`# not run under tier-1: <reason>`.  The script prints each never-run line
+that lacks one, then the counts, and exits 1 when there is any such line,
+else 0.  Run it on demand after a change to `src/` or `tests/`; it is not
+part of the tier-1 suite.
 
 Runs pytest (by default on `tests/`) in this process under a `sys.settrace`
 tracer that records the lines of frames whose code lives in `src/subsel`.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +33,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subsel"
+# the comment a never-run line must end in
+REASON = re.compile(r"# not run under tier-1: \S")
 # the tracer; `dump`, run at exit, writes this process's "path:line" records to a file in `out`
 TRACER = """
 import atexit, os, sys
@@ -66,10 +75,12 @@ def main(args: list[str]) -> int:
         for name in Path(tmp).glob("hits-*"):
             hits.update(name.read_text().split())
     lines = [(path, n) for path in sorted(SRC.glob("*.py")) for n in sorted(executable_lines(path))]
-    missed = [f"{path.relative_to(ROOT)}:{n}" for path, n in lines if f"{path}:{n}" not in hits]
-    print("\n".join(missed))
-    print(f"{len(missed)} of {len(lines)} executable lines of src/subsel never run")
-    return 0
+    missed = [(path, n) for path, n in lines if f"{path}:{n}" not in hits]
+    texts = {path: path.read_text().splitlines() for path in SRC.glob("*.py")}
+    unmarked = [f"{path.relative_to(ROOT)}:{n}" for path, n in missed if not REASON.search(texts[path][n - 1])]
+    print("\n".join(unmarked))
+    print(f"{len(missed)} of {len(lines)} executable lines of src/subsel never run, {len(unmarked)} without a reason")
+    return 1 if unmarked else 0
 
 
 if __name__ == "__main__":

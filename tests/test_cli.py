@@ -15,7 +15,7 @@ import subsel
 from subsel import repro as repro_mod
 from subsel.cli import main
 from subsel.criteria import RobustContext
-from subsel.ingest_sim import load_csv, simulate_example2, write_csv
+from subsel.ingest_sim import load_csv, simulate_example2, simulate_mortgage_analogue, write_csv
 from subsel.model_core import CandidateGrid, model_spec_from_config
 from subsel.select_iboss import iboss_det_bound, run_iboss
 from subsel.select_robust import run_wiens
@@ -126,6 +126,16 @@ def test_simulate_requires_out(capsys):
     payload = stderr_payload(err)
     assert payload["kind"] == "config"
     assert payload["type"] == "InvalidInputError"
+
+
+def test_simulate_mortgage_takes_theta(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code, _, _ = run_cli(capsys, "simulate", "mortgage", "--n", "30", "--seed", "2",
+                         "--theta", "0,1,0,0,-1", "--out", str(out))
+    assert code == 0
+    ref = tmp_path / "ref.csv"
+    write_csv(simulate_mortgage_analogue(30, theta=[0.0, 1.0, 0.0, 0.0, -1.0], seed=2), ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_simulate_mortgage_requires_n(tmp_path, capsys):
@@ -376,6 +386,103 @@ def test_unknown_flag_prints_json_error(capsys):
     payload = stderr_payload(capsys.readouterr().err)
     assert payload["kind"] == "config"
     assert payload["type"] == "ArgumentError"
+
+
+# the input files of the bad-input table, each replaced by a case that names it
+GOOD_FILES = {
+    "model.json": {"f": {"family": "poly", "degree": 1}},
+    "grid.json": {"axes": {"x": [-1.0, 0.0, 1.0]}},
+    "design.json": {"points": [[-1.0], [1.0]], "weights": [0.5, 0.5]},
+    "bias.json": {"psi": [], "phi": [], "sigma": 1.0, "n_total": 300},
+}
+CRITERIA = ["criteria", "--model", "model.json", "--design", "design.json", "--names"]
+SEQDES = ["seqdes", "--input", "rows.csv", "--response", "y", "--features", "x",
+          "--n-init", "5", "--n-target", "8"]
+
+
+@pytest.mark.parametrize("files, argv, exc_type", [
+    pytest.param({}, ["criteria", "--model", "no.json", "--design", "design.json", "--names", "D"],
+                 "ConfigError", id="json-file-missing"),
+    pytest.param({"cfg.json": [1]}, ["iboss", "--input", "rows.csv", "--n", "4", "--config", "cfg.json"],
+                 "ConfigError", id="config-not-an-object"),
+    pytest.param({}, ["simulate", "mortgage", "--n", "5", "--out", "m.csv", "--theta", "1,x"],
+                 "ArgumentError", id="theta-not-numbers"),
+    pytest.param({}, ["simulate", "example2", "--n", "0", "--out", "s.csv"],
+                 "InvalidInputError", id="simulate-n-0"),
+    pytest.param({"grid.json": []}, [*CRITERIA, "I", "--grid", "grid.json"],
+                 "ConfigError", id="grid-not-an-object"),
+    pytest.param({"grid.json": {"x": [0.0]}}, [*CRITERIA, "I", "--grid", "grid.json"],
+                 "ConfigError", id="grid-without-axes-or-points"),
+    pytest.param({"grid.json": {"axes": {"x": []}}}, [*CRITERIA, "I", "--grid", "grid.json"],
+                 "ConfigError", id="grid-axis-empty"),
+    pytest.param({"grid.json": {"axes": {"x": [0.0, float("nan")]}}}, [*CRITERIA, "I", "--grid", "grid.json"],
+                 "ConfigError", id="grid-axis-nan"),
+    pytest.param({"grid.json": {"points": [[0.0], [1.0]], "z_dim": 2}}, [*CRITERIA, "I", "--grid", "grid.json"],
+                 "InvalidInputError", id="grid-z-dim-above-dimension"),
+    pytest.param({"design.json": {"points": [[0.0]]}}, [*CRITERIA, "D"],
+                 "ConfigError", id="design-without-weights"),
+    pytest.param({"design.json": {"points": [[0.0], [1.0]], "weights": [1.0]}}, [*CRITERIA, "D"],
+                 "InvalidInputError", id="design-weights-length"),
+    pytest.param({"design.json": {"points": [[-1.0], [1.0]], "weights": [0.5, 0.5], "z_points": [[0.0]]}},
+                 [*CRITERIA, "D"], "InvalidInputError", id="design-z-points-length"),
+    pytest.param({"design.json": {"points": [[[0.0]]], "weights": [1.0]}}, [*CRITERIA, "D"],
+                 "InvalidInputError", id="design-points-3d"),
+    pytest.param({"bias.json": [1]}, [*CRITERIA, "traceR", "--bias", "bias.json"],
+                 "ConfigError", id="bias-not-an-object"),
+    pytest.param({"bias.json": {"psi": [], "phi": [], "n_total": 300}}, [*CRITERIA, "traceR", "--bias", "bias.json"],
+                 "ConfigError", id="bias-without-sigma"),
+    pytest.param({"bias.json": {**GOOD_FILES["bias.json"], "psi": [[1.0]]}},
+                 [*CRITERIA, "traceR", "--bias", "bias.json"], "InvalidInputError", id="bias-psi-2d"),
+    pytest.param({"bias.json": {**GOOD_FILES["bias.json"], "psi": [float("nan")]}},
+                 [*CRITERIA, "traceR", "--bias", "bias.json"], "InvalidInputError", id="bias-psi-nan"),
+    pytest.param({"bias.json": {**GOOD_FILES["bias.json"], "n_total": 0}},
+                 [*CRITERIA, "traceR", "--bias", "bias.json"], "InvalidInputError", id="bias-n-total-0"),
+    pytest.param({}, [*CRITERIA, "I"], "InvalidInputError", id="criterion-I-without-grid"),
+    pytest.param({}, [*CRITERIA, "Dnu", "--grid", "grid.json"], "InvalidInputError", id="criterion-Dnu-without-nu"),
+    pytest.param({}, [*CRITERIA, "D,E"], "InvalidInputError", id="criterion-unknown"),
+    pytest.param({"model.json": {"f": 3}}, [*CRITERIA, "D"], "ConfigError", id="basis-not-a-mapping"),
+    pytest.param({"model.json": {"f": {"family": "spline"}}}, [*CRITERIA, "D"],
+                 "ConfigError", id="basis-family-unknown"),
+    pytest.param({"model.json": {"f": {"family": "trig", "kind": "tan"}}}, [*CRITERIA, "D"],
+                 "ConfigError", id="trig-kind-unknown"),
+    pytest.param({"model.json": {"f": {"family": "trig", "coeffs": [1.0, 2.0]}}}, [*CRITERIA, "D"],
+                 "ConfigError", id="trig-coeffs-not-3"),
+    pytest.param({"model.json": {"f": {"family": "poly", "dim": 0}}}, [*CRITERIA, "D"],
+                 "ConfigError", id="poly-dim-0"),
+    pytest.param({"model.json": {"f": {"family": "poly", "degree": 0, "intercept": False}}}, [*CRITERIA, "D"],
+                 "ConfigError", id="poly-no-terms"),
+    pytest.param({}, [*SEQDES, "--batch", "0"], "InvalidInputError", id="seqdes-batch-0"),
+    pytest.param({}, [*SEQDES, "--init", "stratified", "--init-column", "x", "--init-quantiles", "0"],
+                 "InvalidInputError", id="seqdes-init-quantiles-0"),
+    pytest.param({"grid.json": {"axes": {"x": [0.0, 1.0], "z": [0.0, 1.0]}, "z_axes": ["z"]}},
+                 [*SEQDES, "--grid", "grid.json"], "InvalidInputError", id="seqdes-grid-z-without-confounders"),
+])
+def test_bad_input_exits_2(tmp_path, monkeypatch, data_csv, capsys, files, argv, exc_type):
+    # data_csv is rows.csv in tmp_path
+    monkeypatch.chdir(tmp_path)
+    for name, content in {**GOOD_FILES, **files}.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert stderr_payload(captured.err)["type"] == exc_type
+
+
+@pytest.mark.parametrize("init", ["random", "stratified", "dope"])
+def test_seqdes_n_init_below_the_model_terms_exits_2(tmp_path, capsys, init):
+    # four covariates and a 0/1 response: the default model has 5 terms
+    rng = np.random.default_rng(4)
+    path = tmp_path / "loans.csv"
+    rows = np.column_stack([rng.normal(size=(200, 4)), rng.random(200) < 0.3])
+    np.savetxt(path, rows, delimiter=",", header="a,b,c,d,y", comments="")
+    code, out, err = run_cli(capsys, "seqdes", "--input", str(path), "--response", "y",
+                             "--n-init", "3", "--n-target", "20", "--init", init, "--init-column", "a")
+    assert (code, out) == (2, "")
+    error = stderr_payload(err)
+    assert (error["type"], error["message"]) == ("InvalidInputError", "n_init 3 is below the model's 5 terms")
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,8 @@ def test_robust_context_validation():
         small_ctx(1.5)
     with pytest.raises(InvalidInputError):
         RobustContext(np.ones((2, 3)), nu=0.5, grid=CandidateGrid(np.arange(2.0)))
+    with pytest.raises(InvalidInputError, match="2-D array"):
+        RobustContext(np.ones(5), nu=0.5, grid=CandidateGrid(np.arange(5.0)))
     # a basis of rank below p: (1, x, 2x), and the full rows of f = h = (1, x)
     axis = np.arange(5.0)
     with pytest.raises(InvalidInputError, match="rank 2"):
@@ -562,6 +564,14 @@ def test_confounder_validation():
         confounder_expected_worst(spec, [0.0, 1.0], [[1.0, 1.0]], [0.5], [[1.0]])
     with pytest.raises(InvalidInputError):
         confounder_minimax(spec, [0.0, 1.0], [], [[1.0]])
+    with pytest.raises(InvalidInputError, match="one z per data point"):
+        confounder_loss(spec, [0.0, 1.0], [1.0], BiasSpec(psi=[], phi=[1.0], sigma=1.0, n_total=2))
+    with pytest.raises(InvalidInputError, match="phi length"):
+        confounder_loss(spec, [0.0, 1.0], [1.0, 1.0], BiasSpec(psi=[], phi=[1.0, 2.0], sigma=1.0, n_total=2))
+    with pytest.raises(InvalidInputError, match="one probability per assignment"):
+        confounder_expected_worst(spec, [0.0, 1.0], [[1.0, 1.0]], [0.5, 0.5], [[1.0]])
+    with pytest.raises(InvalidInputError, match="at least one phi candidate"):
+        confounder_expected_worst(spec, [0.0, 1.0], [[1.0, 1.0]], [1.0], [])
 
 
 def test_variance_profile_vectorization_matches_scalar():

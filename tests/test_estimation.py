@@ -5,6 +5,7 @@ import pytest
 
 from subsel.errors import InvalidInputError, SeparationError, SingularMatrixError
 from subsel.estimation import (
+    LogisticRows,
     fit_logistic,
     fit_ols,
     predict_classify,
@@ -133,6 +134,14 @@ def test_logistic_input_validation():
         fit_logistic(np.ones((5, 2)), np.array([0.0, 1.0]))
     with pytest.raises(InvalidInputError):
         fit_logistic(np.ones((5, 2)), np.array([0.0, 1.0, 2.0, 0.0, 1.0]))
+    with pytest.raises(InvalidInputError, match="theta0 has the wrong length"):
+        fit_logistic(np.ones((3, 1)), np.array([0.0, 1.0, 1.0]), theta0=np.zeros(2))
+    with pytest.raises(InvalidInputError, match="at least as many rows as columns"):
+        fit_logistic(LogisticRows(2, 3))
+    with pytest.raises(InvalidInputError, match="rows and responses must match"):
+        LogisticRows(2, 3).append(np.ones((2, 3)), np.array([0.0, 1.0]))
+    with pytest.raises(InvalidInputError, match="X must be finite"):
+        LogisticRows(2, 3).append(np.array([[1.0, np.inf]]), np.array([1.0]))
 
 
 def test_predict_classify_counts():

@@ -73,6 +73,10 @@ def test_model_spec_validation():
         ModelSpec(f_basis=fn, p=p, m=1)  # m > 0 without h_basis
     with pytest.raises(InvalidInputError):
         ModelSpec(f_basis=fn, p=0)
+    with pytest.raises(InvalidInputError, match="m and q must be non-negative"):
+        ModelSpec(f_basis=fn, p=p, m=-1)
+    with pytest.raises(InvalidInputError, match="g_basis must be supplied exactly when q > 0"):
+        ModelSpec(f_basis=fn, p=p, q=1)
 
 
 def test_design_measure_merges_duplicates_and_validates():
@@ -90,6 +94,8 @@ def test_design_measure_read_only():
     d = uniform_design([[-1.0], [1.0]])
     with pytest.raises(ValueError):
         d.weights[0] = 0.9
+    with pytest.raises(AttributeError, match="DesignMeasure is immutable"):
+        d.weights = np.array([0.9, 0.1])
 
 
 def test_information_matrix_uniform_pm1_is_identity():
@@ -149,6 +155,12 @@ def test_selection_validates_indices():
         information_matrix_from_selection(spec, data, [1, 1, 2])
     with pytest.raises(InvalidInputError):
         information_matrix_from_selection(spec, data, [0, 99])
+    with pytest.raises(InvalidInputError, match="sigma must be positive"):
+        information_matrix_from_selection(spec, data, [0, 1], sigma=0.0)
+    with pytest.raises(InvalidInputError, match="selection is empty"):
+        information_matrix_from_selection(spec, data, [])
+    with pytest.raises(InvalidInputError, match="no confounder columns"):
+        information_matrix_from_selection(full_spec(), data, [0, 1])
 
 
 def test_grid_from_axes_row_major_order():
@@ -160,6 +172,8 @@ def test_grid_from_axes_row_major_order():
     assert g.names == ("a", "b")
     with pytest.raises(ConfigError):
         CandidateGrid.from_axes({"a": [1.0, 1.0]})  # not strictly increasing
+    with pytest.raises(ConfigError, match="at least one axis"):
+        CandidateGrid.from_axes({})
 
 
 def test_grid_z_split():

@@ -261,6 +261,11 @@ def test_seq_config_validation():
         SeqConfig(n_init=2, n_target=10, init_strategy="stratified")  # column missing
     with pytest.raises(InvalidInputError):
         SeqConfig(n_init=2, n_target=10, stop_epsilon=-1.0)
+    # the choices argparse checks on the command line
+    for option, value in (("family", "probit"), ("distance", "manhattan"),
+                          ("init_strategy", "all"), ("stop_rule", "never")):
+        with pytest.raises(InvalidInputError, match=f"{option} must be one of"):
+            SeqConfig(n_init=2, n_target=10, **{option: value})
 
 
 def test_run_validation():
@@ -275,6 +280,8 @@ def test_run_validation():
     with pytest.raises(InvalidInputError):
         run_sequential(data, wide, line_spec(),
                        SeqConfig(n_init=2, n_target=4, family="linear"))
+    with pytest.raises(InvalidInputError, match="^n_init 1 is below the model's 2 terms$"):
+        run_sequential(data, GRID, line_spec(), SeqConfig(n_init=1, n_target=4, family="linear"))
 
 
 def test_scaled_distance_rejects_constant_column():
