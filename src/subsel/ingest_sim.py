@@ -254,26 +254,34 @@ def write_csv(data: Dataset, path) -> None:
 
 
 def _scalars(types) -> bool:
-    return not any(issubclass(t, (dict, list, tuple)) for t in types)
+    return not any(issubclass(t, (dict, list, tuple, np.ndarray)) for t in types)
 
 
-def _float_texts(items: list, types: set) -> list[str] | None:
-    """json.dumps of each item if all are exactly float and most repeat an earlier value, formatting
-    each distinct bit pattern once (np.unique over the bits, so 0.0 and -0.0 differ); else None: the C
-    encoder writes the list."""
-    if types != {float} or 2 * len(set(items)) > len(items):
-        return None
-    values = np.array(items)
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    texts = json.dumps(values[first].tolist(), separators=("\n", ": "))[1:-1].split("\n")
-    return np.array(texts, dtype=object)[inverse].tolist()
+def _array_list(obj):
+    """json.dumps's `default`: a numpy array as its list; anything else raises json's TypeError."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return json.JSONEncoder().default(obj)
 
 
 def _indented(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) with lines after the first indented by `pad` more.
-    A flat scalar list or a list of non-empty scalar rows takes one C-encoder call (json indents in
-    Python) or `_float_texts`: its separator carries newline and indent, and only a row boundary puts `]`."""
+    """json.dumps(obj, indent=2, sort_keys=True) with lines after the first indented by `pad` more, a
+    numpy array written as its list.  A float64 array of 1 or 2 dimensions, none of length 0, formats
+    each distinct bit pattern once (np.unique over the bits, so 0.0 and -0.0 differ).  A flat scalar
+    list or a list of non-empty scalar rows takes one C-encoder call (json indents in Python): its
+    separator carries newline and indent, and only a row boundary puts `]`."""
     inner, deeper = pad + "  ", pad + "    "
+    sep, rows = ",\n" + deeper, f"\n{inner}],\n{inner}[\n{deeper}"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
+            bits, inverse = np.unique(obj.ravel().view(np.int64), return_inverse=True)
+            texts = json.dumps(bits.view(np.float64).tolist(), separators=("\n", ": "))[1:-1].split("\n")
+            texts = np.array(texts, dtype=object)[inverse]
+            if obj.ndim == 1:
+                return f"[\n{inner}" + (",\n" + inner).join(texts.tolist()) + f"\n{pad}]"
+            lines = texts.tolist() if obj.shape[1] == 1 else map(sep.join, texts.reshape(obj.shape).tolist())
+            return f"[\n{inner}[\n{deeper}{rows.join(lines)}\n{inner}]\n{pad}]"
+        obj = obj.tolist()
     if not isinstance(obj, (dict, list, tuple)):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -283,22 +291,13 @@ def _indented(obj, pad: str) -> str:
     elif obj:
         types = set(map(type, obj))
         if _scalars(types):
-            sep = ",\n" + inner
-            texts = _float_texts(obj, types)
-            body = json.dumps(obj, separators=(sep, ": "))[1:-1] if texts is None else sep.join(texts)
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
             return f"[\n{inner}{body}\n{pad}]"
         if all(issubclass(t, (list, tuple)) for t in types) and all(obj):
-            cells = list(itertools.chain.from_iterable(obj))
-            types = set(map(type, cells))
-            if _scalars(types):
-                sep, rows = ",\n" + deeper, f"\n{inner}],\n{inner}[\n{deeper}"
-                texts = _float_texts(cells, types) if len(set(map(len, obj))) == 1 else None
-                if texts is None:
-                    body = json.dumps(obj, separators=(sep, ": "))[2:-2].replace("]" + sep + "[", rows)
-                else:
-                    body = rows.join(map(sep.join, zip(*[iter(texts)] * len(obj[0]))))
+            if _scalars(set(map(type, itertools.chain.from_iterable(obj)))):
+                body = json.dumps(obj, separators=(sep, ": "))[2:-2].replace("]" + sep + "[", rows)
                 return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    return json.dumps(obj, indent=2, sort_keys=True, default=_array_list).replace("\n", "\n" + pad)
 
 
 def json_text(obj) -> str:

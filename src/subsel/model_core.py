@@ -207,12 +207,10 @@ class DesignMeasure:
         raise AttributeError("DesignMeasure is immutable")
 
     def to_json_dict(self) -> dict:
-        out = {
-            "points": self.x_points.tolist(),
-            "weights": self.weights.tolist(),
-        }
+        """The measure as `json_text` takes it: its `points`, `weights` and `z_points` arrays."""
+        out = {"points": self.x_points, "weights": self.weights}
         if self.z_points is not None:
-            out["z_points"] = self.z_points.tolist()
+            out["z_points"] = self.z_points
         return out
 
 
@@ -465,7 +463,7 @@ class SubsampleSelection:
 
 
 def json_ready(obj):
-    """`obj` as values json.dumps takes: an object's `to_json_dict()`, a dataclass without one as
+    """`obj` as values `json_text` takes: an object's `to_json_dict()`, a dataclass without one as
     the dict of its fields, a dict with string keys, tuples as lists and numpy arrays and scalars
     as Python values; booleans stay booleans."""
     if isinstance(obj, dict):

@@ -136,6 +136,34 @@ GUARDS = [
         "tests/test_ingest_properties.py::test_a_strict_error_names_the_first_physical_line_of_its_row",
         "a bad row is numbered by its first physical line, not by its record count",
     ),
+    Guard(
+        "json-array-float64", "ingest_sim.py",
+        "obj.dtype == np.float64 and ",
+        "",
+        "tests/test_json_writer.py::test_write_json_array_edge_cases",
+        "only a float64 array's bits are read as float64 bit patterns; every other dtype writes its tolist()",
+    ),
+    Guard(
+        "json-array-ndim", "ingest_sim.py",
+        " and obj.ndim in (1, 2)",
+        "",
+        "tests/test_json_writer.py::test_write_json_array_edge_cases",
+        "a float array of 0 or 3 dimensions writes its tolist()",
+    ),
+    Guard(
+        "json-array-nonempty", "ingest_sim.py",
+        " and obj.size:",
+        ":",
+        "tests/test_json_writer.py::test_write_json_array_edge_cases",
+        "a float array with a length-0 axis writes its tolist(), `[]` or a list of empty rows",
+    ),
+    Guard(
+        "json-array-not-scalar", "ingest_sim.py",
+        "(dict, list, tuple, np.ndarray)",
+        "(dict, list, tuple)",
+        "tests/test_json_writer.py::test_write_json_array_edge_cases",
+        "a list holding an array skips the C encoder, which refuses arrays",
+    ),
 ]
 
 

@@ -15,7 +15,7 @@ import subsel
 from subsel import repro as repro_mod
 from subsel.cli import main
 from subsel.criteria import RobustContext
-from subsel.ingest_sim import load_csv, simulate_example2, simulate_mortgage_analogue, write_csv
+from subsel.ingest_sim import json_text, load_csv, simulate_example2, simulate_mortgage_analogue, write_csv
 from subsel.model_core import CandidateGrid, model_spec_from_config
 from subsel.select_iboss import iboss_det_bound, run_iboss
 from subsel.select_robust import run_wiens
@@ -662,7 +662,7 @@ def test_robust_on_a_points_grid_with_a_confounder_column(tmp_path, capsys):
     ctx = RobustContext.from_grid(model_spec_from_config(model), CandidateGrid(pts, names=("x", "z"), z_dim=1),
                                   0.5, full_rows=True)
     want, _ = run_wiens(ctx, n_init=4, n_target=24, seed=1)
-    assert measure == json.loads(json.dumps(want.to_json_dict()))
+    assert measure == json.loads(json_text(want.to_json_dict()))
     assert measure["z_points"] == [[z] for _, z in pts]
     # one name per column, as the constructor checks
     grid.write_text(json.dumps({"points": pts, "names": ["x"], "z_dim": 1}))

@@ -1,14 +1,17 @@
 """write_json against its oracle: the bytes of json.dumps(obj, indent=2,
-sort_keys=True) plus a final newline, or the same exception.
+sort_keys=True) plus a final newline, with every numpy array in obj replaced
+by its tolist(), or the same exception.
 
 write_json sends flat scalar lists and lists of scalar rows through the C
 encoder, so the drawn documents are built from those shapes and from what
 must not take that path: ragged and empty rows, empty containers, rows
 nested three deep, tuples, dicts with string or integer keys, and lists of
-dicts (the shape of a trace's steps).  A float list, or equal-width float
-rows, of which most items repeat an earlier value is written one json.dumps
-per distinct bit pattern; those documents are drawn from a small pool of
-floats, with ints, bools and np.float64 mixed in.
+dicts (the shape of a trace's steps).  A float64 array of one or two
+dimensions, none of length 0 (a design measure's points and weights), is
+written one json.dumps per distinct bit pattern; those arrays are drawn
+mostly repeating (from a small pool of floats) and mostly distinct, next to
+arrays of every other dtype and shape, alone and nested in dicts and in
+lists of dicts.
 """
 
 import json
@@ -20,8 +23,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from subsel.ingest_sim import _float_texts, write_json
+from subsel.ingest_sim import write_json
 
 FLOATS = st.one_of(
     st.floats(),
@@ -64,7 +68,8 @@ def _pool_rows(width: int, items):
     return st.lists(st.lists(items, min_size=width, max_size=width), min_size=11, max_size=40)
 
 
-# at least 11 draws from the 10 floats of POOL: every drawn list repeats a value
+# at least 11 draws from the 10 floats of POOL: every drawn list repeats a value (the C encoder
+# writes lists, repeated or not)
 REPEATING = st.one_of(
     st.lists(POOL, min_size=11, max_size=60),
     st.lists(POOL_ITEMS, min_size=11, max_size=60),
@@ -79,9 +84,20 @@ def out_path(tmp_path_factory):
     return tmp_path_factory.mktemp("json") / "out.json"
 
 
+def _lists(obj):
+    """obj with every numpy array in it replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_lists, obj))
+    return obj
+
+
 def assert_matches_json(obj, path) -> None:
     try:
-        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        want = json.dumps(_lists(obj), indent=2, sort_keys=True) + "\n"
     except Exception as exc:
         with pytest.raises(type(exc)) as info:
             write_json(obj, path)
@@ -106,7 +122,7 @@ def test_write_json_artifact_shaped_documents(out_path, obj):
     np.int64(4),
     [np.int64(1)],
     [[1.0, np.int64(2)], [3.0, 4.0]],
-    [[1.0], np.array([1.0, 2.0])],
+    [[1.0], np.array([np.int64(1)], dtype=object)],
     {"a": [np.int64(3)]},
     (np.int64(1), 2),
     [{"a": [[np.float32(1.0)]]}],
@@ -131,22 +147,63 @@ def test_write_json_repeated_floats(out_path, obj):
     assert_matches_json(obj, out_path)
 
 
-@given(items=st.lists(POOL_ITEMS, min_size=1, max_size=60))
-def test_each_distinct_float_is_formatted_once_only_for_floats(items):
-    # the bit-pattern path returns json.dumps of every item; ints, bools and np.float64 keep the
-    # C encoder, so 1, 1.0 and True never share a text and 0.0 never prints as -0.0
-    types = set(map(type, items))
-    texts = _float_texts(items, types)
-    if types != {float}:
-        assert texts is None
-    elif 2 * len(set(items)) <= len(items):
-        assert texts == [json.dumps(v) for v in items]
-    else:
-        assert texts is None
+def _float_arrays(elements):
+    shapes = st.one_of(
+        st.tuples(st.integers(1, 40)),  # a measure's weights
+        st.tuples(st.integers(1, 40), st.just(1)),  # a measure's points
+        st.tuples(st.integers(1, 15), st.integers(2, 4)),
+    )
+    return hnp.arrays(np.float64, shapes, elements=elements)
 
 
-def test_a_list_of_mostly_repeated_floats_takes_the_distinct_value_path():
-    items = [0.0, -0.0, 20.202020202020204, math.nan, -0.0, 0.0, 20.202020202020204, 5e-324]
-    assert _float_texts(items, {float}) == [json.dumps(v) for v in items]
-    assert _float_texts(items + [1], {float, int}) is None
-    assert _float_texts(items[:2] + [1.5, 2.5, 3.5], {float}) is None
+MOSTLY_REPEATING = _float_arrays(POOL)
+MOSTLY_DISTINCT = _float_arrays(st.floats())
+# what the float branch leaves to tolist(): a length-0 axis, 0 or 3 dimensions, another dtype
+EMPTY = hnp.arrays(np.float64, st.sampled_from([(0,), (0, 1), (0, 3), (4, 0), (0, 0)]))
+OTHER_NDIM = hnp.arrays(np.float64, st.sampled_from([(), (2, 1, 3), (1, 2, 2)]), elements=POOL)
+OTHER_DTYPE = hnp.arrays(st.sampled_from([np.int64, np.int32, np.bool_, np.float32, np.dtype(">f8")]),
+                         hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6))
+ARRAYS = st.one_of(MOSTLY_REPEATING, MOSTLY_DISTINCT, EMPTY, OTHER_NDIM, OTHER_DTYPE)
+
+
+@given(arr=st.one_of(MOSTLY_REPEATING, MOSTLY_DISTINCT))
+def test_write_json_float_arrays(out_path, arr):
+    assert_matches_json(arr, out_path)
+
+
+@given(arr=st.one_of(EMPTY, OTHER_NDIM, OTHER_DTYPE))
+def test_write_json_other_arrays_write_their_lists(out_path, arr):
+    assert_matches_json(arr, out_path)
+
+
+@given(obj=st.one_of(
+    st.dictionaries(st.sampled_from(["points", "weights", "z_points"]), ARRAYS, min_size=1),
+    st.lists(st.fixed_dictionaries({"iteration": st.integers(), "chosen": ARRAYS, "xi": ARRAYS}), max_size=3),
+    st.lists(ARRAYS, min_size=1, max_size=3),
+    st.lists(st.lists(ARRAYS, min_size=1, max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.integers(-3, 3), ARRAYS, max_size=2),
+))
+def test_write_json_nested_arrays(out_path, obj):
+    assert_matches_json(obj, out_path)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.0, -0.0]),
+    np.array([[0.0, -0.0], [-0.0, 0.0], [5e-324, math.nan]]),
+    np.asfortranarray(np.arange(12.0).reshape(4, 3) / 7.0),  # not C-contiguous
+    (np.arange(12.0).reshape(4, 3) / 7.0)[:, 1],
+    np.arange(12.0).reshape(4, 3)[::2, :1],
+    np.array([1, -2, 3], dtype=np.int64),  # int bits are not float bits
+    np.array([[1, 2], [3, 4]], dtype=np.int64),
+    np.array([True, False] * 4),
+    np.array([0.5, 1.5], dtype=np.float32),
+    np.array(0.5),  # 0 and 3 dimensions
+    np.arange(8.0).reshape(2, 2, 2),
+    np.zeros(0),  # a length-0 axis
+    np.zeros((0, 3)),
+    np.zeros((3, 0)),
+])
+@pytest.mark.parametrize("wrap", [lambda a: a, lambda a: {"weights": a}, lambda a: [{"chosen": a, "n": 1}], lambda a: [a]],
+                         ids=["bare", "in_dict", "in_steps", "in_list"])
+def test_write_json_array_edge_cases(out_path, arr, wrap):
+    assert_matches_json(wrap(arr), out_path)
