@@ -7,12 +7,11 @@ block order, so a seed pins every generated dataset byte for byte.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -253,10 +252,6 @@ def write_csv(data: Dataset, path) -> None:
     write_rows(path, names, zip(*cols))
 
 
-def _scalars(types) -> bool:
-    return not any(issubclass(t, (dict, list, tuple, np.ndarray)) for t in types)
-
-
 def _array_list(obj):
     """json.dumps's `default`: a numpy array as its list; anything else raises json's TypeError."""
     if isinstance(obj, np.ndarray):
@@ -268,10 +263,8 @@ def _indented(obj, pad: str) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) with lines after the first indented by `pad` more, a
     numpy array written as its list.  A float64 array of 1 or 2 dimensions, none of length 0, formats
     each distinct bit pattern once (np.unique over the bits, so 0.0 and -0.0 differ).  A flat scalar
-    list or a list of non-empty scalar rows takes one C-encoder call (json indents in Python): its
-    separator carries newline and indent, and only a row boundary puts `]`."""
+    list takes one C-encoder call (json indents in Python): its separator carries newline and indent."""
     inner, deeper = pad + "  ", pad + "    "
-    sep, rows = ",\n" + deeper, f"\n{inner}],\n{inner}[\n{deeper}"
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
             bits, inverse = np.unique(obj.ravel().view(np.int64), return_inverse=True)
@@ -279,6 +272,7 @@ def _indented(obj, pad: str) -> str:
             texts = np.array(texts, dtype=object)[inverse]
             if obj.ndim == 1:
                 return f"[\n{inner}" + (",\n" + inner).join(texts.tolist()) + f"\n{pad}]"
+            sep, rows = ",\n" + deeper, f"\n{inner}],\n{inner}[\n{deeper}"
             lines = texts.tolist() if obj.shape[1] == 1 else map(sep.join, texts.reshape(obj.shape).tolist())
             return f"[\n{inner}[\n{deeper}{rows.join(lines)}\n{inner}]\n{pad}]"
         obj = obj.tolist()
@@ -288,15 +282,9 @@ def _indented(obj, pad: str) -> str:
         if obj and all(isinstance(k, str) for k in obj):
             body = (",\n" + inner).join(f"{json.dumps(k)}: {_indented(obj[k], inner)}" for k in sorted(obj))
             return f"{{\n{inner}{body}\n{pad}}}"
-    elif obj:
-        types = set(map(type, obj))
-        if _scalars(types):
-            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
-            return f"[\n{inner}{body}\n{pad}]"
-        if all(issubclass(t, (list, tuple)) for t in types) and all(obj):
-            if _scalars(set(map(type, itertools.chain.from_iterable(obj)))):
-                body = json.dumps(obj, separators=(sep, ": "))[2:-2].replace("]" + sep + "[", rows)
-                return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
+    elif obj and not any(issubclass(t, (dict, list, tuple, np.ndarray)) for t in set(map(type, obj))):
+        body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        return f"[\n{inner}{body}\n{pad}]"
     return json.dumps(obj, indent=2, sort_keys=True, default=_array_list).replace("\n", "\n" + pad)
 
 
@@ -328,15 +316,7 @@ def standardize(data: Dataset) -> Dataset:
             raise DegenerateColumnError(
                 f"feature column {data.feature_names[j]!r} is constant; cannot standardize"
             )
-    return Dataset(
-        feature_names=data.feature_names,
-        features=(data.features - means) / sds,
-        response=data.response,
-        response_name=data.response_name,
-        confounders=data.confounders,
-        confounder_names=data.confounder_names,
-        n_dropped=data.n_dropped,
-    )
+    return replace(data, features=(data.features - means) / sds)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +382,15 @@ def curve_mean(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return -x / 2.0 - 5.0 / 3.0 + 0.35 * np.sin(x * x) + z / 9.0
 
 
+def _confounded_curve(rng: CounterRng, x: np.ndarray, mean) -> Dataset:
+    """The x/z/y Dataset of the curve examples: draws the z block, then the noise block,
+    and sets y = mean(x, z) + N(0, 1)."""
+    z = rng.normal(x.size)
+    y = mean(x, z) + rng.normal(x.size)
+    return Dataset(feature_names=("x",), features=x[:, None], response=y, response_name="y",
+                   confounders=z[:, None], confounder_names=("z",))
+
+
 def simulate_example2(n: int = 105, seed: int = 0) -> Dataset:
     """Noisy nonlinear curve with a weak additive confounder.
 
@@ -411,18 +400,7 @@ def simulate_example2(n: int = 105, seed: int = 0) -> Dataset:
     if n < 1:
         raise InvalidInputError("n must be positive")
     rng = CounterRng(seed)
-    x = rng.normal(n, mean=2.0, sd=1.0)
-    z = rng.normal(n)
-    eps = rng.normal(n, sd=1.0)
-    y = curve_mean(x, z) + eps
-    return Dataset(
-        feature_names=("x",),
-        features=x[:, None],
-        response=y,
-        response_name="y",
-        confounders=z[:, None],
-        confounder_names=("z",),
-    )
+    return _confounded_curve(rng, rng.normal(n, mean=2.0, sd=1.0), curve_mean)
 
 
 def wave_mean(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -443,18 +421,7 @@ def simulate_example3(seed: int = 0, n: int = 105) -> Dataset:
         raise InvalidInputError("n must lie in [1, 201]")
     rng = CounterRng(seed)
     picks = rng.sample_indices(201, n)
-    x = (-100 + picks).astype(float)
-    z = rng.normal(n)
-    eps = rng.normal(n, sd=1.0)
-    y = wave_mean(x, z) + eps
-    return Dataset(
-        feature_names=("x",),
-        features=x[:, None],
-        response=y,
-        response_name="y",
-        confounders=z[:, None],
-        confounder_names=("z",),
-    )
+    return _confounded_curve(rng, (-100 + picks).astype(float), wave_mean)
 
 
 _DEFAULT_SLOPES = (1.0, -0.5, 0.3, 2.0)

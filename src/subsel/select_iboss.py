@@ -8,7 +8,11 @@ to the smallest side of each variable in order, then (if still short) to the
 largest sides.  Ties at a cut value resolve to the lowest row index, which
 makes the output deterministic and replayable.
 
-Each side's candidates are the rows at or beyond a cut guessed from a sorted
+One rule selects both sides: a high side is the low side of the negated
+column.  Negation is exact, so the m-th smallest of -x is minus the m-th
+largest of x and its ties fall on the same rows.
+
+Each side's candidates are the rows at or below a cut guessed from a sorted
 sample of every max(1, N // 65536)-th row.  A side needs its quota plus
 every earlier removal; when fewer rows reach the guess, the exact value from a
 full partition of the column replaces it, so the guess changes the cost, never
@@ -40,57 +44,39 @@ def _features_of(data) -> np.ndarray:
     return feats
 
 
-def _k_extreme(values: np.ndarray, rows: np.ndarray, k: int, side: str) -> np.ndarray:
-    """The k rows with the most extreme values; ties at the cut take the
-    earliest `rows` entries, so ascending `rows` means lowest index wins."""
-    n = values.size
-    if k >= n:
-        return rows.copy()
-    if side == "low":
-        cut = np.partition(values, k - 1)[k - 1]
-        strict = values < cut
-    else:
-        cut = np.partition(values, n - k)[n - k]
-        strict = values > cut
-    taken = rows[strict]
-    need = k - taken.size
-    at_cut = rows[values == cut][:need]
-    return np.concatenate([taken, at_cut])
-
-
-def _extreme_available(
-    col: np.ndarray, mask: np.ndarray, k: int, m_needed: int, cut, side: str
-) -> np.ndarray:
-    """Indices of the k most extreme still-available rows of a full column.
+def _lowest_available(col: np.ndarray, mask: np.ndarray, k: int, m_needed: int, cut) -> np.ndarray:
+    """Indices of the k smallest still-available rows of a full column, ties
+    at the k-th value taken by lowest index.
 
     m_needed is k plus every row removed before this side, so the k rows lie
-    within the m_needed most extreme rows and all ties of the last one: any
-    cut that m_needed rows reach bounds the candidates.  When fewer reach the
+    within the m_needed smallest rows and all ties of the last one: any cut
+    that m_needed rows reach bounds the candidates.  When fewer reach the
     guessed `cut`, the exact m_needed-th value replaces it.
     """
-    n = col.size
-    if m_needed >= n:
+    if m_needed >= col.size:
         cand = np.flatnonzero(mask)
     else:
-        cand = np.flatnonzero(col <= cut if side == "low" else col >= cut)
+        cand = np.flatnonzero(col <= cut)
         if cand.size < m_needed:
-            if side == "low":
-                cut = np.partition(col, m_needed - 1)[m_needed - 1]
-                cand = np.flatnonzero(col <= cut)
-            else:
-                cut = np.partition(col, n - m_needed)[n - m_needed]
-                cand = np.flatnonzero(col >= cut)
+            cut = np.partition(col, m_needed - 1)[m_needed - 1]
+            cand = np.flatnonzero(col <= cut)
         cand = cand[mask[cand]]
-    return _k_extreme(col[cand], cand, k, side)
+    if k >= cand.size:
+        return cand
+    values = col[cand]
+    cut = np.partition(values, k - 1)[k - 1]
+    taken = cand[values < cut]
+    return np.concatenate([taken, cand[values == cut][: k - taken.size]])
 
 
 _SAMPLE_TARGET = 1 << 16
 
 
 def _estimated_cuts(feats: np.ndarray, order: list[int], m_low: np.ndarray, m_high: np.ndarray):
-    """Conservative cut guesses for the columns in `order`, from a strided sample.
+    """Conservative cut guesses for the columns in `order`, from a strided
+    sample: the low sides' on the columns, the high sides' on the negated ones.
 
-    The guesses only bound candidate sets; `_extreme_available` checks each
+    The guesses only bound candidate sets; `_lowest_available` checks each
     against the exact requirement count and falls back to a full partition,
     so the selection never depends on sample quality.
     """
@@ -98,10 +84,9 @@ def _estimated_cuts(feats: np.ndarray, order: list[int], m_low: np.ndarray, m_hi
     step = max(1, n // _SAMPLE_TARGET)
     sample = np.sort(feats[::step][:, order], axis=0)
     s = sample.shape[0]
-    ranks_lo = np.minimum(s - 1, 2 * np.ceil(m_low * s / n).astype(np.int64) + 32)
-    ranks_hi = np.minimum(s - 1, 2 * np.ceil(m_high * s / n).astype(np.int64) + 32)
+    ranks = np.minimum(s - 1, 2 * np.ceil(np.stack([m_low, m_high]) * s / n).astype(np.int64) + 32)
     cols = np.arange(len(order))
-    return sample[ranks_lo, cols], sample[s - 1 - ranks_hi, cols]
+    return sample[ranks[0], cols], -sample[s - 1 - ranks[1], cols]
 
 
 def run_iboss(data, n_target: int, column_order=None) -> SubsampleSelection:
@@ -138,10 +123,10 @@ def run_iboss(data, n_target: int, column_order=None) -> SubsampleSelection:
     picked: list[np.ndarray] = []
     cuts: list[dict] = []
     for pos, j in enumerate(order):
-        col = np.ascontiguousarray(feats[:, j])
-        low = _extreme_available(col, mask, k_small[pos], m_low[pos], est_lo[pos], "low")
+        col = np.array(feats[:, j])  # private: negated in place below
+        low = _lowest_available(col, mask, k_small[pos], m_low[pos], est_lo[pos])
         mask[low] = False
-        high = _extreme_available(col, mask, k_large[pos], m_high[pos], est_hi[pos], "high")
+        high = _lowest_available(np.negative(col, out=col), mask, k_large[pos], m_high[pos], est_hi[pos])
         mask[high] = False
         picked.append(np.sort(low))
         picked.append(np.sort(high))
@@ -149,9 +134,9 @@ def run_iboss(data, n_target: int, column_order=None) -> SubsampleSelection:
             {
                 "variable": int(j),
                 "low_count": int(low.size),
-                "low_cut": float(col[low].max()) if low.size else None,
+                "low_cut": float(feats[low, j].max()) if low.size else None,
                 "high_count": int(high.size),
-                "high_cut": float(col[high].min()) if high.size else None,
+                "high_cut": float(feats[high, j].min()) if high.size else None,
             }
         )
 

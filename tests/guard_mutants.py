@@ -164,6 +164,16 @@ GUARDS = [
         "tests/test_json_writer.py::test_write_json_array_edge_cases",
         "a list holding an array skips the C encoder, which refuses arrays",
     ),
+    Guard(
+        "iboss-cut-fallback", "select_iboss.py",
+        """        if cand.size < m_needed:
+            cut = np.partition(col, m_needed - 1)[m_needed - 1]
+            cand = np.flatnonzero(col <= cut)
+""",
+        "",
+        "tests/test_select_iboss.py::test_exact_cut_when_the_guess_falls_short",
+        "when fewer rows than a side needs reach the sampled cut guess, the exact cut replaces it",
+    ),
 ]
 
 

@@ -2,9 +2,10 @@
 sort_keys=True) plus a final newline, with every numpy array in obj replaced
 by its tolist(), or the same exception.
 
-write_json sends flat scalar lists and lists of scalar rows through the C
-encoder, so the drawn documents are built from those shapes and from what
-must not take that path: ragged and empty rows, empty containers, rows
+write_json sends flat scalar lists through the C encoder, so the drawn
+documents are built from those, from lists of scalar rows (a confusion
+matrix) and from what must not take that path: ragged and empty rows, empty
+containers, rows
 nested three deep, tuples, dicts with string or integer keys, and lists of
 dicts (the shape of a trace's steps).  A float64 array of one or two
 dimensions, none of length 0 (a design measure's points and weights), is

@@ -5,7 +5,7 @@ import pytest
 
 import subsel.select_iboss as si
 from subsel.errors import InvalidInputError
-from subsel.ingest_sim import simulate_example2
+from subsel.ingest_sim import Dataset, simulate_example2
 from subsel.rng import CounterRng
 from subsel.select_iboss import iboss_det_bound, iboss_permutation_report, run_iboss
 
@@ -142,6 +142,20 @@ def test_exact_cut_when_the_guess_falls_short(monkeypatch):
             got = [int(i) for i in run_iboss(feats, n_target).indices]
             assert full_partitions, "the guessed cut never fell short"
             assert got == brute_force_reference(feats, n_target)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_input_is_left_untouched(p):
+    # a high side is selected on a negated copy of its column; one column of
+    # an ndarray is the caller's own memory, and a Dataset's is read-only
+    feats = CounterRng(9).normal(50 * p).reshape(50, p)
+    before = feats.copy()
+    sel = run_iboss(feats, 6 * p)
+    assert feats.tobytes() == before.tobytes()
+    ds = Dataset(feature_names=tuple(f"x{j}" for j in range(p)), features=before.copy())
+    assert not ds.features.flags.writeable
+    assert np.array_equal(run_iboss(ds, 6 * p).indices, sel.indices)
+    assert ds.features.tobytes() == before.tobytes()
 
 
 def test_det_below_bound_on_simulated_data():
