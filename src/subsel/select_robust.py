@@ -17,19 +17,19 @@ every grid row q_i is scored by one quadratic form:
     A = (1 - nu + nu lambda) R^-1 + nu (w u' + u w')
     T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2
 
-and the mass moves toward argmax_i T_i: equal scores go to the lowest index, but
-grid points that share one Q row differ only in -2 nu xi_i (q_i' w)^2, so among
-those with weights equal in exact arithmetic the weights' last ulp picks.  R and
-its functions come from the kernel of criteria.wiens_losses, so each step's
-D-loss is wiens_losses of the measure before it, bit for bit.
+and the mass moves toward argmax_i T_i, ties to the lowest index.  The measure
+of n points is held as its counts, exact in float64, and weighted counts / n,
+so grid points whose Q rows and counts are equal in bits score equal in bits.
+R and its functions come from the kernel of criteria.wiens_losses, so each
+step's D-loss is wiens_losses of the measure before it, bit for bit.
 
-Each step adds mass at one point, so the loop holds the sorted support, its
-weights and rows in buffers for every point the support can reach (a new point
-shifts the tail in place), and the kernel sums over them; the one grid pass is
-the product of A's packed triangle with the pairwise-column matrix, built once
-per run and held column-major, a contiguous row per pair (a, b).  Grid weights
-are scattered once, at the end, and the trace replays its per-step weights
-hashes when written.
+Each step adds one count at one point, so the loop holds the sorted support,
+its counts and rows in buffers for every point the support can reach (a new
+point shifts the tail in place, with a count of 0), and the kernel sums over
+them; the one grid pass is the product of A's packed triangle with the
+pairwise-column matrix, built once per run and held column-major, a contiguous
+row per pair (a, b).  Grid weights are scattered once, at the end, and the
+trace replays its per-step weights hashes when written.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ class RobustStep:
     support_size: int  # grid points with positive weight after the step
 
 
-def _add_points(w: np.ndarray, cells: list[int], n: int) -> None:
-    """Make the measure w of n points that of n + len(cells) points, one more at each of `cells`, in place."""
-    w *= n
-    for cell in cells:  # in order, so a repeated cell gains 1 at a time
-        w[cell] += 1.0
-    w /= n + len(cells)
-
-
 @dataclass
 class RobustTrajectory:
     """Initial support, per-iteration records, and the final loss."""
@@ -84,13 +76,13 @@ class RobustTrajectory:
 
     def to_json_dict(self) -> dict:
         """The trajectory with each step's `weights_sha256`, the sha256 of the grid's weight vector
-        after the step, replayed from `initial_indices` and the chosen points by the loop's update."""
-        xi = np.zeros(self.n_grid)
-        xi[self.initial_indices] = 1.0 / self.initial_indices.size
+        after the step: counts / n, the counts replayed from `initial_indices` and the chosen points."""
+        counts = np.zeros(self.n_grid)
+        counts[self.initial_indices] = 1.0
         steps = []
-        for n, step in enumerate(self.steps, start=self.initial_indices.size):
-            _add_points(xi, [step.chosen_index], n)
-            steps.append({**vars(step), "weights_sha256": hashlib.sha256(xi.tobytes()).hexdigest()})
+        for n, step in enumerate(self.steps, start=self.initial_indices.size + 1):
+            counts[step.chosen_index] += 1.0
+            steps.append({**vars(step), "weights_sha256": hashlib.sha256((counts / n).tobytes()).hexdigest()})
         return json_ready({"initial_indices": self.initial_indices, "steps": steps,
                            "final_dnu": self.final_dnu, "stop_reason": self.stop_reason})
 
@@ -155,11 +147,12 @@ def run_wiens(
     q, nu = ctx.q_matrix, ctx.nu
     grid = _pairwise_columns(q)
     rng = CounterRng(seed)
-    # the ascending support (a point joins when first chosen and never leaves), its weights and rows: the first
+    # the ascending support (a point joins when first chosen and never leaves), its counts and rows: the first
     # k entries of buffers for every point the support can reach
     k, size = n_init, min(n_grid, n_target)
-    bufs = (np.empty(size, dtype=np.intp), np.full(size, 1.0 / n_init), np.empty((size, p)))
-    support, w, q_s = (buf[:k] for buf in bufs)
+    bufs = (np.empty(size, dtype=np.intp), np.ones(size), np.empty((size, p)))
+    support, counts, q_s = (buf[:k] for buf in bufs)
+    w = counts / n_init
     for draw in range(1, _START_DRAWS + 1):
         support[:] = np.sort(rng.sample_indices(n_grid, n_init))
         np.take(q, support, axis=0, out=q_s)
@@ -185,13 +178,11 @@ def run_wiens(
                 buf[at + 1:k + 1] = buf[at:k]
                 buf[at] = value
             k += 1
-            support, w, q_s = (buf[:k] for buf in bufs)
+            support, counts, q_s = (buf[:k] for buf in bufs)
 
-        _add_points(w, [at], n)
+        counts[at] += 1.0
         n += 1
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidInputError(f"weights left the simplex (sum {total!r})")  # not run under tier-1: drift check
+        w = counts / n
         traj.steps.append(RobustStep(len(traj.steps) + 1, best, dnu, parts.lam, k))
 
         if stop == "dnu_gain_below" and len(traj.steps) > stop_window:

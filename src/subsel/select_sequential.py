@@ -69,7 +69,6 @@ from .model_core import (
     model_matrix,
 )
 from .rng import CounterRng
-from .select_robust import _add_points
 
 UTILITIES = ("D", "A", "Inu", "Dnu", "traceR")
 FAMILIES = ("auto", "linear", "logistic")
@@ -488,25 +487,28 @@ def _pick_scorer(cfg: SeqConfig, p: int, grid: CandidateGrid, rows_grid: np.ndar
     """(best, count) of cfg.utility: the one place the loop's utility is chosen.
 
     best(info, theta, n) is the (grid index, value) of the best one-point
-    augmentation of the n selected rows; count(cols, n_old) adds the rows whose
+    augmentation of the n selected rows; count(cols) adds the rows whose
     matching coordinates are the columns of `cols` to the scorer's state.
+    Inu and Dnu count each selected row at its nearest grid cell, exactly in
+    float64, and score counts / n: equal Q rows with equal counts tie in bits.
     """
     if cfg.utility in ("Inu", "Dnu"):
         augmenter = _RobustAugmenter(RobustContext(rows_grid, cfg.nu, grid), cfg.utility)
-        xi = np.zeros(grid_s.shape[0])
+        counts = np.zeros(grid_s.shape[0])
         grid_cols = np.ascontiguousarray(grid_s.T)
 
-        def count(cols: np.ndarray, n_old: int) -> None:
-            _add_points(xi, [int(np.argmin(_sq_dists(grid_cols, col))) for col in cols.T], n_old)
+        def count(cols: np.ndarray) -> None:
+            for col in cols.T:
+                counts[int(np.argmin(_sq_dists(grid_cols, col)))] += 1.0
 
-        return (lambda info, theta, n: augmenter.best(xi, n)), count
+        return (lambda info, theta, n: augmenter.best(counts / n, n)), count
     score = {"D": _d_best, "A": _a_best, "traceR": partial(_trace_r_best, cfg.bias, p)}[cfg.utility]
     ones = np.ones(rows_grid.shape[0])
 
     def best(info, theta: np.ndarray, n: int) -> tuple[int, float]:
         return score(info, rows_grid, _logistic_terms(rows_grid @ theta)[2] if logistic else ones, n)
 
-    return best, lambda cols, n_old: None
+    return best, lambda cols: None
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +718,7 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
         return (mat + mat.T) / 2.0, None, None
 
     info = working_info(fit.theta)
-    count(cols_s[:, selected], 0)
+    count(cols_s[:, selected])
 
     trace = SeqTrace(
         initial_indices=sel_idx[:n_sel].astype(int),
@@ -751,7 +753,7 @@ def run_sequential(data, grid: CandidateGrid, spec: ModelSpec, cfg: SeqConfig):
             fit_failures += 1
             warm, newton_iters, converged = False, 0, False
             info = working_info(fit.theta)
-        count(cols_s[:, added], n_c)
+        count(cols_s[:, added])
 
         trace.steps.append(
             SeqStep(

@@ -17,6 +17,7 @@ import timeit
 
 import numpy as np
 
+from conftest import CountedMeasure
 from subsel.criteria import RobustContext, get_check, i_criterion, trace_r, wiens_losses
 from subsel.estimation import fit_logistic, fit_ols, sigmoid
 from subsel.ingest_sim import (
@@ -347,14 +348,10 @@ def test_criterion_10_robust_iteration_preserves_simplex_and_improves(capsys):
         hashes = [step["weights_sha256"] for step in traj.to_json_dict()["steps"]]
 
         # replay the exact weight path from the recorded choices
-        xi = np.zeros(n_grid)
-        xi[np.sort(CounterRng(seed).sample_indices(n_grid, n_init))] = 1.0 / n_init
-        n = n_init
+        path = CountedMeasure(n_grid, np.sort(CounterRng(seed).sample_indices(n_grid, n_init)))
+        xi = None
         for step, digest in zip(traj.steps, hashes, strict=True):
-            unit = np.zeros(n_grid)
-            unit[step.chosen_index] = 1.0
-            xi = (n * xi + unit) / (n + 1.0)
-            n += 1
+            xi = path.add(step.chosen_index)
             worst_sum = max(worst_sum, abs(float(xi.sum()) - 1.0))
             nonneg_ok = nonneg_ok and bool(np.min(xi) >= 0.0)
             hashes_ok = hashes_ok and hashlib.sha256(xi.tobytes()).hexdigest() == digest

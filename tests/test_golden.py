@@ -260,21 +260,22 @@ def compare_outputs(old, new) -> str:
     """One line saying how a stored output's parsed JSON `new` differs from `old`.
 
     Selection indices are the integers under a key ending in `indices`, grid
-    indices those under `grid_index`; the relative difference of two floats
-    is |a - b| / max(|a|, |b|).
+    indices those under a key ending in `index` (`grid_index`,
+    `chosen_index`); each moved index is named by its path, old -> new.  The
+    relative difference of two floats is |a - b| / max(|a|, |b|).
     """
     if old == new:
         return "same values, different bytes"
     a, b = dict(_leaves(old)), dict(_leaves(new))
     if a.keys() != b.keys():
         return "changes its structure: " + ", ".join(sorted("/".join(map(str, k)) for k in a.keys() ^ b.keys())[:5])
-    parts = []
-    for label, keep in (("selection indices", lambda f: f.endswith("indices")),
-                        ("grid indices", lambda f: f == "grid_index")):
-        keys = [k for k in a if keep(_field(k))]
+    parts, indices = [], set()
+    for label, suffix in (("selection indices", "indices"), ("grid indices", "index")):
+        keys = [k for k in a if _field(k).endswith(suffix)]
+        indices.update(keys)
+        moved = [f"{'/'.join(map(str, k))} {a[k]} -> {b[k]}" for k in keys if a[k] != b[k]]
         if keys:
-            same = all(a[k] == b[k] for k in keys)
-            parts.append(f"{label} {'identical' if same else 'DIFFER'}")
+            parts.append(f"{label} DIFFER ({'; '.join(moved)})" if moved else f"{label} identical")
     worst, where = 0.0, None
     for k in a:
         x, y = a[k], b[k]
@@ -282,7 +283,7 @@ def compare_outputs(old, new) -> str:
             rel = abs(x - y) / max(abs(x), abs(y))
             if rel > worst:
                 worst, where = rel, "/".join(map(str, k))
-    other = sorted("/".join(map(str, k)) for k in a
+    other = sorted("/".join(map(str, k)) for k in a.keys() - indices
                    if a[k] != b[k] and not (isinstance(a[k], float) and isinstance(b[k], float)))
     if other:
         parts.append("other values differ: " + ", ".join(other[:5]))
@@ -299,7 +300,16 @@ def test_compare_outputs_reports_indices_and_floats():
         "changes: selection indices identical, grid indices identical, "
         "largest relative float difference 4.4e-16 (trace/steps/0/utility)")
     new["selection"]["indices"] = [1, 3]
-    assert compare_outputs(old, new).startswith("changes: selection indices DIFFER, grid indices identical")
+    assert compare_outputs(old, new).startswith(
+        "changes: selection indices DIFFER (selection/indices/0 3 -> 1; selection/indices/1 1 -> 3), "
+        "grid indices identical")
+    old["trajectory"] = {"steps": [{"chosen_index": 7, "weights_sha256": "a"}, {"chosen_index": 8}]}
+    new["trajectory"] = {"steps": [{"chosen_index": 7, "weights_sha256": "b"}, {"chosen_index": 9}]}
+    assert compare_outputs(old, new) == (
+        "changes: selection indices DIFFER (selection/indices/0 3 -> 1; selection/indices/1 1 -> 3), "
+        "grid indices DIFFER (trajectory/steps/1/chosen_index 8 -> 9), "
+        "other values differ: trajectory/steps/0/weights_sha256, "
+        "largest relative float difference 4.4e-16 (trace/steps/0/utility)")
     assert compare_outputs({"indices": [1]}, {"indices": [1], "det": 1.0}) == "changes its structure: det"
 
 
@@ -315,8 +325,9 @@ def _cell(text: str):
 def compare_csv(old: str, new: str) -> str:
     """One line saying how the CSV text `new` differs from `old`.
 
-    Integer cells (iteration counters, row indices) are compared exactly,
-    float cells by their relative difference, as in `compare_outputs`.
+    Integer cells (iteration counters, row indices) are compared exactly and
+    each moved one is named by (column, row), old -> new; float cells by
+    their relative difference, as in `compare_outputs`.
     """
     if old == new:
         return "same bytes"
@@ -325,17 +336,18 @@ def compare_csv(old: str, new: str) -> str:
     if a[0] != b[0] or [len(r) for r in a] != [len(r) for r in b]:
         return "changes its structure: header or row lengths"
     header = a[0]
-    ints_same, others, worst, where = True, [], 0.0, None
+    moved, others, worst, where = [], [], 0.0, None
     for i, (row_a, row_b) in enumerate(zip(a[1:], b[1:]), start=1):
         for col, x, y in zip(header, row_a, row_b):
             if isinstance(x, float) and isinstance(y, float):
                 if x != y and abs(x - y) / max(abs(x), abs(y)) > worst:
                     worst, where = abs(x - y) / max(abs(x), abs(y)), f"{col}, row {i}"
             elif isinstance(x, int) and isinstance(y, int):
-                ints_same &= x == y
+                if x != y:
+                    moved.append(f"{col}, row {i}: {x} -> {y}")
             elif x != y:
                 others.append(f"{col}, row {i}")
-    parts = [f"integer cells {'identical' if ints_same else 'DIFFER'}"]
+    parts = [f"integer cells DIFFER ({'; '.join(moved)})" if moved else "integer cells identical"]
     if others:
         parts.append("other values differ: " + "; ".join(others[:5]))
     parts.append(f"largest relative float difference {worst:.1e}" + (f" ({where})" if where else ""))
@@ -347,7 +359,11 @@ def test_compare_csv_reports_integers_and_floats():
     assert compare_csv(old, old) == "same bytes"
     assert compare_csv(old, old.replace("-1.25", "-1.2500000001")) == (
         "changes: integer cells identical, largest relative float difference 8.0e-11 (theta_0, row 2)")
-    assert compare_csv(old, old.replace("1,6", "1,7")).startswith("changes: integer cells DIFFER")
+    assert compare_csv(old, old.replace("1,6", "1,7")).startswith(
+        "changes: integer cells DIFFER (n_selected, row 2: 6 -> 7)")
+    assert compare_csv(old, old.replace("0,5,-1.5", "0,4,-1.5").replace("1,6", "1,7")) == (
+        "changes: integer cells DIFFER (n_selected, row 1: 5 -> 4; n_selected, row 2: 6 -> 7), "
+        "largest relative float difference 0.0e+00")
     assert compare_csv(old, old + "2,7,-1.0\n") == "changes its structure: header or row lengths"
 
 

@@ -23,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import CountedMeasure
 from subsel.criteria import RobustContext, _b2, _robust_kernel, top_eigenpair, wiens_losses
 from subsel.errors import SingularMatrixError
 from subsel.model_core import CandidateGrid
@@ -111,15 +112,9 @@ def replay(ctx: RobustContext, traj, seed: int, n_init: int):
     """The weight path of a run, rebuilt from its chosen indices."""
     init = np.sort(CounterRng(seed).sample_indices(ctx.n_grid, n_init))
     assert np.array_equal(traj.initial_indices, init)
-    xi = np.zeros(ctx.n_grid)
-    xi[init] = 1.0 / n_init
-    n = n_init
+    path = CountedMeasure(ctx.n_grid, init)
     for step in traj.steps:
-        e = np.zeros(ctx.n_grid)
-        e[step.chosen_index] = 1.0
-        xi = (n * xi + e) / (n + 1.0)
-        n += 1
-        yield step, xi
+        yield step, path.add(step.chosen_index)
 
 
 @given(
@@ -279,16 +274,13 @@ def oracle_path(ctx: RobustContext, n_init: int, n_target: int, seed: int):
     index, the support size, the weights after the step, and whether the top
     two scores are further apart than the scores' tolerance."""
     q = ctx.q_matrix
-    xi = np.zeros(ctx.n_grid)
-    xi[np.sort(CounterRng(seed).sample_indices(ctx.n_grid, n_init))] = 1.0 / n_init
-    for n in range(n_init, n_target):
-        scores = oracle_scores(q, xi, ctx.nu)
+    path = CountedMeasure(ctx.n_grid, np.sort(CounterRng(seed).sample_indices(ctx.n_grid, n_init)))
+    for _ in range(n_target - n_init):
+        scores = oracle_scores(q, path.weights, ctx.nu)
         top_two = np.sort(scores)[-2:]
         decisive = top_two[1] - top_two[0] > 1e-12 * float(np.max(np.abs(scores)))
         best = int(np.argmax(scores))
-        xi = xi * n
-        xi[best] += 1.0
-        xi /= n + 1
+        xi = path.add(best)
         yield best, int(np.count_nonzero(xi)), xi, decisive
 
 

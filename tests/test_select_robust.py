@@ -5,11 +5,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import CountedMeasure
 from subsel.criteria import RobustContext, wiens_losses
 from subsel.errors import InvalidInputError, SingularMatrixError
-from subsel.model_core import CandidateGrid
+from subsel.ingest_sim import build_grid
+from subsel.model_core import CandidateGrid, model_spec_from_config
 from subsel.rng import CounterRng
 from subsel.select_robust import run_wiens
+from test_golden import SEQDES_GRID, SEQDES_MODEL
 
 
 def ctx_on_line(nu: float, n_grid: int = 21) -> RobustContext:
@@ -38,14 +41,10 @@ def test_replayed_weight_evolution_stays_on_simplex():
     rng = CounterRng(seed)
     init = np.sort(rng.sample_indices(ctx.n_grid, n_init))
     assert np.array_equal(traj.initial_indices, init)
-    xi = np.zeros(ctx.n_grid)
-    xi[init] = 1.0 / n_init
-    n = n_init
+    path = CountedMeasure(ctx.n_grid, init)
+    xi = None
     for step, digest in zip(traj.steps, hashes, strict=True):
-        e = np.zeros(ctx.n_grid)
-        e[step.chosen_index] = 1.0
-        xi = (n * xi + e) / (n + 1.0)
-        n += 1
+        xi = path.add(step.chosen_index)
         assert abs(xi.sum() - 1.0) <= 1e-12
         assert np.all(xi >= 0.0)
         assert hashlib.sha256(xi.tobytes()).hexdigest() == digest
@@ -189,3 +188,22 @@ def test_confounder_axes_split_into_z_points():
     assert measure.x_points.shape == (10, 1)
     assert measure.z_points.shape == (10, 1)
     assert np.array_equal(measure.z_points[:, 0], pts[:, 1])
+
+
+def test_ties_between_identical_grid_rows_go_to_the_lowest_index():
+    # the golden `subsel robust` run: its basis reads x alone, so the 11 grid points of an x level share one
+    # F row, and in 30 of the 31 x levels their Q rows are equal in bits (QR leaves the first level's rows
+    # ulps apart); among points with Q rows and counts equal in bits the step must pick the lowest index
+    grid = build_grid(SEQDES_GRID["axes"], z_axes=SEQDES_GRID["z_axes"])
+    ctx = RobustContext.from_grid(model_spec_from_config(SEQDES_MODEL), grid, 0.5)
+    _, traj = run_wiens(ctx, n_init=ctx.p + 1, n_target=ctx.p + 301, seed=4)
+    bits = np.ascontiguousarray(ctx.q_matrix).view(np.int64)
+    path = CountedMeasure(ctx.n_grid, traj.initial_indices)
+    ties = 0
+    for step in traj.steps:
+        c = step.chosen_index
+        tied = np.all(bits == bits[c], axis=1) & (path.counts == path.counts[c])
+        assert not tied[:c].any(), f"iteration {step.iteration} picks {c} over {np.flatnonzero(tied[:c])}"
+        ties += bool(tied[c + 1:].any())
+        path.add(c)
+    assert ties > 0
