@@ -1,5 +1,5 @@
-"""Design criteria: classical optimality values, optimality verification,
-minimax-robust losses, and bias/confounder-aware variants.
+"""Design criteria: classical D/A/I values, the equivalence check, the
+minimax-robust Inu/Dnu losses, and the bias- and confounder-aware traceR/detR.
 
 Conventions used throughout:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +31,12 @@ from .model_core import (
     DesignMeasure,
     InformationMatrix,
     ModelSpec,
-    as_columns,
     information_matrix,
     model_matrix,
 )
 
 _RANK_TOL = 1e-9
 _TIE_TOL = 1e-10
-_MONTEPIEDRA_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CriterionValue:
@@ -443,140 +441,3 @@ def det_r_bias(m: InformationMatrix, bias: BiasSpec) -> CriterionValue:
 def det_r_conf(m: InformationMatrix, bias: BiasSpec) -> CriterionValue:
     """det(M11^-1) (1 + (n/sigma)^2 phi' M31 M11^-1 M13 phi)."""
     return _det_r(m, bias, m.m13, bias.phi, "detR_conf", "confounder_penalty")
-
-
-@dataclass(frozen=True)
-class BiasConstrainedVerdict:
-    """Outcome of the bias-constrained optimality condition."""
-
-    ok: bool
-    worst_point: np.ndarray
-    max_lhs: float
-    bound: float
-
-
-def montepiedra_check(
-    spec: ModelSpec,
-    design: DesignMeasure,
-    bias: BiasSpec,
-    budget: float,
-    lambda_star: float,
-    grid: CandidateGrid,
-) -> BiasConstrainedVerdict:
-    """Check the bias-constrained D-optimality condition over a grid.
-
-    With d1(x) = f' M11^-1 f, r(x) = (n/sigma) psi' h(x),
-    c(x) = sum_j w_j f(x)' M11^-1 f(x_j), and d2(x) = c(x)^2 - 2 c(x) r(x),
-    the design satisfies the condition when
-
-        d1(x) + lambda_star * d2(x) <= p - lambda_star * budget
-
-    for every grid point x, within _MONTEPIEDRA_TOL.  Returns the verdict plus the worst point
-    (argmax of the left side; ties break to the lowest index).
-    """
-    if lambda_star < 0.0:
-        raise InvalidInputError("lambda_star must be non-negative")
-    m = information_matrix(spec, design)
-    m11_inv, _ = _bias_blocks(m, bias)
-
-    # only the f and h blocks are needed, and the grid may carry no z part
-    fh_spec = ModelSpec(f_basis=spec.f_basis, p=spec.p, h_basis=spec.h_basis, m=spec.m)
-    rows = model_matrix(fh_spec, grid.x_part())
-    rows_f = np.ascontiguousarray(rows[:, : spec.p])
-    rows_h = np.ascontiguousarray(rows[:, spec.p :])
-
-    d1 = np.einsum("ij,jk,ik->i", rows_f, m11_inv, rows_f)
-    # c(x) is linear in the design's weighted f average
-    f_design = model_matrix(spec, design.x_points, design.z_points)[:, : spec.p]
-    fbar = design.weights @ f_design
-    c = rows_f @ (m11_inv @ fbar)
-    r = bias.ratio * (rows_h @ bias.psi) if spec.m else np.zeros(grid.n_points)
-    lhs = d1 + lambda_star * (c * c - 2.0 * c * r)
-    bound = spec.p - lambda_star * budget
-    worst = int(np.argmax(lhs))
-    ok = bool(lhs[worst] <= bound + _MONTEPIEDRA_TOL)
-    return BiasConstrainedVerdict(
-        ok=ok, worst_point=grid.points[worst].copy(), max_lhs=float(lhs[worst]), bound=float(bound)
-    )
-
-
-# ---------------------------------------------------------------------------
-# confounder game
-
-
-def _confounder_bilinear(spec: ModelSpec, x_points: np.ndarray, z_points: np.ndarray, phi: np.ndarray) -> float:
-    n = x_points.shape[0]
-    rows = model_matrix(spec, x_points, z_points)
-    f = rows[:, : spec.p]
-    g = rows[:, spec.p + spec.m :]
-    m11 = f.T @ f / n
-    m11_inv, _ = _sym_inverse(m11, "empirical M11")
-    u = g @ np.asarray(phi, dtype=float)
-    t = f.T @ u / n
-    return float(t @ m11_inv @ m11_inv @ t)
-
-
-def confounder_loss(spec: ModelSpec, data_points, assignment, bias: BiasSpec) -> float:
-    """Squared bias pushed into the regression estimate by one confounder
-    assignment: phi' G'F M11^-2 F'G phi over the empirical measure."""
-    if spec.q == 0:
-        raise InvalidInputError("model has no confounder terms")
-    xs = as_columns(data_points)
-    zs = as_columns(assignment)
-    if zs.shape[0] != xs.shape[0]:
-        raise InvalidInputError("assignment must give one z per data point")
-    if bias.phi.size != spec.q:
-        raise InvalidInputError("phi length does not match the model's q")
-    return _confounder_bilinear(spec, xs, zs, bias.phi)
-
-
-def confounder_expected_worst(
-    spec: ModelSpec,
-    data_points,
-    assignments: Sequence,
-    probabilities: Sequence[float],
-    phi_candidates: Sequence,
-) -> tuple[float, list[float]]:
-    """E over assignments of the max over candidate phi of the loss.
-
-    assignments is a finite list of z-assignments with probabilities summing
-    to 1; phi_candidates a finite list of coefficient vectors.  Returns the
-    expectation and the per-assignment worst-case values.
-    """
-    probs = np.asarray(probabilities, dtype=float).ravel()
-    if probs.size != len(assignments):
-        raise InvalidInputError("one probability per assignment is required")
-    if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-        raise InvalidInputError("probabilities must be non-negative and sum to 1")
-    if not phi_candidates:
-        raise InvalidInputError("at least one phi candidate is required")
-    xs = as_columns(data_points)
-    worst: list[float] = []
-    for za in assignments:
-        zs = as_columns(za)
-        vals = [_confounder_bilinear(spec, xs, zs, np.atleast_1d(phi)) for phi in phi_candidates]
-        worst.append(max(vals))
-    return float(np.dot(probs, worst)), worst
-
-
-def confounder_minimax(
-    spec: ModelSpec,
-    data_points,
-    assignment_distributions: Sequence[tuple[Sequence, Sequence[float]]],
-    phi_candidates: Sequence,
-) -> tuple[float, int]:
-    """Min over candidate assignment distributions of the expected worst case.
-
-    Each distribution is a pair (assignments, probabilities).  Returns the
-    minimal value and the index of the minimizing distribution (lowest index
-    on ties).
-    """
-    if not assignment_distributions:
-        raise InvalidInputError("at least one assignment distribution is required")
-    best_val = None
-    best_idx = -1
-    for i, (assigns, probs) in enumerate(assignment_distributions):
-        val, _ = confounder_expected_worst(spec, data_points, assigns, probs, phi_candidates)
-        if best_val is None or val < best_val:
-            best_val, best_idx = val, i
-    return float(best_val), best_idx

@@ -18,14 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subsel.criteria import montepiedra_check
 from subsel.errors import InvalidInputError
 from subsel.model_core import (
-    BiasSpec,
-    CandidateGrid,
-    DesignMeasure,
     ModelSpec,
-    json_ready,
     model_matrix,
     polynomial_basis,
     trig_basis,
@@ -222,21 +217,6 @@ def test_builtin_bases_take_the_whole_array_path(monkeypatch):
     monkeypatch.setattr(model_core, "_eval_block", whole_array_only)
     for ((spec, _), x), rows in zip(cases, want):
         assert model_matrix(spec, x, zs if spec.q else None).tobytes() == rows.tobytes()
-
-
-def test_montepiedra_check_matches_per_point_bases():
-    f_fn, p = polynomial_basis(degree=2, scale=0.5)
-    h_fn, m = trig_basis("sin", (1.0, 0.0, 0.0), amplitude=0.35)
-    spec = ModelSpec(f_basis=f_fn, p=p, h_basis=h_fn, m=m)
-    scalar = ModelSpec(f_basis=_scalar_poly(2, True, 1, 0.5), p=p,
-                       h_basis=_scalar_trig("sin", (1.0, 0.0, 0.0), 0.35), m=m)
-    design = DesignMeasure([[-1.0], [-0.2], [0.4], [1.0]], [0.3, 0.2, 0.2, 0.3])
-    bias = BiasSpec(psi=[0.7], phi=[], sigma=2.0, n_total=6)
-    grid = CandidateGrid.from_axes({"x": np.linspace(-1.3, 1.3, 57)})
-    got = montepiedra_check(spec, design, bias, budget=0.05, lambda_star=0.8, grid=grid)
-    want = montepiedra_check(scalar, design, bias, budget=0.05, lambda_star=0.8, grid=grid)
-    assert json_ready(got) == json_ready(want)
-    assert got.max_lhs == want.max_lhs
 
 
 def test_powers_follow_python_pow_on_many_values():

@@ -6,11 +6,11 @@ Checks whose module test already has a validation test are tested there.
 import numpy as np
 import pytest
 
-from subsel.criteria import effective_rank, montepiedra_check
+from subsel.criteria import effective_rank
 from subsel.errors import EmptyDatasetError, InvalidInputError
 from subsel.estimation import fit_ols, predict_classify
 from subsel.ingest_sim import Dataset
-from subsel.model_core import BiasSpec, CandidateGrid, InformationMatrix, ModelSpec, polynomial_basis, uniform_design
+from subsel.model_core import InformationMatrix
 from subsel.rng import CounterRng
 
 POINTS = np.array([[-1.0], [0.0], [1.0]])
@@ -19,13 +19,6 @@ NAN = float("nan")
 
 def line_fit():
     return fit_ols(np.column_stack([np.ones(3), POINTS[:, 0]]), [0.0, 1.0, 1.0])
-
-
-def montepiedra_with_lambda(lambda_star):
-    fn, p = polynomial_basis(1)
-    bias = BiasSpec(psi=[], phi=[], sigma=1.0, n_total=10)
-    grid = CandidateGrid(np.linspace(-1.0, 1.0, 5))
-    return montepiedra_check(ModelSpec(f_basis=fn, p=p), uniform_design([-1.0, 1.0]), bias, 0.0, lambda_star, grid)
 
 
 @pytest.mark.parametrize("call, exc, message", [
@@ -65,8 +58,6 @@ def montepiedra_with_lambda(lambda_star):
     pytest.param(lambda: CounterRng(1.5), InvalidInputError, "seed must be an integer", id="CounterRng-seed"),
     pytest.param(lambda: CounterRng(0).u64_array(-1), InvalidInputError, "non-negative", id="u64_array-negative"),
     pytest.param(lambda: CounterRng(0).normal(3, sd=0.0), InvalidInputError, "sd must be positive", id="normal-sd-0"),
-    pytest.param(lambda: montepiedra_with_lambda(-1.0), InvalidInputError,
-                 "lambda_star must be non-negative", id="montepiedra-lambda"),
 ])
 def test_bad_argument_is_refused(call, exc, message):
     with pytest.raises(exc, match=message):

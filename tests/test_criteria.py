@@ -10,16 +10,12 @@ import scipy.linalg
 from subsel.criteria import (
     RobustContext,
     a_criterion,
-    confounder_expected_worst,
-    confounder_loss,
-    confounder_minimax,
     d_criterion,
     design_weights_on_grid,
     det_r_bias,
     det_r_conf,
     get_check,
     i_criterion,
-    montepiedra_check,
     top_eigenpair,
     trace_r,
     variance_profile,
@@ -425,153 +421,9 @@ def test_bias_mismatched_dimensions_raise():
         trace_r(mat, BiasSpec(psi=[1.0, 2.0], phi=[], sigma=1.0, n_total=10))
 
 
-def test_montepiedra_uniform_endpoints_satisfies_bound():
-    # f = (1, x), uniform on {-1, 1}, h = x^2, psi = 1, ratio = 1:
-    # lhs(x) = 2 - x^2 <= 2 = p - lambda * budget with budget = 0
-    spec = contaminated_spec()
-    design = uniform_design([[-1.0], [1.0]])
-    bias = BiasSpec(psi=[1.0], phi=[], sigma=1.0, n_total=1)
-    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 41)})
-    verdict = montepiedra_check(spec, design, bias, budget=0.0, lambda_star=1.0, grid=grid)
-    assert verdict.ok
-    assert verdict.max_lhs == pytest.approx(2.0)
-    assert verdict.bound == pytest.approx(2.0)
-    assert verdict.worst_point[0] == pytest.approx(0.0)
-
-
-def test_montepiedra_direct_summation_oracle():
-    rng = CounterRng(29)
-    spec = contaminated_spec()
-    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 21)})
-    x = np.array([-1.0, -0.4, 0.3, 1.0])
-    w = 0.1 + rng.uniform(4)
-    w = w / w.sum()
-    design = DesignMeasure(points=x[:, None], weights=w)
-    bias = BiasSpec(psi=[0.7], phi=[], sigma=2.0, n_total=6)
-    lam = 0.8
-    budget = 0.05
-    mat = information_matrix(spec, design)
-    m11_inv = np.linalg.inv(mat.m11)
-
-    def f(v):
-        return np.array([1.0, v])
-
-    lhs = []
-    for g in grid.points[:, 0]:
-        d1 = f(g) @ m11_inv @ f(g)
-        c = sum(w[i] * (f(g) @ m11_inv @ f(x[i])) for i in range(4))
-        r = bias.ratio * 0.7 * g**2
-        lhs.append(d1 + lam * (c * c - 2 * c * r))
-    lhs = np.array(lhs)
-    verdict = montepiedra_check(spec, design, bias, budget=budget, lambda_star=lam, grid=grid)
-    assert verdict.max_lhs == pytest.approx(float(lhs.max()), rel=1e-12)
-    assert verdict.bound == pytest.approx(2.0 - lam * budget)
-    assert verdict.ok == bool(lhs.max() <= verdict.bound + 1e-9)
-    assert verdict.worst_point[0] == pytest.approx(grid.points[int(np.argmax(lhs)), 0])
-
-
-def test_montepiedra_tightened_budget_fails():
-    spec = contaminated_spec()
-    design = uniform_design([[-1.0], [1.0]])
-    bias = BiasSpec(psi=[1.0], phi=[], sigma=1.0, n_total=1)
-    grid = CandidateGrid.from_axes({"x": np.linspace(-1, 1, 41)})
-    verdict = montepiedra_check(spec, design, bias, budget=0.5, lambda_star=1.0, grid=grid)
-    assert not verdict.ok
-    assert verdict.bound == pytest.approx(1.5)
-
-
-# ---------------------------------------------------------------------------
-# confounder game
-
-
-def confounder_oracle(spec, xs, zs, phi):
-    """Direct dense evaluation of the squared-bias quadratic form."""
-    xs = np.asarray(xs, dtype=float)[:, None]
-    zs = np.asarray(zs, dtype=float)[:, None]
-    n = xs.shape[0]
-    rows = model_matrix(spec, xs, zs)
-    f = rows[:, : spec.p]
-    g = rows[:, spec.p + spec.m:]
-    m11 = f.T @ f / n
-    t = f.T @ (g @ np.atleast_1d(phi)) / n
-    sol = np.linalg.solve(m11, t)
-    return float(sol @ sol)
-
-
 def confounded_spec() -> ModelSpec:
     f, p = polynomial_basis(degree=1)
     return ModelSpec(f_basis=f, p=p, g_basis=lambda z: z[:, :1], q=1)
-
-
-def test_confounder_loss_hand_checked():
-    spec = confounded_spec()
-    bias = BiasSpec(psi=[], phi=[1.0], sigma=1.0, n_total=2)
-    # orthogonal assignment: F = [[1,-1],[1,1]], u = (1,-1) => loss 1
-    assert confounder_loss(spec, [-1.0, 1.0], [1.0, -1.0], bias) == pytest.approx(1.0)
-    loss = confounder_loss(spec, [0.0, 1.0], [1.0, -1.0], bias)
-    assert loss == pytest.approx(confounder_oracle(spec, [0.0, 1.0], [1.0, -1.0], [1.0]), rel=1e-12)
-
-
-def test_confounder_loss_matches_oracle_randomized():
-    rng = CounterRng(31)
-    spec = confounded_spec()
-    for _ in range(20):
-        xs = rng.uniform(5) * 2 - 1
-        zs = rng.uniform(5) * 2 - 1
-        phi = [float(rng.normal(1)[0])]
-        bias = BiasSpec(psi=[], phi=phi, sigma=1.0, n_total=5)
-        got = confounder_loss(spec, xs, zs, bias)
-        assert got == pytest.approx(confounder_oracle(spec, xs, zs, phi), rel=1e-9)
-
-
-def test_confounder_expected_worst_enumeration():
-    spec = confounded_spec()
-    xs = [0.0, 1.0]
-    assigns = [[1.0, 1.0], [1.0, -1.0]]
-    phis = [[1.0], [-0.5]]
-    val, worst = confounder_expected_worst(spec, xs, assigns, [0.25, 0.75], phis)
-    # oracle: per-assignment max over phi candidates, then expectation
-    expect_worst = [
-        max(confounder_oracle(spec, xs, za, ph) for ph in phis) for za in assigns
-    ]
-    assert worst == pytest.approx(expect_worst, rel=1e-12)
-    assert val == pytest.approx(0.25 * expect_worst[0] + 0.75 * expect_worst[1], rel=1e-12)
-
-
-def test_confounder_minimax_picks_constant_assignment():
-    # on x = (0, 1) the constant z assignment leaks less bias than the
-    # alternating one (hand check: losses 1 vs 5)
-    spec = confounded_spec()
-    xs = [0.0, 1.0]
-    dists = [
-        ([[1.0, -1.0]], [1.0]),
-        ([[1.0, 1.0]], [1.0]),
-    ]
-    val, idx = confounder_minimax(spec, xs, dists, [[1.0]])
-    assert idx == 1
-    assert val == pytest.approx(1.0)
-    assert confounder_loss(
-        spec, xs, [1.0, -1.0], BiasSpec(psi=[], phi=[1.0], sigma=1.0, n_total=2)
-    ) == pytest.approx(5.0)
-
-
-def test_confounder_validation():
-    spec = confounded_spec()
-    with pytest.raises(InvalidInputError):
-        confounder_loss(line_spec(), [0.0, 1.0], [1.0, 1.0],
-                        BiasSpec(psi=[], phi=[1.0], sigma=1.0, n_total=2))
-    with pytest.raises(InvalidInputError):
-        confounder_expected_worst(spec, [0.0, 1.0], [[1.0, 1.0]], [0.5], [[1.0]])
-    with pytest.raises(InvalidInputError):
-        confounder_minimax(spec, [0.0, 1.0], [], [[1.0]])
-    with pytest.raises(InvalidInputError, match="one z per data point"):
-        confounder_loss(spec, [0.0, 1.0], [1.0], BiasSpec(psi=[], phi=[1.0], sigma=1.0, n_total=2))
-    with pytest.raises(InvalidInputError, match="phi length"):
-        confounder_loss(spec, [0.0, 1.0], [1.0, 1.0], BiasSpec(psi=[], phi=[1.0, 2.0], sigma=1.0, n_total=2))
-    with pytest.raises(InvalidInputError, match="one probability per assignment"):
-        confounder_expected_worst(spec, [0.0, 1.0], [[1.0, 1.0]], [0.5, 0.5], [[1.0]])
-    with pytest.raises(InvalidInputError, match="at least one phi candidate"):
-        confounder_expected_worst(spec, [0.0, 1.0], [[1.0, 1.0]], [1.0], [])
 
 
 def test_variance_profile_vectorization_matches_scalar():

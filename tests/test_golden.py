@@ -256,6 +256,11 @@ def _field(path) -> str:
     return next((part for part in reversed(path) if isinstance(part, str)), "")
 
 
+def _sorted_paths(keys) -> list[str]:
+    """Leaf paths as text, list indices compared as numbers: steps/11 comes before steps/100."""
+    return ["/".join(map(str, k)) for k in sorted(keys, key=lambda k: [(isinstance(p, str), p) for p in k])]
+
+
 def compare_outputs(old, new) -> str:
     """One line saying how a stored output's parsed JSON `new` differs from `old`.
 
@@ -268,7 +273,7 @@ def compare_outputs(old, new) -> str:
         return "same values, different bytes"
     a, b = dict(_leaves(old)), dict(_leaves(new))
     if a.keys() != b.keys():
-        return "changes its structure: " + ", ".join(sorted("/".join(map(str, k)) for k in a.keys() ^ b.keys())[:5])
+        return "changes its structure: " + ", ".join(_sorted_paths(a.keys() ^ b.keys())[:5])
     parts, indices = [], set()
     for label, suffix in (("selection indices", "indices"), ("grid indices", "index")):
         keys = [k for k in a if _field(k).endswith(suffix)]
@@ -283,8 +288,8 @@ def compare_outputs(old, new) -> str:
             rel = abs(x - y) / max(abs(x), abs(y))
             if rel > worst:
                 worst, where = rel, "/".join(map(str, k))
-    other = sorted("/".join(map(str, k)) for k in a.keys() - indices
-                   if a[k] != b[k] and not (isinstance(a[k], float) and isinstance(b[k], float)))
+    other = _sorted_paths(k for k in a.keys() - indices
+                          if a[k] != b[k] and not (isinstance(a[k], float) and isinstance(b[k], float)))
     if other:
         parts.append("other values differ: " + ", ".join(other[:5]))
     parts.append(f"largest relative float difference {worst:.1e}" + (f" ({where})" if where else ""))
@@ -311,6 +316,15 @@ def test_compare_outputs_reports_indices_and_floats():
         "other values differ: trajectory/steps/0/weights_sha256, "
         "largest relative float difference 4.4e-16 (trace/steps/0/utility)")
     assert compare_outputs({"indices": [1]}, {"indices": [1], "det": 1.0}) == "changes its structure: det"
+    steps = [{"weights_sha256": "a"} for _ in range(101)]
+    moved = json.loads(json.dumps(steps))
+    moved[11]["weights_sha256"] = moved[100]["weights_sha256"] = "b"
+    assert compare_outputs({"steps": steps}, {"steps": moved}) == (
+        "changes: other values differ: steps/11/weights_sha256, steps/100/weights_sha256, "
+        "largest relative float difference 0.0e+00")
+    assert compare_outputs({"steps": steps[:12]}, {"steps": steps}) == (
+        "changes its structure: steps/12/weights_sha256, steps/13/weights_sha256, steps/14/weights_sha256, "
+        "steps/15/weights_sha256, steps/16/weights_sha256")
 
 
 def _cell(text: str):
@@ -325,14 +339,20 @@ def _cell(text: str):
 def compare_csv(old: str, new: str) -> str:
     """One line saying how the CSV text `new` differs from `old`.
 
-    Integer cells (iteration counters, row indices) are compared exactly and
+    A file that holds the same header and the same data lines in another
+    order is named a reorder, with its first moved data rows.  Otherwise
+    integer cells (iteration counters, row indices) are compared exactly and
     each moved one is named by (column, row), old -> new; float cells by
     their relative difference, as in `compare_outputs`.
     """
     if old == new:
         return "same bytes"
-    a = [[_cell(c) for c in line.split(",")] for line in old.splitlines()]
-    b = [[_cell(c) for c in line.split(",")] for line in new.splitlines()]
+    lines_a, lines_b = old.splitlines(), new.splitlines()
+    if lines_a != lines_b and lines_a[0] == lines_b[0] and sorted(lines_a) == sorted(lines_b):
+        moved = [str(i) for i, (x, y) in enumerate(zip(lines_a[1:], lines_b[1:]), start=1) if x != y]
+        return f"same rows, reordered ({len(moved)} data rows moved, first: {', '.join(moved[:5])})"
+    a = [[_cell(c) for c in line.split(",")] for line in lines_a]
+    b = [[_cell(c) for c in line.split(",")] for line in lines_b]
     if a[0] != b[0] or [len(r) for r in a] != [len(r) for r in b]:
         return "changes its structure: header or row lengths"
     header = a[0]
@@ -365,6 +385,10 @@ def test_compare_csv_reports_integers_and_floats():
         "changes: integer cells DIFFER (n_selected, row 1: 5 -> 4; n_selected, row 2: 6 -> 7), "
         "largest relative float difference 0.0e+00")
     assert compare_csv(old, old + "2,7,-1.0\n") == "changes its structure: header or row lengths"
+    swapped = "iteration,n_selected,theta_0\n1,6,-1.25\n0,5,-1.5\n"
+    assert compare_csv(old, swapped) == "same rows, reordered (2 data rows moved, first: 1, 2)"
+    assert compare_csv(old + "2,7,-1.0\n", swapped + "2,7,-1.0\n") == (
+        "same rows, reordered (2 data rows moved, first: 1, 2)")
 
 
 def compare_artifact(name: str, old: bytes, new: bytes) -> str:
