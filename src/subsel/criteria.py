@@ -8,6 +8,8 @@ Conventions used throughout:
 * A measure supported on k_eff informative directions is optimal exactly
   when max over the grid of d equals k_eff; the check is two-sided because
   the weighted average of d over the support always equals the rank.
+* Every eigendecomposition of one symmetric matrix goes through `_eigh`,
+  which raises SingularMatrixError on a non-finite eigenpair.
 * Matrices that must be inverted go through a guarded symmetric eigensolve:
   condition number above 1e12 (or a non-positive eigenvalue) raises
   SingularMatrixError carrying the smallest eigenvalue; the robust gram
@@ -23,6 +25,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+try:  # the LAPACK gufunc behind np.linalg.eigh (lower triangle), which `import numpy` loads
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
+except ImportError:  # not run under tier-1: every numpy this package supports has the private gufunc
+    _eigh_lo = np.linalg.eigh  # not run under tier-1: every numpy this package supports has the private gufunc
 
 from .errors import EIG_FLOOR, ConfigError, InvalidInputError, SingularMatrixError, check_conditioning
 from .model_core import (
@@ -47,6 +54,19 @@ class CriterionValue:
     meta: dict
 
 
+def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh's (eigenvalues ascending, eigenvector columns) of one symmetric float64 matrix, bit
+    for bit, from the LAPACK gufunc it wraps (lower triangle) without the wrapper's checks, errstate and
+    result tuple.  Raises SingularMatrixError when an eigenvalue or eigenvector entry is not finite: a NaN
+    or inf entry (a 2 x 2 NaN can leave the eigenvalues finite) or LAPACK's non-convergence, which the
+    gufunc returns as NaN.  Unit eigenvectors have a finite sum exactly when every entry is finite."""
+    eigvals, eigvecs = _eigh_lo(sym)
+    if not (all(map(math.isfinite, eigvals.tolist())) and math.isfinite(sum(eigvecs.ravel().tolist()))):
+        raise SingularMatrixError(f"a {eigvals.size} x {eigvals.size} symmetric matrix has a non-finite eigenvalue "
+                                  "or eigenvector (a NaN or inf entry, or no convergence)")
+    return eigvals, eigvecs
+
+
 def _sym_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of a symmetric PSD matrix with a hard condition guard.
 
@@ -55,7 +75,7 @@ def _sym_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     (`check_conditioning`).
     """
     sym = (mat + mat.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    eigvals, eigvecs = _eigh(sym)
     check_conditioning(eigvals, what)
     inv = (eigvecs / eigvals) @ eigvecs.T
     return (inv + inv.T) / 2.0, eigvals
@@ -254,7 +274,7 @@ def top_eigenpair(sym: np.ndarray) -> tuple[float, np.ndarray]:
     is the lexicographically largest |v| among the tied columns, then
     sign-normalized so its first non-negligible component is positive.
     """
-    eigvals, eigvecs = np.linalg.eigh((sym + sym.T) / 2.0)
+    eigvals, eigvecs = _eigh((sym + sym.T) / 2.0)
     vals = eigvals.tolist()
     lam = vals[-1]
     thresh = _TIE_TOL * max(1.0, abs(lam))
@@ -298,13 +318,13 @@ class _RobustParts(NamedTuple):
 
 
 def _robust_gram(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustGram:
-    """The one evaluation of R, its eigendecomposition and R^-1/2, summed over the support: `q` and `xi`
-    are its rows and positive weights in ascending grid order.  Raises SingularMatrixError when the
-    smallest eigenvalue of R is below EIG_FLOOR; for orthonormal Q and simplex weights lambda_max(R) <= 1,
-    so this rejects every R whose condition number exceeds COND_LIMIT."""
+    """The one evaluation of R, its eigendecomposition (`_eigh`) and R^-1/2, summed over the support: `q`
+    and `xi` are its rows and positive weights in ascending grid order.  Raises SingularMatrixError when
+    the smallest eigenvalue of R is below EIG_FLOOR, or not finite (`_eigh`); for orthonormal Q and simplex
+    weights lambda_max(R) <= 1, so this rejects every R whose condition number exceeds COND_LIMIT."""
     dq = q * xi[:, None]
     r = dq.T.dot(q)  # ndarray.dot: the BLAS call of @, so the same bits, at half its overhead on p x p operands
-    r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
+    r_eigs, r_vecs = _eigh((r + r.T) / 2.0)
     smallest = float(r_eigs[0])
     if smallest < EIG_FLOOR:
         where = "" if iteration is None else f" at iteration {iteration}"

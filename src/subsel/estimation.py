@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import _sym_inverse
+from .criteria import _eigh, _sym_inverse
 from .errors import InvalidInputError, SeparationError, check_conditioning
 from .model_core import json_ready
 
@@ -261,7 +261,7 @@ def fit_logistic(x, y: np.ndarray | None = None, theta0: np.ndarray | None = Non
             converged = True
             iters -= 1
             break
-        eigvals, eigvecs = np.linalg.eigh(info)
+        eigvals, eigvecs = _eigh(info)
         check_conditioning(eigvals, "weighted information matrix")
         step = eigvecs @ ((grad @ eigvecs) / eigvals)
         converged = float(grad @ step) < _DECREMENT_TOL

@@ -21,7 +21,9 @@ and the mass moves toward argmax_i T_i, ties to the lowest index.  The measure
 of n points is held as its counts, exact in float64, and weighted counts / n,
 so grid points whose Q rows and counts are equal in bits score equal in bits.
 R and its functions come from the kernel of criteria.wiens_losses, so each
-step's D-loss is wiens_losses of the measure before it, bit for bit.
+step's D-loss is wiens_losses of the measure before it, bit for bit; the
+step's two p x p eigendecompositions, of R and of Y'Y - R, go through
+criteria._eigh, the LAPACK call of np.linalg.eigh without its wrapper.
 
 Each step adds one count at one point, so the loop holds the sorted support,
 its counts and rows in buffers for every point the support can reach (a new

@@ -50,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .criteria import RobustContext, _b2, _robust_gram, _sym_inverse
+from .criteria import RobustContext, _b2, _eigh, _robust_gram, _sym_inverse
 from .errors import (
     EIG_FLOOR,
     DegenerateColumnError,
@@ -376,7 +376,7 @@ class _RobustAugmenter:
         is at most the cut.
         """
         p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
-        eigs, vecs = np.linalg.eigh(base)
+        eigs, vecs = _eigh(base)
         l1, v = eigs[-1], vecs[:, -1]
         vu, cvu, avu = (u @ np.column_stack((v, c_mat @ v, r @ v))).T
         tau = k * uu + 2.0 * (beta * ucu - gamma * uau)

@@ -53,6 +53,13 @@ GUARDS = [
         "the last eigenvector column is taken as it is only when the top eigenvalue is simple",
     ),
     Guard(
+        "eigh-finite", "criteria.py",
+        "if not (all(map(math.isfinite, eigvals.tolist())) and math.isfinite(sum(eigvecs.ravel().tolist()))):",
+        "if False:",
+        "tests/test_eigh.py::test_a_non_finite_entry_raises",
+        "a NaN or inf entry, or LAPACK's non-convergence, raises, not NaN eigenpairs passed on",
+    ),
+    Guard(
         "basis-first-failing-point", "model_core.py",
         """        for i in range(n):
             for fn, pts, length, label in blocks:

@@ -205,6 +205,13 @@ def test_robust_gram_matrix_below_the_eigenvalue_floor_is_singular():
     assert info.value.smallest_eigenvalue < 1e-12
 
 
+def test_non_finite_gram_matrix_is_singular():
+    # a row of 1e200 overflows R to inf, whose eigenvalues come back NaN and would pass `< EIG_FLOOR`
+    q = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
+    with np.errstate(over="ignore"), pytest.raises(SingularMatrixError, match="non-finite eigenvalue"):
+        _robust_kernel(q, np.array([0.4, 0.4, 0.2]))
+
+
 def assert_close(got, want, rel: float = 1e-12) -> None:
     got, want = np.asarray(got), np.asarray(want)
     assert np.max(np.abs(got - want)) <= rel * max(float(np.max(np.abs(want))), 1e-300)
