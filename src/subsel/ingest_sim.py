@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -100,10 +101,12 @@ def load_csv(
     confounder.  Raises ConfigError for missing columns and
     EmptyDatasetError when no usable rows remain.
 
-    A file whose used cells are all finite numbers, quoted or not, is
-    parsed in one np.loadtxt pass; any other file is read again row by
-    row, which alone decides what is dropped or raised.  Both give the same
-    values.
+    Three readers give the same values.  A file whose data lines hold only
+    plain JSON numbers, commas and blanks, and exactly the header's count of
+    cells, is read by _load_blocks, a block of lines per JSON array.  Any
+    other file whose used cells are all finite numbers, quoted or not, is
+    parsed in one np.loadtxt pass; any other file is read again row by row,
+    which alone decides what is dropped or raised.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -131,8 +134,12 @@ def load_csv(
         raise ConfigError(f"columns {sorted(overlap)} claimed twice")
     pos = {name: header.index(name) for name in used}
 
-    arr = _load_plain(path, [pos[name] for name in used], header_lines) if used else None
-    dropped = 0
+    arr, dropped = None, 0
+    if used:
+        usecols = [pos[name] for name in used]
+        arr = _load_blocks(path, usecols, len(header), header_lines)
+        if arr is None:
+            arr = _load_plain(path, usecols, header_lines)
     if arr is None:
         arr, dropped = _load_rowwise(path, used, pos, strict)
     n_f = len(feature_columns)
@@ -151,6 +158,62 @@ def load_csv(
     )
 
 
+# The bytes a data block of _load_blocks may hold once its CRLF pairs are LF
+_NUMERIC_BYTES = b"0123456789.eE+-, \t\n"
+# JSON reads the integer token -0 as 0, where float() reads -0.0
+_NEG_ZERO = re.compile(rb"-0(?![0-9.eE])")
+# Blocks of 64 KB to 1 MB parse at one speed; a smaller block holds less memory while it is parsed
+_BLOCK_BYTES = 1 << 17
+
+
+def _load_blocks(path, usecols: list[int], width: int, header_lines: int) -> np.ndarray | None:
+    """The used columns of the rows after the first `header_lines` lines, read a block
+    of whole lines (about _BLOCK_BYTES) at a time as one JSON array, or None unless
+    every data line holds `width` JSON numbers, all finite, and there is at least one row.
+
+    A block holds only digits, '.', 'eE+-', commas, blanks and line breaks, so every
+    cell is a JSON number or is refused, and a JSON number reads as float() reads it:
+    orjson's float reader is correctly rounded.  A null closes every line, so a line
+    with more or fewer cells, or a blank line, puts a null off the last column or
+    fails to parse.  JSON reads the integer token -0 as +0, so a block that holds a
+    zero and that token is refused.  Any refusal leaves the file to _load_plain.
+    """
+    import orjson  # imported here: its import takes milliseconds every command would pay
+
+    blocks = []
+    with open(path, "rb") as fh:
+        for _ in range(header_lines):
+            # csv.reader ends a line at a lone CR too, which readline does not
+            if b"\r" in fh.readline().replace(b"\r\n", b""):
+                return None
+        tail = b""
+        while True:
+            chunk = fh.read(_BLOCK_BYTES)
+            block = tail + chunk
+            cut = block.rfind(b"\n") + 1 if chunk else len(block)
+            block, tail = block[:cut], block[cut:]
+            if b"\r" in block:  # a search for CRLF costs ten times one for CR
+                block = block.replace(b"\r\n", b"\n")
+            if block:
+                if block.translate(None, _NUMERIC_BYTES):
+                    return None
+                body = block.removesuffix(b"\n").replace(b"\n", b",null,")
+                try:
+                    arr = np.array(orjson.loads(b"[" + body + b",null]"), dtype=float)
+                except orjson.JSONDecodeError:  # a malformed number or line, or one that overflows
+                    return None
+                if arr.size % (width + 1):
+                    return None
+                arr = arr.reshape(-1, width + 1)
+                if not (np.isnan(arr[:, -1]).all() and np.isfinite(arr[:, :-1]).all()):
+                    return None
+                if not arr.all() and _NEG_ZERO.search(block):  # arr.all() fails only on a zero
+                    return None
+                blocks.append(arr[:, usecols])
+            if not chunk:
+                return np.concatenate(blocks) if blocks else None
+
+
 # Suffixes numpy decompresses when it opens a path; load_csv reads such a file as text
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -160,10 +223,12 @@ def _load_plain(path, usecols: list[int], header_lines: int) -> np.ndarray | Non
     one np.loadtxt pass, or None unless every used cell is a finite number
     and there is at least one row.
 
-    np.loadtxt reads a quoted cell as csv.reader does, a comma, newline or
-    doubled quote inside it included.  It reads a path in C chunks; a name
-    numpy would decompress is handed over as an open text file instead,
-    line by line.
+    load_csv runs it on a file _load_blocks refused: quoted cells, text in
+    an unused column, numbers JSON does not write ('+.5', '5.', '007'),
+    blank lines between the data, lone CRs.  np.loadtxt reads a quoted cell
+    as csv.reader does, a comma, newline or doubled quote inside it
+    included.  It reads a path in C chunks; a name numpy would decompress
+    is handed over as an open text file instead, line by line.
     """
     name = os.fspath(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -109,6 +109,36 @@ GUARDS = [
         "a warm logistic refit that raises falls back to the cold fit",
     ),
     Guard(
+        "csv-block-bytes", "ingest_sim.py",
+        "if block.translate(None, _NUMERIC_BYTES):",
+        "if False:",
+        "tests/test_ingest_properties.py::test_the_block_reader_refuses_what_json_reads_otherwise",
+        "the block reader takes only digits, '.eE+-', commas, blanks and line breaks: no JSON literal or string",
+    ),
+    Guard(
+        "csv-block-header-cr", "ingest_sim.py",
+        """            if b"\\r" in fh.readline().replace(b"\\r\\n", b""):
+                return None
+""",
+        "            fh.readline()\n",
+        "tests/test_ingest_properties.py::test_the_block_reader_refuses_what_json_reads_otherwise",
+        "a header line holding a lone CR is refused: csv.reader ends a line there and readline does not",
+    ),
+    Guard(
+        "csv-block-sentinel", "ingest_sim.py",
+        "np.isnan(arr[:, -1]).all() and ",
+        "",
+        "tests/test_ingest_properties.py::test_the_block_reader_refuses_what_json_reads_otherwise",
+        "every line's closing null lies in the last column, so a line holds exactly the header's count of cells",
+    ),
+    Guard(
+        "csv-block-negative-zero", "ingest_sim.py",
+        "not arr.all() and _NEG_ZERO.search(block)",
+        "False",
+        "tests/test_ingest_properties.py::test_the_block_reader_refuses_what_json_reads_otherwise",
+        "a block holding a zero and the token -0, which JSON reads as +0, is refused",
+    ),
+    Guard(
         "csv-header-lines", "ingest_sim.py",
         "skiprows=header_lines",
         "skiprows=1",

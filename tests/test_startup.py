@@ -34,6 +34,12 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_orjson():
+    # orjson's import takes milliseconds (it loads uuid and zoneinfo); only the CSV block reader needs it
+    out = _probe("import sys, subsel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'orjson'))")
+    assert out.stdout.strip() == "[]"
+
+
 def test_iboss_job_does_not_load_numpy_ma(tmp_path):
     # the distinct-index checks sort and compare neighbours; np.unique would
     # import numpy.ma (about 15 ms) inside every job
