@@ -89,14 +89,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _load_json(path):
+def _load_json(path, build=None):
+    """The JSON value in `path`, or what `build` makes of it.  A ValueError, TypeError or KeyError that
+    `build` raises on the file's values becomes a ConfigError that names the file; the package's own
+    errors pass as they are."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
+    try:
+        return obj if build is None else build(obj)
+    except SubselError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{path} is missing {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value in {path}: {exc}") from None
 
 
 def _emit(obj, out_path) -> None:
@@ -161,8 +172,7 @@ def _name_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-def _grid_from_json(path) -> CandidateGrid:
-    obj = _load_json(path)
+def _grid_of(obj) -> CandidateGrid:
     if not isinstance(obj, dict):
         raise ConfigError("grid file must hold a JSON object")
     if "axes" in obj:
@@ -183,26 +193,21 @@ def _default_data_grid(ds) -> CandidateGrid:
     return build_grid(axes)
 
 
-def _design_from_json(path) -> DesignMeasure:
-    obj = _load_json(path)
+def _design_of(obj) -> DesignMeasure:
     if not isinstance(obj, dict) or "points" not in obj or "weights" not in obj:
         raise ConfigError("design file needs 'points' and 'weights' entries")
     return DesignMeasure(obj["points"], obj["weights"], obj.get("z_points"))
 
 
-def _bias_from_json(path) -> BiasSpec:
-    obj = _load_json(path)
+def _bias_of(obj) -> BiasSpec:
     if not isinstance(obj, dict):
         raise ConfigError("bias file must hold a JSON object")
-    try:
-        return BiasSpec(
-            psi=np.asarray(obj.get("psi", []), dtype=float),
-            phi=np.asarray(obj.get("phi", []), dtype=float),
-            sigma=float(obj["sigma"]),
-            n_total=int(obj["n_total"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"bias file is missing {exc}") from None
+    return BiasSpec(
+        psi=np.asarray(obj.get("psi", []), dtype=float),
+        phi=np.asarray(obj.get("phi", []), dtype=float),
+        sigma=float(obj["sigma"]),
+        n_total=int(obj["n_total"]),
+    )
 
 
 def _dataset_from_args(resolved: dict):
@@ -270,14 +275,14 @@ def cmd_seqdes(args) -> int:
     resolved = _resolve(args, "input", "n_init", "n_target", "response")
     ds = _dataset_from_args(resolved)
     if resolved["grid"]:
-        grid = _grid_from_json(resolved["grid"])
+        grid = _load_json(resolved["grid"], _grid_of)
     else:
         grid = _default_data_grid(ds)
     if resolved["model"]:
-        spec = model_spec_from_config(_load_json(resolved["model"]))
+        spec = _load_json(resolved["model"], model_spec_from_config)
     else:
         spec = linear_spec(ds.features.shape[1])
-    bias = _bias_from_json(resolved["bias"]) if resolved["bias"] else None
+    bias = _load_json(resolved["bias"], _bias_of) if resolved["bias"] else None
     cfg = SeqConfig(
         n_init=resolved["n_init"],
         n_target=resolved["n_target"],
@@ -310,8 +315,8 @@ def cmd_seqdes(args) -> int:
 
 def cmd_robust(args) -> int:
     resolved = _resolve(args, "grid", "model", "nu", "iters")
-    grid = _grid_from_json(resolved["grid"])
-    spec = model_spec_from_config(_load_json(resolved["model"]))
+    grid = _load_json(resolved["grid"], _grid_of)
+    spec = _load_json(resolved["model"], model_spec_from_config)
     ctx = RobustContext.from_grid(spec, grid, resolved["nu"], full_rows=resolved["full_rows"])
     n_init = ctx.p + 1 if resolved["n_init"] is None else resolved["n_init"]
     measure, traj = run_wiens(
@@ -337,10 +342,10 @@ def cmd_robust(args) -> int:
 
 def cmd_criteria(args) -> int:
     resolved = _resolve(args, "model", "design", "names")
-    spec = model_spec_from_config(_load_json(resolved["model"]))
-    design = _design_from_json(resolved["design"])
-    grid = _grid_from_json(resolved["grid"]) if resolved["grid"] else None
-    bias = _bias_from_json(resolved["bias"]) if resolved["bias"] else None
+    spec = _load_json(resolved["model"], model_spec_from_config)
+    design = _load_json(resolved["design"], _design_of)
+    grid = _load_json(resolved["grid"], _grid_of) if resolved["grid"] else None
+    bias = _load_json(resolved["bias"], _bias_of) if resolved["bias"] else None
 
     records = []
     m = None
@@ -374,9 +379,9 @@ def cmd_criteria(args) -> int:
 
 def cmd_check_get(args) -> int:
     resolved = _resolve(args, "model", "design", "grid")
-    spec = model_spec_from_config(_load_json(resolved["model"]))
-    design = _design_from_json(resolved["design"])
-    grid = _grid_from_json(resolved["grid"])
+    spec = _load_json(resolved["model"], model_spec_from_config)
+    design = _load_json(resolved["design"], _design_of)
+    grid = _load_json(resolved["grid"], _grid_of)
     verdict = get_check(spec, design, grid, k_eff=resolved["k_eff"], tol=resolved["tol"])
     payload = {"command": "check-get", "verdict": json_ready(verdict), "resolved_config": resolved}
     _emit(payload, resolved["out"])

@@ -287,41 +287,32 @@ def top_eigenpair(sym: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, vec
 
 
-class _RobustGram(NamedTuple):
-    """R = Q'D(xi)Q over a support and what the sequential one-point augmentations and the loss part read of it."""
+class _RobustParts(NamedTuple):
+    """R = Q'D(xi)Q over a support and what every robust reader takes of it: the sandwich
+    C = R^-1/2 B R^-1/2 of B = Q'D(xi^2)Q, formed as Y'Y with Y = D(xi)Q_s R^-1/2 (exactly symmetric, and
+    without B), and the top eigenpair (lam, z) of C - R.  C - R equals R^1/2 (U - I) R^1/2 for
+    U = R^-1 B R^-1 but is formed without U, whose eigenproblem would square cond(R)."""
 
     dq: np.ndarray  # D(xi)Q_s for the support's rows Q_s and positive weights xi
     r: np.ndarray  # R
     r_eigs: np.ndarray  # eigenvalues of R, ascending, and their eigenvectors
     r_vecs: np.ndarray
     inv_root: np.ndarray  # R^-1/2
-
-
-def _b2(q: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """B = Q'D(xi^2)Q over support rows `q` and weights `xi`, which the loss part does without."""
-    return (q * (xi * xi)[:, None]).T @ q
-
-
-class _RobustParts(NamedTuple):
-    """What the robust losses and their gradient read of R: its gram part and the loss part, the top
-    eigenpair (lam, z) of the sandwich C - R, C = R^-1/2 B R^-1/2 for B = Q'D(xi^2)Q formed as Y'Y with
-    Y = D(xi)Q_s R^-1/2: exactly symmetric, and without B.  C - R equals R^1/2 (U - I) R^1/2 for
-    U = R^-1 B R^-1 but is formed without U, whose eigenproblem would square cond(R)."""
-
-    gram: _RobustGram
+    c: np.ndarray  # C = Y'Y
     lam: float  # top eigenpair (lam, z) of C - R
     z: np.ndarray
 
     def dnu(self, nu: float) -> float:
-        det_r = math.prod(self.gram.r_eigs.tolist())  # the same left-to-right product as np.prod
-        return float(((1.0 - nu + nu * self.lam) / det_r) ** (1.0 / self.gram.r_eigs.size))
+        det_r = math.prod(self.r_eigs.tolist())  # the same left-to-right product as np.prod
+        return float(((1.0 - nu + nu * self.lam) / det_r) ** (1.0 / self.r_eigs.size))
 
 
-def _robust_gram(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustGram:
-    """The one evaluation of R, its eigendecomposition (`_eigh`) and R^-1/2, summed over the support: `q`
-    and `xi` are its rows and positive weights in ascending grid order.  Raises SingularMatrixError when
-    the smallest eigenvalue of R is below EIG_FLOOR, or not finite (`_eigh`); for orthonormal Q and simplex
-    weights lambda_max(R) <= 1, so this rejects every R whose condition number exceeds COND_LIMIT."""
+def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
+    """The one evaluation of R and its functions behind every robust value (`run_wiens`, `wiens_losses`
+    and the sequential Inu/Dnu scorer), summed over the support: `q` and `xi` are its rows and positive
+    weights in ascending grid order.  Raises SingularMatrixError when the smallest eigenvalue of R is
+    below EIG_FLOOR, or not finite (`_eigh`); for orthonormal Q and simplex weights lambda_max(R) <= 1,
+    so this rejects every R whose condition number exceeds COND_LIMIT."""
     dq = q * xi[:, None]
     r = dq.T.dot(q)  # ndarray.dot: the BLAS call of @, so the same bits, at half its overhead on p x p operands
     r_eigs, r_vecs = _eigh((r + r.T) / 2.0)
@@ -331,17 +322,10 @@ def _robust_gram(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) ->
         raise SingularMatrixError(f"weighted gram matrix R is singular{where} (smallest eigenvalue {smallest:.6e})",
                                   smallest_eigenvalue=smallest, iteration=iteration)
     inv_root = (r_vecs / np.sqrt(r_eigs)).dot(r_vecs.T)
-    return _RobustGram(dq, r, r_eigs, r_vecs, inv_root)
-
-
-def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) -> _RobustParts:
-    """The one evaluation of R and its functions behind every robust loss: the gram part `_robust_gram`
-    (same arguments and errors), then the top eigenpair of C - R with C = Y'Y and Y = D(xi)Q_s R^-1/2,
-    the Gram form of the sandwich R^-1/2 Q'D(xi^2)Q R^-1/2 = R^1/2 U R^1/2."""
-    g = _robust_gram(q, xi, iteration)
-    y = g.dq.dot(g.inv_root)
-    lam, z = top_eigenpair(y.T.dot(y) - g.r)
-    return _RobustParts(g, lam, z)
+    y = dq.dot(inv_root)
+    c = y.T.dot(y)
+    lam, z = top_eigenpair(c - r)
+    return _RobustParts(dq, r, r_eigs, r_vecs, inv_root, c, lam, z)
 
 
 def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionValue]:
@@ -353,7 +337,8 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
         Dnu = ((1 - nu + nu lambda_max(R^-1/2 B R^-1/2 - R)) / det R)^(1/p)
 
     R^-1/2 B R^-1/2 - R equals R^1/2 (U - I) R^1/2 and is formed as Y'Y - R,
-    Y = D(xi)Q R^-1/2 (`_robust_kernel`), without B or U, which Inu reads.
+    Y = D(xi)Q R^-1/2 (`_robust_kernel`), without B or U; Inu's U is formed
+    in the same Gram form, as V'V with V = D(xi)Q R^-1.
 
     `design` may be a DesignMeasure supported on the grid or a bare weight
     vector.  At nu = 0 both reduce to the classical I/D values of the
@@ -374,15 +359,15 @@ def wiens_losses(ctx: RobustContext, design) -> tuple[CriterionValue, CriterionV
         raise InvalidInputError("weights must sum to 1 within 1e-12")
     support = np.flatnonzero(w)
     q_s, xi_s = ctx.q_matrix[support], w[support]
-    parts = _robust_kernel(q_s, xi_s)
-    g, nu = parts.gram, ctx.nu
-    rinv = (g.r_vecs / g.r_eigs) @ g.r_vecs.T
-    lam_u, vec_u = top_eigenpair(rinv @ _b2(q_s, xi_s) @ rinv)
+    parts, nu = _robust_kernel(q_s, xi_s), ctx.nu
+    rinv = (parts.r_vecs / parts.r_eigs) @ parts.r_vecs.T
+    v = parts.dq.dot(rinv)
+    lam_u, vec_u = top_eigenpair(v.T.dot(v))
     trace_rinv = float(np.trace(rinv))
     i_val = (1.0 - nu) * trace_rinv + nu * lam_u
 
     meta_i = {"lambda_max": lam_u, "eigenvector": vec_u, "trace_Rinv": trace_rinv, "nu": nu}
-    meta_d = {"lambda_max": parts.lam, "eigenvector": parts.z, "det_R": float(np.prod(g.r_eigs)), "nu": nu}
+    meta_d = {"lambda_max": parts.lam, "eigenvector": parts.z, "det_R": float(np.prod(parts.r_eigs)), "nu": nu}
     return (
         CriterionValue("Inu", float(i_val), meta_i),
         CriterionValue("Dnu", parts.dnu(nu), meta_d),

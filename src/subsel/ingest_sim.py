@@ -44,6 +44,8 @@ class Dataset:
         feats = as_columns(self.features)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise EmptyDatasetError("dataset has no rows")
+        if feats.shape[1] == 0:
+            raise InvalidInputError("dataset has no feature columns")
         if len(self.feature_names) != feats.shape[1]:
             raise InvalidInputError("one name per feature column is required")
         if not np.all(np.isfinite(feats)):

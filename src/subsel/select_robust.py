@@ -103,12 +103,13 @@ def _pairwise_columns(q: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
 
 def _direction_scores(grid: tuple, q_s: np.ndarray, xi_s: np.ndarray, support: np.ndarray, nu: float,
                       parts: _RobustParts) -> np.ndarray:
-    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every row q_i of the `_pairwise_columns` grid, R^-1 in A
-    formed as R^-1/2 R^-1/2; the xi_i term is read from the support's rows q_s and weights xi_s (0 off it)."""
+    """T_i = q_i' A q_i - 2 nu xi_i (q_i' w)^2 for every row q_i of the `_pairwise_columns` grid, read from the
+    kernel's R, R^-1/2 and (lambda, z), R^-1 in A formed as R^-1/2 R^-1/2; the xi_i term is read from the
+    support's rows q_s and weights xi_s (0 off it)."""
     pairs, n, flat = grid
-    w = parts.gram.inv_root.dot(parts.z)  # ndarray.dot as in criteria._robust_gram; the grid product keeps @
-    wu = w[:, None] * (nu * (parts.gram.r.dot(w) + (0.5 * parts.lam) * w))
-    a = ((1.0 - nu + nu * parts.lam) * parts.gram.inv_root).dot(parts.gram.inv_root) + (wu + wu.T)
+    w = parts.inv_root.dot(parts.z)  # ndarray.dot as in criteria._robust_kernel; the grid product keeps @
+    wu = w[:, None] * (nu * (parts.r.dot(w) + (0.5 * parts.lam) * w))
+    a = ((1.0 - nu + nu * parts.lam) * parts.inv_root).dot(parts.inv_root) + (wu + wu.T)
     scores = (a.take(flat) @ pairs)[:n]
     qw = q_s.dot(w)
     scores[support] -= 2.0 * nu * xi_s * (qw * qw)

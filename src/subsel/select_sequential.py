@@ -50,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .criteria import RobustContext, _b2, _eigh, _robust_gram, _sym_inverse
+from .criteria import RobustContext, _robust_kernel, _RobustParts, _sym_inverse
 from .errors import (
     EIG_FLOOR,
     DegenerateColumnError,
@@ -261,8 +261,9 @@ class _RobustAugmenter:
     With n the selection size, c = n/(n+1), A = Q'D(xi)Q, B1 = Q'D(xi^2)Q and
     b_g = (2 n xi_g + 1)/n^2, adding grid row q_g gives the rank-one updates
     R_g = c (A + q_g q_g'/n) and B_g = c^2 (B1 + b_g q_g q_g'), read from the
-    gram part of the robust kernel (`criteria._robust_gram`).  With W = A^-1/2,
-    C = W B1 W, u = W q_g, a = 1/n, t = sqrt(1 + a|u|^2), P = I + beta u u'
+    robust kernel (`criteria._robust_kernel`) of the current measure.  With
+    W = A^-1/2, the kernel's C = W B1 W (formed as Y'Y, Y = D(xi)Q_s W, so
+    without B1), u = W q_g, a = 1/n, t = sqrt(1 + a|u|^2), P = I + beta u u'
     and beta = -a/(t (1 + t)), (W P)(W P)' = c R_g^-1 and P u = u/t, so
 
     * det R_g = c^p det A t^2;
@@ -317,12 +318,11 @@ class _RobustAugmenter:
         try:
             support = np.flatnonzero(xi)
             q_s, xi_s = self.q[support], xi[support]
-            gram = _robust_gram(q_s, xi_s)
+            parts = _robust_kernel(q_s, xi_s)
         except SingularMatrixError:
             return idx, self._singular_base_values(xi, n)
         p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
-        w = gram.inv_root
-        c_mat = w @ _b2(q_s, xi_s) @ w
+        w, c_mat = parts.inv_root, parts.c
         u = self.q @ w
         cu = u @ c_mat
         uu, ucu = np.einsum("gi,gi->g", u, u), np.einsum("gi,gi->g", cu, u)
@@ -337,7 +337,7 @@ class _RobustAugmenter:
             trace = np.einsum("gij,gij->g", pw, pw) * ((n + 1.0) / n)
             return idx, (1.0 - nu) * trace + nu * lam
         # G - P^-1 A P^-1 = _plus_outer(C - A, x, u, k - gamma^2 u'Au) with x = beta C u - gamma A u
-        base, au, den = c_mat - gram.r, u @ gram.r, c**p * np.prod(gram.r_eigs) * t2
+        base, au, den = c_mat - parts.r, u @ parts.r, c**p * np.prod(parts.r_eigs) * t2
         gamma = a / (1.0 + t)
         uau = np.einsum("gi,gi->g", au, u)
         k -= gamma * gamma * uau
@@ -349,35 +349,35 @@ class _RobustAugmenter:
             return (1.0 - nu + nu * (c * lam)) / den[at]
 
         if prune:
-            idx, vals = self._dnu_kept(u, uu, ucu, uau, beta, gamma, k, den, c_mat, gram.r, base, xi, n, powers)
+            idx, vals = self._dnu_kept(u, uu, ucu, uau, beta, gamma, k, den, parts, xi, n, powers)
         else:
             vals = powers(idx)
         return idx, np.maximum(vals, 0.0) ** (1.0 / p)  # the power is >= 0 but for rounding
 
     def _dnu_kept(self, u: np.ndarray, uu: np.ndarray, ucu: np.ndarray, uau: np.ndarray, beta: np.ndarray,
-                  gamma: np.ndarray, k: np.ndarray, den: np.ndarray, c_mat: np.ndarray, r: np.ndarray,
-                  base: np.ndarray, xi: np.ndarray, n: int, powers) -> tuple[np.ndarray, np.ndarray]:
+                  gamma: np.ndarray, k: np.ndarray, den: np.ndarray, parts: _RobustParts, xi: np.ndarray, n: int,
+                  powers) -> tuple[np.ndarray, np.ndarray]:
         """The candidates, ascending, that a lower bound cannot rule out of the smallest Dnu score,
         and their `powers`, each decomposed once.
 
         With A = R, a p-th power score (1 - nu + nu c lambda) / (det0 t^2) is nondecreasing in
         lambda = lambda_max(M), M = base + x u' + u x' + k u u', base = C - A, x = beta C u - gamma A u;
         the bound reads the scores' |u|^2, u'Cu, u'Au, beta, gamma, k and det0 t^2, and so u.x, and
-        one product of u with v, C v and A v, (l1, v) the top eigenpair of base, gives v.u and v.x.
-        With tau = k |u|^2 + 2 u.x, lambda is at least the larger Rayleigh quotient of v and of u/|u|,
-        l1 + 2 (v.x)(v.u) + k (v.u)^2 and u'base u/|u|^2 + tau.  As 0 < -beta, gamma <= a/2,
+        one product of u with v, C v and A v, (l1, v) the kernel's top eigenpair of base, gives v.u
+        and v.x.  With tau = k |u|^2 + 2 u.x, lambda is at least the larger Rayleigh quotient of v and
+        of u/|u|, l1 + 2 (v.x)(v.u) + k (v.u)^2 and u'base u/|u|^2 + tau.  As 0 < -beta, gamma <= a/2,
         |x| <= s |u| for s = a (|C| + |A|)/2 (Frobenius norms), and the bound is lowered by
         rel (|C| + |A| + (2 s + k_max) |u|^2 + a s |u|^4), rel = _BOUND_MARGIN p^2, k_max the largest
         (2 n xi + 1) a^2, for the rounding of the products, of M and of its eigvalsh.  The candidates
         kept whatever the cut are decomposed first: every one whose bound is negative (no p-th root)
         or NaN or whose |u|^2 is below the smallest normal float, and the one with the smallest
-        non-negative bound.  The cut is the smallest non-negative exact p-th power among them, times
-        (1 + _BOUND_MARGIN)^p for the rounding of the p-th root; the rest are kept where their bound
-        is at most the cut.
+        non-negative bound.  The cut is the smallest exact p-th power among them, one below 0 (which
+        is rounding) read as 0 as `_scores` reads it, times (1 + _BOUND_MARGIN)^p for the rounding of
+        the p-th root; the rest are kept where their bound is at most the cut.  A candidate ruled out
+        has a bound above the cut, which is at least 0, so its score lies above the cut candidate's.
         """
         p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
-        eigs, vecs = _eigh(base)
-        l1, v = eigs[-1], vecs[:, -1]
+        l1, v, c_mat, r = parts.lam, parts.z, parts.c, parts.r
         vu, cvu, avu = (u @ np.column_stack((v, c_mat @ v, r @ v))).T
         tau = k * uu + 2.0 * (beta * ucu - gamma * uau)
         norms = np.linalg.norm(c_mat) + np.linalg.norm(r)
@@ -390,7 +390,7 @@ class _RobustAugmenter:
         always[np.argmin(np.where(lo >= 0.0, lo, np.inf))] = True
         first = np.flatnonzero(always)
         top = powers(first)
-        cut = np.min(top, initial=np.inf, where=top >= 0.0) * (1.0 + _BOUND_MARGIN) ** p
+        cut = np.min(np.maximum(top, 0.0), initial=np.inf, where=top == top) * (1.0 + _BOUND_MARGIN) ** p
         rest = np.flatnonzero((lo <= cut) & ~always)
         idx = np.concatenate((first, rest))
         order = np.argsort(idx)

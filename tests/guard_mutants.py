@@ -85,15 +85,22 @@ GUARDS = [
     ),
     Guard(
         "dnu-cut-over-kept", "select_sequential.py",
-        "where=top >= 0.0)",
-        "where=(top >= 0.0) & (lo[first] >= 0.0))",
+        "where=top == top)",
+        "where=(top == top) & (lo[first] >= 0.0))",
         "tests/test_robust_augmenter.py::test_negative_dnu_bounds_leave_the_cut_finite",
         "the cut reads the exact powers of every candidate decomposed before it, negative bounds too",
     ),
     Guard(
+        "dnu-cut-clamp", "select_sequential.py",
+        "np.min(np.maximum(top, 0.0), initial=np.inf",
+        "np.min(top, initial=np.inf",
+        "tests/test_robust_augmenter.py::test_negative_dnu_bounds_leave_the_cut_finite",
+        "an exact power that rounds below 0 reads 0 in the cut, as in every final score",
+    ),
+    Guard(
         "dnu-cut-factor", "select_sequential.py",
-        "cut = np.min(top, initial=np.inf, where=top >= 0.0) * (1.0 + _BOUND_MARGIN) ** p",
-        "cut = np.min(top, initial=np.inf, where=top >= 0.0)",
+        "cut = np.min(np.maximum(top, 0.0), initial=np.inf, where=top == top) * (1.0 + _BOUND_MARGIN) ** p",
+        "cut = np.min(np.maximum(top, 0.0), initial=np.inf, where=top == top)",
         "tests/test_robust_augmenter.py::test_pruned_dnu_cut_covers_the_rounding_of_t2",
         "the cut is widened by (1 + _BOUND_MARGIN)^p for the rounding of the p-th root",
     ),

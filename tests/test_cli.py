@@ -417,6 +417,8 @@ SEQDES = ["seqdes", "--input", "rows.csv", "--response", "y", "--features", "x",
                  "ConfigError", id="grid-axis-empty"),
     pytest.param({"grid.json": {"axes": {"x": [0.0, float("nan")]}}}, [*CRITERIA, "I", "--grid", "grid.json"],
                  "ConfigError", id="grid-axis-nan"),
+    pytest.param({"grid.json": {"points": [[0.0], [1.0]], "z_dim": "x"}}, [*CRITERIA, "I", "--grid", "grid.json"],
+                 "ConfigError", id="grid-z-dim-not-a-number"),
     pytest.param({"grid.json": {"points": [[0.0], [1.0]], "z_dim": 2}}, [*CRITERIA, "I", "--grid", "grid.json"],
                  "InvalidInputError", id="grid-z-dim-above-dimension"),
     pytest.param({"design.json": {"points": [[0.0]]}}, [*CRITERIA, "D"],
@@ -425,12 +427,16 @@ SEQDES = ["seqdes", "--input", "rows.csv", "--response", "y", "--features", "x",
                  "InvalidInputError", id="design-weights-length"),
     pytest.param({"design.json": {"points": [[-1.0], [1.0]], "weights": [0.5, 0.5], "z_points": [[0.0]]}},
                  [*CRITERIA, "D"], "InvalidInputError", id="design-z-points-length"),
+    pytest.param({"design.json": {"points": [["a"], [1.0]], "weights": [0.5, 0.5]}}, [*CRITERIA, "D"],
+                 "ConfigError", id="design-point-not-a-number"),
     pytest.param({"design.json": {"points": [[[0.0]]], "weights": [1.0]}}, [*CRITERIA, "D"],
                  "InvalidInputError", id="design-points-3d"),
     pytest.param({"bias.json": [1]}, [*CRITERIA, "traceR", "--bias", "bias.json"],
                  "ConfigError", id="bias-not-an-object"),
     pytest.param({"bias.json": {"psi": [], "phi": [], "n_total": 300}}, [*CRITERIA, "traceR", "--bias", "bias.json"],
                  "ConfigError", id="bias-without-sigma"),
+    pytest.param({"bias.json": {**GOOD_FILES["bias.json"], "sigma": "abc"}},
+                 [*CRITERIA, "traceR", "--bias", "bias.json"], "ConfigError", id="bias-sigma-not-a-number"),
     pytest.param({"bias.json": {**GOOD_FILES["bias.json"], "psi": [[1.0]]}},
                  [*CRITERIA, "traceR", "--bias", "bias.json"], "InvalidInputError", id="bias-psi-2d"),
     pytest.param({"bias.json": {**GOOD_FILES["bias.json"], "psi": [float("nan")]}},
@@ -441,6 +447,8 @@ SEQDES = ["seqdes", "--input", "rows.csv", "--response", "y", "--features", "x",
     pytest.param({}, [*CRITERIA, "Dnu", "--grid", "grid.json"], "InvalidInputError", id="criterion-Dnu-without-nu"),
     pytest.param({}, [*CRITERIA, "D,E"], "InvalidInputError", id="criterion-unknown"),
     pytest.param({"model.json": {"f": 3}}, [*CRITERIA, "D"], "ConfigError", id="basis-not-a-mapping"),
+    pytest.param({"model.json": {"f": {"family": "poly", "degree": "x"}}}, [*CRITERIA, "D"],
+                 "ConfigError", id="basis-degree-not-a-number"),
     pytest.param({"model.json": {"f": {"family": "spline"}}}, [*CRITERIA, "D"],
                  "ConfigError", id="basis-family-unknown"),
     pytest.param({"model.json": {"f": {"family": "trig", "kind": "tan"}}}, [*CRITERIA, "D"],
@@ -456,12 +464,15 @@ SEQDES = ["seqdes", "--input", "rows.csv", "--response", "y", "--features", "x",
                  "InvalidInputError", id="seqdes-init-quantiles-0"),
     pytest.param({"grid.json": {"axes": {"x": [0.0, 1.0], "z": [0.0, 1.0]}, "z_axes": ["z"]}},
                  [*SEQDES, "--grid", "grid.json"], "InvalidInputError", id="seqdes-grid-z-without-confounders"),
+    pytest.param({"y.csv": "y\n1\n2\n3\n4\n5\n"},
+                 ["seqdes", "--input", "y.csv", "--response", "y", "--n-init", "2", "--n-target", "3"],
+                 "InvalidInputError", id="seqdes-csv-without-features"),
 ])
 def test_bad_input_exits_2(tmp_path, monkeypatch, data_csv, capsys, files, argv, exc_type):
-    # data_csv is rows.csv in tmp_path
+    # data_csv is rows.csv in tmp_path; a file given as a string is written as it is
     monkeypatch.chdir(tmp_path)
     for name, content in {**GOOD_FILES, **files}.items():
-        (tmp_path / name).write_text(json.dumps(content))
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's own errors

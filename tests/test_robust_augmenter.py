@@ -23,7 +23,10 @@ support points cond(B1) reaches 1e9 where cond(A) is 1e5.  Against
 exactly p support points) the oracle's Inu scores were off by up to 115
 times rel and within 0.23 of 1e-15 (cond(A) + nu cond(B1)), so the oracle
 carries an error term of its own, 1e-15 nu cond(B1) beyond rel, and the
-Inu comparison allows the sum of the two.  Its Dnu scores keep rel.
+Inu comparison allows the sum of the two.  Its Dnu scores keep rel.  The
+rank-one form reads C = A^-1/2 B1 A^-1/2 from the robust kernel, formed as
+Y'Y with Y = D(xi)Q_s A^-1/2, so without B1 and its cond(B1): its Inu
+scores keep rel against the 50-digit ones on the pinned draws.
 """
 
 import json
@@ -35,7 +38,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subsel.criteria import RobustContext
+from subsel.criteria import RobustContext, _robust_kernel
 from subsel.ingest_sim import simulate_example2
 from subsel.model_core import CandidateGrid, model_spec_from_config
 from subsel.select_sequential import SeqConfig, _RobustAugmenter, run_sequential
@@ -177,13 +180,6 @@ def exact_inu_scores(q: np.ndarray, xi: np.ndarray, n: int, nu: float) -> np.nda
 PINNED_INU_DRAWS = [(66316748, 4, 40, 11), (2621836399, 5, 41, 92), (3622119533, 3, 8, 184),
                     (3920970167, 2, 30, 119)]  # the last: cond(B1) = 1.6e9 against cond(A) = 1.2e5
 
-# `_RobustAugmenter` scores Inu through W = A^-1/2, which loses more than
-# rel when cond(B1) far exceeds cond(A): these two draws are off the 50-digit
-# scores by 1.2 and 637 times rel (a FOUND line in CHANGES.md).
-RANK_ONE_INU_BEYOND_REL = pytest.mark.xfail(
-    strict=True, reason="rank-one Inu scores through W = A^-1/2 lose accuracy when cond(B1) >> cond(A)")
-
-
 def pinned_inu_draw(seed: int, p: int, n_grid: int) -> tuple[_RobustAugmenter, np.ndarray]:
     return robust_augmenter(random_rows(seed, n_grid, p), 1.0, "Inu"), simplex_weights(seed + 1, n_grid, p)
 
@@ -197,11 +193,10 @@ def test_oracle_inu_scores_within_their_error_term_of_50_digits(seed, p, n_grid,
     check_rank_one_scores(seed, p, n_grid, n, nu=1.0, kind="Inu", support=p)
 
 
-@pytest.mark.parametrize("seed, p, n_grid, n", [
-    draw if draw[0] not in (2621836399, 3920970167) else pytest.param(*draw, marks=RANK_ONE_INU_BEYOND_REL)
-    for draw in PINNED_INU_DRAWS
-])
+@pytest.mark.parametrize("seed, p, n_grid, n", PINNED_INU_DRAWS)
 def test_rank_one_inu_scores_within_rel_of_50_digits(seed, p, n_grid, n):
+    # with C formed as the triple product A^-1/2 B1 A^-1/2 the draws 2621836399
+    # and 3920970167 were off by 1.2 and 637 times rel
     aug, xi = pinned_inu_draw(seed, p, n_grid)
     exact = exact_inu_scores(aug.q, xi, n, 1.0)
     assert np.all(np.abs(aug.candidate_values(xi, n) - exact) <= score_rel(aug.q, xi) * exact)
@@ -408,17 +403,29 @@ def uniform_but_last(seed: int, p: int, n_grid: int = 100) -> tuple[_RobustAugme
 def test_negative_dnu_bounds_leave_the_cut_finite(monkeypatch):
     # the candidates with a negative bound are decomposed whatever the cut,
     # and so is the one with the smallest non-negative bound; the cut is the
-    # smallest non-negative exact power among them, and 2 of 100 are kept.
-    # With the cut candidate taken over the negative bound too, its power
-    # rounds below 0 on some seeds (p = 1: 0-2), the cut is inf and all 100
-    # are decomposed; cut at the smallest non-negative bound's power alone,
-    # which lies far above the best power of about 1e-11, 2 to 39 were kept
-    # at p = 2, 3 and 5.  The answer is the same either way
+    # smallest exact power among them, one below 0 read as 0, and 2 of 100
+    # are kept.  The answer is the same under each variant below, only the
+    # count moves: with the cut over the non-negative powers alone, the last
+    # candidate's exact power at p = 5, seed 3 (-1.8e-9) drops out and 33 are
+    # kept; cut at the smallest non-negative bound's power alone, which lies
+    # far above the best power of about 1e-11, 2 to 39 are kept at p = 2, 3
+    # and 5; with the first candidate taken over the negative bounds too, the
+    # smallest non-negative bound is not decomposed and 1 is kept
     kept = kept_counts(monkeypatch)
     for p in (1, 2, 3, 5):
         for seed in range(10):
             _assert_best_is_argmin(*uniform_but_last(seed, p), 99)
     assert kept == [2] * 40
+    # a negative power reads 0 in the cut, so a bound of exactly 0 (here from
+    # an infinite det0 t^2) is kept: its score may tie the cut candidate's 0,
+    # and then the lower index wins; a cut below 0 would rule it out
+    aug, xi = uniform_but_last(0, 2)
+    parts = _robust_kernel(aug.q[:-1], xi[:-1])
+    u, zeros = np.tile(parts.z, (3, 1)), np.zeros(3)
+    k, den = np.array([0.0, 0.0, -1e6]), np.array([np.inf, np.inf, 1.0])
+    powers = np.array([0.5, 0.0, -1e-18])
+    idx, vals = aug._dnu_kept(u, np.ones(3), zeros, zeros, zeros, zeros, k, den, parts, zeros, 99, powers.take)
+    assert idx.tolist() == [0, 1, 2] and vals.tolist() == powers.tolist()
 
 
 @pytest.mark.parametrize("p", [1, 2, 5])

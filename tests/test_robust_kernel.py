@@ -11,7 +11,9 @@ grid row, so that it checks the support sums alone (the two forms differ by
 rounding that grows with cond(R)).  The form R^1/2 (U - I) R^1/2 with
 U = R^-1 Q'D(xi^2)Q R^-1 is the same matrix in exact arithmetic, but U's
 rounding grows with cond(R)^2, so it would miss the 1e-12 tolerances on
-ill-conditioned supports; the 50-digit test pins such a case.
+ill-conditioned supports; the 50-digit test pins such a case.  It also
+checks Inu's lambda_max(U), which wiens_losses forms in the Gram form V'V,
+V = D(xi)Q R^-1, without Q'D(xi^2)Q.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import CountedMeasure
-from subsel.criteria import RobustContext, _b2, _robust_kernel, top_eigenpair, wiens_losses
+from subsel.criteria import RobustContext, _robust_kernel, top_eigenpair, wiens_losses
 from subsel.errors import SingularMatrixError
 from subsel.model_core import CandidateGrid
 from subsel.rng import CounterRng
@@ -49,18 +51,18 @@ def oracle_scores(q: np.ndarray, xi: np.ndarray, nu: float) -> np.ndarray:
 
 
 def full_grid_kernel(q: np.ndarray, xi: np.ndarray, nu: float):
-    """(R, Q'D(xi^2)Q, lambda, Dnu) with every sum over all grid rows."""
+    """(R, C = R^-1/2 Q'D(xi^2)Q R^-1/2, lambda, Dnu) with every sum over all grid rows."""
     p = q.shape[1]
     r = (q * xi[:, None]).T @ q
     r_eigs, r_vecs = np.linalg.eigh((r + r.T) / 2.0)
     if r_eigs[0] < 1e-12:
         raise SingularMatrixError("singular", smallest_eigenvalue=float(r_eigs[0]))
     inv_root = (r_vecs / np.sqrt(r_eigs)) @ r_vecs.T
-    b2 = (q * (xi * xi)[:, None]).T @ q
     y = (q * xi[:, None]) @ inv_root
-    lam, _ = top_eigenpair(y.T @ y - r)
+    c = y.T @ y
+    lam, _ = top_eigenpair(c - r)
     dnu = ((1.0 - nu + nu * lam) / float(np.prod(r_eigs))) ** (1.0 / p)
-    return r, b2, lam, dnu
+    return r, c, lam, dnu
 
 
 def random_grid_ctx(seed: int, n_grid: int, p: int, nu: float) -> RobustContext:
@@ -231,20 +233,21 @@ def test_support_kernel_matches_the_full_grid_kernel(seed, p, extra, nu, data):
     xi = simplex_weights(seed + 1, n_grid, support)
     at = np.flatnonzero(xi)
     try:
-        r, b2, lam, dnu = full_grid_kernel(ctx.q_matrix, xi, nu)
+        r, c, lam, dnu = full_grid_kernel(ctx.q_matrix, xi, nu)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
             _robust_kernel(ctx.q_matrix[at], xi[at])
         return
     parts = _robust_kernel(ctx.q_matrix[at], xi[at])
-    assert_close(parts.gram.r, r)
-    assert_close(_b2(ctx.q_matrix[at], xi[at]), b2)
+    assert_close(parts.r, r)
+    assert np.array_equal(parts.c, parts.c.T)
+    assert_close(parts.c, c)
     assert_close(parts.lam, lam)
     assert_close(parts.dnu(nu), dnu)
 
 
-def exact_kernel(q: np.ndarray, xi: np.ndarray, nu: float) -> tuple[float, float, float]:
-    """(lambda, Dnu, cond(R)) in 50-digit arithmetic from the float rows and weights."""
+def exact_kernel(q: np.ndarray, xi: np.ndarray, nu: float) -> tuple[float, float, float, float]:
+    """(lambda, Dnu, Inu's lambda_max(U), cond(R)) in 50-digit arithmetic from the float rows and weights."""
     mp = pytest.importorskip("mpmath")
     p = q.shape[1]
     with mp.workdps(50):
@@ -257,7 +260,9 @@ def exact_kernel(q: np.ndarray, xi: np.ndarray, nu: float) -> tuple[float, float
         inv_root = r_vecs * mp.diag([1 / mp.sqrt(e) for e in r_eigs]) * r_vecs.T
         lam = max(mp.eigsy(inv_root * b2 * inv_root - r, eigvals_only=True))
         dnu = ((1 - mp.mpf(nu) + nu * lam) / mp.det(r)) ** (mp.mpf(1) / p)
-        return float(lam), float(dnu), float(max(r_eigs) / min(r_eigs))
+        r_inv = mp.inverse(r)
+        lam_u = max(mp.eigsy(r_inv * b2 * r_inv, eigvals_only=True))
+        return float(lam), float(dnu), float(lam_u), float(max(r_eigs) / min(r_eigs))
 
 
 # (seed, p, extra, support) draws of random_grid_ctx and simplex_weights with cond(R) of 1e6 and 4e7,
@@ -269,11 +274,13 @@ def test_kernel_lambda_and_dnu_within_p2_cond_eps_of_50_digits(seed, p, extra, s
     xi = simplex_weights(seed + 1, p + extra, support)
     at = np.flatnonzero(xi)
     parts = _robust_kernel(ctx.q_matrix[at], xi[at])
-    lam, dnu, cond = exact_kernel(ctx.q_matrix[at], xi[at], nu)
+    lam, dnu, lam_u, cond = exact_kernel(ctx.q_matrix[at], xi[at], nu)
     assert cond > 1e6
     bound = p * p * cond * np.finfo(float).eps
     assert abs(parts.lam - lam) <= bound * abs(lam)
     assert abs(parts.dnu(nu) - dnu) <= bound * dnu
+    inu, _ = wiens_losses(ctx, xi)  # U = R^-1 B R^-1 as the Gram form V'V, V = D(xi)Q R^-1
+    assert abs(inu.meta["lambda_max"] - lam_u) <= bound * lam_u
 
 
 def oracle_path(ctx: RobustContext, n_init: int, n_target: int, seed: int):
