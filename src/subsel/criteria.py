@@ -319,8 +319,9 @@ def _robust_kernel(q: np.ndarray, xi: np.ndarray, iteration: int | None = None) 
     smallest = float(r_eigs[0])
     if smallest < EIG_FLOOR:
         where = "" if iteration is None else f" at iteration {iteration}"
-        raise SingularMatrixError(f"weighted gram matrix R is singular{where} (smallest eigenvalue {smallest:.6e})",
-                                  smallest_eigenvalue=smallest, iteration=iteration)
+        points = f"{len(q)} grid point{'s' * (len(q) != 1)}, p = {q.shape[1]}"
+        raise SingularMatrixError(f"weighted gram matrix R on {points}, is singular{where} (smallest eigenvalue "
+                                  f"{smallest:.6e})", smallest_eigenvalue=smallest, iteration=iteration)
     inv_root = (r_vecs / np.sqrt(r_eigs)).dot(r_vecs.T)
     y = dq.dot(inv_root)
     c = y.T.dot(y)

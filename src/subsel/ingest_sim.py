@@ -100,8 +100,8 @@ def load_csv(
     strict=True raises ParseError naming the first bad row, by the line it
     starts on, and column.
     Feature columns default to every column not claimed as response or
-    confounder.  Raises ConfigError for missing columns and
-    EmptyDatasetError when no usable rows remain.
+    confounder.  Raises ConfigError for a missing column or one used twice
+    and EmptyDatasetError when no usable rows remain.
 
     Three readers give the same values.  A file whose data lines hold only
     plain JSON numbers, commas and blanks, and exactly the header's count of
@@ -120,20 +120,17 @@ def load_csv(
         header = [h.strip() for h in header]
 
     confounder_columns = list(confounder_columns or [])
-    claimed = set(confounder_columns)
-    if response_column is not None:
-        claimed.add(response_column)
     if feature_columns is None:
+        claimed = {*confounder_columns, response_column}
         feature_columns = [h for h in header if h not in claimed]
     used = list(feature_columns) + confounder_columns + (
         [response_column] if response_column else []
     )
-    for name in used:
+    for i, name in enumerate(used):
         if name not in header:
             raise ConfigError(f"column {name!r} not found in {path}")
-    overlap = set(feature_columns) & claimed
-    if overlap:
-        raise ConfigError(f"columns {sorted(overlap)} claimed twice")
+        if name in used[:i]:
+            raise ConfigError(f"column {name!r} is used twice among the features, confounders and response")
     pos = {name: header.index(name) for name in used}
 
     arr, dropped = None, 0

@@ -284,7 +284,7 @@ class CandidateGrid:
                 raise ConfigError(f"axis {i} must be a non-empty 1-D level list")
             if not np.all(np.isfinite(lv)):
                 raise ConfigError(f"axis {i} contains non-finite levels")
-            if lv.size > 1 and not np.all(np.diff(lv) > 0):
+            if not np.all(lv[1:] > lv[:-1]):  # not np.diff, which overflows on levels of opposite sign
                 raise ConfigError(f"axis {i} levels must be strictly increasing")
         grids = np.meshgrid(*levels, indexing="ij")
         pts = np.column_stack([g.ravel(order="C") for g in grids])
@@ -465,13 +465,15 @@ class SubsampleSelection:
 def json_ready(obj):
     """`obj` as values `json_text` takes: an object's `to_json_dict()`, a dataclass without one as
     the dict of its fields, a dict with string keys, tuples as lists and numpy arrays and scalars
-    as Python values; booleans stay booleans."""
+    as Python values; booleans stay booleans, and a non-finite float is None (JSON's null)."""
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
+        return json_ready(obj.tolist()) if obj.dtype.kind == "f" else obj.tolist()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
     return json_ready(vars(obj)) if is_dataclass(obj) else obj

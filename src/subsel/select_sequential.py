@@ -22,7 +22,8 @@ SingularMatrixError.  ``Inu`` and ``Dnu`` minimize a robust loss of the grid
 measure xi of the selection, in which each selected row counts at its
 nearest grid cell, over the `criteria.RobustContext` of the grid's full
 rows; grid rows of rank below their length raise InvalidInputError before
-the initial fit.
+the initial fit, and a measure whose R = Q'D(xi)Q is singular (its cells span
+fewer than p directions) raises SingularMatrixError, as in `run_wiens`.
 
 Consecutive selections differ by one batch, so the loop reuses work:
 
@@ -52,7 +53,6 @@ import numpy as np
 
 from .criteria import RobustContext, _robust_kernel, _RobustParts, _sym_inverse
 from .errors import (
-    EIG_FLOOR,
     DegenerateColumnError,
     InvalidInputError,
     SeparationError,
@@ -289,10 +289,9 @@ class _RobustAugmenter:
     v'R^-1/2 B R^-1/2 v >= (v'v)^2/(v'R^-1 v) = v'R v), so a Dnu p-th power
     that rounds below 0 reads 0.
 
-    A singular current measure (smallest eigenvalue below the kernel's
-    `errors.EIG_FLOOR`, e.g. fewer than p support points) has no W; then
-    every R_g is decomposed on its own, and a candidate whose smallest
-    eigenvalue is below the same floor scores inf.
+    A singular current measure (fewer than p support points, or a condition
+    number above 1e12) has no W: `best` and `candidate_values` raise the
+    kernel's SingularMatrixError.
     """
 
     def __init__(self, ctx: RobustContext, kind: str):
@@ -315,12 +314,8 @@ class _RobustAugmenter:
         """(candidate indices, their scores): every candidate, or with `prune`
         (Dnu only) the candidates `_dnu_kept` keeps, in ascending order."""
         idx = np.arange(self.q.shape[0])
-        try:
-            support = np.flatnonzero(xi)
-            q_s, xi_s = self.q[support], xi[support]
-            parts = _robust_kernel(q_s, xi_s)
-        except SingularMatrixError:
-            return idx, self._singular_base_values(xi, n)
+        support = np.flatnonzero(xi)
+        parts = _robust_kernel(self.q[support], xi[support])
         p, nu, a, c = self.p, self.nu, 1.0 / n, n / (n + 1.0)
         w, c_mat = parts.inv_root, parts.c
         u = self.q @ w
@@ -371,7 +366,7 @@ class _RobustAugmenter:
         (2 n xi + 1) a^2, for the rounding of the products, of M and of its eigvalsh.  The candidates
         kept whatever the cut are decomposed first: every one whose bound is negative (no p-th root)
         or NaN or whose |u|^2 is below the smallest normal float, and the one with the smallest
-        non-negative bound.  The cut is the smallest exact p-th power among them, one below 0 (which
+        bound.  The cut is the smallest exact p-th power among them, one below 0 (which
         is rounding) read as 0 as `_scores` reads it, times (1 + _BOUND_MARGIN)^p for the rounding of
         the p-th root; the rest are kept where their bound is at most the cut.  A candidate ruled out
         has a bound above the cut, which is at least 0, so its score lies above the cut candidate's.
@@ -387,7 +382,7 @@ class _RobustAugmenter:
             lower = np.maximum(l1 + (k * vu + 2.0 * (beta * cvu - gamma * avu)) * vu, (ucu - uau) / uu + tau)
         lo = (nu * c * (lower - margin) + (1.0 - nu)) / den
         always = ~(lo >= 0.0) | (uu < np.finfo(float).tiny)
-        always[np.argmin(np.where(lo >= 0.0, lo, np.inf))] = True
+        always[np.argmin(lo)] = True
         first = np.flatnonzero(always)
         top = powers(first)
         cut = np.min(np.maximum(top, 0.0), initial=np.inf, where=top == top) * (1.0 + _BOUND_MARGIN) ** p
@@ -395,30 +390,6 @@ class _RobustAugmenter:
         idx = np.concatenate((first, rest))
         order = np.argsort(idx)
         return idx[order], np.concatenate((top, powers(rest)))[order]
-
-    def _singular_base_values(self, xi: np.ndarray, n: int) -> np.ndarray:
-        """Per-candidate decomposition of every R_g (singular current measure)."""
-        q, p, nu = self.q, self.p, self.nu
-        outer = np.einsum("gi,gj->gij", q, q)
-        a1 = (q * xi[:, None]).T @ q
-        b1 = (q * (xi * xi)[:, None]).T @ q
-        denom = n + 1.0
-        r_all = (n * a1[None, :, :] + outer) / denom
-        b_all = (n * n * b1[None, :, :] + (2.0 * n * xi + 1.0)[:, None, None] * outer) / (denom * denom)
-        eigvals, eigvecs = np.linalg.eigh(r_all)
-        bad = eigvals[:, 0] < EIG_FLOOR
-        safe = np.where(bad[:, None], 1.0, eigvals)
-        if self.kind == "Inu":
-            rinv = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / safe, eigvecs)
-            u = np.einsum("gij,gjk,gkl->gil", rinv, b_all, rinv)
-            lam = np.linalg.eigvalsh(u)[:, -1]
-            return np.where(bad, np.inf, (1.0 - nu) * np.trace(rinv, axis1=1, axis2=2) + nu * lam)
-        inv_root = np.einsum("gij,gj,gkj->gik", eigvecs, 1.0 / np.sqrt(safe), eigvecs)
-        h = np.einsum("gij,gjk,gkl->gil", inv_root, b_all, inv_root) - r_all
-        lam = np.linalg.eigvalsh(h)[:, -1]
-        # the root only where R_g is regular (a singular one can have det < 0), of a power >= 0 but for rounding
-        base = np.maximum((1.0 - nu + nu * lam) / np.prod(safe, axis=1), 0.0)
-        return np.power(base, 1.0 / p, out=np.full_like(base, np.inf), where=~bad)
 
 
 def _sherman_morrison(minv: np.ndarray, rows: np.ndarray, a: np.ndarray):

@@ -77,13 +77,6 @@ GUARDS = [
         "a candidate with |u|^2 below the smallest normal float is kept",
     ),
     Guard(
-        "dnu-first-nonnegative", "select_sequential.py",
-        "always[np.argmin(np.where(lo >= 0.0, lo, np.inf))] = True",
-        "always[np.argmin(lo)] = True",
-        "tests/test_robust_augmenter.py::test_negative_dnu_bounds_leave_the_cut_finite",
-        "the candidate with the smallest non-negative bound is decomposed before the cut",
-    ),
-    Guard(
         "dnu-cut-over-kept", "select_sequential.py",
         "where=top == top)",
         "where=(top == top) & (lo[first] >= 0.0))",

@@ -27,6 +27,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(*argv) -> subprocess.CompletedProcess:
+    """`python -m subsel.cli *argv` in a fresh process against this checkout's sources, so that
+    whatever reaches stderr (numpy's warnings too) is captured as it is."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(subsel.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "subsel.cli", *argv], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
+def no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def stderr_payload(err: str) -> dict:
     lines = [ln for ln in err.strip().split("\n") if ln]
     assert len(lines) == 1, f"expected one error line, got: {err!r}"
@@ -183,15 +196,8 @@ def test_iboss_on_a_wide_design_writes_strict_json(tmp_path):
     feats = np.random.default_rng(3).normal(size=(2000, 115))
     path = tmp_path / "wide.csv"
     np.savetxt(path, feats, delimiter=",", header=",".join(f"x{j}" for j in range(115)), comments="")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(subsel.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "subsel.cli", "iboss", "--input", str(path), "--n", "2000"],
-                          capture_output=True, text=True, timeout=120, env=env)
+    proc = run_cli_process("iboss", "--input", str(path), "--n", "2000")
     assert proc.returncode == 0 and proc.stderr == ""
-
-    def no_constant(name):
-        raise ValueError(f"{name} is not strict JSON")
-
     payload = json.loads(proc.stdout, parse_constant=no_constant)
     assert payload["det"] is None and payload["bound"] is None
     assert payload["log_det"] <= payload["log_bound"]
@@ -200,13 +206,22 @@ def test_iboss_on_a_wide_design_writes_strict_json(tmp_path):
 def test_iboss_on_a_covariate_whose_square_overflows_exits_2(tmp_path):
     path = tmp_path / "huge.csv"
     path.write_text("a,b\n1e308,1\n-1e308,2\n5,3\n6,4\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(subsel.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "subsel.cli", "iboss", "--input", str(path), "--n", "4"],
-                          capture_output=True, text=True, timeout=120, env=env)
+    proc = run_cli_process("iboss", "--input", str(path), "--n", "4")
     assert proc.returncode == 2 and proc.stdout == ""
     error = stderr_payload(proc.stderr)
     assert error["type"] == "InvalidInputError" and "non-finite" in error["message"]
+
+
+def test_a_grid_axis_whose_differences_overflow_exits_2_with_one_stderr_line(tmp_path, model_file,
+                                                                            design_file):
+    # 1e308 - 1 and -1e308 - 1e308 overflow a float: the level check compares
+    # neighbours, so no overflow warning precedes the error record
+    grid = tmp_path / "huge_grid.json"
+    grid.write_text(json.dumps({"axes": {"x": [1.0, 1e308, -1e308]}}))
+    proc = run_cli_process("criteria", "--model", model_file, "--design", design_file, "--names", "I",
+                           "--grid", str(grid))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert stderr_payload(proc.stderr)["message"] == "axis 0 levels must be strictly increasing"
 
 
 def test_iboss_out_file_is_replay_identical(tmp_path, data_csv, capsys):
@@ -480,6 +495,19 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, data_csv, capsys, files, argv,
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert stderr_payload(captured.err)["type"] == exc_type
+
+
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["iboss", "--n", "4", "--confounders", "y", "--response", "y"], "y", id="iboss-confounder-is-response"),
+    pytest.param(["seqdes", "--response", "y", "--features", "x,x", "--n-init", "5", "--n-target", "8"], "x",
+                 id="seqdes-feature-twice"),
+])
+def test_a_column_used_twice_exits_2(data_csv, capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv, "--input", data_csv)
+    assert (code, out) == (2, "")
+    error = stderr_payload(err)
+    assert error["type"] == "ConfigError"
+    assert error["message"] == f"column {name!r} is used twice among the features, confounders and response"
 
 
 @pytest.mark.parametrize("init", ["random", "stratified", "dope"])
@@ -809,6 +837,35 @@ def test_criteria_numerical_failure_exits_3(tmp_path, model_file, capsys):
     payload = stderr_payload(err)
     assert payload["kind"] == "numerical"
     assert payload["type"] == "SingularMatrixError"
+
+
+def test_criteria_d_on_a_singular_design_writes_null(tmp_path, model_file, capsys):
+    # log det of a one-point design for a line is -inf: written as null, not as -Infinity
+    design = tmp_path / "singular.json"
+    design.write_text(json.dumps({"points": [[0.5]], "weights": [1.0]}))
+    code, out, _ = run_cli(capsys, "criteria", "--model", model_file, "--design", str(design), "--names", "D")
+    assert code == 0
+    (record,) = json.loads(out, parse_constant=no_constant)["criteria"]
+    assert (record["value"], record["meta"]["singular"]) == (None, True)
+
+
+def test_seqdes_robust_start_on_one_grid_cell_exits_3(tmp_path, capsys):
+    # every one of the 10 initial example-2 rows lies nearest the centre cell
+    # of a 9 x 9 grid over [-40, 40]^2, so R of the 4-term model is singular
+    data, grid, model, out = (tmp_path / name for name in ("ex2.csv", "grid.json", "model.json", "sel.json"))
+    write_csv(simulate_example2(2000, seed=3), data)
+    levels = np.linspace(-40.0, 40.0, 9).tolist()
+    grid.write_text(json.dumps({"axes": {"x": levels, "z": levels}, "z_axes": ["z"]}))
+    model.write_text(json.dumps({"f": {"family": "poly", "degree": 2},
+                                 "g": {"family": "poly", "degree": 1, "intercept": False, "scale": 1.0 / 9.0}}))
+    code, stdout, err = run_cli(capsys, "seqdes", "--input", str(data), "--grid", str(grid), "--model", str(model),
+                                "--response", "y", "--features", "x", "--confounders", "z", "--utility", "Dnu",
+                                "--nu", "0.5", "--family", "linear", "--seed", "3", "--n-init", "10",
+                                "--n-target", "16", "--out", str(out))
+    assert (code, stdout) == (3, "") and not out.exists()
+    error = stderr_payload(err)
+    assert error["type"] == "SingularMatrixError"
+    assert error["message"].startswith("weighted gram matrix R on 1 grid point, p = 4, is singular")
 
 
 def test_seqdes_singular_initial_fit_exits_3(tmp_path, capsys):

@@ -131,6 +131,13 @@ def test_d_criterion_singular_is_minus_inf():
         a_criterion(information_matrix(spec, design))
 
 
+def test_json_ready_writes_every_non_finite_float_as_null():
+    obj = {"a": float("nan"), "b": np.array([1.0, np.inf, -np.inf]), "c": np.float64("nan"),
+           "d": [2.5, (np.array([[np.nan]]),)], "e": np.array([1, 2]), "f": True}
+    assert json_ready(obj) == {"a": None, "b": [1.0, None, None], "c": None, "d": [2.5, [[[None]]]],
+                               "e": [1, 2], "f": True}
+
+
 def test_support_average_of_variance_equals_rank():
     # sum_i w_i d(x_i) = k for any nonsingular measure
     rng = CounterRng(3)

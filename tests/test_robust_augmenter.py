@@ -39,6 +39,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subsel.criteria import RobustContext, _robust_kernel
+from subsel.errors import SingularMatrixError
 from subsel.ingest_sim import simulate_example2
 from subsel.model_core import CandidateGrid, model_spec_from_config
 from subsel.select_sequential import SeqConfig, _RobustAugmenter, run_sequential
@@ -204,22 +205,18 @@ def test_rank_one_inu_scores_within_rel_of_50_digits(seed, p, n_grid, n):
 
 @pytest.mark.parametrize("kind", ["Dnu", "Inu"])
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_singular_base_scores_equal_the_oracle(kind, p):
+def test_a_singular_measure_raises(kind, p):
     # xi on p - 1 grid points: the current measure is singular, so the
-    # rank-one form cannot run; adding a support point again leaves R_g
-    # singular (inf), adding any other point makes it regular (finite)
+    # rank-one form cannot run, and both entry points raise the kernel's
+    # error, which names the support size and p
     n_grid = 4 * p
     aug = robust_augmenter(random_rows(p, n_grid, p), 0.5, kind)
-    support = np.arange(p - 1) * 3
     xi = np.zeros(n_grid)
-    xi[support] = np.arange(1.0, p) / np.arange(1.0, p).sum()
-    n = 7
-    got = aug.candidate_values(xi, n)
-    want = oracle_values(aug.q, xi, n, 0.5, kind)
-    inf = np.isinf(want)
-    assert np.array_equal(np.flatnonzero(inf), support)
-    assert np.array_equal(np.isinf(got), inf)
-    assert np.array_equal(got[~inf], want[~inf])
+    xi[np.arange(p - 1) * 3] = np.arange(1.0, p) / np.arange(1.0, p).sum()
+    points = "1 grid point" if p == 2 else f"{p - 1} grid points"
+    for score in (aug.candidate_values, aug.best):
+        with pytest.raises(SingularMatrixError, match=f"R on {points}, p = {p}, is singular"):
+            score(xi, 7)
 
 
 def _assert_best_is_argmin(aug: _RobustAugmenter, xi: np.ndarray, n: int) -> None:
@@ -228,6 +225,21 @@ def _assert_best_is_argmin(aug: _RobustAugmenter, xi: np.ndarray, n: int) -> Non
     got, value = aug.best(xi, n)
     assert got == want
     assert np.float64(value).tobytes() == vals[want].tobytes()
+
+
+def _assert_best_is_argmin_or_both_raise(aug: _RobustAugmenter, xi: np.ndarray, n: int) -> bool:
+    """`_assert_best_is_argmin`, or where the robust kernel refuses the current measure, that
+    `candidate_values` and `best` both raise; True when they raised."""
+    support = np.flatnonzero(xi)
+    try:
+        _robust_kernel(aug.q[support], xi[support])
+    except SingularMatrixError:
+        for score in (aug.candidate_values, aug.best):
+            with pytest.raises(SingularMatrixError):
+                score(xi, n)
+        return True
+    _assert_best_is_argmin(aug, xi, n)
+    return False
 
 
 @given(
@@ -245,9 +257,9 @@ def test_pruned_dnu_choice_equals_the_full_argmin(seed, p, extra, n, nu, rows, z
     """`best` decomposes only the Dnu candidates its bound keeps, and must
     still return exactly the argmin of `candidate_values` and its bytes:
     ties to the lowest index (duplicated rows score alike), near-collinear
-    rows, a zero row (u = 0), weights spread over 10^spread, and a singular
-    measure, where both read `_singular_base_values`.  Every drawn grid has
-    rank p, as `RobustContext` requires."""
+    rows, a zero row (u = 0) and weights spread over 10^spread.  On a
+    singular measure (fewer than p support points, or fewer than p distinct
+    rows among them) both raise.  Every drawn grid has rank p, as `RobustContext` requires."""
     rng = np.random.default_rng(seed)
     n_grid = p + extra
     if rows == "duplicated":
@@ -275,9 +287,8 @@ def test_pruned_dnu_choice_equals_the_full_argmin(seed, p, extra, n, nu, rows, z
         xi = np.zeros(n_grid)
         xi[at] = rng.exponential(size=at.size) * 10.0 ** rng.uniform(0.0, spread, size=at.size)
         xi /= xi.sum()
-    if measure == "singular":
-        assert aug.best(xi, n)[0] == int(np.argmin(aug._singular_base_values(xi, n)))
-    _assert_best_is_argmin(aug, xi, n)
+    raised = _assert_best_is_argmin_or_both_raise(aug, xi, n)
+    assert raised or measure != "singular"
 
 
 @given(
@@ -309,7 +320,7 @@ def test_pruned_dnu_choice_where_the_bounds_are_tight(seed, p, extra, n):
 def test_pruned_dnu_choice_on_ill_conditioned_measures(seed, p, extra, n_grid, n, nu, decades):
     # p - 1 support points of weight about 1 and 1 to 3 of weight about
     # 10^-decades: cond(A) runs from about 1e7 past the kernel's limit of
-    # 1e12, beyond which both forms take the singular path
+    # 1e12, beyond which both forms raise
     rng = np.random.default_rng(seed)
     n_grid = max(n_grid, p + extra)
     aug = robust_augmenter(rng.normal(size=(n_grid, p)), nu, "Dnu")
@@ -317,7 +328,9 @@ def test_pruned_dnu_choice_on_ill_conditioned_measures(seed, p, extra, n_grid, n
     xi = np.zeros(n_grid)
     xi[at] = 10.0 ** -rng.uniform(0.0, 0.5, size=at.size)
     xi[at[p - 1:]] *= 10.0 ** -decades
-    _assert_best_is_argmin(aug, xi / xi.sum(), n)
+    xi /= xi.sum()
+    if _assert_best_is_argmin_or_both_raise(aug, xi, n):  # A's largest eigenvalue is at most 1
+        assert np.linalg.eigvalsh((aug.q * xi[:, None]).T @ aug.q)[0] < 2e-12
 
 
 @given(
@@ -402,20 +415,16 @@ def uniform_but_last(seed: int, p: int, n_grid: int = 100) -> tuple[_RobustAugme
 
 def test_negative_dnu_bounds_leave_the_cut_finite(monkeypatch):
     # the candidates with a negative bound are decomposed whatever the cut,
-    # and so is the one with the smallest non-negative bound; the cut is the
-    # smallest exact power among them, one below 0 read as 0, and 2 of 100
-    # are kept.  The answer is the same under each variant below, only the
-    # count moves: with the cut over the non-negative powers alone, the last
-    # candidate's exact power at p = 5, seed 3 (-1.8e-9) drops out and 33 are
-    # kept; cut at the smallest non-negative bound's power alone, which lies
-    # far above the best power of about 1e-11, 2 to 39 are kept at p = 2, 3
-    # and 5; with the first candidate taken over the negative bounds too, the
-    # smallest non-negative bound is not decomposed and 1 is kept
+    # and so is the one with the smallest bound: here both are the last
+    # candidate, whose bound lies a margin below 0.  The cut is its exact
+    # power, one below 0 read as 0, and 1 of 100 is kept.  With the cut over
+    # the candidates of non-negative bound alone, no power is left to cut at
+    # and all 100 are kept; the answer is the same, only the count moves
     kept = kept_counts(monkeypatch)
     for p in (1, 2, 3, 5):
         for seed in range(10):
             _assert_best_is_argmin(*uniform_but_last(seed, p), 99)
-    assert kept == [2] * 40
+    assert kept == [1] * 40
     # a negative power reads 0 in the cut, so a bound of exactly 0 (here from
     # an infinite det0 t^2) is kept: its score may tie the cut candidate's 0,
     # and then the lower index wins; a cut below 0 would rule it out

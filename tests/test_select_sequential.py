@@ -431,7 +431,7 @@ def test_a_warm_refit_that_raises_keeps_the_cold_fit(monkeypatch):
 def test_dnu_on_a_singular_initial_support_warns_nothing():
     # A quadratic model (p = 3) on rows that sit nearest grid points 0.0 and
     # -0.6: seed 0 retains rows 1, 0 and 5, a support of 2 < p points, so
-    # the first scores take the singular-measure path.
+    # the first scores raise, with no warning ahead of the error.
     f, p = polynomial_basis(degree=2)
     spec = ModelSpec(f_basis=f, p=p)
     x = np.array([0.0, 0.03, 0.6, 0.63, -0.6, -0.63])
@@ -440,9 +440,8 @@ def test_dnu_on_a_singular_initial_support_warns_nothing():
     cfg = SeqConfig(n_init=3, n_target=6, utility="Dnu", nu=0.5, family="linear", seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sel, trace = run_sequential(data, GRID, spec, cfg)
-    assert sorted(trace.initial_indices.tolist()) == [0, 1, 5]
-    assert sorted(sel.indices.tolist()) == list(range(6))
+        with pytest.raises(SingularMatrixError, match="R on 2 grid points, p = 3, is singular"):
+            run_sequential(data, GRID, spec, cfg)
 
 
 def test_theta_csv_layout(tmp_path):
