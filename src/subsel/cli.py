@@ -257,8 +257,8 @@ def cmd_iboss(args) -> int:
         "indices": selection.indices.tolist(),
         "det": exp_or_none(log_det),
         "bound": exp_or_none(log_bound),
-        "log_det": None if log_det == -np.inf else log_det,
-        "log_bound": None if log_bound == -np.inf else log_bound,
+        "log_det": json_ready(log_det),
+        "log_bound": json_ready(log_bound),
         "per_variable_cuts": selection.provenance["cuts"],
         "column_order": selection.provenance["column_order"],
         "r": selection.provenance["r"],

@@ -157,8 +157,8 @@ def load_csv(
     )
 
 
-# The bytes a data block of _load_blocks may hold once its CRLF pairs are LF
-_NUMERIC_BYTES = b"0123456789.eE+-, \t\n"
+# The bytes a cell of _load_blocks may hold: a JSON number and blanks
+_CELL_BYTES = b"0123456789.eE+- \t"
 # JSON reads the integer token -0 as 0, where float() reads -0.0
 _NEG_ZERO = re.compile(rb"-0(?![0-9.eE])")
 # Blocks of 64 KB to 1 MB parse at one speed; a smaller block holds less memory while it is parsed
@@ -170,12 +170,12 @@ def _load_blocks(path, usecols: list[int], width: int, header_lines: int) -> np.
     of whole lines (about _BLOCK_BYTES) at a time as one JSON array, or None unless
     every data line holds `width` JSON numbers, all finite, and there is at least one row.
 
-    A block holds only digits, '.', 'eE+-', commas, blanks and line breaks, so every
-    cell is a JSON number or is refused, and a JSON number reads as float() reads it:
-    orjson's float reader is correctly rounded.  A null closes every line, so a line
-    with more or fewer cells, or a blank line, puts a null off the last column or
-    fails to parse.  JSON reads the integer token -0 as +0, so a block that holds a
-    zero and that token is refused.  Any refusal leaves the file to _load_plain.
+    With its numbers and blanks taken out, a block must be `width` - 1 commas and a line
+    break per line: no other byte, and no line of another count of cells.  An empty cell,
+    a blank line or a number that overflows then fails to parse.  A JSON number reads as
+    float() reads it: orjson's float reader is correctly rounded.  JSON reads the integer
+    token -0 as +0, so a block that holds a zero and that token is refused.  Any refusal
+    leaves the file to _load_plain.
     """
     import orjson  # imported here: its import takes milliseconds every command would pay
 
@@ -194,21 +194,20 @@ def _load_blocks(path, usecols: list[int], width: int, header_lines: int) -> np.
             if b"\r" in block:  # a search for CRLF costs ten times one for CR
                 block = block.replace(b"\r\n", b"\n")
             if block:
-                if block.translate(None, _NUMERIC_BYTES):
+                if not block.endswith(b"\n"):  # the last line of a file without a final line break
+                    block += b"\n"
+                seps = block.translate(None, _CELL_BYTES)
+                if seps != (b"," * (width - 1) + b"\n") * (len(seps) // width):
                     return None
-                body = block.removesuffix(b"\n").replace(b"\n", b",null,")
                 try:
-                    arr = np.array(orjson.loads(b"[" + body + b",null]"), dtype=float)
-                except orjson.JSONDecodeError:  # a malformed number or line, or one that overflows
+                    values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+                except orjson.JSONDecodeError:
                     return None
-                if arr.size % (width + 1):
+                arr = np.fromiter(values, float, len(values))
+                # a block of one blank line parses as [] when `width` is 1; arr.all() fails only on a zero
+                if not values or (not arr.all() and _NEG_ZERO.search(block)):
                     return None
-                arr = arr.reshape(-1, width + 1)
-                if not (np.isnan(arr[:, -1]).all() and np.isfinite(arr[:, :-1]).all()):
-                    return None
-                if not arr.all() and _NEG_ZERO.search(block):  # arr.all() fails only on a zero
-                    return None
-                blocks.append(arr[:, usecols])
+                blocks.append(arr.reshape(-1, width)[:, usecols])
             if not chunk:
                 return np.concatenate(blocks) if blocks else None
 

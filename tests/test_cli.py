@@ -203,6 +203,17 @@ def test_iboss_on_a_wide_design_writes_strict_json(tmp_path):
     assert payload["log_det"] <= payload["log_bound"]
 
 
+def test_iboss_on_a_constant_column_writes_a_null_log_det(tmp_path):
+    # a constant column makes the selection's information matrix singular: log det is -inf
+    path = tmp_path / "flat.csv"
+    path.write_text("a,b\n" + "".join(f"{i},5\n" for i in range(1, 7)))
+    proc = run_cli_process("iboss", "--input", str(path), "--n", "4")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert '"log_det": null' in proc.stdout
+    payload = json.loads(proc.stdout, parse_constant=no_constant)
+    assert (payload["det"], payload["log_det"]) == (0.0, None)
+
+
 def test_iboss_on_a_covariate_whose_square_overflows_exits_2(tmp_path):
     path = tmp_path / "huge.csv"
     path.write_text("a,b\n1e308,1\n-1e308,2\n5,3\n6,4\n")
@@ -977,6 +988,56 @@ def test_repro_requires_out_dir(capsys):
     code, _, err = run_cli(capsys, "repro", "2")
     assert code == 2
     assert "out-dir" in stderr_payload(err)["message"].replace("_", "-")
+
+
+# ---------------------------------------------------------------------------
+# strict JSON
+
+
+STRICT_MODEL = {
+    "f": {"family": "poly", "degree": 1},
+    "h": {"family": "trig", "kind": "sin"},
+    "g": {"family": "poly", "degree": 1, "intercept": False},
+}
+STRICT_SEQDES = {
+    "D": [], "A": [], "traceR": ["--bias", "bias.json"],
+    "Inu": ["--nu", "0.5"], "Dnu": ["--nu", "0.5"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["iboss", "--input", "data.csv", "--response", "y", "--n", "20", "--out", "iboss.json",
+                  "--perm-report", "perm.json"], id="iboss"),
+    *(pytest.param(["seqdes", "--input", "data.csv", "--grid", "grid.json", "--model", "model.json",
+                    "--features", "x", "--confounders", "z", "--response", "y", "--family", "linear",
+                    "--n-init", "8", "--n-target", "14", "--utility", utility, *extra, "--out", "seqdes.json"],
+                   id=f"seqdes-{utility}") for utility, extra in STRICT_SEQDES.items()),
+    pytest.param(["robust", "--grid", "grid.json", "--model", "model.json", "--nu", "0.5", "--iters", "30",
+                  "--out", "robust.json"], id="robust"),
+    pytest.param(["repro", "1", "--out-dir", "out", "--n-data", "10000", "--n-init", "600", "--n-target", "650",
+                  "--n-test", "1000"], id="repro-1"),
+    pytest.param(["repro", "2", "--out-dir", "out", "--n-points", "60", "--n-design", "8", "--n-init", "4",
+                  "--grid-levels", "50"], id="repro-2"),
+    pytest.param(["repro", "3", "--out-dir", "out", "--robust-iters", "30", "--grid-levels", "20"], id="repro-3"),
+])
+def test_every_json_file_a_command_writes_is_strict_json(tmp_path, monkeypatch, capsys, argv):
+    # JSON has no NaN or Infinity: json.loads reads them only through parse_constant
+    monkeypatch.chdir(tmp_path)
+    write_csv(simulate_example2(300, seed=5), "data.csv")
+    Path("model.json").write_text(json.dumps(STRICT_MODEL))
+    Path("grid.json").write_text(json.dumps({"axes": {"x": np.linspace(-1.0, 5.0, 13).tolist(),
+                                                      "z": np.linspace(-2.5, 2.5, 5).tolist()},
+                                             "z_axes": ["z"]}))
+    Path("bias.json").write_text(json.dumps({"psi": [0.8], "phi": [-0.5], "sigma": 0.5, "n_total": 300}))
+    inputs = set(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    written = sorted(set(tmp_path.rglob("*.json")) - inputs)
+    assert written
+    for path in written:
+        json.loads(path.read_text(), parse_constant=no_constant)
+    if out:
+        json.loads(out, parse_constant=no_constant)
 
 
 # ---------------------------------------------------------------------------

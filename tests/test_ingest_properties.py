@@ -9,7 +9,9 @@ LF or CRLF file, a missing final newline, and cells that are empty,
 non-finite, underscored, quoted (unterminated, padded, doubled, holding a
 comma or a line break), commented, short or long, or negative zeros.  The
 block reader also runs on blocks of a few bytes, so that lines and CRLF
-pairs straddle its reads.  Fixed cases add quoted headers that hold a
+pairs straddle its reads, and it refuses a line of any other count of cells
+than the header's, blank or whitespace-only lines too, wherever in a block
+the line falls.  Fixed cases add quoted headers that hold a
 comma, a line break or a doubled quote, a quote past the first megabyte,
 non-finite cells, and a file whose name ends in .gz, which is read as text.
 A strict error names the physical line its row starts on, which a quoted
@@ -187,6 +189,30 @@ def test_the_block_reader_agrees_with_the_rowwise_reader_across_reads(csv_path, 
         assert _outcome(lambda: (got, 0)) == want
     elif "\r" not in text.replace("\r\n", "") and "-0" not in text.replace("-0.", "").replace("-0e", ""):
         raise AssertionError("the block reader refused a plain numeric file")
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_the_block_reader_refuses_a_line_of_any_other_count_of_cells(csv_path, data):
+    # lines of 0 to width + 1 cells, read a few bytes at a time, so that a short or long
+    # line falls first or last in a block; a blank or whitespace-only line holds no cell
+    width = data.draw(st.integers(1, 4))
+    counts = data.draw(st.lists(st.one_of(st.just(width), st.integers(0, width + 1)), min_size=1, max_size=8))
+    cell = JSON_NUMBERS.filter(lambda text: text.strip() != "-0")  # JSON reads -0 as +0
+    lines = [",".join(data.draw(st.lists(cell, min_size=k, max_size=k))) if k
+             else data.draw(st.sampled_from(["", " ", "\t"])) for k in counts]
+    end = data.draw(st.sampled_from(["\n", ""]))
+    if not end and lines[-1] == "":
+        counts.pop()  # no line break, so no last line
+    names = [f"c{j}" for j in range(width)]
+    csv_path.write_bytes("\n".join([",".join(names), *lines]).encode() + end.encode())
+    with mock.patch("subsel.ingest_sim._BLOCK_BYTES", data.draw(st.integers(1, 8))):
+        got = _load_blocks(csv_path, list(range(width)), width, 1)
+    if set(counts) != {width}:  # a line of another count, or no line at all
+        assert got is None
+    else:
+        want, _ = _load_rowwise(csv_path, names, {n: j for j, n in enumerate(names)}, True)
+        assert got is not None and (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 def _forbid_rowwise(monkeypatch):
