@@ -109,12 +109,20 @@ GUARDS = [
         "a warm logistic refit that raises falls back to the cold fit",
     ),
     Guard(
-        "csv-block-cells", "ingest_sim.py",
-        'if seps != (b"," * (width - 1) + b"\\n") * (len(seps) // width):',
-        "if False:",
+        "csv-block-bytes", "ingest_sim.py",
+        "seps = block.translate(None, _CELL_BYTES)",
+        'seps = re.sub(rb"[^,\\n]", b"", block)',
         "tests/test_ingest_properties.py::test_the_block_reader_refuses_what_json_reads_otherwise",
-        "with the numbers and blanks taken out a block is width - 1 commas and a line break per line:"
-        " no JSON literal or string, and every line holds exactly the header's count of cells",
+        "with the numbers and blanks taken out a block holds only commas and line breaks:"
+        " no JSON literal or string",
+    ),
+    Guard(
+        "csv-block-separators", "ingest_sim.py",
+        'if seps != (b"," * (width - 1) + b"\\n") * (len(seps) // width):',
+        'if seps.translate(None, b",\\n"):',
+        "tests/test_ingest_properties.py::test_the_block_reader_refuses_what_json_reads_otherwise",
+        "the separators of a block are width - 1 commas and a line break per line:"
+        " every line holds exactly the header's count of cells",
     ),
     Guard(
         "csv-block-blank-line", "ingest_sim.py",
